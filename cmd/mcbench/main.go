@@ -1,15 +1,21 @@
-// Command mcbench regenerates the paper's figures and tables.
+// Command mcbench regenerates the paper's figures and tables, and runs the
+// experiments behind every claim this repository makes beyond them.
 //
-//	mcbench -all                 # everything, scaled-down defaults
+//	mcbench -all                 # every figure and table, scaled-down defaults
 //	mcbench -fig 9               # one figure
 //	mcbench -table 1             # one table
 //	mcbench -ratios              # the §4 abort-ratio quotes
-//	mcbench -ro-smoke            # read-only fast-path smoke benchmark (JSON)
+//	mcbench -profile it-oncommit # one branch with transaction observability on
 //	mcbench -all -ops 625000 -threads 1,2,4,8,12 -trials 5   # paper scale
+//
+//	mcbench -exp all             # shards, trace-overhead, fingerprint-overhead,
+//	mcbench -exp shards,txn      # tmctl-storm, txn, conns -> BENCH_experiments.json
+//
+// Experiments take no sizing flags: their sizes are constants in the table
+// (internal/bench/experiments.go), so a recorded number names its workload.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -22,6 +28,14 @@ import (
 )
 
 func main() {
+	// The conns experiment re-executes this binary to hold its idle
+	// connections in a process with its own descriptor limit.
+	if len(os.Args) > 1 && os.Args[1] == "conns-agent" {
+		if err := bench.ConnAgent(os.Args[2:]); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 	var (
 		figID      = flag.Int("fig", 0, "figure to reproduce (4, 6, 8, 9, 10, 11)")
 		tableID    = flag.Int("table", 0, "table to reproduce (1-4)")
@@ -34,45 +48,10 @@ func main() {
 		keyspace   = flag.Int("keyspace", 4096, "distinct keys")
 		vsize      = flag.Int("value-size", 1024, "value size")
 		zipf       = flag.Bool("zipf", false, "Zipf-skewed key popularity (exploratory; the paper is uniform)")
-		roSmoke    = flag.Bool("ro-smoke", false, "run the read-only fast-path smoke benchmark (per-key GETs vs batched multi-get at ~9:1 GET:SET) and write -ro-out")
-		roBranch   = flag.String("ro-branch", "it-oncommit", "branch for -ro-smoke")
-		roOut      = flag.String("ro-out", "BENCH_ro_fastpath.json", "output file for -ro-smoke")
-		shardsStr  = flag.String("shards", "", "comma-separated shard counts (e.g. 1,2,4,8): sweep TM domain counts at the highest -threads value and write -shards-out")
-		shardsOut  = flag.String("shards-out", "BENCH_shards.json", "output file for -shards")
-		traceOver  = flag.Bool("trace-overhead", false, "measure request-tracing overhead (baseline vs disabled vs sampled vs full) through the text protocol and write -trace-out")
-		traceOut   = flag.String("trace-out", "BENCH_trace_overhead.json", "output file for -trace-overhead")
-		traceTrial = flag.Int("trace-trials", 3, "trials per tracing configuration (median reported)")
-		fpOver     = flag.Bool("fingerprint-overhead", false, "measure workload-fingerprinting overhead (disabled vs off-after-enable vs enabled, with a repeat run bounding the measurement floor) and write -fingerprint-out")
-		fpOut      = flag.String("fingerprint-out", "BENCH_fingerprint_overhead.json", "output file for -fingerprint-overhead")
-		fpTrials   = flag.Int("fingerprint-trials", 3, "trials per fingerprinting configuration (median reported)")
-		tmctlStorm = flag.Bool("tmctl-storm", false, "inject a single-hot-key contention storm against the feedback controller and write -tmctl-out")
-		tmctlOut   = flag.String("tmctl-out", "BENCH_tmctl.json", "output file for -tmctl-storm")
-		tmctlSeed  = flag.Uint64("tmctl-seed", 1, "fault-injector seed for -tmctl-storm")
-		txn        = flag.Bool("txn", false, "benchmark wire-transaction commits (single-key / same-shard / cross-shard shapes plus a conflict-rate sweep) and write -txn-out")
-		txnBranch  = flag.String("txn-branch", "it-max", "branch for -txn (must support wire transactions: IT family)")
-		txnShards  = flag.Int("txn-shards", 4, "shard count for -txn")
-		txnOut     = flag.String("txn-out", "BENCH_txn.json", "output file for -txn")
-		connSweep  = flag.Bool("conns", false, "connection-scale sweep: hold idle connection ladders against both transports (event-loop vs goroutine-per-conn), measure RSS/goroutines per rung plus an active mix, write -conns-out")
-		connPoints = flag.String("conns-points", "1000,10000,100000", "comma-separated idle connection counts for -conns (rungs over RLIMIT_NOFILE are recorded as skipped)")
-		connShards = flag.Int("conns-shards", 4, "shard count for -conns")
-		connWorker = flag.Int("conns-workers", 0, "event-loop worker count for -conns (0 = server default)")
-		connActive = flag.Int("conns-active", 64, "active-mix connection count for -conns")
-		connOps    = flag.Int("conns-active-ops", 1500, "active-mix request-response rounds per connection for -conns")
-		connOut    = flag.String("conns-out", "BENCH_conns.json", "output file for -conns")
-		connAgent  = flag.Bool("conns-agent", false, "internal: run as the connection-holding agent for -conns")
-		connAddr   = flag.String("conns-addr", "", "internal: server address for -conns-agent")
-		connN      = flag.Int("conns-n", 0, "internal: connections for -conns-agent to hold")
+		exp        = flag.String("exp", "", "experiments to run, comma-separated, or all: "+strings.Join(bench.ExperimentNames(), ", "))
+		out        = flag.String("out", "BENCH_experiments.json", "file -exp records results in (entries of experiments not run are kept)")
 	)
 	flag.Parse()
-
-	// Agent mode: forked by -conns before anything else so a bare re-exec
-	// never falls through into the benchmark driver.
-	if *connAgent {
-		if err := bench.RunConnAgent(*connAddr, *connN); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	var ths []int
 	for _, part := range strings.Split(*threads, ",") {
@@ -137,193 +116,11 @@ func main() {
 		ran = true
 		showRatios()
 	}
-	if *roSmoke {
+	if *exp != "" {
 		ran = true
-		b, err := engine.ParseBranch(*roBranch)
-		if err != nil {
+		if err := bench.RunExperiments(strings.Split(*exp, ","), *out); err != nil {
 			log.Fatal(err)
 		}
-		res := bench.RunROFastpath(b, ths[len(ths)-1], o)
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*roOut, out, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("ro fast path on %s at %d threads: per-key %.0f keys/s, batched %.0f keys/s (%.2fx), %d ro_fast_commits, %d ro_upgrades -> %s\n",
-			res.Branch, res.Threads, res.PerKeyKeysPerS, res.BatchedKeysPerS, res.Speedup, res.ROFastCommits, res.ROUpgrades, *roOut)
-	}
-	if *shardsStr != "" {
-		ran = true
-		var counts []int
-		for _, part := range strings.Split(*shardsStr, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				log.Fatalf("bad -shards %q", *shardsStr)
-			}
-			counts = append(counts, n)
-		}
-		b, err := engine.ParseBranch(*roBranch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := bench.RunShardSweep(b, ths[len(ths)-1], counts, o)
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*shardsOut, out, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		for _, p := range res.Points {
-			fmt.Printf("shards=%d: %.0f ops/s (%.2fx), %d aborts, %d serial starts, cross-shard orec conflicts %d\n",
-				p.Shards, p.OpsPerSec, p.Speedup, p.Aborts, p.StartSerial, p.CrossShardOrecConflicts)
-		}
-		fmt.Printf("wrote %s\n", *shardsOut)
-	}
-	if *traceOver {
-		ran = true
-		b, err := engine.ParseBranch(*roBranch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := bench.RunTraceOverhead(b, ths[len(ths)-1], *traceTrial, o)
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*traceOut, out, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		for _, p := range res.Points {
-			fmt.Printf("trace=%-8s %10.0f ops/s  delta vs baseline %+.2f%%\n",
-				p.Config, p.OpsPerSec, p.DeltaPct)
-		}
-		fmt.Printf("wrote %s\n", *traceOut)
-	}
-	if *fpOver {
-		ran = true
-		b, err := engine.ParseBranch(*roBranch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := bench.RunFingerprintOverhead(b, ths[len(ths)-1], *fpTrials, o)
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*fpOut, out, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		for _, p := range res.Points {
-			fmt.Printf("fingerprint=%-17s %10.0f ops/s  delta vs disabled %+.2f%%\n",
-				p.Config, p.OpsPerSec, p.DeltaPct)
-		}
-		fmt.Printf("measurement floor %.2f%%; wrote %s\n", res.FloorPct, *fpOut)
-	}
-	if *tmctlStorm {
-		ran = true
-		b, err := engine.ParseBranch(*roBranch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := bench.RunTMCtlStorm(b, bench.TMCtlStormOptions{
-			Threads:  ths[len(ths)-1],
-			Seed:     *tmctlSeed,
-			KeySpace: *keyspace,
-		})
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*tmctlOut, out, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("tmctl storm on %s: hot shard %d degraded to %s after %dms, healed %dms after the storm (base restored: %v); storm p99 max %.2fms, recovered p99 %.2fms; %d degrades / %d promotes -> %s\n",
-			res.Branch, res.HotShard, res.DeepestMode, res.DegradeAfterMs, res.HealAfterMs, res.BaseRestored,
-			res.StormP99MaxMs, res.RecoveredP99Ms, res.Degrades, res.Promotes, *tmctlOut)
-	}
-	if *txn {
-		ran = true
-		b, err := engine.ParseBranch(*txnBranch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		probe := engine.New(engine.Config{Branch: b, Shards: *txnShards, HashPower: 8})
-		supported := probe.TxSupported()
-		if !supported {
-			log.Fatalf("branch %s does not support wire transactions (need an IT-family branch without -nolock)", b)
-		}
-		res := bench.RunTxnBench(b, ths[len(ths)-1], *txnShards, o)
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*txnOut, out, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		for _, s := range res.Shapes {
-			fmt.Printf("txn %-11s %10.0f tx/s  conflicts %5.2f%%  serial fallbacks %5.2f%%\n",
-				s.Shape, s.TxPerSec, 100*s.ConflictRate, 100*s.SerialFallbackRate)
-		}
-		for _, p := range res.ConflictSweep {
-			fmt.Printf("txn hot=%-5d conflicts %5.2f%%  serial fallbacks %5.2f%%\n",
-				p.HotKeys, 100*p.ConflictRate, 100*p.SerialFallbackRate)
-		}
-		fmt.Printf("wrote %s\n", *txnOut)
-	}
-	if *connSweep {
-		ran = true
-		b, err := engine.ParseBranch(*roBranch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var pts []int
-		for _, part := range strings.Split(*connPoints, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				log.Fatalf("bad -conns-points %q", *connPoints)
-			}
-			pts = append(pts, n)
-		}
-		exe, err := os.Executable()
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := bench.RunConnScale(b, *connShards, *connWorker, pts, *connActive, *connOps, exe)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*connOut, out, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		for _, tr := range res.Transports {
-			for _, p := range tr.Points {
-				if p.Skipped {
-					fmt.Printf("%-18s %7d conns: skipped (%s)\n", tr.Transport, p.RequestedConns, p.SkipReason)
-					continue
-				}
-				fmt.Printf("%-18s %7d conns: rss +%d KB (%.0f B/conn), goroutines %d -> %d\n",
-					tr.Transport, p.HeldConns, p.RSSDeltaKB, p.RSSPerConnB,
-					p.GoroutinesBaseline, p.GoroutinesHeld)
-			}
-			fmt.Printf("%-18s active mix %d conns: %.0f ops/s, p50 %.3fms p99 %.3fms\n",
-				tr.Transport, tr.Active.Conns, tr.Active.OpsPerSec, tr.Active.P50Ms, tr.Active.P99Ms)
-		}
-		fmt.Printf("rss ratio (event/goroutine) at %d conns: %.3f; active tput ratio %.3f -> %s\n",
-			res.RSSRatioAtConns, res.RSSRatio, res.ActiveTputRatio, *connOut)
 	}
 	if *profBranch != "" {
 		ran = true

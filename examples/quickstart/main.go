@@ -12,15 +12,13 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/stm"
 	"repro/internal/tm"
 )
 
 func main() {
 	rt := stm.New(stm.Config{Algorithm: stm.MLWT, CM: stm.CMSerialize})
-	ctx := core.New(rt).NewContext()
-	th := ctx.Thread()
+	th := rt.NewThread()
 
 	// Shared state: two transactional words.
 	checking := stm.NewTWord(100)
@@ -35,9 +33,11 @@ func main() {
 		panic(err)
 	}
 
-	// A transaction expression: evaluate a condition transactionally.
-	total := core.Expr(ctx, func(tx *stm.Tx) uint64 {
-		return checking.Load(tx) + savings.Load(tx)
+	// A transaction expression: evaluate a condition transactionally. The
+	// ReadOnly hint lets it commit without acquiring anything.
+	var total uint64
+	_ = tm.Atomic(th, tm.With(tm.ReadOnly()), func(tx *stm.Tx) {
+		total = checking.Load(tx) + savings.Load(tx)
 	})
 	fmt.Printf("after transfer: checking=%d savings=%d total=%d\n",
 		checking.LoadDirect(), savings.LoadDirect(), total)

@@ -224,13 +224,21 @@ func (t *Table) ExpandStep(c access.Ctx, n int) bool {
 }
 
 // ExpandStepLocked is ExpandStep with the Figure 1a trylock protocol: the
-// maintenance thread holds the cache-lock domain and trylocks each item's
-// item lock (later in the lock order — the documented order violation).
-// tryLock returns an unlock function and whether the lock was obtained; items
-// whose lock is unavailable stay in the old bucket for a later pass (the
-// "save_for_later" path), and the bucket cursor only advances once a bucket
-// drains. A nil tryLock moves everything unconditionally (the IT branches,
-// where TM conflict detection replaces the locks).
+// maintenance thread holds the cache-lock domain and trylocks the item lock
+// covering each bucket (later in the lock order — the documented order
+// violation). tryLock returns an unlock function and whether the lock was
+// obtained; a bucket whose lock is unavailable stays put for a later pass
+// (the "save_for_later" path). A nil tryLock moves everything
+// unconditionally (the IT branches, where TM conflict detection replaces the
+// locks).
+//
+// One trylock covers a whole chain — same-bucket items share a stripe
+// (stripes <= buckets) — and it is held until the chain has moved, the old
+// head is cleared and the cursor has passed the bucket. Lookups hold only
+// their item lock, so anything less lets one in halfway: it would walk the
+// old chain through an already-moved item into the new table and miss a key
+// still waiting behind it, or find the bucket drained while the cursor still
+// routes it there.
 func (t *Table) ExpandStepLocked(c access.Ctx, n int, tryLock func(hv uint64) (func(), bool)) bool {
 	if c.Word(t.Expanding) == 0 {
 		return false
@@ -239,40 +247,26 @@ func (t *Table) ExpandStepLocked(c access.Ctx, n int, tryLock func(hv uint64) (f
 	p := c.Any(t.primary).(*buckets)
 	eb := c.Word(t.ExpandBucket)
 	for i := 0; i < n && eb < uint64(len(o.arr)); i++ {
-		var keptHead *item.Item
 		it := item.AsItem(c.Any(o.arr[eb]))
+		unlock := func() {}
+		if it != nil && tryLock != nil {
+			var ok bool
+			if unlock, ok = tryLock(it.Hash); !ok {
+				break // retry this bucket on the next pass
+			}
+		}
 		for it != nil {
 			next := item.AsItem(c.Any(it.HNext))
-			moved := true
-			if tryLock != nil {
-				unlock, ok := tryLock(it.Hash)
-				if ok {
-					dst := p.arr[it.Hash&p.mask()]
-					c.SetAny(it.HNext, c.Any(dst))
-					c.SetAny(dst, it)
-					unlock()
-				} else {
-					moved = false // save for later
-				}
-			} else {
-				dst := p.arr[it.Hash&p.mask()]
-				c.SetAny(it.HNext, c.Any(dst))
-				c.SetAny(dst, it)
-			}
-			if !moved {
-				c.SetAny(it.HNext, keptHead)
-				keptHead = it
-			}
+			dst := p.arr[it.Hash&p.mask()]
+			c.SetAny(it.HNext, c.Any(dst))
+			c.SetAny(dst, it)
 			it = next
-		}
-		if keptHead != nil {
-			c.SetAny(o.arr[eb], keptHead)
-			break // retry this bucket on the next pass
 		}
 		c.SetAny(o.arr[eb], nil)
 		eb++
+		c.SetWord(t.ExpandBucket, eb)
+		unlock()
 	}
-	c.SetWord(t.ExpandBucket, eb)
 	if eb >= uint64(len(o.arr)) {
 		c.SetWord(t.Expanding, 0)
 		c.SetAny(t.old, nil)

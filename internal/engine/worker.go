@@ -206,7 +206,16 @@ func (w *shardWorker) get(hv uint64, key []byte, touch bool, exptime uint64) (va
 			return
 		}
 		if !w.txRefOpt() {
-			it.RefIncr(ctx)
+			if w.c.cfg.itemTx {
+				it.RefIncr(ctx)
+			} else {
+				// Under an item lock ctx is direct, but the matching decrement
+				// (releaseRef) runs after the lock is dropped — as a
+				// mini-transaction once volatiles are transactional. A direct
+				// add here would bypass that transaction's conflict detection:
+				// it reads r, we add 1, it stores r-1, and the reference is gone.
+				w.volatileAdd(it.Refcount, 1)
+			}
 		}
 		if touch {
 			ctx.SetWord(it.Exptime, exptime)

@@ -3,7 +3,9 @@ package stm
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestHTMBasicCommit(t *testing.T) {
@@ -134,34 +136,48 @@ func TestHTMForcesSerialLockOn(t *testing.T) {
 func TestHTMSerializationPoisonsThroughput(t *testing.T) {
 	rt := New(Config{Algorithm: HTM, HTMRetries: 2})
 	w := NewTWord(0)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		g := g
-		wg.Add(1)
+	var hw sync.WaitGroup
+	var hwCommits atomic.Uint64
+	deadline := time.Now().Add(10 * time.Second)
+	for g := 0; g < 3; g++ {
+		hw.Add(1)
 		go func() {
-			defer wg.Done()
+			defer hw.Done()
 			th := rt.NewThread()
-			for i := 0; i < 500; i++ {
-				if g == 0 {
-					// A stream of relaxed/serial transactions.
-					mustRun(t, th, Props{Kind: Relaxed, StartSerial: true}, func(tx *Tx) {
-						w.Store(tx, w.Load(tx)+1)
-					})
-				} else {
-					mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-						v := w.Load(tx)
-						// Yield mid-transaction so the serial stream overlaps
-						// us (on one core, overlap requires preemption).
-						runtime.Gosched()
-						w.Store(tx, v+1)
-					})
-				}
+			// At least 500 each, and on until the claim has had its chance:
+			// on a multicore host 500 can fit inside one scheduling hiccup of
+			// the serial stream.
+			for i := 0; i < 500 || (rt.stats.HTMFallbacks.Load() == 0 && time.Now().Before(deadline)); i++ {
+				hwCommits.Add(1)
+				mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
+					v := w.Load(tx)
+					// Yield mid-transaction so the serial stream overlaps
+					// us (on one core, overlap requires preemption).
+					runtime.Gosched()
+					w.Store(tx, v+1)
+				})
 			}
 		}()
 	}
-	wg.Wait()
-	if got := w.LoadDirect(); got != 2000 {
-		t.Fatalf("w = %d, want 2000", got)
+	// A stream of relaxed/serial transactions that lasts as long as the
+	// hardware ones do: a fixed count can be over before they have begun.
+	hwDone := make(chan struct{})
+	go func() { hw.Wait(); close(hwDone) }()
+	th := rt.NewThread()
+	serial := uint64(0)
+	for running := true; running; serial++ {
+		select {
+		case <-hwDone:
+			running = false
+		default:
+		}
+		mustRun(t, th, Props{Kind: Relaxed, StartSerial: true}, func(tx *Tx) {
+			w.Store(tx, w.Load(tx)+1)
+		})
+		runtime.Gosched() // on one core the stream must not hog it
+	}
+	if got, want := w.LoadDirect(), hwCommits.Load()+serial; got != want {
+		t.Fatalf("w = %d, want %d", got, want)
 	}
 	s := rt.Stats()
 	if s.HTMFallbacks == 0 {

@@ -43,12 +43,27 @@ func (tx *Tx) Retry() {
 		len(tx.reads) == 0 && len(tx.nReadsW) == 0 && len(tx.nReadsA) == 0 {
 		panic("stm: Retry with an empty read set would never wake")
 	}
+	// A serial-irrevocable commit stores in place without touching an orec or
+	// the NOrec/TML sequence, so the read-set watch below cannot see it; the
+	// serial lock's acquisition count can. Record the count this attempt's
+	// reads are known to be current for: the one it subscribed to, or — for
+	// an attempt holding the read side, which excludes serial writers — the
+	// one right now.
+	switch {
+	case tx.ro:
+		tx.retrySeq = tx.roSeq
+	case tx.algo == HTM:
+		tx.retrySeq = tx.htmSeq
+	default:
+		tx.retrySeq = tx.rt.serial.seq.Load()
+	}
 	panic(retrySignal{})
 }
 
-// waitReadSetChange blocks until the rolled-back attempt's read set is dirty.
-// Called between rollback and the next begin; the attempt's logs are still
-// intact. Wake-ups may be spurious (an orec rollback restores its version, a
+// waitReadSetChange blocks until the rolled-back attempt's read set is dirty
+// or a serial-irrevocable transaction has run (which may have dirtied it
+// invisibly). Called between rollback and the next begin; the attempt's logs
+// are still intact. Wake-ups may be spurious (an orec rollback restores its version, a
 // colliding location shares the orec): the re-run then simply retries again,
 // which is correct, only wasteful.
 func (tx *Tx) waitReadSetChange() {
@@ -60,7 +75,7 @@ func (tx *Tx) waitReadSetChange() {
 		// Invisible readers keep no read set; wait for any global commit.
 		seq := tx.rt.nseq.Load()
 		spins := 0
-		for tx.rt.nseq.Load() == seq {
+		for tx.rt.nseq.Load() == seq && tx.rt.serial.seq.Load() == tx.retrySeq {
 			spins++
 			if spins < 64 {
 				runtime.Gosched()
@@ -71,7 +86,7 @@ func (tx *Tx) waitReadSetChange() {
 		return
 	}
 	spins := 0
-	for {
+	for tx.rt.serial.seq.Load() == tx.retrySeq {
 		switch tx.algo {
 		case NOrec:
 			for _, r := range tx.nReadsW {

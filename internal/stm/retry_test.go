@@ -75,7 +75,12 @@ func TestRetryBlockingQueue(t *testing.T) {
 	const producers, perP, consumers = 3, 200, 3
 	total := producers * perP
 
-	var consumed atomic.Int64
+	// remaining is decremented by the transaction that pops, so "nothing left
+	// to wait for" is part of every blocked consumer's read set: the last pop
+	// wakes them. (A counter bumped after the commit would leave a window in
+	// which a consumer sees an empty stack, not yet the final count, and
+	// blocks on a stack nobody will push to again.)
+	remaining := NewTWord(uint64(total))
 	var sum atomic.Int64
 	var wg sync.WaitGroup
 	for c := 0; c < consumers; c++ {
@@ -84,31 +89,26 @@ func TestRetryBlockingQueue(t *testing.T) {
 			defer wg.Done()
 			th := rt.NewThread()
 			for {
-				if consumed.Load() >= int64(total) {
-					return
-				}
 				var v int
-				popped := false
+				done := false
 				mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-					popped = false
+					left := remaining.Load(tx)
+					if done = left == 0; done {
+						return
+					}
 					h := head.Load(tx)
 					if h == nil {
-						// Blocking pop — but bounded: give up via a plain
-						// check outside so the test can finish.
-						if consumed.Load() >= int64(total) {
-							return
-						}
-						tx.Retry()
+						tx.Retry() // blocking pop
 					}
 					n := h.(*node)
 					head.Store(tx, n.next)
+					remaining.Store(tx, left-1)
 					v = n.v
-					popped = true
 				})
-				if popped {
-					consumed.Add(1)
-					sum.Add(int64(v))
+				if done {
+					return
 				}
+				sum.Add(int64(v))
 			}
 		}()
 	}
@@ -132,7 +132,7 @@ func TestRetryBlockingQueue(t *testing.T) {
 	select {
 	case <-waitDone:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("queue drain hung: consumed %d/%d", consumed.Load(), total)
+		t.Fatalf("queue drain hung: %d/%d left", remaining.LoadDirect(), total)
 	}
 	want := int64(total) * int64(total-1) / 2
 	if sum.Load() != want {
@@ -216,5 +216,39 @@ func TestOnAbortAsBackoff(t *testing.T) {
 	})
 	if backoffs != 3 {
 		t.Errorf("onAbort ran %d times, want 3", backoffs)
+	}
+}
+
+// TestRetryWokenBySerialCommit: a serial-irrevocable transaction stores in
+// place and bumps no orec, so a parked Retry must also watch the serial
+// lock — otherwise a maintainer waiting on "work exists" sleeps through every
+// update made by a branch whose stores still serialize (it-max).
+func TestRetryWokenBySerialCommit(t *testing.T) {
+	for _, alg := range []Algorithm{MLWT, LazyAlg, NOrec, TML, HTM} {
+		t.Run(alg.String(), func(t *testing.T) {
+			rt := New(Config{Algorithm: alg})
+			flag := NewTWord(0)
+			parked := rt.Stats().Retries
+			woke := make(chan struct{})
+			go func() {
+				defer close(woke)
+				mustRun(t, rt.NewThread(), Props{Kind: Atomic}, func(tx *Tx) {
+					if flag.Load(tx) == 0 {
+						tx.Retry()
+					}
+				})
+			}()
+			for rt.Stats().Retries == parked {
+				time.Sleep(100 * time.Microsecond) // until the waiter has parked
+			}
+			mustRun(t, rt.NewThread(), Props{Kind: Relaxed, StartSerial: true}, func(tx *Tx) {
+				flag.Store(tx, 1)
+			})
+			select {
+			case <-woke:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Retry slept through a serial commit")
+			}
+		})
 	}
 }

@@ -125,28 +125,24 @@ func (l *serialLock) TryLock(spins int) bool {
 	return false
 }
 
-// subscribe waits until no writer is active and returns the current
-// acquisition sequence (hardware-transaction begin).
-func (l *serialLock) subscribe() uint64 {
-	spins := 0
-	for l.state.Load()&writerBit != 0 {
-		spins++
-		if spins > 64 {
-			runtime.Gosched()
-		}
-	}
-	return l.seq.Load()
-}
-
 // trySubscribe returns the current acquisition sequence if no writer is
 // active, without waiting. Callers that publish state before subscribing
 // (beginSpeculative) use it so the publish/subscribe order is visible: a
 // failure means a writer holds or awaits the lock right now.
+//
+// The sequence is read BEFORE the writer bit. Lock sets the bit, drains, and
+// only then bumps the sequence, so a writer that slips in after the bit check
+// leaves us holding a stale sequence and stillSubscribed fails. Read the other
+// way round, the same writer hands us its own bumped sequence: we would run
+// alongside its uninstrumented body and still pass every later check once it
+// unlocks — a lost update for a hardware attempt, a torn snapshot for a
+// read-only one.
 func (l *serialLock) trySubscribe() (uint64, bool) {
+	seq := l.seq.Load()
 	if l.state.Load()&writerBit != 0 {
 		return 0, false
 	}
-	return l.seq.Load(), true
+	return seq, true
 }
 
 // waitNoWriter spins until no writer holds or awaits the lock.

@@ -207,6 +207,7 @@ type Tx struct {
 	start     uint64 // clock snapshot (MLWT/Lazy) or sequence snapshot (NOrec/TML)
 	htmSeq    uint64 // serial-lock subscription sequence (HTM)
 	roSeq     uint64 // serial-lock subscription sequence (read-only fast path)
+	retrySeq  uint64 // serial-lock sequence a Retry-ing attempt ran under (see retry.go)
 	tmlWriter bool   // TML: holding the global sequence lock
 
 	reads []orecRead

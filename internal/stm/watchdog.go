@@ -20,6 +20,11 @@ import (
 //	level 0 → 1: apply randomized exponential backoff between retries
 //	level 1 → 2: run the next attempt serial-irrevocable (guaranteed progress)
 //
+// A NoSerialLock runtime stops at level 1. Its "serial" mode is in-place,
+// uninstrumented writes under a mutex speculative transactions neither hold
+// nor subscribe to, so a forced serial attempt races every speculative one
+// (the paper removes the lock only once nothing serializes any more).
+//
 // Escalation resets when the transaction finally commits (or cancels). The
 // actions are counted in Stats (WatchdogBackoffs, WatchdogSerializes) and
 // surfaced by the server's `stats` command, so a production starvation event
@@ -100,6 +105,9 @@ func (rt *Runtime) watchdogScan(now time.Time) {
 			rt.stats.WatchdogBackoffs.Add(1)
 			rt.obsEvent(txobs.KWatchdogBackoff, "watchdog: backoff")
 		case escalateBackoff:
+			if rt.cfg.NoSerialLock {
+				continue
+			}
 			th.escalate.Store(escalateSerialize)
 			rt.stats.WatchdogSerializes.Add(1)
 			rt.obsEvent(txobs.KWatchdogSerialize, "watchdog: serialize")

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/stm"
 	"repro/internal/tm"
 )
@@ -79,11 +78,9 @@ func TestMaxRetriesOptionPropagates(t *testing.T) {
 	}
 }
 
-// TestFrontDoorEquivalentToRawRun is the behavioral-equivalence test that
-// guarded the core.Ctx shim deletion: the tm entry points must do exactly what
-// a hand-built stm.Props run does — same effects, same stats deltas, same kind
-// of transaction — so callers ported off the shims (which themselves delegated
-// here) observe no behavior change.
+// TestFrontDoorEquivalentToRawRun: the tm entry points must do exactly what a
+// hand-built stm.Props run does — same effects, same stats deltas, same kind
+// of transaction.
 func TestFrontDoorEquivalentToRawRun(t *testing.T) {
 	type counters struct {
 		commits, startSerial, roFast uint64
@@ -93,8 +90,7 @@ func TestFrontDoorEquivalentToRawRun(t *testing.T) {
 	// runtime, and returns the final word value plus the stats counters.
 	run := func(raw bool) (uint64, counters) {
 		rt := stm.New(stm.Config{Algorithm: stm.MLWT})
-		ctx := core.New(rt).NewContext()
-		th := ctx.Thread()
+		th := rt.NewThread()
 		v := stm.NewTWord(0)
 
 		if raw {
