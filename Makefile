@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test check race stress torture-smoke torture profile bench
+.PHONY: all build vet lint test allocs check race stress torture-smoke torture profile bench
 
 all: check
 
@@ -23,11 +23,19 @@ lint: vet
 test:
 	$(GO) test ./...
 
+# allocs runs the allocation ceilings of the request path (an item is two heap
+# objects, a get allocates nothing) and the item layout test by name. They are
+# ordinary tier-1 tests, so `make test` runs them too; this target is what to
+# run after touching stm, item, assoc, engine or protocol.
+allocs:
+	$(GO) test -count=1 -run 'Allocs|Layout' ./internal/item ./internal/assoc ./internal/engine ./internal/protocol
+
 # check is the tier-1 gate plus the robustness smoke: everything builds, lints
-# clean, passes its tests, passes them again under the race detector, survives
-# shrunken fault schedules, and repeats the schedule-sensitive suites on one
-# and two Ps.
-check: build lint test race torture-smoke stress
+# clean (go vet's copylocks pass is what keeps items, which embed atomics, from
+# being copied by value), passes its tests, holds its allocation ceilings,
+# passes the tests again under the race detector, survives shrunken fault
+# schedules, and repeats the schedule-sensitive suites on one and two Ps.
+check: build lint test allocs race torture-smoke stress
 
 # race runs every test except the seeded torture schedules (torture-smoke has
 # those, shrunken) under the race detector.

@@ -22,6 +22,8 @@
 package access
 
 import (
+	"strconv"
+
 	"repro/internal/sem"
 	"repro/internal/stm"
 	"repro/internal/tmlib"
@@ -75,6 +77,26 @@ type Ctx interface {
 	// onCommit.
 	Fprintf(log func(string), msg string)
 	SemPost(s *sem.Sem)
+}
+
+// Ptr reads a typed pointer cell under c. Pointer cells are plain shared
+// data — no stage of the ladder treats them as unsafe — so the only question
+// is whether c carries a transaction; that also keeps them off the Ctx
+// interface, whose methods cannot be generic.
+func Ptr[T any](c Ctx, p *stm.TPtr[T]) *T {
+	if tx := c.Tx(); tx != nil {
+		return p.Load(tx)
+	}
+	return p.LoadDirect()
+}
+
+// SetPtr writes a typed pointer cell under c (see Ptr).
+func SetPtr[T any](c Ctx, p *stm.TPtr[T], v *T) {
+	if tx := c.Tx(); tx != nil {
+		p.Store(tx, v)
+		return
+	}
+	p.StoreDirect(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -184,21 +206,24 @@ func (c DirectCtx) MemcpyTB(dst *stm.TBytes, doff int, src *stm.TBytes, soff, n 
 
 // Strtoull parses an unsigned integer out of shared bytes.
 func (c DirectCtx) Strtoull(s *stm.TBytes, off, n int) (uint64, int) {
-	buf := make([]byte, n)
+	var stack [numBufLen]byte
+	buf := numBuf(&stack, n)
 	c.MemcpyOut(buf, s, off, n)
 	return tmlib.PureStrtoull(buf)
 }
 
 // FormatSuffix writes the item header suffix " <flags> <len>\r\n".
 func (c DirectCtx) FormatSuffix(dst *stm.TBytes, off int, flags uint32, n int) int {
-	out := suffixBytes(flags, n)
+	var stack [suffixBufLen]byte
+	out := appendSuffix(stack[:0], flags, n)
 	c.MemcpyIn(dst, off, out)
 	return len(out)
 }
 
 // FormatUint writes a decimal integer.
 func (c DirectCtx) FormatUint(dst *stm.TBytes, off int, v uint64) int {
-	out := formatUint(v)
+	var stack [numBufLen]byte
+	out := strconv.AppendUint(stack[:0], v, 10)
 	c.MemcpyIn(dst, off, out)
 	return len(out)
 }
@@ -307,13 +332,17 @@ func (c TxCtx) MemcpyTB(dst *stm.TBytes, doff int, src *stm.TBytes, soff, n int)
 // Strtoull is the marshaling-based safe strtoull after stage Lib.
 func (c TxCtx) Strtoull(s *stm.TBytes, off, n int) (uint64, int) {
 	c.libcGate("strtoull")
-	return tmlib.PureStrtoull(tmlib.MarshalIn(c.T, s, off, n))
+	var stack [numBufLen]byte
+	buf := numBuf(&stack, n)
+	tmlib.MarshalInto(c.T, buf, s, off)
+	return tmlib.PureStrtoull(buf)
 }
 
 // FormatSuffix is the snprintf clone building " <flags> <len>\r\n".
 func (c TxCtx) FormatSuffix(dst *stm.TBytes, off int, flags uint32, n int) int {
 	c.libcGate("snprintf")
-	out := suffixBytes(flags, n)
+	var stack [suffixBufLen]byte
+	out := appendSuffix(stack[:0], flags, n)
 	tmlib.MarshalOut(c.T, dst, off, out)
 	return len(out)
 }
@@ -321,7 +350,8 @@ func (c TxCtx) FormatSuffix(dst *stm.TBytes, off int, flags uint32, n int) int {
 // FormatUint is the snprintf clone for "%llu".
 func (c TxCtx) FormatUint(dst *stm.TBytes, off int, v uint64) int {
 	c.libcGate("snprintf")
-	out := formatUint(v)
+	var stack [numBufLen]byte
+	out := strconv.AppendUint(stack[:0], v, 10)
 	tmlib.MarshalOut(c.T, dst, off, out)
 	return len(out)
 }
@@ -369,26 +399,29 @@ func setByteAtDirect(s *stm.TBytes, i int, b byte) {
 	s.SetWordDirect(i/8, w&^(0xFF<<sh)|uint64(b)<<sh)
 }
 
-func suffixBytes(flags uint32, n int) []byte {
-	out := []byte{' '}
-	out = append(out, formatUint(uint64(flags))...)
-	out = append(out, ' ')
-	out = append(out, formatUint(uint64(n))...)
-	return append(out, '\r', '\n')
+// The "stack" the marshaling wrappers format on (Figure 7): fixed arrays in
+// the caller's frame, so a suffix or a counter costs no allocation.
+const (
+	numBufLen    = 24 // a uint64 in decimal is at most 20 bytes
+	suffixBufLen = 40 // " <uint32> <int>\r\n"
+)
+
+// numBuf returns n bytes to marshal a number's text into: the caller's stack
+// array when it fits — every value incr/decr can succeed on does — and the
+// heap for an over-long non-numeric value, which strtoull must still scan.
+func numBuf(stack *[numBufLen]byte, n int) []byte {
+	if n <= len(stack) {
+		return stack[:n]
+	}
+	return make([]byte, n)
 }
 
-func formatUint(v uint64) []byte {
-	if v == 0 {
-		return []byte{'0'}
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append([]byte(nil), buf[i:]...)
+func appendSuffix(dst []byte, flags uint32, n int) []byte {
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, uint64(flags), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, uint64(n), 10)
+	return append(dst, '\r', '\n')
 }
 
 var (

@@ -34,15 +34,18 @@ const DefaultPowerBits = 16
 // (DEFAULT_HASH_BULK_MOVE).
 const BulkMove = 1
 
+// buckets is one bucket array: the chain heads as a value array of pointer
+// cells, their ids one consecutive block.
 type buckets struct {
-	arr   []*stm.TAny
+	arr   []stm.TPtr[item.Item]
 	power uint
 }
 
 func newBuckets(power uint) *buckets {
-	b := &buckets{arr: make([]*stm.TAny, 1<<power), power: power}
+	b := &buckets{arr: make([]stm.TPtr[item.Item], 1<<power), power: power}
+	id := stm.ReserveIDs(len(b.arr))
 	for i := range b.arr {
-		b.arr[i] = stm.NewTAny(nil).Label(lblHashBucket)
+		b.arr[i].Init(id+uint64(i), lblHashBucket, nil)
 	}
 	return b
 }
@@ -85,7 +88,7 @@ func Hash(key []byte) uint64 {
 	return h
 }
 
-// bucketFor returns the TAny head of the chain owning hash hv.
+// bucketFor returns the head cell of the chain owning hash hv.
 //
 // Lookups in the IP and lock branches read this structure while holding only
 // the key's item lock (memcached's post-1.4.10 scalability design), so the
@@ -95,28 +98,28 @@ func Hash(key []byte) uint64 {
 // (ExpandStepLocked trylocks the stripe); (2) StartExpand publishes the new
 // primary table only after Expanding is visible, so a reader that still sees
 // Expanding==0 also still sees the pre-expansion primary.
-func (t *Table) bucketFor(c access.Ctx, hv uint64) *stm.TAny {
+func (t *Table) bucketFor(c access.Ctx, hv uint64) *stm.TPtr[item.Item] {
 	p := c.Any(t.primary).(*buckets)
 	if c.Word(t.Expanding) != 0 {
 		if o, ok := c.Any(t.old).(*buckets); ok {
 			ob := hv & o.mask()
 			if ob >= c.Word(t.ExpandBucket) {
-				return o.arr[ob]
+				return &o.arr[ob]
 			}
 		}
 	}
-	return p.arr[hv&p.mask()]
+	return &p.arr[hv&p.mask()]
 }
 
 // Find walks the chain for key, comparing via the context's memcmp (the libc
 // call that is unsafe inside transactions before stage Lib).
 func (t *Table) Find(c access.Ctx, hv uint64, key []byte) *item.Item {
-	it := item.AsItem(c.Any(t.bucketFor(c, hv)))
+	it := access.Ptr(c, t.bucketFor(c, hv))
 	for it != nil {
-		if it.Hash == hv && it.KeyLen == len(key) && c.Memcmp(it.Key, 0, key) == 0 {
+		if it.Hash == hv && it.KeyLen == len(key) && c.Memcmp(it.Buf(), it.KeyOff(), key) == 0 {
 			return it
 		}
-		it = item.AsItem(c.Any(it.HNext))
+		it = access.Ptr(c, &it.HNext)
 	}
 	return nil
 }
@@ -124,8 +127,8 @@ func (t *Table) Find(c access.Ctx, hv uint64, key []byte) *item.Item {
 // Insert pushes it onto its chain. The caller ensures the key is absent.
 func (t *Table) Insert(c access.Ctx, it *item.Item) {
 	b := t.bucketFor(c, it.Hash)
-	c.SetAny(it.HNext, c.Any(b))
-	c.SetAny(b, it)
+	access.SetPtr(c, &it.HNext, access.Ptr(c, b))
+	access.SetPtr(c, b, it)
 	c.AddWord(t.Count, 1)
 }
 
@@ -134,21 +137,14 @@ func (t *Table) Insert(c access.Ctx, it *item.Item) {
 func (t *Table) Delete(c access.Ctx, hv uint64, key []byte) *item.Item {
 	b := t.bucketFor(c, hv)
 	var prev *item.Item
-	it := item.AsItem(c.Any(b))
+	it := access.Ptr(c, b)
 	for it != nil {
-		if it.Hash == hv && it.KeyLen == len(key) && c.Memcmp(it.Key, 0, key) == 0 {
-			next := c.Any(it.HNext)
-			if prev == nil {
-				c.SetAny(b, next)
-			} else {
-				c.SetAny(prev.HNext, next)
-			}
-			c.SetAny(it.HNext, nil)
-			c.AddWord(t.Count, ^uint64(0))
+		if it.Hash == hv && it.KeyLen == len(key) && c.Memcmp(it.Buf(), it.KeyOff(), key) == 0 {
+			t.unchain(c, b, prev, it)
 			return it
 		}
 		prev = it
-		it = item.AsItem(c.Any(it.HNext))
+		it = access.Ptr(c, &it.HNext)
 	}
 	return nil
 }
@@ -159,23 +155,29 @@ func (t *Table) Delete(c access.Ctx, hv uint64, key []byte) *item.Item {
 func (t *Table) RemoveItem(c access.Ctx, target *item.Item) bool {
 	b := t.bucketFor(c, target.Hash)
 	var prev *item.Item
-	it := item.AsItem(c.Any(b))
+	it := access.Ptr(c, b)
 	for it != nil {
 		if it == target {
-			next := c.Any(it.HNext)
-			if prev == nil {
-				c.SetAny(b, next)
-			} else {
-				c.SetAny(prev.HNext, next)
-			}
-			c.SetAny(it.HNext, nil)
-			c.AddWord(t.Count, ^uint64(0))
+			t.unchain(c, b, prev, it)
 			return true
 		}
 		prev = it
-		it = item.AsItem(c.Any(it.HNext))
+		it = access.Ptr(c, &it.HNext)
 	}
 	return false
+}
+
+// unchain takes it out of the chain headed by b, where prev is its
+// predecessor (nil when it is the head).
+func (t *Table) unchain(c access.Ctx, b *stm.TPtr[item.Item], prev, it *item.Item) {
+	next := access.Ptr(c, &it.HNext)
+	if prev == nil {
+		access.SetPtr(c, b, next)
+	} else {
+		access.SetPtr(c, &prev.HNext, next)
+	}
+	access.SetPtr(c, &it.HNext, nil)
+	c.AddWord(t.Count, ^uint64(0))
 }
 
 // Size returns the number of buckets in the primary table.
@@ -247,7 +249,7 @@ func (t *Table) ExpandStepLocked(c access.Ctx, n int, tryLock func(hv uint64) (f
 	p := c.Any(t.primary).(*buckets)
 	eb := c.Word(t.ExpandBucket)
 	for i := 0; i < n && eb < uint64(len(o.arr)); i++ {
-		it := item.AsItem(c.Any(o.arr[eb]))
+		it := access.Ptr(c, &o.arr[eb])
 		unlock := func() {}
 		if it != nil && tryLock != nil {
 			var ok bool
@@ -256,13 +258,13 @@ func (t *Table) ExpandStepLocked(c access.Ctx, n int, tryLock func(hv uint64) (f
 			}
 		}
 		for it != nil {
-			next := item.AsItem(c.Any(it.HNext))
-			dst := p.arr[it.Hash&p.mask()]
-			c.SetAny(it.HNext, c.Any(dst))
-			c.SetAny(dst, it)
+			next := access.Ptr(c, &it.HNext)
+			dst := &p.arr[it.Hash&p.mask()]
+			access.SetPtr(c, &it.HNext, access.Ptr(c, dst))
+			access.SetPtr(c, dst, it)
 			it = next
 		}
-		c.SetAny(o.arr[eb], nil)
+		access.SetPtr(c, &o.arr[eb], nil)
 		eb++
 		c.SetWord(t.ExpandBucket, eb)
 		unlock()

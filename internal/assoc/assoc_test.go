@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/item"
+	"repro/internal/race"
 	"repro/internal/stm"
 )
 
@@ -224,5 +225,41 @@ func TestHashQuality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAllocsInsertDelete: chain heads and links are pointer cells, so moving
+// an item in and out of a chain allocates nothing, in or out of a transaction.
+func TestAllocsInsertDelete(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	tab := New(2)
+	key := []byte("alloc-key")
+	it := mk(string(key))
+	for i := 0; i < 8; i++ { // neighbours, so the chains are not trivial
+		tab.Insert(dc, mk(fmt.Sprintf("n-%d", i)))
+	}
+	cycle := func(c access.Ctx) {
+		tab.Insert(c, it)
+		if tab.Find(c, it.Hash, key) != it || tab.Delete(c, it.Hash, key) != it {
+			t.Fatal("item lost between Insert and Delete")
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { cycle(dc) }); n != 0 {
+		t.Errorf("Insert+Find+Delete direct: %.1f allocs, want 0", n)
+	}
+
+	th := stm.New(stm.Config{}).NewThread()
+	txc := &access.TxCtx{Profile: access.Profile{TxVolatiles: true, SafeLibc: true}}
+	inTx := func() {
+		_ = th.Run(stm.Props{Kind: stm.Atomic}, func(tx *stm.Tx) {
+			txc.T = tx
+			cycle(txc)
+		})
+	}
+	inTx() // warm-up: the read set and undo log grow once
+	if n := testing.AllocsPerRun(100, inTx); n != 0 {
+		t.Errorf("Insert+Find+Delete in a transaction: %.1f allocs, want 0", n)
 	}
 }

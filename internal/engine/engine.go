@@ -233,6 +233,7 @@ func (c *shard) newAgent() *agent {
 		// The single-source requirement slows the nontransactional clones
 		// once the tm_* library exists (§3.4).
 		a.dctx = access.DirectCtx{NaiveLibc: c.cfg.profile.SafeLibc}
+		a.txc.Profile = c.cfg.profile
 	}
 	return a
 }

@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/access"
-	"repro/internal/assoc"
 	"repro/internal/fingerprint"
 	"repro/internal/item"
 )
@@ -21,7 +22,62 @@ type GetResult struct {
 // size of one text-protocol pipeline line.
 const MultiGetBatch = 16
 
-// GetMulti looks up keys and returns a result per key, in order.
+// maxRetainedArena bounds the value arena a GetBuf keeps between calls, so one
+// large multi-get does not pin its peak for the life of the scratch.
+const maxRetainedArena = 64 << 10
+
+// GetBuf is the caller-owned scratch the Into forms of Get and GetMulti fill:
+// key hashes, per-shard groups, results, hit and touch marks, and the arena
+// the results' Value slices point into. A caller that keeps one GetBuf and
+// reuses it makes a hit allocate nothing once the scratch has grown to the
+// command's shape. The zero value is ready to use; results and values are
+// valid until the next call with the same GetBuf.
+type GetBuf struct {
+	res   []GetResult
+	arena []byte
+	hvs   []uint64
+
+	// Cross-shard gather and scatter.
+	groups  [][]int
+	subKeys [][]byte
+	subHvs  []uint64
+	subRes  []GetResult
+
+	// One batch transaction's deferred work.
+	hits      []*item.Item
+	needTouch []bool
+	stale     []*item.Item
+}
+
+// alloc returns n fresh bytes at the end of the arena. Growing the arena
+// moves it; values handed out earlier keep pointing into the old block, which
+// stays intact.
+func (b *GetBuf) alloc(n int) []byte {
+	off := len(b.arena)
+	b.arena = slices.Grow(b.arena, n)[:off+n]
+	return b.arena[off : off+n : off+n]
+}
+
+// Trim drops an arena that one large command grew past maxRetainedArena.
+// Callers that hold a GetBuf for long (a connection, a worker) call it when
+// they are done with a command's values.
+func (b *GetBuf) Trim() {
+	if cap(b.arena) > maxRetainedArena {
+		b.arena = nil
+	}
+}
+
+// resize returns s with length n, reallocating only to grow.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// getMulti looks up keys, whose hashes the router already computed to group
+// them by shard, and fills out with a result per key, in order; values go to
+// b's arena.
 //
 // On the IT branches (the item critical section is a transaction) keys are
 // processed in groups of at most MultiGetBatch, each group as ONE read-only
@@ -34,50 +90,41 @@ const MultiGetBatch = 16
 //
 // Lock and IP branches have no cross-key section to share (item stripes are
 // per-key), so they fall back to the per-key path.
-func (w *shardWorker) GetMulti(keys [][]byte) []GetResult {
-	hvs := make([]uint64, len(keys))
-	for i, k := range keys {
-		hvs[i] = assoc.Hash(k)
-	}
-	return w.getMulti(keys, hvs)
-}
-
-// getMulti is GetMulti with the key hashes already computed: the sharded
-// router hashes every key once to group it by shard and hands the hashes
-// down with the group.
-func (w *shardWorker) getMulti(keys [][]byte, hvs []uint64) []GetResult {
-	out := make([]GetResult, len(keys))
+func (w *shardWorker) getMulti(b *GetBuf, keys [][]byte, hvs []uint64, out []GetResult) {
 	if !w.c.cfg.itemTx {
 		for i, k := range keys {
-			out[i].Value, out[i].Flags, out[i].CAS, out[i].Found = w.get(hvs[i], k, false, 0)
+			out[i].Value, out[i].Flags, out[i].CAS, out[i].Found = w.get(b, hvs[i], k, false, 0)
 		}
-		return out
+		return
 	}
 	for start := 0; start < len(keys); start += MultiGetBatch {
 		end := min(start+MultiGetBatch, len(keys))
-		w.getBatch(keys[start:end], hvs[start:end], out[start:end])
+		w.getBatch(b, keys[start:end], hvs[start:end], out[start:end])
 	}
-	return out
 }
 
 // getBatch runs one bounded group of lookups as a single read-only item
 // transaction and handles the deferred write work afterwards.
-func (w *shardWorker) getBatch(keys [][]byte, hvs []uint64, out []GetResult) {
+func (w *shardWorker) getBatch(b *GetBuf, keys [][]byte, hvs []uint64, out []GetResult) {
 	now := w.volatileLoad(w.c.CurrentTime)
 	flushAt := w.volatileLoad(w.c.flushBefore)
 
-	hits := make([]*item.Item, len(keys))
-	needTouch := make([]bool, len(keys))
-	var stale []*item.Item
+	b.hits = resize(b.hits, len(keys))
+	b.needTouch = resize(b.needTouch, len(keys))
+	hits, needTouch := b.hits, b.needTouch
+	mark := len(b.arena)
 
 	body := func(ctx access.Ctx) {
-		// Reset all outputs: a transactional context may retry this closure.
+		// Reset all outputs: a transactional context may retry this closure,
+		// and the arena must end up holding the committed attempt's values
+		// only.
 		for i := range out {
 			out[i] = GetResult{}
 			hits[i] = nil
 			needTouch[i] = false
 		}
-		stale = stale[:0]
+		b.stale = b.stale[:0]
+		b.arena = b.arena[:mark]
 		for i, k := range keys {
 			it := w.c.tab.Find(ctx, hvs[i], k)
 			if it == nil {
@@ -87,7 +134,7 @@ func (w *shardWorker) getBatch(keys [][]byte, hvs []uint64, out []GetResult) {
 				// The per-key path unlinks in place; here the unlink is
 				// deferred past the batch commit so the batch itself stays
 				// read-only. An expired item is a miss either way.
-				stale = append(stale, it)
+				b.stale = append(b.stale, it)
 				continue
 			}
 			// No RefIncr: inside one transaction the refcount round trip is
@@ -95,11 +142,11 @@ func (w *shardWorker) getBatch(keys [][]byte, hvs []uint64, out []GetResult) {
 			// upgrade the batch off the read-only fast path. Conflict
 			// detection protects the reads; the deferred touch/unlink
 			// sections below re-check Linked before dereferencing state.
-			n := int(ctx.Word(it.NBytes))
-			buf := make([]byte, n)
-			ctx.MemcpyOut(buf, it.Data, 0, n)
-			out[i] = GetResult{Value: buf, Flags: it.Flags, CAS: ctx.Word(it.CasID), Found: true}
-			needTouch[i] = now-ctx.Word(it.Time) >= touchInterval
+			n := int(ctx.Word(&it.NBytes))
+			buf := b.alloc(n)
+			ctx.MemcpyOut(buf, it.Buf(), it.DataOff(), n)
+			out[i] = GetResult{Value: buf, Flags: it.Flags, CAS: ctx.Word(&it.CasID), Found: true}
+			needTouch[i] = now-ctx.Word(&it.Time) >= touchInterval
 			hits[i] = it
 		}
 	}
@@ -111,29 +158,17 @@ func (w *shardWorker) getBatch(keys [][]byte, hvs []uint64, out []GetResult) {
 	// commits on the read-only fast path.
 	w.section(domains{cache: true}, profile{volatiles: true, volatileFirst: true, libc: true, ro: true, site: "item_get_multi"}, body)
 
-	for _, it := range stale {
-		reclaimed := false
-		w.section(domains{cache: true}, profile{volatiles: true, libc: true, site: "do_item_unlink"}, func(cctx access.Ctx) {
-			reclaimed = it.Linked(cctx)
-			if reclaimed {
-				w.unlinkLocked(cctx, it)
-			}
-		})
-		if reclaimed {
-			w.gstat(func(g access.Ctx) { g.AddWord(w.c.gstats.Expired, 1) })
-		}
+	for _, it := range b.stale {
+		w.reclaimStale(it)
 	}
 	for i, it := range hits {
-		if it == nil || !needTouch[i] {
-			continue
+		if it != nil && needTouch[i] {
+			w.touchHit(it, now)
 		}
-		it := it
-		w.section(domains{cache: true}, profile{site: "item_update"}, func(ctx access.Ctx) {
-			if it.Linked(ctx) {
-				w.c.lru.Touch(ctx, it, now)
-			}
-		})
 	}
+	// The marks are dead; do not let them keep evicted items reachable.
+	clear(hits)
+	clear(b.stale)
 
 	w.tstat(func(ctx access.Ctx) {
 		ctx.AddWord(w.stats.GetCmds, uint64(len(keys)))
@@ -157,4 +192,29 @@ func (w *shardWorker) getBatch(keys [][]byte, hvs []uint64, out []GetResult) {
 			w.fpRecord(fingerprint.OpRead, hvs[i], keys[i], size, out[i].Found)
 		}
 	}
+}
+
+// reclaimStale unlinks an item a batch found expired, unless someone else
+// already has.
+func (w *shardWorker) reclaimStale(it *item.Item) {
+	reclaimed := false
+	w.section(domains{cache: true}, profile{volatiles: true, libc: true, site: "do_item_unlink"}, func(cctx access.Ctx) {
+		reclaimed = it.Linked(cctx)
+		if reclaimed {
+			w.unlinkLocked(cctx, it)
+		}
+	})
+	if reclaimed {
+		w.gstat(func(g access.Ctx) { g.AddWord(w.c.gstats.Expired, 1) })
+	}
+}
+
+// touchHit is item_update for an item a batch read: the occasional cache-lock
+// critical section that moves it to the head of its LRU.
+func (w *shardWorker) touchHit(it *item.Item, now uint64) {
+	w.section(domains{cache: true}, profile{site: "item_update"}, func(ctx access.Ctx) {
+		if it.Linked(ctx) {
+			w.c.lru.Touch(ctx, it, now)
+		}
+	})
 }

@@ -49,6 +49,11 @@ type agent struct {
 	c    *shard
 	tctx *stm.Thread // nil for lock branches
 	dctx access.DirectCtx
+	// txc is the transactional context every section of this agent runs
+	// under, handed out by pointer so that entering a section allocates
+	// nothing. Nested sections flatten into one transaction, so they share
+	// it; only its T changes, at each attempt.
+	txc access.TxCtx
 
 	heldCache bool
 	heldSlabs bool
@@ -98,7 +103,7 @@ func (a *agent) section(d domains, p profile, fn func(access.Ctx)) {
 	}
 
 	prof := a.c.cfg.profile
-	run := func(tx *stm.Tx) { fn(access.TxCtx{T: tx, Profile: prof}) }
+	run := func(tx *stm.Tx) { fn(a.txCtx(tx)) }
 	unsafePossible := (p.volatiles && !prof.TxVolatiles) ||
 		(p.libc && !prof.SafeLibc) ||
 		(p.io && !prof.OnCommitIO)
@@ -132,12 +137,16 @@ func (a *agent) gstat(fn func(access.Ctx)) {
 		return
 	}
 	if tx := a.tctx.Current(); tx != nil {
-		fn(access.TxCtx{T: tx, Profile: a.c.cfg.profile})
+		fn(a.txCtx(tx))
 		return
 	}
-	_ = tm.Atomic(a.tctx, tm.Options{Site: "stats"}, func(tx *stm.Tx) {
-		fn(access.TxCtx{T: tx, Profile: a.c.cfg.profile})
-	})
+	_ = tm.Atomic(a.tctx, tm.Options{Site: "stats"}, func(tx *stm.Tx) { fn(a.txCtx(tx)) })
+}
+
+// txCtx returns the agent's transactional context, bound to tx.
+func (a *agent) txCtx(tx *stm.Tx) access.Ctx {
+	a.txc.T = tx
+	return &a.txc
 }
 
 // ---------------------------------------------------------------------------

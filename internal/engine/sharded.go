@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -408,6 +409,10 @@ func (c *Cache) ValidateQuiescent() error {
 type Worker struct {
 	c  *Cache
 	ws []*shardWorker
+
+	// buf is the scratch behind Get, GetAndTouch and GetMulti, the forms that
+	// return fresh copies.
+	buf GetBuf
 }
 
 // NewWorker registers a new worker across all shards.
@@ -430,20 +435,48 @@ func (w *Worker) pick(hv uint64) *shardWorker {
 	return w.ws[shardIndex(hv, len(w.ws))]
 }
 
+// GetInto looks up key and returns its value in b's arena: valid until the
+// next call with b, and no allocation once the arena has grown to the value.
+func (w *Worker) GetInto(b *GetBuf, key []byte) (val []byte, flags uint32, cas uint64, found bool) {
+	hv := assoc.Hash(key)
+	b.arena = b.arena[:0]
+	return w.pick(hv).get(b, hv, key, false, 0)
+}
+
+// GetAndTouchInto is the gat command — fetch and update the expiry in one
+// item critical section — with the value in b's arena (see GetInto).
+func (w *Worker) GetAndTouchInto(b *GetBuf, key []byte, exptime uint64) (val []byte, flags uint32, cas uint64, found bool) {
+	hv := assoc.Hash(key)
+	b.arena = b.arena[:0]
+	return w.pick(hv).get(b, hv, key, true, exptime)
+}
+
 // Get looks up key and returns a copy of its value.
 func (w *Worker) Get(key []byte) (val []byte, flags uint32, cas uint64, found bool) {
-	hv := assoc.Hash(key)
-	return w.pick(hv).get(hv, key, false, 0)
+	val, flags, cas, found = w.GetInto(&w.buf, key)
+	return w.ownValue(val, found), flags, cas, found
 }
 
-// GetAndTouch is the gat command: fetch and update the expiry in one item
-// critical section.
+// GetAndTouch is GetAndTouchInto returning a copy of the value.
 func (w *Worker) GetAndTouch(key []byte, exptime uint64) (val []byte, flags uint32, cas uint64, found bool) {
-	hv := assoc.Hash(key)
-	return w.pick(hv).get(hv, key, true, exptime)
+	val, flags, cas, found = w.GetAndTouchInto(&w.buf, key, exptime)
+	return w.ownValue(val, found), flags, cas, found
 }
 
-// GetMulti looks up keys and returns a result per key, in order.
+// ownValue copies a hit's value out of the worker's own scratch, which the
+// next call reuses.
+func (w *Worker) ownValue(val []byte, found bool) []byte {
+	if !found {
+		return nil
+	}
+	out := make([]byte, len(val))
+	copy(out, val)
+	w.buf.Trim()
+	return out
+}
+
+// GetMultiInto looks up keys and returns a result per key, in order, in b:
+// results and values are valid until the next call with b.
 //
 // Keys group by shard, and each shard's group runs through that shard's
 // batched read-only path (groups of MultiGetBatch, one RO transaction each).
@@ -452,36 +485,57 @@ func (w *Worker) GetAndTouch(key []byte, exptime uint64) (val []byte, flags uint
 // spanning shards may observe different shards at different instants — the
 // same semantics a client gets from a cluster of independent memcached
 // nodes, which is what the shards are.
-func (w *Worker) GetMulti(keys [][]byte) []GetResult {
-	hvs := make([]uint64, len(keys))
+func (w *Worker) GetMultiInto(b *GetBuf, keys [][]byte) []GetResult {
+	b.arena = b.arena[:0]
+	b.hvs = resize(b.hvs, len(keys))
+	b.res = resize(b.res, len(keys))
 	for i, k := range keys {
-		hvs[i] = assoc.Hash(k)
+		b.hvs[i] = assoc.Hash(k)
 	}
 	if len(w.ws) == 1 {
-		return w.ws[0].getMulti(keys, hvs)
+		w.ws[0].getMulti(b, keys, b.hvs, b.res)
+		return b.res
 	}
-	out := make([]GetResult, len(keys))
-	groups := make([][]int, len(w.ws))
+	b.groups = resize(b.groups, len(w.ws))
+	for s := range b.groups {
+		b.groups[s] = b.groups[s][:0]
+	}
 	for i := range keys {
-		s := shardIndex(hvs[i], len(w.ws))
-		groups[s] = append(groups[s], i)
+		s := shardIndex(b.hvs[i], len(w.ws))
+		b.groups[s] = append(b.groups[s], i)
 	}
-	sub := make([][]byte, 0, len(keys))
-	subHvs := make([]uint64, 0, len(keys))
-	for s, idxs := range groups {
+	for s, idxs := range b.groups {
 		if len(idxs) == 0 {
 			continue
 		}
-		sub, subHvs = sub[:0], subHvs[:0]
+		b.subKeys, b.subHvs = b.subKeys[:0], b.subHvs[:0]
 		for _, i := range idxs {
-			sub = append(sub, keys[i])
-			subHvs = append(subHvs, hvs[i])
+			b.subKeys = append(b.subKeys, keys[i])
+			b.subHvs = append(b.subHvs, b.hvs[i])
 		}
-		res := w.ws[s].getMulti(sub, subHvs)
+		b.subRes = resize(b.subRes, len(idxs))
+		w.ws[s].getMulti(b, b.subKeys, b.subHvs, b.subRes)
 		for j, i := range idxs {
-			out[i] = res[j]
+			b.res[i] = b.subRes[j]
 		}
 	}
+	return b.res
+}
+
+// GetMulti looks up keys and returns a fresh result per key, in order (see
+// GetMultiInto for the semantics).
+func (w *Worker) GetMulti(keys [][]byte) []GetResult {
+	out := slices.Clone(w.GetMultiInto(&w.buf, keys))
+	// One block holds every value's copy.
+	vals := make([]byte, 0, len(w.buf.arena))
+	for i := range out {
+		if out[i].Found {
+			off := len(vals)
+			vals = append(vals, out[i].Value...)
+			out[i].Value = vals[off:len(vals):len(vals)]
+		}
+	}
+	w.buf.Trim()
 	return out
 }
 

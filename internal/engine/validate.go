@@ -29,7 +29,7 @@ func (c *shard) Validate() error {
 		classCounts := make(map[int]uint64)
 		for cls := 0; cls < c.lru.Classes(); cls++ {
 			var prev *item.Item
-			for it := c.lru.Head(ctx, cls); it != nil; it = item.AsItem(ctx.Any(it.Next)) {
+			for it := c.lru.Head(ctx, cls); it != nil; it = access.Ptr(ctx, &it.Next) {
 				lruCount++
 				classCounts[cls]++
 				if it.Class != cls {
@@ -40,17 +40,17 @@ func (c *shard) Validate() error {
 					err = fmt.Errorf("engine: LRU contains unlinked item (class %d)", cls)
 					return
 				}
-				if got := item.AsItem(ctx.Any(it.Prev)); got != prev {
+				if got := access.Ptr(ctx, &it.Prev); got != prev {
 					err = fmt.Errorf("engine: LRU back-link broken in class %d", cls)
 					return
 				}
 				key := make([]byte, it.KeyLen)
-				ctx.MemcpyOut(key, it.Key, 0, it.KeyLen)
+				ctx.MemcpyOut(key, it.Buf(), it.KeyOff(), it.KeyLen)
 				if found := c.tab.Find(ctx, it.Hash, key); found != it {
 					err = fmt.Errorf("engine: LRU item %q not findable in hash table", key)
 					return
 				}
-				if rc := ctx.Volatile(it.Refcount); rc < 1 {
+				if rc := ctx.Volatile(&it.Refcount); rc < 1 {
 					err = fmt.Errorf("engine: linked item %q has refcount %d", key, rc)
 					return
 				}
@@ -115,10 +115,10 @@ func (c *shard) ValidateQuiescent() error {
 	check := func(ctx access.Ctx) {
 		err = nil
 		for cls := 0; cls < c.lru.Classes(); cls++ {
-			for it := c.lru.Head(ctx, cls); it != nil; it = item.AsItem(ctx.Any(it.Next)) {
-				if rc := ctx.Volatile(it.Refcount); rc != 1 {
+			for it := c.lru.Head(ctx, cls); it != nil; it = access.Ptr(ctx, &it.Next) {
+				if rc := ctx.Volatile(&it.Refcount); rc != 1 {
 					key := make([]byte, it.KeyLen)
-					ctx.MemcpyOut(key, it.Key, 0, it.KeyLen)
+					ctx.MemcpyOut(key, it.Buf(), it.KeyOff(), it.KeyLen)
 					err = fmt.Errorf("engine: quiescent item %q has refcount %d, want 1", key, rc)
 					return
 				}

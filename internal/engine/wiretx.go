@@ -294,7 +294,7 @@ func (w *shardWorker) casOf(hv uint64, key []byte) uint64 {
 		if it == nil || w.expired(ctx, it, now, flushAt) {
 			return
 		}
-		cas = ctx.Word(it.CasID)
+		cas = ctx.Word(&it.CasID)
 	}
 	if w.c.cfg.itemTx {
 		w.section(domains{cache: true}, profile{volatiles: true, volatileFirst: true, libc: true, ro: true, site: "wiretx_validate"}, body)

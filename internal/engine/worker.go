@@ -122,14 +122,14 @@ func (w *shardWorker) expired(ctx access.Ctx, it *item.Item, now, flushAt uint64
 	if it.Expired(ctx, now) {
 		return true
 	}
-	return flushAt != 0 && ctx.Word(it.Time) < flushAt
+	return flushAt != 0 && ctx.Word(&it.Time) < flushAt
 }
 
 // releaseRef drops a reference taken by this worker outside any critical
 // section (memcached's item_remove): a lock incr before stage Max, a
 // mini-transaction after. The final reference frees the chunk.
 func (w *shardWorker) releaseRef(it *item.Item) {
-	if w.volatileAdd(it.Refcount, ^uint64(0)) == 0 {
+	if w.volatileAdd(&it.Refcount, ^uint64(0)) == 0 {
 		w.freeChunk(it)
 	}
 }
@@ -158,7 +158,7 @@ func (w *shardWorker) unlinkLocked(ctx access.Ctx, it *item.Item) {
 		g.AddWord(w.c.gstats.CurrItems, ^uint64(0))
 		g.AddWord(w.c.gstats.CurrBytes, ^(size - 1))
 	})
-	if ctx.AddVolatile(it.Refcount, ^uint64(0)) == 0 {
+	if ctx.AddVolatile(&it.Refcount, ^uint64(0)) == 0 {
 		w.section(domains{slabs: true}, profile{}, func(sctx access.Ctx) {
 			w.c.slabs.Release(sctx, it.Class)
 		})
@@ -168,31 +168,25 @@ func (w *shardWorker) unlinkLocked(ctx access.Ctx, it *item.Item) {
 // ---------------------------------------------------------------------------
 // Get
 
-// Get looks up key and returns a copy of its value.
-func (w *shardWorker) Get(key []byte) (val []byte, flags uint32, cas uint64, found bool) {
-	return w.get(assoc.Hash(key), key, false, 0)
-}
-
-// GetAndTouch is the gat command: fetch and update the expiry in one item
-// critical section.
-func (w *shardWorker) GetAndTouch(key []byte, exptime uint64) (val []byte, flags uint32, cas uint64, found bool) {
-	return w.get(assoc.Hash(key), key, true, exptime)
-}
-
-// get takes the key's hash from the caller: the sharded router already
-// computed it to pick this shard, and hashing is the one per-op cost that
-// would otherwise double under sharding.
-func (w *shardWorker) get(hv uint64, key []byte, touch bool, exptime uint64) (val []byte, flags uint32, cas uint64, found bool) {
+// get looks up key and returns its value, copied to the end of b's arena. It
+// takes the key's hash from the caller: the sharded router already computed
+// it to pick this shard, and hashing is the one per-op cost that would
+// otherwise double under sharding. touch makes it the gat command: fetch and
+// update the expiry in one item critical section.
+func (w *shardWorker) get(b *GetBuf, hv uint64, key []byte, touch bool, exptime uint64) (val []byte, flags uint32, cas uint64, found bool) {
 	now := w.volatileLoad(w.c.CurrentTime)
 	flushAt := w.volatileLoad(w.c.flushBefore)
 
 	var hit *item.Item
 	var needTouch bool
+	mark := len(b.arena)
 
 	body := func(ctx access.Ctx) {
-		// Reset outputs: a transactional context may retry this closure.
+		// Reset outputs: a transactional context may retry this closure, and
+		// a value an aborted attempt copied out must not stay in the arena.
 		val, flags, cas, found = nil, 0, 0, false
 		hit, needTouch = nil, false
+		b.arena = b.arena[:mark]
 
 		it := w.c.tab.Find(ctx, hv, key)
 		if it == nil {
@@ -214,18 +208,18 @@ func (w *shardWorker) get(hv uint64, key []byte, touch bool, exptime uint64) (va
 				// mini-transaction once volatiles are transactional. A direct
 				// add here would bypass that transaction's conflict detection:
 				// it reads r, we add 1, it stores r-1, and the reference is gone.
-				w.volatileAdd(it.Refcount, 1)
+				w.volatileAdd(&it.Refcount, 1)
 			}
 		}
 		if touch {
-			ctx.SetWord(it.Exptime, exptime)
+			ctx.SetWord(&it.Exptime, exptime)
 		}
-		n := int(ctx.Word(it.NBytes))
-		val = make([]byte, n)
-		ctx.MemcpyOut(val, it.Data, 0, n)
+		n := int(ctx.Word(&it.NBytes))
+		val = b.alloc(n)
+		ctx.MemcpyOut(val, it.Buf(), it.DataOff(), n)
 		flags = it.Flags
-		cas = ctx.Word(it.CasID)
-		needTouch = now-ctx.Word(it.Time) >= touchInterval
+		cas = ctx.Word(&it.CasID)
+		needTouch = now-ctx.Word(&it.Time) >= touchInterval
 		hit = it
 		found = true
 	}
@@ -243,12 +237,7 @@ func (w *shardWorker) get(hv uint64, key []byte, touch bool, exptime uint64) (va
 
 	if hit != nil {
 		if needTouch {
-			// item_update: an occasional cache-lock critical section.
-			w.section(domains{cache: true}, profile{site: "item_update"}, func(ctx access.Ctx) {
-				if hit.Linked(ctx) {
-					w.c.lru.Touch(ctx, hit, now)
-				}
-			})
+			w.touchHit(hit, now)
 		}
 		if !w.txRefOpt() {
 			w.releaseRef(hit)
@@ -336,7 +325,7 @@ func (w *shardWorker) store(mode StoreMode, hv uint64, key []byte, flags uint32,
 				res = NotFound
 				return
 			}
-			if ictx.Word(old.CasID) != casUnique {
+			if ictx.Word(&old.CasID) != casUnique {
 				res = Exists
 				w.tstat(func(ctx access.Ctx) { ctx.AddWord(w.stats.CasBadval, 1) })
 				return
@@ -352,18 +341,18 @@ func (w *shardWorker) store(mode StoreMode, hv uint64, key []byte, flags uint32,
 		// the memcpy from shared memory that needs tm_memcpy (§3.4).
 		newVal := value
 		if mode == ModeAppend || mode == ModePrepend {
-			oldN := int(ictx.Word(old.NBytes))
+			oldN := int(ictx.Word(&old.NBytes))
 			buf := make([]byte, oldN+len(value))
 			if mode == ModeAppend {
-				ictx.MemcpyOut(buf[:oldN], old.Data, 0, oldN)
+				ictx.MemcpyOut(buf[:oldN], old.Buf(), old.DataOff(), oldN)
 				copy(buf[oldN:], value)
 			} else {
 				copy(buf, value)
-				ictx.MemcpyOut(buf[len(value):], old.Data, 0, oldN)
+				ictx.MemcpyOut(buf[len(value):], old.Buf(), old.DataOff(), oldN)
 			}
 			newVal = buf
 			flags = old.Flags
-			exptime = ictx.Word(old.Exptime)
+			exptime = ictx.Word(&old.Exptime)
 		}
 
 		size := item.SizeFor(len(key), len(newVal))
@@ -428,11 +417,10 @@ func (w *shardWorker) allocItem(key []byte, hv uint64, flags uint32, exptime uin
 		}
 		// Fresh (captured) memory: uninstrumented stores, as GCC emits.
 		newIt = item.New(key, hv, flags, exptime, len(val), cls)
-		newIt.Data.WriteAllDirect(val)
+		newIt.SetDataDirect(val)
 		newIt.Refcount.StoreDirect(1) // the creator's handle
 		newIt.Time.StoreDirect(allocNow)
-		n := ctx.FormatSuffix(newIt.Suffix, 0, flags, len(val))
-		newIt.SuffixLen.StoreDirect(uint64(n))
+		newIt.SuffixLen = ctx.FormatSuffix(newIt.Buf(), newIt.SuffixOff(), flags, len(val))
 		ok = true
 	})
 	return newIt, ok
@@ -450,7 +438,7 @@ func (w *shardWorker) linkItem(old, newIt *item.Item) {
 		w.c.tab.Insert(ctx, newIt)
 		w.c.lru.Link(ctx, newIt)
 		newIt.SetLinked(ctx, true)
-		ctx.SetWord(newIt.CasID, ctx.AddWord(w.c.casCounter, 1))
+		ctx.SetWord(&newIt.CasID, ctx.AddWord(w.c.casCounter, 1))
 		size := uint64(newIt.TotalBytes(ctx))
 		w.gstat(func(g access.Ctx) { g.AddWord(w.c.gstats.TotalItems, 1) })
 		w.gstat(func(g access.Ctx) {
@@ -471,13 +459,13 @@ func (w *shardWorker) linkItem(old, newIt *item.Item) {
 func (w *shardWorker) evictOne(ctx access.Ctx, cls int, now, flushAt uint64) bool {
 	it := w.c.lru.Tail(ctx, cls)
 	for tries := 0; it != nil && tries < 5; tries++ {
-		if ctx.Volatile(it.Refcount) > 1 {
-			it = item.AsItem(ctx.Any(it.Prev))
+		if ctx.Volatile(&it.Refcount) > 1 {
+			it = access.Ptr(ctx, &it.Prev)
 			continue
 		}
 		unlock, ok := w.victimTryLock(ctx, it.Hash)
 		if !ok {
-			it = item.AsItem(ctx.Any(it.Prev)) // save for later
+			it = access.Ptr(ctx, &it.Prev) // save for later
 			continue
 		}
 		wasExpired := w.expired(ctx, it, now, flushAt)
@@ -568,8 +556,8 @@ func (w *shardWorker) delta(hv uint64, key []byte, delta uint64, decr bool) (uin
 		if it == nil || w.expired(ictx, it, now, flushAt) {
 			return
 		}
-		n := int(ictx.Word(it.NBytes))
-		v, used := ictx.Strtoull(it.Data, 0, n)
+		n := int(ictx.Word(&it.NBytes))
+		v, used := ictx.Strtoull(it.Buf(), it.DataOff(), n)
 		if used == 0 || used != n {
 			res = DeltaNonNumeric
 			return
@@ -587,10 +575,10 @@ func (w *shardWorker) delta(hv uint64, key []byte, delta uint64, decr bool) (uin
 		// rewrites the value buffer); otherwise allocate a replacement item
 		// through the normal alloc/link path.
 		if digits := decimalDigits(v); digits <= it.CapBytes {
-			written := ictx.FormatUint(it.Data, 0, v)
-			ictx.SetWord(it.NBytes, uint64(written))
+			written := ictx.FormatUint(it.Buf(), it.DataOff(), v)
+			ictx.SetWord(&it.NBytes, uint64(written))
 			w.section(domains{cache: true}, profile{}, func(ctx access.Ctx) {
-				ctx.SetWord(it.CasID, ctx.AddWord(w.c.casCounter, 1))
+				ctx.SetWord(&it.CasID, ctx.AddWord(w.c.casCounter, 1))
 			})
 		} else {
 			text := make([]byte, 0, 20)
@@ -599,7 +587,7 @@ func (w *shardWorker) delta(hv uint64, key []byte, delta uint64, decr bool) (uin
 			if err != nil {
 				return
 			}
-			repl, ok := w.allocItem(key, hv, it.Flags, ictx.Word(it.Exptime), text, cls, flushAt)
+			repl, ok := w.allocItem(key, hv, it.Flags, ictx.Word(&it.Exptime), text, cls, flushAt)
 			if !ok {
 				return
 			}
@@ -668,7 +656,7 @@ func (w *shardWorker) touch(hv uint64, key []byte, exptime uint64) bool {
 		if it == nil || w.expired(ictx, it, now, flushAt) {
 			return
 		}
-		ictx.SetWord(it.Exptime, exptime)
+		ictx.SetWord(&it.Exptime, exptime)
 		found = true
 	}
 	if w.c.cfg.itemTx {

@@ -41,137 +41,170 @@ const (
 	FlagSlabbed
 )
 
-// Item is one cache entry. Immutable fields (Key bytes, Flags, Class,
-// CapBytes) are written once before the item is published; everything else is
+// Item is one cache entry, laid out as two heap objects: this struct, whose
+// transactional cells are embedded by value, and the word buffer behind buf,
+// which holds key | suffix | data at word-aligned offsets. Every cell has its
+// own location id (one block per item, in the order of idWords) and its
+// per-field conflict label, so the barriers, orec mapping and `stats
+// conflicts` attribution are those of separately allocated cells.
+//
+// The cells embed atomics, so an Item is never copied by value: it is created
+// by New and passed around as *Item (go vet's copylocks check enforces it).
+//
+// Immutable fields (the key bytes, Hash, Class, Flags, CapBytes and the
+// offsets) are written once before the item is published; everything else is
 // shared state accessed through a Ctx.
 type Item struct {
-	Key    *stm.TBytes
-	KeyLen int
 	Hash   uint64
+	KeyLen int
 	Class  int
 	Flags  uint32
 
-	// Data holds the value; NBytes (mutable: incr/decr rewrite the value in
-	// place) is the live length, CapBytes the allocated capacity.
-	Data     *stm.TBytes
-	NBytes   *stm.TWord
+	// NBytes (mutable: incr/decr rewrite the value in place) is the live
+	// value length, CapBytes the allocated capacity.
+	NBytes   stm.TWord
 	CapBytes int
 
-	// Suffix is the " <flags> <len>\r\n" header built with the snprintf
-	// clone at allocation time (the libc call on the set path).
-	Suffix    *stm.TBytes
-	SuffixLen *stm.TWord
+	// SuffixLen is the length of the " <flags> <len>\r\n" header the
+	// snprintf clone built at SuffixOff when the item was allocated (the libc
+	// call on the set path).
+	SuffixLen int
 
-	Refcount *stm.TWord // volatile / lock incr domain
-	ItFlags  *stm.TWord
-	Exptime  *stm.TWord
-	Time     *stm.TWord // last access (LRU aging)
-	CasID    *stm.TWord
+	Refcount stm.TWord // volatile / lock incr domain
+	ItFlags  stm.TWord
+	Exptime  stm.TWord
+	Time     stm.TWord // last access (LRU aging)
+	CasID    stm.TWord
 
-	HNext      *stm.TAny // *Item: hash chain (item-lock domain)
-	Prev, Next *stm.TAny // *Item: LRU links (cache-lock domain)
+	HNext      stm.TPtr[Item] // hash chain (item-lock domain)
+	Prev, Next stm.TPtr[Item] // LRU links (cache-lock domain)
+
+	buf stm.TBytes
 }
 
-const suffixCap = 48 // " 4294967295 <len>\r\n" fits comfortably
+const (
+	// suffixCap is the room reserved for the suffix: " 4294967295 1048576\r\n"
+	// — the widest flags and the largest value a slab page holds — is 21 bytes.
+	suffixCap = 24
+	// suffixCharge is what the accounting charges for it (see SizeFor).
+	suffixCharge = 48
+	// idWords is the number of single-word cells, in id order: NBytes,
+	// Refcount, ItFlags, Exptime, Time, CasID, HNext, Prev, Next. The buffer's
+	// words take the ids after them.
+	idWords = 9
+)
+
+func align8(n int) int { return (n + 7) &^ 7 }
 
 // New allocates an item for the given key with capacity for nbytes of value
 // data. All stores are to captured (not yet published) memory, so they are
 // direct, exactly as uninstrumented GCC stores to fresh allocations.
 func New(key []byte, hash uint64, flags uint32, exptime uint64, nbytes int, class int) *Item {
 	it := &Item{
-		Key:       stm.NewTBytesFrom(key).Label(lblItemData),
-		KeyLen:    len(key),
-		Hash:      hash,
-		Class:     class,
-		Flags:     flags,
-		Data:      stm.NewTBytes(nbytes).Label(lblItemData),
-		NBytes:    stm.NewTWord(uint64(nbytes)).Label(lblItemHeader),
-		CapBytes:  nbytes,
-		Suffix:    stm.NewTBytes(suffixCap).Label(lblItemData),
-		SuffixLen: stm.NewTWord(0).Label(lblItemHeader),
-		Refcount:  stm.NewTWord(0).Label(lblItemRefcount),
-		ItFlags:   stm.NewTWord(0).Label(lblItemHeader),
-		Exptime:   stm.NewTWord(exptime).Label(lblItemHeader),
-		Time:      stm.NewTWord(0).Label(lblItemHeader),
-		CasID:     stm.NewTWord(0).Label(lblItemHeader),
-		HNext:     stm.NewTAny(nil).Label(lblHashChain),
-		Prev:      stm.NewTAny(nil).Label(lblLRULink),
-		Next:      stm.NewTAny(nil).Label(lblLRULink),
+		Hash:     hash,
+		KeyLen:   len(key),
+		Class:    class,
+		Flags:    flags,
+		CapBytes: nbytes,
 	}
+	size := it.DataOff() + nbytes
+	id := stm.ReserveIDs(idWords + (size+7)/8)
+	it.NBytes.Init(id, lblItemHeader, uint64(nbytes))
+	it.Refcount.Init(id+1, lblItemRefcount, 0)
+	it.ItFlags.Init(id+2, lblItemHeader, 0)
+	it.Exptime.Init(id+3, lblItemHeader, exptime)
+	it.Time.Init(id+4, lblItemHeader, 0)
+	it.CasID.Init(id+5, lblItemHeader, 0)
+	it.HNext.Init(id+6, lblHashChain, nil)
+	it.Prev.Init(id+7, lblLRULink, nil)
+	it.Next.Init(id+8, lblLRULink, nil)
+	it.buf.Init(id+idWords, lblItemData, size)
+	it.buf.WriteAllDirect(key)
 	return it
 }
 
-// AsItem converts a value read from a TAny link back to an item pointer,
-// treating stored nils uniformly.
-func AsItem(v any) *Item {
-	if v == nil {
-		return nil
-	}
-	return v.(*Item)
-}
+// Buf returns the item's word buffer; KeyOff, SuffixOff and DataOff are the
+// byte offsets of its three regions, the arguments the Ctx library calls take.
+func (it *Item) Buf() *stm.TBytes { return &it.buf }
+
+// KeyOff is the offset of the key in Buf.
+func (it *Item) KeyOff() int { return 0 }
+
+// SuffixOff is the offset of the suffix in Buf.
+func (it *Item) SuffixOff() int { return align8(it.KeyLen) }
+
+// DataOff is the offset of the value in Buf.
+func (it *Item) DataOff() int { return align8(it.KeyLen) + suffixCap }
+
+// SetDataDirect copies val into the value region of a captured item.
+func (it *Item) SetDataDirect(val []byte) { it.buf.WriteAtDirect(it.DataOff(), val) }
 
 // Linked reports whether the item is in the hash table/LRU.
-func (it *Item) Linked(c access.Ctx) bool { return c.Word(it.ItFlags)&FlagLinked != 0 }
+func (it *Item) Linked(c access.Ctx) bool { return c.Word(&it.ItFlags)&FlagLinked != 0 }
 
 // SetLinked sets or clears the linked flag.
 func (it *Item) SetLinked(c access.Ctx, on bool) {
-	f := c.Word(it.ItFlags)
+	f := c.Word(&it.ItFlags)
 	if on {
 		f |= FlagLinked
 	} else {
 		f &^= FlagLinked
 	}
-	c.SetWord(it.ItFlags, f)
+	c.SetWord(&it.ItFlags, f)
 }
 
 // RefIncr bumps the reference count (the lock incr path).
-func (it *Item) RefIncr(c access.Ctx) uint64 { return c.AddVolatile(it.Refcount, 1) }
+func (it *Item) RefIncr(c access.Ctx) uint64 { return c.AddVolatile(&it.Refcount, 1) }
 
 // RefDecr drops the reference count and returns the new value.
-func (it *Item) RefDecr(c access.Ctx) uint64 { return c.AddVolatile(it.Refcount, ^uint64(0)) }
+func (it *Item) RefDecr(c access.Ctx) uint64 { return c.AddVolatile(&it.Refcount, ^uint64(0)) }
 
 // RefGet reads the reference count.
-func (it *Item) RefGet(c access.Ctx) uint64 { return c.Volatile(it.Refcount) }
+func (it *Item) RefGet(c access.Ctx) uint64 { return c.Volatile(&it.Refcount) }
 
 // Expired reports whether the item is past its expiry at time now.
 func (it *Item) Expired(c access.Ctx, now uint64) bool {
-	e := c.Word(it.Exptime)
+	e := c.Word(&it.Exptime)
 	return e != 0 && e <= now
 }
 
 // TotalBytes returns the item's accounted size (key + value + suffix + a
 // fixed header charge), used for slab class selection and the bytes stat.
 func (it *Item) TotalBytes(c access.Ctx) int {
-	return it.KeyLen + int(c.Word(it.NBytes)) + suffixCap + headerSize
+	return SizeFor(it.KeyLen, int(c.Word(&it.NBytes)))
 }
 
 // headerSize approximates sizeof(item) in memcached's accounting.
 const headerSize = 48
 
-// SizeFor returns the accounted size for a prospective item.
-func SizeFor(keyLen, nbytes int) int { return keyLen + nbytes + suffixCap + headerSize }
+// SizeFor returns the accounted size for a prospective item. It is
+// memcached's accounting (48 bytes of header, 48 of suffix), not the Go
+// layout's: slab classes, evictions and the bytes stat follow it.
+func SizeFor(keyLen, nbytes int) int { return keyLen + nbytes + suffixCharge + headerSize }
 
 // ---------------------------------------------------------------------------
 // LRU lists (cache-lock domain)
 
 // LRU holds one doubly-linked list per slab class, most recently used first.
 type LRU struct {
-	heads []*stm.TAny
-	tails []*stm.TAny
-	sizes []*stm.TWord
+	heads []stm.TPtr[Item]
+	tails []stm.TPtr[Item]
+	sizes []stm.TWord
 }
 
 // NewLRU creates LRU lists for n slab classes.
 func NewLRU(n int) *LRU {
 	l := &LRU{
-		heads: make([]*stm.TAny, n),
-		tails: make([]*stm.TAny, n),
-		sizes: make([]*stm.TWord, n),
+		heads: make([]stm.TPtr[Item], n),
+		tails: make([]stm.TPtr[Item], n),
+		sizes: make([]stm.TWord, n),
 	}
+	id := stm.ReserveIDs(3 * n)
 	for i := range l.heads {
-		l.heads[i] = stm.NewTAny(nil).Label(lblLRUHead)
-		l.tails[i] = stm.NewTAny(nil).Label(lblLRUHead)
-		l.sizes[i] = stm.NewTWord(0).Label(lblLRUHead)
+		l.heads[i].Init(id, lblLRUHead, nil)
+		l.tails[i].Init(id+1, lblLRUHead, nil)
+		l.sizes[i].Init(id+2, lblLRUHead, 0)
+		id += 3
 	}
 	return l
 }
@@ -180,53 +213,53 @@ func NewLRU(n int) *LRU {
 func (l *LRU) Classes() int { return len(l.heads) }
 
 // Len returns the number of items in class cls.
-func (l *LRU) Len(c access.Ctx, cls int) uint64 { return c.Word(l.sizes[cls]) }
+func (l *LRU) Len(c access.Ctx, cls int) uint64 { return c.Word(&l.sizes[cls]) }
 
 // Head returns the most recently used item of class cls, or nil.
-func (l *LRU) Head(c access.Ctx, cls int) *Item { return AsItem(c.Any(l.heads[cls])) }
+func (l *LRU) Head(c access.Ctx, cls int) *Item { return access.Ptr(c, &l.heads[cls]) }
 
 // Tail returns the least recently used item of class cls, or nil.
-func (l *LRU) Tail(c access.Ctx, cls int) *Item { return AsItem(c.Any(l.tails[cls])) }
+func (l *LRU) Tail(c access.Ctx, cls int) *Item { return access.Ptr(c, &l.tails[cls]) }
 
 // Link inserts it at the head of its class list.
 func (l *LRU) Link(c access.Ctx, it *Item) {
 	cls := it.Class
-	head := AsItem(c.Any(l.heads[cls]))
-	c.SetAny(it.Prev, nil)
+	head := access.Ptr(c, &l.heads[cls])
+	access.SetPtr(c, &it.Prev, nil)
 	if head != nil {
-		c.SetAny(it.Next, head)
-		c.SetAny(head.Prev, it)
+		access.SetPtr(c, &it.Next, head)
+		access.SetPtr(c, &head.Prev, it)
 	} else {
-		c.SetAny(it.Next, nil)
-		c.SetAny(l.tails[cls], it)
+		access.SetPtr(c, &it.Next, nil)
+		access.SetPtr(c, &l.tails[cls], it)
 	}
-	c.SetAny(l.heads[cls], it)
-	c.AddWord(l.sizes[cls], 1)
+	access.SetPtr(c, &l.heads[cls], it)
+	c.AddWord(&l.sizes[cls], 1)
 }
 
 // Unlink removes it from its class list.
 func (l *LRU) Unlink(c access.Ctx, it *Item) {
 	cls := it.Class
-	prev := AsItem(c.Any(it.Prev))
-	next := AsItem(c.Any(it.Next))
+	prev := access.Ptr(c, &it.Prev)
+	next := access.Ptr(c, &it.Next)
 	if prev != nil {
-		c.SetAny(prev.Next, next)
+		access.SetPtr(c, &prev.Next, next)
 	} else {
-		c.SetAny(l.heads[cls], next)
+		access.SetPtr(c, &l.heads[cls], next)
 	}
 	if next != nil {
-		c.SetAny(next.Prev, prev)
+		access.SetPtr(c, &next.Prev, prev)
 	} else {
-		c.SetAny(l.tails[cls], prev)
+		access.SetPtr(c, &l.tails[cls], prev)
 	}
-	c.SetAny(it.Prev, nil)
-	c.SetAny(it.Next, nil)
-	c.AddWord(l.sizes[cls], ^uint64(0))
+	access.SetPtr(c, &it.Prev, nil)
+	access.SetPtr(c, &it.Next, nil)
+	c.AddWord(&l.sizes[cls], ^uint64(0))
 }
 
 // Touch moves it to the head of its class list (item_update).
 func (l *LRU) Touch(c access.Ctx, it *Item, now uint64) {
 	l.Unlink(c, it)
 	l.Link(c, it)
-	c.SetWord(it.Time, now)
+	c.SetWord(&it.Time, now)
 }

@@ -126,7 +126,7 @@ func TestLRUOrdering(t *testing.T) {
 			if l.Head(c, 1) != items[0] || l.Tail(c, 1) != items[1] {
 				t.Error("Touch did not move item to head")
 			}
-			if got := c.Word(items[0].Time); got != 42 {
+			if got := c.Word(&items[0].Time); got != 42 {
 				t.Errorf("Touch time = %d", got)
 			}
 			// Unlink middle, head, tail.
@@ -138,7 +138,7 @@ func TestLRUOrdering(t *testing.T) {
 			}
 			// Walk tail -> head and check consistency.
 			seen := 0
-			for it := l.Tail(c, 1); it != nil; it = AsItem(c.Any(it.Prev)) {
+			for it := l.Tail(c, 1); it != nil; it = access.Ptr(c, &it.Prev) {
 				seen++
 			}
 			if seen != 2 {
@@ -164,20 +164,6 @@ func TestLRUClassIsolation(t *testing.T) {
 			}
 		})
 	})
-}
-
-func TestAsItemNil(t *testing.T) {
-	if AsItem(nil) != nil {
-		t.Error("AsItem(nil) != nil")
-	}
-	var typed *Item
-	if AsItem(any(typed)) != nil {
-		t.Error("AsItem(typed nil) != nil")
-	}
-	it := newItem("k", 1)
-	if AsItem(any(it)) != it {
-		t.Error("AsItem lost identity")
-	}
 }
 
 func TestSizeFor(t *testing.T) {

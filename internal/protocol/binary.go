@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -70,26 +71,17 @@ type binHeader struct {
 
 // serveBinaryOne handles one binary request frame.
 func (c *Conn) serveBinaryOne() error {
-	var hdr [24]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: truncated binary header: %v", ErrProtocol, err)
+	// The header is parsed where it sits in the read buffer.
+	hdr, err := c.r.Peek(24)
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			// ServeOne saw the frame's first byte, so this is a cut, not a
+			// clean close.
+			return fmt.Errorf("%w: truncated binary header: %v", ErrProtocol, io.ErrUnexpectedEOF)
 		}
 		return err
 	}
-	if hdr[0] != binMagicReq {
-		// Malformed magic (a high first byte that is not 0x80): the header
-		// layout is still the only framing we have, so trust its body length
-		// if sane, drain the frame, and refuse it — leaving the connection
-		// aligned on the next frame. An insane length means framing is lost
-		// for good and the connection must die.
-		bl := binary.BigEndian.Uint32(hdr[8:12])
-		if bl > MaxBodyLen {
-			return fmt.Errorf("%w: bad magic 0x%02x with %d-byte body", ErrProtocol, hdr[0], bl)
-		}
-		io.CopyN(io.Discard, c.r, int64(bl))
-		return c.binError(binHeader{opcode: hdr[1]}, StatusUnknownCommand, []byte("Bad magic"))
-	}
+	magic := hdr[0]
 	req := binHeader{
 		opcode:   hdr[1],
 		keyLen:   binary.BigEndian.Uint16(hdr[2:4]),
@@ -98,23 +90,37 @@ func (c *Conn) serveBinaryOne() error {
 		opaque:   binary.BigEndian.Uint32(hdr[12:16]),
 		cas:      binary.BigEndian.Uint64(hdr[16:24]),
 	}
+	c.r.Discard(24)
+	if magic != binMagicReq {
+		// Malformed magic (a high first byte that is not 0x80): the header
+		// layout is still the only framing we have, so trust its body length
+		// if sane, drain the frame, and refuse it — leaving the connection
+		// aligned on the next frame. An insane length means framing is lost
+		// for good and the connection must die.
+		if req.bodyLen > MaxBodyLen {
+			return fmt.Errorf("%w: bad magic 0x%02x with %d-byte body", ErrProtocol, magic, req.bodyLen)
+		}
+		c.r.Discard(int(req.bodyLen))
+		return c.binError(binHeader{opcode: req.opcode}, StatusUnknownCommand, "Bad magic")
+	}
 	if req.bodyLen > MaxBodyLen {
 		// A hostile or corrupt frame must not make us allocate its claimed
 		// body. Drain what we can and refuse.
-		io.CopyN(io.Discard, c.r, int64(req.bodyLen))
-		return c.binError(req, StatusValueTooLarge, []byte("Too large"))
+		c.r.Discard(int(req.bodyLen))
+		return c.binError(req, StatusValueTooLarge, "Too large")
 	}
-	body := make([]byte, req.bodyLen)
+	c.sc.body = slices.Grow(c.sc.body[:0], int(req.bodyLen))[:req.bodyLen]
+	body := c.sc.body
 	if _, err := io.ReadFull(c.r, body); err != nil {
 		return fmt.Errorf("%w: truncated binary body: %v", ErrProtocol, err)
 	}
 	if int(req.extraLen)+int(req.keyLen) > len(body) {
-		return c.binError(req, StatusInvalidArgs, nil)
+		return c.binError(req, StatusInvalidArgs, "")
 	}
 	if req.keyLen > MaxKeyLen {
 		// The frame is consumed, so the protocol's 250-byte key limit is a
 		// per-command refusal, not a connection error.
-		return c.binError(req, StatusInvalidArgs, []byte("Key too long"))
+		return c.binError(req, StatusInvalidArgs, "Key too long")
 	}
 	extras := body[:req.extraLen]
 	key := body[req.extraLen : int(req.extraLen)+int(req.keyLen)]
@@ -122,7 +128,7 @@ func (c *Conn) serveBinaryOne() error {
 
 	// Same span bracket as the text path; the span's cmd is prefixed so a
 	// flight-recorder line says which protocol carried the request.
-	if cs := c.spans; cs != nil && cs.Begin("binary/"+binOpName(req.opcode)) {
+	if cs := c.spans; cs != nil && cs.Begin(binSpanNames[req.opcode]) {
 		c.worker.SetTxTrace(cs)
 		err := c.dispatchBinaryTimed(req, extras, key, value)
 		c.worker.SetTxTrace(nil)
@@ -131,6 +137,15 @@ func (c *Conn) serveBinaryOne() error {
 	}
 	return c.dispatchBinaryTimed(req, extras, key, value)
 }
+
+// binSpanNames are the request-span names of the 256 opcodes, built once so
+// that opening a span costs no string.
+var binSpanNames = func() (names [256]string) {
+	for op := range names {
+		names[op] = "binary/" + binOpName(byte(op))
+	}
+	return names
+}()
 
 func (c *Conn) dispatchBinaryTimed(req binHeader, extras, key, value []byte) error {
 	if o := c.worker.Observer(); o != nil && o.Enabled() {
@@ -211,18 +226,18 @@ func (c *Conn) dispatchBinary(req binHeader, extras, key, value []byte) error {
 			// Get carries no extras; enforcing this here keeps the main
 			// path's acceptance aligned with the run-extension filter in
 			// takeBufferedQuietGet, which skips such frames.
-			return c.binError(req, StatusInvalidArgs, []byte("Get takes no extras"))
+			return c.binError(req, StatusInvalidArgs, "Get takes no extras")
 		}
 		return c.serveQuietGetRun(req, key)
 
 	case OpGet, OpGetK:
 		if len(extras) != 0 {
-			return c.binError(req, StatusInvalidArgs, []byte("Get takes no extras"))
+			return c.binError(req, StatusInvalidArgs, "Get takes no extras")
 		}
 		c.noteKey(key)
-		val, flags, cas, ok := c.worker.Get(key)
+		val, flags, cas, ok := c.worker.GetInto(&c.sc.get, key)
 		if !ok {
-			return c.binError(req, StatusKeyNotFound, []byte("Not found"))
+			return c.binError(req, StatusKeyNotFound, "Not found")
 		}
 		var fx [4]byte
 		binary.BigEndian.PutUint32(fx[:], flags)
@@ -234,7 +249,7 @@ func (c *Conn) dispatchBinary(req binHeader, extras, key, value []byte) error {
 
 	case OpSet, OpAdd, OpReplace:
 		if len(extras) < 8 {
-			return c.binError(req, StatusInvalidArgs, nil)
+			return c.binError(req, StatusInvalidArgs, "")
 		}
 		flags := binary.BigEndian.Uint32(extras[0:4])
 		exptime := absoluteExptime(c.worker, uint64(binary.BigEndian.Uint32(extras[4:8])))
@@ -254,15 +269,15 @@ func (c *Conn) dispatchBinary(req binHeader, extras, key, value []byte) error {
 		case engine.Stored:
 			return c.binReply(req, StatusOK, nil, nil, nil, 0)
 		case engine.Exists:
-			return c.binError(req, StatusKeyExists, []byte("Data exists for key"))
+			return c.binError(req, StatusKeyExists, "Data exists for key")
 		case engine.NotFound:
-			return c.binError(req, StatusKeyNotFound, []byte("Not found"))
+			return c.binError(req, StatusKeyNotFound, "Not found")
 		case engine.TooLarge:
-			return c.binError(req, StatusValueTooLarge, []byte("Too large"))
+			return c.binError(req, StatusValueTooLarge, "Too large")
 		case engine.OutOfMemory:
-			return c.binError(req, StatusOutOfMemory, []byte("Out of memory"))
+			return c.binError(req, StatusOutOfMemory, "Out of memory")
 		default:
-			return c.binError(req, StatusItemNotStored, []byte("Not stored"))
+			return c.binError(req, StatusItemNotStored, "Not stored")
 		}
 
 	case OpAppend, OpPrepend:
@@ -276,11 +291,11 @@ func (c *Conn) dispatchBinary(req binHeader, extras, key, value []byte) error {
 		if res == engine.Stored {
 			return c.binReply(req, StatusOK, nil, nil, nil, 0)
 		}
-		return c.binError(req, StatusItemNotStored, []byte("Not stored"))
+		return c.binError(req, StatusItemNotStored, "Not stored")
 
 	case OpTouch, OpGAT:
 		if len(extras) < 4 {
-			return c.binError(req, StatusInvalidArgs, nil)
+			return c.binError(req, StatusInvalidArgs, "")
 		}
 		exptime := absoluteExptime(c.worker, uint64(binary.BigEndian.Uint32(extras[0:4])))
 		c.noteKey(key)
@@ -288,11 +303,11 @@ func (c *Conn) dispatchBinary(req binHeader, extras, key, value []byte) error {
 			if c.worker.Touch(key, exptime) {
 				return c.binReply(req, StatusOK, nil, nil, nil, 0)
 			}
-			return c.binError(req, StatusKeyNotFound, []byte("Not found"))
+			return c.binError(req, StatusKeyNotFound, "Not found")
 		}
-		val, flags, cas, ok := c.worker.GetAndTouch(key, exptime)
+		val, flags, cas, ok := c.worker.GetAndTouchInto(&c.sc.get, key, exptime)
 		if !ok {
-			return c.binError(req, StatusKeyNotFound, []byte("Not found"))
+			return c.binError(req, StatusKeyNotFound, "Not found")
 		}
 		var fx [4]byte
 		binary.BigEndian.PutUint32(fx[:], flags)
@@ -303,11 +318,11 @@ func (c *Conn) dispatchBinary(req binHeader, extras, key, value []byte) error {
 		if c.worker.Delete(key) {
 			return c.binReply(req, StatusOK, nil, nil, nil, 0)
 		}
-		return c.binError(req, StatusKeyNotFound, []byte("Not found"))
+		return c.binError(req, StatusKeyNotFound, "Not found")
 
 	case OpIncrement, OpDecrement:
 		if len(extras) < 20 {
-			return c.binError(req, StatusInvalidArgs, nil)
+			return c.binError(req, StatusInvalidArgs, "")
 		}
 		delta := binary.BigEndian.Uint64(extras[0:8])
 		initial := binary.BigEndian.Uint64(extras[8:16])
@@ -323,16 +338,16 @@ func (c *Conn) dispatchBinary(req binHeader, extras, key, value []byte) error {
 		if res == engine.DeltaNotFound {
 			// 0xffffffff means "do not create".
 			if expRaw == 0xffffffff {
-				return c.binError(req, StatusKeyNotFound, []byte("Not found"))
+				return c.binError(req, StatusKeyNotFound, "Not found")
 			}
 			text := make([]byte, 0, 20)
 			text = appendUintBin(text, initial)
 			if sr := c.worker.Add(key, 0, absoluteExptime(c.worker, uint64(expRaw)), text); sr != engine.Stored {
-				return c.binError(req, StatusOutOfMemory, []byte("Out of memory"))
+				return c.binError(req, StatusOutOfMemory, "Out of memory")
 			}
 			v = initial
 		} else if res == engine.DeltaNonNumeric {
-			return c.binError(req, StatusNonNumeric, []byte("Non-numeric value"))
+			return c.binError(req, StatusNonNumeric, "Non-numeric value")
 		}
 		var out [8]byte
 		binary.BigEndian.PutUint64(out[:], v)
@@ -374,7 +389,7 @@ func (c *Conn) dispatchBinary(req binHeader, extras, key, value []byte) error {
 		return ErrQuit
 
 	default:
-		return c.binError(req, StatusUnknownCommand, []byte("Unknown command"))
+		return c.binError(req, StatusUnknownCommand, "Unknown command")
 	}
 }
 
@@ -392,20 +407,24 @@ type quietGet struct {
 // never blocks on the transport — so the terminating NOOP (or any non-quiet
 // opcode, or a frame still in flight) is simply left for the main loop.
 func (c *Conn) serveQuietGetRun(first binHeader, firstKey []byte) error {
-	run := []quietGet{{req: first, key: firstKey}}
-	for len(run) < engine.MultiGetBatch {
+	sc := c.sc
+	// The run's keys are read past the first frame's body, into their own
+	// scratch; sized for a full run up front, it never moves under them.
+	sc.runKey = slices.Grow(sc.runKey[:0], engine.MultiGetBatch*MaxKeyLen)
+	sc.run = append(sc.run[:0], quietGet{req: first, key: firstKey})
+	for len(sc.run) < engine.MultiGetBatch {
 		req, key, ok := c.takeBufferedQuietGet()
 		if !ok {
 			break
 		}
-		run = append(run, quietGet{req: req, key: key})
+		sc.run = append(sc.run, quietGet{req: req, key: key})
 	}
-	keys := make([][]byte, len(run))
-	for i := range run {
-		keys[i] = run[i].key
+	sc.keys = sc.keys[:0]
+	for i := range sc.run {
+		sc.keys = append(sc.keys, sc.run[i].key)
 	}
-	results := c.worker.GetMulti(keys)
-	for i := range run {
+	results := c.worker.GetMultiInto(&sc.get, sc.keys)
+	for i := range sc.run {
 		r := &results[i]
 		if !r.Found {
 			continue // quiet miss: no reply at all
@@ -413,10 +432,10 @@ func (c *Conn) serveQuietGetRun(first binHeader, firstKey []byte) error {
 		var fx [4]byte
 		binary.BigEndian.PutUint32(fx[:], r.Flags)
 		replyKey := []byte(nil)
-		if run[i].req.opcode == OpGetKQ {
-			replyKey = run[i].key
+		if sc.run[i].req.opcode == OpGetKQ {
+			replyKey = sc.run[i].key
 		}
-		if err := c.binReplyNoFlush(run[i].req, StatusOK, fx[:], replyKey, r.Value, r.CAS); err != nil {
+		if err := c.binReplyNoFlush(sc.run[i].req, StatusOK, fx[:], replyKey, r.Value, r.CAS); err != nil {
 			return err
 		}
 	}
@@ -444,6 +463,7 @@ func (c *Conn) takeBufferedQuietGet() (binHeader, []byte, bool) {
 	if c.r.Buffered() < 24+int(bodyLen) {
 		return binHeader{}, nil, false // body not fully pipelined yet: don't block
 	}
+	frame, _ := c.r.Peek(24 + int(bodyLen)) // fully buffered: cannot fail or block
 	req := binHeader{
 		opcode:  hdr[1],
 		keyLen:  keyLen,
@@ -451,10 +471,10 @@ func (c *Conn) takeBufferedQuietGet() (binHeader, []byte, bool) {
 		opaque:  binary.BigEndian.Uint32(hdr[12:16]),
 		cas:     binary.BigEndian.Uint64(hdr[16:24]),
 	}
-	c.r.Discard(24)
-	key := make([]byte, bodyLen)
-	io.ReadFull(c.r, key) // fully buffered above; cannot fail or block
-	return req, key, true
+	at := len(c.sc.runKey)
+	c.sc.runKey = append(c.sc.runKey, frame[24:]...)
+	c.r.Discard(len(frame))
+	return req, c.sc.runKey[at:], true
 }
 
 func appendUintBin(dst []byte, v uint64) []byte {
@@ -478,25 +498,31 @@ func (c *Conn) binReply(req binHeader, status uint16, extras, key, value []byte,
 	return c.flushIfIdle()
 }
 
+// binReplyNoFlush buffers one response frame. Header, extras and key are
+// formatted in place in the write buffer's free tail; the value follows.
 func (c *Conn) binReplyNoFlush(req binHeader, status uint16, extras, key, value []byte, cas uint64) error {
-	var hdr [24]byte
-	hdr[0] = binMagicRes
-	hdr[1] = req.opcode
-	binary.BigEndian.PutUint16(hdr[2:4], uint16(len(key)))
-	hdr[4] = byte(len(extras))
-	binary.BigEndian.PutUint16(hdr[6:8], status)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(extras)+len(key)+len(value)))
-	binary.BigEndian.PutUint32(hdr[12:16], req.opaque)
-	binary.BigEndian.PutUint64(hdr[16:24], cas)
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	c.w.Write(extras)
-	c.w.Write(key)
+	b := appendBinHeader(c.reserve(24+len(extras)+len(key)), req, status, len(extras), len(key), len(value), cas)
+	b = append(b, extras...)
+	b = append(b, key...)
+	c.w.Write(b)
 	_, err := c.w.Write(value)
 	return err
 }
 
-func (c *Conn) binError(req binHeader, status uint16, msg []byte) error {
-	return c.binReply(req, status, nil, nil, msg, 0)
+// appendBinHeader appends a response header to dst.
+func appendBinHeader(dst []byte, req binHeader, status uint16, extraLen, keyLen, valueLen int, cas uint64) []byte {
+	dst = append(dst, binMagicRes, req.opcode)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(keyLen))
+	dst = append(dst, byte(extraLen), 0)
+	dst = binary.BigEndian.AppendUint16(dst, status)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(extraLen+keyLen+valueLen))
+	dst = binary.BigEndian.AppendUint32(dst, req.opaque)
+	return binary.BigEndian.AppendUint64(dst, cas)
+}
+
+// binError replies with a status and its message, a constant, as the value.
+func (c *Conn) binError(req binHeader, status uint16, msg string) error {
+	c.w.Write(appendBinHeader(c.reserve(24), req, status, 0, 0, len(msg), 0))
+	c.w.WriteString(msg)
+	return c.flushIfIdle()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -135,5 +136,60 @@ func TestTruncatedSetDataBlock(t *testing.T) {
 	err := NewConn(c.NewWorker(), d).Serve()
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("Serve = %v, want ErrProtocol", err)
+	}
+}
+
+// TestCommandLineIsBounded: a line longer than the read buffer is gathered in
+// scratch — a get of 100 maximal keys is legitimate — but only up to
+// maxLineLen. Past it the client is told why and the connection dies with a
+// protocol-classified error, however the connection holds its buffers.
+func TestCommandLineIsBounded(t *testing.T) {
+	for name, newConn := range map[string]func(*engine.Worker, *duplex) *Conn{
+		"classic": func(w *engine.Worker, d *duplex) *Conn { return NewConn(w, d) },
+		"pooled": func(w *engine.Worker, d *duplex) *Conn {
+			pc := NewConnPooled(d)
+			pc.SetWorker(w)
+			return pc
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8})
+			c.Start()
+			defer c.Stop()
+
+			// 100 keys of 250 bytes: 25 KB on one line, six read buffers.
+			var get strings.Builder
+			get.WriteString("get")
+			for i := 0; i < 100; i++ {
+				get.WriteString(" " + strings.Repeat("k", MaxKeyLen-3) + fmt.Sprintf("%03d", i))
+			}
+			last := strings.Repeat("k", MaxKeyLen-3) + "099"
+			script := "set " + last + " 0 0 2\r\nhi\r\n" + get.String() + "\r\nversion\r\n"
+			d := &duplex{in: bytes.NewBufferString(script), out: &bytes.Buffer{}}
+			pc := newConn(c.NewWorker(), d)
+			if err := pc.Serve(); err != nil {
+				t.Fatalf("Serve: %v", err)
+			}
+			pc.ReleaseBuffers(true)
+			if out := d.out.String(); !strings.Contains(out, "VALUE "+last+" 0 2\r\nhi\r\nEND\r\n") || !strings.Contains(out, "VERSION") {
+				t.Errorf("100-key get on one long line: %q", out)
+			}
+
+			// No newline, ever: the server stops reading at the bound.
+			flood := "get " + strings.Repeat("x", 2*maxLineLen)
+			d = &duplex{in: bytes.NewBufferString("version\r\n" + flood), out: &bytes.Buffer{}}
+			pc = newConn(c.NewWorker(), d)
+			err := pc.Serve()
+			pc.ReleaseBuffers(true)
+			if !errors.Is(err, ErrProtocol) {
+				t.Fatalf("Serve = %v, want ErrProtocol", err)
+			}
+			if out := d.out.String(); !strings.HasSuffix(out, "CLIENT_ERROR line too long\r\n") || !strings.HasPrefix(out, "VERSION") {
+				t.Errorf("over-long line reply = %q", out)
+			}
+			if left := d.in.Len(); left < maxLineLen/2 {
+				t.Errorf("%d bytes of the flood left unread: the server kept reading past its bound", left)
+			}
+		})
 	}
 }

@@ -45,9 +45,9 @@ func (c *Conn) replyError(err error) error {
 func (c *Conn) binReplyError(req binHeader, err error) error {
 	switch e := err.(type) {
 	case *ClientError:
-		return c.binError(req, e.Status, []byte(e.Msg))
+		return c.binError(req, e.Status, e.Msg)
 	case *ServerError:
-		return c.binError(req, e.Status, []byte(e.Msg))
+		return c.binError(req, e.Status, e.Msg)
 	}
-	return c.binError(req, StatusUnknownCommand, []byte(err.Error()))
+	return c.binError(req, StatusUnknownCommand, err.Error())
 }

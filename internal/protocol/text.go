@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -69,6 +70,12 @@ type Conn struct {
 	w      *bufio.Writer
 	bw     buffersWriter // non-nil when the transport supports gathered writes
 
+	// sc is the request scratch (see bufpool.go). It lives and dies with the
+	// buffers: a classic connection owns one for life, a pooled one borrows
+	// it with its buffer set (bufs), so a parked connection holds neither.
+	sc   *scratch
+	bufs *connBufs
+
 	// transport and fbr let pooled connections re-attach buffers: the bufio
 	// pair is Reset onto these on every AttachBuffers. Classic (NewConn)
 	// connections keep their buffers for life and never touch them.
@@ -91,9 +98,6 @@ type Conn struct {
 	// dispatched command; with tracing off, Begin is a single atomic load.
 	spans *txtrace.ConnSpans
 
-	gatActive  bool
-	gatExptime uint64
-
 	// tx is the connection's open wire transaction (nil outside txbegin/
 	// txcommit). It lives entirely in this struct — no engine resource is
 	// held — so dropping the connection drops the transaction.
@@ -111,6 +115,7 @@ func NewConn(worker *engine.Worker, rw io.ReadWriter) *Conn {
 	c := newConnBase(worker, rw)
 	c.w = bufio.NewWriter(rw)
 	c.r = bufio.NewReader(c.fbr)
+	c.sc = &scratch{}
 	return c
 }
 
@@ -263,6 +268,7 @@ func (c *Conn) ServeOne() error {
 	} else {
 		err = c.serveTextOne()
 	}
+	c.sc.trim()
 	if c.ctl != nil {
 		c.ctl.CommandDone()
 	}
@@ -273,36 +279,99 @@ func (c *Conn) ServeOne() error {
 func (c *Conn) serveTextOne() error {
 	line, err := c.readLine()
 	if err != nil {
+		if errors.Is(err, errLineTooLong) {
+			// Framing is lost — the rest of the line is still on the wire —
+			// so the client is told why and the connection ends.
+			c.w.WriteString("CLIENT_ERROR line too long\r\n")
+			c.flushNow()
+		}
 		return err
 	}
-	if len(line) == 0 {
+	c.sc.fields = splitFields(c.sc.fields[:0], line)
+	fields := c.sc.fields
+	if len(fields) == 0 {
 		return c.reply("ERROR\r\n")
 	}
-	fields := bytes.Fields(line)
-	cmd := string(fields[0])
+	cmd := lookupTextCmd(fields[0])
+	name := textCmdNames[cmd]
+	if cmd == cmdUnknown {
+		name = string(fields[0])
+	}
 	args := fields[1:]
 
 	// Request tracing: one atomic load (inside Begin) when tracing is off.
 	// When a span opens, the worker's STM threads deliver every transaction
 	// event of this command into it until End.
-	if cs := c.spans; cs != nil && cs.Begin(cmd) {
+	if cs := c.spans; cs != nil && cs.Begin(name) {
 		c.worker.SetTxTrace(cs)
-		err := c.dispatchTextTimed(cmd, args)
+		err := c.dispatchTextTimed(cmd, name, args)
 		c.worker.SetTxTrace(nil)
 		cs.End()
 		return err
 	}
-	return c.dispatchTextTimed(cmd, args)
+	return c.dispatchTextTimed(cmd, name, args)
+}
+
+// textCmd is a parsed command word. Comparing the word's bytes against the
+// table once, here, is what lets dispatch run without a string per command.
+type textCmd uint8
+
+const (
+	cmdUnknown textCmd = iota
+	cmdGet
+	cmdGets
+	cmdGat
+	cmdGats
+	cmdSet
+	cmdAdd
+	cmdReplace
+	cmdAppend
+	cmdPrepend
+	cmdCas
+	cmdDelete
+	cmdIncr
+	cmdDecr
+	cmdTouch
+	cmdStats
+	cmdFlushAll
+	cmdVersion
+	cmdVerbosity
+	cmdQuit
+	cmdTxBegin
+	cmdTxCommit
+	cmdTxAbort
+)
+
+// textCmdNames are the command words, which are also the keys of the
+// per-command latency histograms and the names of request spans.
+var textCmdNames = [...]string{
+	cmdUnknown: "", cmdGet: "get", cmdGets: "gets", cmdGat: "gat", cmdGats: "gats",
+	cmdSet: "set", cmdAdd: "add", cmdReplace: "replace", cmdAppend: "append",
+	cmdPrepend: "prepend", cmdCas: "cas", cmdDelete: "delete", cmdIncr: "incr",
+	cmdDecr: "decr", cmdTouch: "touch", cmdStats: "stats", cmdFlushAll: "flush_all",
+	cmdVersion: "version", cmdVerbosity: "verbosity", cmdQuit: "quit",
+	cmdTxBegin: "txbegin", cmdTxCommit: "txcommit", cmdTxAbort: "txabort",
+}
+
+// lookupTextCmd finds a command word in the table; get comes first. Comparing
+// a converted byte slice does not allocate.
+func lookupTextCmd(word []byte) textCmd {
+	for cmd := cmdUnknown + 1; int(cmd) < len(textCmdNames); cmd++ {
+		if string(word) == textCmdNames[cmd] {
+			return cmd
+		}
+	}
+	return cmdUnknown
 }
 
 // dispatchTextTimed is dispatchText behind the per-command latency gate: one
 // observer load when `stats tm` tracing was never enabled, one timestamp pair
 // per command when it is on.
-func (c *Conn) dispatchTextTimed(cmd string, args [][]byte) error {
+func (c *Conn) dispatchTextTimed(cmd textCmd, name string, args [][]byte) error {
 	if o := c.worker.Observer(); o != nil && o.Enabled() {
 		t0 := time.Now()
 		err := c.dispatchText(cmd, args)
-		o.ObserveCommand(cmd, time.Since(t0))
+		o.ObserveCommand(name, time.Since(t0))
 		return err
 	}
 	return c.dispatchText(cmd, args)
@@ -311,33 +380,33 @@ func (c *Conn) dispatchTextTimed(cmd string, args [][]byte) error {
 // dispatchText routes one parsed text command. Affinity defaults to shared
 // (-1) per command; the single-key handlers below overwrite it with the
 // key's shard once parsed.
-func (c *Conn) dispatchText(cmd string, args [][]byte) error {
+func (c *Conn) dispatchText(cmd textCmd, args [][]byte) error {
 	c.noteShared()
 	switch cmd {
-	case "txbegin":
+	case cmdTxBegin:
 		return c.cmdTxBegin(args)
-	case "txcommit":
+	case cmdTxCommit:
 		return c.cmdTxCommit()
-	case "txabort":
+	case cmdTxAbort:
 		return c.cmdTxAbort(args)
 	}
 	if c.tx != nil {
 		return c.dispatchTextInTx(cmd, args)
 	}
 	switch cmd {
-	case "get", "gets":
-		return c.cmdGet(args, cmd == "gets", false)
-	case "gat", "gats":
-		return c.cmdGat(args, cmd == "gats")
-	case "set", "add", "replace", "append", "prepend", "cas":
+	case cmdGet, cmdGets:
+		return c.cmdGet(args, cmd == cmdGets)
+	case cmdGat, cmdGats:
+		return c.cmdGat(args, cmd == cmdGats)
+	case cmdSet, cmdAdd, cmdReplace, cmdAppend, cmdPrepend, cmdCas:
 		return c.cmdStore(cmd, args)
-	case "delete":
+	case cmdDelete:
 		return c.cmdDelete(args)
-	case "incr", "decr":
+	case cmdIncr, cmdDecr:
 		return c.cmdDelta(cmd, args)
-	case "touch":
+	case cmdTouch:
 		return c.cmdTouch(args)
-	case "stats":
+	case cmdStats:
 		if len(args) > 0 {
 			switch string(args[0]) {
 			case "reset":
@@ -370,16 +439,16 @@ func (c *Conn) dispatchText(cmd string, args [][]byte) error {
 			}
 		}
 		return c.cmdStats()
-	case "flush_all":
+	case cmdFlushAll:
 		return c.cmdFlushAll(args)
-	case "version":
+	case cmdVersion:
 		return c.reply("VERSION " + Version + "\r\n")
-	case "verbosity":
+	case cmdVerbosity:
 		if len(args) >= 1 {
 			return c.replyMaybe(args, "OK\r\n")
 		}
 		return c.clientError("usage: verbosity <level>")
-	case "quit":
+	case cmdQuit:
 		return ErrQuit
 	default:
 		return c.reply("ERROR\r\n")
@@ -390,14 +459,37 @@ func (c *Conn) cmdGat(args [][]byte, withCAS bool) error {
 	if len(args) < 2 {
 		return c.clientError("gat requires exptime and a key")
 	}
-	exptime, err := strconv.ParseUint(string(args[0]), 10, 64)
-	if err != nil {
+	exptime, ok := parseUint(args[0], 64)
+	if !ok {
 		return c.clientError("invalid exptime argument")
 	}
-	c.gatExptime = absoluteExptime(c.worker, exptime)
-	defer func() { c.gatExptime = 0; c.gatActive = false }()
-	c.gatActive = true
-	return c.cmdGet(args[1:], withCAS, true)
+	keys := args[1:]
+	if err := c.checkKeys(keys); err != nil {
+		return err
+	}
+	// gat updates expiries — a writing command — so it keeps the per-key item
+	// sections.
+	exptime = absoluteExptime(c.worker, exptime)
+	for _, key := range keys {
+		val, flags, cas, ok := c.worker.GetAndTouchInto(&c.sc.get, key, exptime)
+		if ok {
+			c.writeValue(key, flags, val, cas, withCAS)
+		}
+	}
+	return c.reply("END\r\n")
+}
+
+// checkKeys refuses a get whose keys the protocol does not allow.
+func (c *Conn) checkKeys(keys [][]byte) error {
+	if len(keys) == 0 {
+		return c.clientError("get requires a key")
+	}
+	for _, key := range keys {
+		if len(key) > MaxKeyLen {
+			return c.clientError("key too long")
+		}
+	}
+	return nil
 }
 
 var (
@@ -405,36 +497,48 @@ var (
 	endLine = []byte("END\r\n")
 )
 
-// writevThreshold: gathered multi-get responses at least this large skip the
-// bufio copy and go to the transport as a single writev-style write.
+// writevThreshold: get responses whose values total at least this much skip
+// the bufio copy and go to the transport as a single writev-style write.
 const writevThreshold = 4096
 
-func (c *Conn) cmdGet(args [][]byte, withCAS, touch bool) error {
-	if len(args) == 0 {
-		return c.clientError("get requires a key")
+// maxValueHeader bounds "VALUE <key> <flags> <bytes> <cas>\r\n".
+const maxValueHeader = len("VALUE ") + MaxKeyLen + 1 + 10 + 1 + 20 + 1 + 20 + 2
+
+// appendValueHeader appends the line announcing one value.
+func appendValueHeader(dst, key []byte, flags uint32, n int, cas uint64, withCAS bool) []byte {
+	dst = append(dst, "VALUE "...)
+	dst = append(dst, key...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, uint64(flags), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, uint64(n), 10)
+	if withCAS {
+		dst = append(dst, ' ')
+		dst = strconv.AppendUint(dst, cas, 10)
 	}
-	for _, key := range args {
-		if len(key) > MaxKeyLen {
-			return c.clientError("key too long")
-		}
+	return append(dst, '\r', '\n')
+}
+
+// reserve makes room for n more reply bytes in the write buffer, so that a
+// header formatted into its free tail never outgrows it onto the heap. The
+// flush it may do is the one the write buffer was about to do anyway.
+func (c *Conn) reserve(n int) []byte {
+	if c.w.Available() < n {
+		c.w.Flush()
 	}
-	if touch && c.gatActive {
-		// gat updates expiries — a writing command — so it keeps the per-key
-		// item sections.
-		for _, key := range args {
-			val, flags, cas, ok := c.worker.GetAndTouch(key, c.gatExptime)
-			if !ok {
-				continue
-			}
-			if withCAS {
-				fmt.Fprintf(c.w, "VALUE %s %d %d %d\r\n", key, flags, len(val), cas)
-			} else {
-				fmt.Fprintf(c.w, "VALUE %s %d %d\r\n", key, flags, len(val))
-			}
-			c.w.Write(val)
-			c.w.Write(crlf)
-		}
-		return c.reply("END\r\n")
+	return c.w.AvailableBuffer()
+}
+
+// writeValue buffers one VALUE block.
+func (c *Conn) writeValue(key []byte, flags uint32, val []byte, cas uint64, withCAS bool) {
+	c.w.Write(appendValueHeader(c.reserve(maxValueHeader), key, flags, len(val), cas, withCAS))
+	c.w.Write(val)
+	c.w.Write(crlf)
+}
+
+func (c *Conn) cmdGet(args [][]byte, withCAS bool) error {
+	if err := c.checkKeys(args); err != nil {
+		return err
 	}
 	if len(args) == 1 {
 		c.noteKey(args[0])
@@ -442,76 +546,110 @@ func (c *Conn) cmdGet(args [][]byte, withCAS, touch bool) error {
 	// get k1 k2 ...: one batched read-only transaction per bounded key group
 	// (engine.MultiGetBatch) instead of one transaction per key, and one
 	// gathered response instead of one write per VALUE line.
-	results := c.worker.GetMulti(args)
-	bufs := make(net.Buffers, 0, 3*len(args)+1)
-	total := 0
+	results := c.worker.GetMultiInto(&c.sc.get, args)
+	if c.bw != nil {
+		payload := 0
+		for i := range results {
+			payload += len(results[i].Value)
+		}
+		if payload >= writevThreshold {
+			return c.writeValuesGathered(args, results, withCAS)
+		}
+	}
 	for i, key := range args {
+		if r := &results[i]; r.Found {
+			c.writeValue(key, r.Flags, r.Value, r.CAS, withCAS)
+		}
+	}
+	c.w.Write(endLine)
+	return c.flushIfIdle()
+}
+
+// writeValuesGathered puts a large get reply on the wire as one writev-style
+// write: the headers are formatted into scratch, the values stay where the
+// engine copied them.
+func (c *Conn) writeValuesGathered(keys [][]byte, results []engine.GetResult, withCAS bool) error {
+	bufs, hdrs := c.sc.bufs[:0], c.sc.hdrs[:0]
+	for i, key := range keys {
 		r := &results[i]
 		if !r.Found {
 			continue
 		}
-		var hdr []byte
-		if withCAS {
-			hdr = fmt.Appendf(nil, "VALUE %s %d %d %d\r\n", key, r.Flags, len(r.Value), r.CAS)
-		} else {
-			hdr = fmt.Appendf(nil, "VALUE %s %d %d\r\n", key, r.Flags, len(r.Value))
-		}
-		bufs = append(bufs, hdr, r.Value, crlf)
-		total += len(hdr) + len(r.Value) + 2
+		at := len(hdrs)
+		hdrs = appendValueHeader(hdrs, key, r.Flags, len(r.Value), r.CAS, withCAS)
+		bufs = append(bufs, hdrs[at:len(hdrs):len(hdrs)], r.Value, crlf)
 	}
 	bufs = append(bufs, endLine)
-	if c.bw != nil && total >= writevThreshold {
-		if err := c.flushNow(); err != nil {
-			return err
-		}
-		if c.connErrs != nil {
-			c.connErrs.WritevBatches.Add(1)
-		}
-		_, err := c.bw.WriteBuffers(bufs)
+	c.sc.bufs, c.sc.hdrs = bufs, hdrs
+	if err := c.flushNow(); err != nil {
 		return err
 	}
-	for _, b := range bufs {
-		c.w.Write(b)
+	if c.connErrs != nil {
+		c.connErrs.WritevBatches.Add(1)
 	}
-	return c.flushIfIdle()
+	_, err := c.bw.WriteBuffers(bufs)
+	clear(bufs) // the scratch must not keep this reply's values reachable
+	return err
 }
 
-func (c *Conn) cmdStore(cmd string, args [][]byte) error {
+// storeReplies are the storage commands' reply lines, by result.
+var storeReplies = [...]string{
+	engine.Stored:      "STORED\r\n",
+	engine.NotStored:   "NOT_STORED\r\n",
+	engine.Exists:      "EXISTS\r\n",
+	engine.NotFound:    "NOT_FOUND\r\n",
+	engine.TooLarge:    "SERVER_ERROR object too large for cache\r\n",
+	engine.OutOfMemory: "SERVER_ERROR out of memory storing object\r\n",
+}
+
+// storeArgs is a storage command line, parsed.
+type storeArgs struct {
+	key       []byte
+	flags     uint32
+	exptime   uint64
+	casUnique uint64
+	noreply   bool
+}
+
+// readStore parses a storage command line and reads its data block into
+// scratch. done reports that the command is over — refused, or silently
+// dropped under noreply — with err what the handler returns; otherwise the
+// caller owns sa and data until its reply. A bad line still consumes the data
+// block it announced, without allocating whatever size the client claimed, so
+// the stream stays in sync.
+func (c *Conn) readStore(args [][]byte, withCAS bool) (sa storeArgs, data []byte, done bool, err error) {
 	want := 4
-	if cmd == "cas" {
+	if withCAS {
 		want = 5
 	}
 	if len(args) < want {
-		c.reply("ERROR\r\n")
-		return nil
+		return sa, nil, true, c.reply("ERROR\r\n")
 	}
-	key := args[0]
-	flags, err1 := strconv.ParseUint(string(args[1]), 10, 32)
-	exptime, err2 := strconv.ParseUint(string(args[2]), 10, 64)
-	nbytes, err3 := strconv.Atoi(string(args[3]))
-	var casUnique uint64
-	var err4 error
-	noreplyAt := 4
-	if cmd == "cas" {
-		casUnique, err4 = strconv.ParseUint(string(args[4]), 10, 64)
-		noreplyAt = 5
+	flags, ok1 := parseUint(args[1], 32)
+	exptime, ok2 := parseUint(args[2], 64)
+	nbytes, ok3 := atoi(args[3])
+	ok4 := true
+	if withCAS {
+		sa.casUnique, ok4 = parseUint(args[4], 64)
 	}
-	noreply := len(args) > noreplyAt && string(args[noreplyAt]) == "noreply"
-	if err1 != nil || err2 != nil || err3 != nil || err4 != nil || nbytes < 0 ||
-		nbytes > MaxBodyLen || len(key) > MaxKeyLen {
-		// Still must consume the data block to stay in sync — without
-		// allocating whatever size the client claimed.
+	sa.noreply = len(args) > want && string(args[want]) == "noreply"
+	if !ok1 || !ok2 || !ok3 || !ok4 || nbytes < 0 || nbytes > MaxBodyLen || len(args[0]) > MaxKeyLen {
 		if nbytes >= 0 {
-			c.discard(nbytes + 2)
+			c.r.Discard(nbytes + 2)
 		}
-		if noreply {
-			return c.flushIfIdle()
+		if sa.noreply {
+			return sa, nil, true, c.flushIfIdle()
 		}
-		return c.clientError("bad command line format")
+		return sa, nil, true, c.clientError("bad command line format")
 	}
-	data := make([]byte, nbytes)
+	// The line's bytes belong to the read buffer, which reading the data
+	// block reuses: the key moves to scratch first.
+	c.sc.key = append(c.sc.key[:0], args[0]...)
+	sa.key, sa.flags = c.sc.key, uint32(flags)
+	c.sc.body = slices.Grow(c.sc.body[:0], nbytes)[:nbytes]
+	data = c.sc.body
 	if _, err := io.ReadFull(c.r, data); err != nil {
-		return fmt.Errorf("%w: set data block truncated: %v", ErrProtocol, err)
+		return sa, nil, true, fmt.Errorf("%w: set data block truncated: %v", ErrProtocol, err)
 	}
 	// The data block must be terminated by a bare CRLF. Reading to the next
 	// newline (rather than exactly two bytes) means a short or long data
@@ -520,37 +658,44 @@ func (c *Conn) cmdStore(cmd string, args [][]byte) error {
 	// guarantees.
 	term, err := c.readLine()
 	if err != nil {
-		return fmt.Errorf("%w: set data block unterminated: %v", ErrProtocol, err)
+		return sa, nil, true, fmt.Errorf("%w: set data block unterminated: %v", ErrProtocol, err)
 	}
 	if len(term) != 0 {
-		if noreply {
-			return c.flushIfIdle()
+		if sa.noreply {
+			return sa, nil, true, c.flushIfIdle()
 		}
-		return c.clientError("bad data chunk")
+		return sa, nil, true, c.clientError("bad data chunk")
 	}
 	// Relative expiry (≤ 30 days, memcached convention) is converted here.
-	exptime = absoluteExptime(c.worker, exptime)
+	sa.exptime = absoluteExptime(c.worker, exptime)
+	return sa, data, false, nil
+}
 
-	c.noteKey(key)
+func (c *Conn) cmdStore(cmd textCmd, args [][]byte) error {
+	sa, data, done, err := c.readStore(args, cmd == cmdCas)
+	if done {
+		return err
+	}
+	c.noteKey(sa.key)
 	var res engine.StoreResult
 	switch cmd {
-	case "set":
-		res = c.worker.Set(key, uint32(flags), exptime, data)
-	case "add":
-		res = c.worker.Add(key, uint32(flags), exptime, data)
-	case "replace":
-		res = c.worker.Replace(key, uint32(flags), exptime, data)
-	case "append":
-		res = c.worker.Append(key, data)
-	case "prepend":
-		res = c.worker.Prepend(key, data)
-	case "cas":
-		res = c.worker.CAS(key, uint32(flags), exptime, data, casUnique)
+	case cmdSet:
+		res = c.worker.Set(sa.key, sa.flags, sa.exptime, data)
+	case cmdAdd:
+		res = c.worker.Add(sa.key, sa.flags, sa.exptime, data)
+	case cmdReplace:
+		res = c.worker.Replace(sa.key, sa.flags, sa.exptime, data)
+	case cmdAppend:
+		res = c.worker.Append(sa.key, data)
+	case cmdPrepend:
+		res = c.worker.Prepend(sa.key, data)
+	case cmdCas:
+		res = c.worker.CAS(sa.key, sa.flags, sa.exptime, data, sa.casUnique)
 	}
-	if noreply {
+	if sa.noreply {
 		return c.flushIfIdle()
 	}
-	return c.reply(res.String() + "\r\n")
+	return c.reply(storeReplies[res])
 }
 
 func (c *Conn) cmdDelete(args [][]byte) error {
@@ -564,25 +709,29 @@ func (c *Conn) cmdDelete(args [][]byte) error {
 	return c.replyMaybe(args[1:], "NOT_FOUND\r\n")
 }
 
-func (c *Conn) cmdDelta(cmd string, args [][]byte) error {
+func (c *Conn) cmdDelta(cmd textCmd, args [][]byte) error {
 	if len(args) < 2 {
 		return c.clientError("incr/decr require key and value")
 	}
-	delta, err := strconv.ParseUint(string(args[1]), 10, 64)
-	if err != nil {
+	delta, ok := parseUint(args[1], 64)
+	if !ok {
 		return c.clientError("invalid numeric delta argument")
 	}
 	c.noteKey(args[0])
 	var v uint64
 	var res engine.DeltaResult
-	if cmd == "incr" {
+	if cmd == cmdIncr {
 		v, res = c.worker.Incr(args[0], delta)
 	} else {
 		v, res = c.worker.Decr(args[0], delta)
 	}
 	switch res {
 	case engine.DeltaOK:
-		return c.replyMaybe(args[2:], strconv.FormatUint(v, 10)+"\r\n")
+		if hasNoreply(args[2:]) {
+			return c.flushIfIdle()
+		}
+		c.w.Write(append(strconv.AppendUint(c.reserve(22), v, 10), '\r', '\n'))
+		return c.flushIfIdle()
 	case engine.DeltaNotFound:
 		return c.replyMaybe(args[2:], "NOT_FOUND\r\n")
 	default:
@@ -594,8 +743,8 @@ func (c *Conn) cmdTouch(args [][]byte) error {
 	if len(args) < 2 {
 		return c.clientError("touch requires key and exptime")
 	}
-	exptime, err := strconv.ParseUint(string(args[1]), 10, 64)
-	if err != nil {
+	exptime, ok := parseUint(args[1], 64)
+	if !ok {
 		return c.clientError("invalid exptime argument")
 	}
 	c.noteKey(args[0])
@@ -884,19 +1033,110 @@ func absoluteExptime(w *engine.Worker, exptime uint64) uint64 {
 	return w.CacheNow() + exptime
 }
 
+// maxLineLen bounds a command line. The longest legitimate one, a get of 100
+// keys of MaxKeyLen bytes, is well under it; a client that never sends a
+// newline stops costing memory here.
+const maxLineLen = 64 << 10
+
+// errLineTooLong is connection-fatal: the rest of the line is unread, so the
+// stream cannot be framed again.
+var errLineTooLong = fmt.Errorf("%w: command line longer than %d bytes", ErrProtocol, maxLineLen)
+
+// readLine returns the next line without its terminator. The bytes belong to
+// the read buffer (to scratch, for a line longer than it) and are valid until
+// the next read from the connection.
 func (c *Conn) readLine() ([]byte, error) {
-	line, err := c.r.ReadBytes('\n')
+	line, err := c.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		line, err = c.readLongLine(line)
+	}
 	if err != nil {
 		return nil, err
 	}
-	line = bytes.TrimRight(line, "\r\n")
-	return line, nil
+	return bytes.TrimRight(line, "\r\n"), nil
 }
 
-func (c *Conn) discard(n int) {
-	if n > 0 {
-		io.CopyN(io.Discard, c.r, int64(n))
+// readLongLine finishes a line whose head filled the read buffer, gathering
+// it in scratch up to maxLineLen.
+func (c *Conn) readLongLine(head []byte) ([]byte, error) {
+	long := append(c.sc.line[:0], head...)
+	for {
+		frag, err := c.r.ReadSlice('\n')
+		if len(long)+len(frag) > maxLineLen {
+			return nil, errLineTooLong
+		}
+		long = append(long, frag...)
+		c.sc.line = long
+		if err != bufio.ErrBufferFull {
+			return long, err
+		}
 	}
+}
+
+// splitFields appends the whitespace-separated fields of line to dst. The
+// fields are subslices of line: nothing is copied.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	start := -1
+	for i, b := range line {
+		switch b {
+		case ' ', '\t', '\n', '\v', '\f', '\r':
+			if start >= 0 {
+				dst = append(dst, line[start:i:i])
+				start = -1
+			}
+		default:
+			if start < 0 {
+				start = i
+			}
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+// parseUint parses an unsigned decimal of at most the given bit size, as
+// strconv.ParseUint(string(b), 10, bits) would, without the string.
+func parseUint(b []byte, bits uint) (uint64, bool) {
+	if len(b) == 0 || len(b) > 20 {
+		return 0, false
+	}
+	var v uint64
+	for _, d := range b {
+		if d < '0' || d > '9' {
+			return 0, false
+		}
+		if v > (1<<64-1)/10 {
+			return 0, false
+		}
+		v *= 10
+		if v+uint64(d-'0') < v {
+			return 0, false
+		}
+		v += uint64(d - '0')
+	}
+	if bits < 64 && v>>bits != 0 {
+		return 0, false
+	}
+	return v, true
+}
+
+// atoi parses a signed decimal that fits an int, as strconv.Atoi would.
+func atoi(b []byte) (int, bool) {
+	neg := false
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		neg = b[0] == '-'
+		b = b[1:]
+	}
+	v, ok := parseUint(b, 63)
+	if !ok {
+		return 0, false
+	}
+	if neg {
+		return -int(v), true
+	}
+	return int(v), true
 }
 
 func (c *Conn) reply(s string) error {
@@ -932,7 +1172,7 @@ func (c *Conn) flushNow() error {
 
 // replyMaybe suppresses the reply when the trailing argument is "noreply".
 func (c *Conn) replyMaybe(rest [][]byte, s string) error {
-	if len(rest) > 0 && string(rest[len(rest)-1]) == "noreply" {
+	if hasNoreply(rest) {
 		return c.flushIfIdle()
 	}
 	return c.reply(s)

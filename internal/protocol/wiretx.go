@@ -1,8 +1,8 @@
 package protocol
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 	"strconv"
 	"time"
 
@@ -106,11 +106,14 @@ func (c *Conn) txAdmit(cost int) error {
 	return nil
 }
 
+// txRecordRead and txQueue keep their keys and values past the command that
+// brought them, whose bytes live in the read buffer and the request scratch:
+// they take copies.
 func (c *Conn) txRecordRead(key []byte, cas uint64) error {
 	if err := c.txAdmit(len(key)); err != nil {
 		return err
 	}
-	c.tx.reads = append(c.tx.reads, engine.TxRead{Key: key, CAS: cas})
+	c.tx.reads = append(c.tx.reads, engine.TxRead{Key: bytes.Clone(key), CAS: cas})
 	return nil
 }
 
@@ -118,6 +121,7 @@ func (c *Conn) txQueue(op engine.TxOp) error {
 	if err := c.txAdmit(len(op.Key) + len(op.Value)); err != nil {
 		return err
 	}
+	op.Key, op.Value = bytes.Clone(op.Key), bytes.Clone(op.Value)
 	c.tx.ops = append(c.tx.ops, op)
 	return nil
 }
@@ -199,24 +203,24 @@ func txResultLine(r *engine.TxOpResult) string {
 // immediately (and join the read set), the five queueable mutations queue,
 // version/quit pass through, everything else is refused without disturbing
 // the transaction.
-func (c *Conn) dispatchTextInTx(cmd string, args [][]byte) error {
+func (c *Conn) dispatchTextInTx(cmd textCmd, args [][]byte) error {
 	if err := c.txCheck(); err != nil {
 		return c.replyError(err)
 	}
 	switch cmd {
-	case "get", "gets":
-		return c.cmdTxGet(args, cmd == "gets")
-	case "set":
+	case cmdGet, cmdGets:
+		return c.cmdTxGet(args, cmd == cmdGets)
+	case cmdSet:
 		return c.cmdTxSet(args)
-	case "delete":
+	case cmdDelete:
 		return c.cmdTxDelete(args)
-	case "touch":
+	case cmdTouch:
 		return c.cmdTxTouch(args)
-	case "incr", "decr":
+	case cmdIncr, cmdDecr:
 		return c.cmdTxDelta(cmd, args)
-	case "version":
+	case cmdVersion:
 		return c.reply("VERSION " + Version + "\r\n")
-	case "quit":
+	case cmdQuit:
 		return ErrQuit
 	default:
 		return c.replyError(errTxBadCommand)
@@ -224,15 +228,10 @@ func (c *Conn) dispatchTextInTx(cmd string, args [][]byte) error {
 }
 
 func (c *Conn) cmdTxGet(args [][]byte, withCAS bool) error {
-	if len(args) == 0 {
-		return c.clientError("get requires a key")
+	if err := c.checkKeys(args); err != nil {
+		return err
 	}
-	for _, key := range args {
-		if len(key) > MaxKeyLen {
-			return c.clientError("key too long")
-		}
-	}
-	results := c.worker.GetMulti(args)
+	results := c.worker.GetMultiInto(&c.sc.get, args)
 	// Record every key — misses record CAS 0, so the commit validates
 	// continued absence exactly as it validates an unchanged value.
 	for i, key := range args {
@@ -245,17 +244,9 @@ func (c *Conn) cmdTxGet(args [][]byte, withCAS bool) error {
 		}
 	}
 	for i, key := range args {
-		r := &results[i]
-		if !r.Found {
-			continue
+		if r := &results[i]; r.Found {
+			c.writeValue(key, r.Flags, r.Value, r.CAS, withCAS)
 		}
-		if withCAS {
-			fmt.Fprintf(c.w, "VALUE %s %d %d %d\r\n", key, r.Flags, len(r.Value), r.CAS)
-		} else {
-			fmt.Fprintf(c.w, "VALUE %s %d %d\r\n", key, r.Flags, len(r.Value))
-		}
-		c.w.Write(r.Value)
-		c.w.Write(crlf)
 	}
 	return c.reply("END\r\n")
 }
@@ -264,46 +255,18 @@ func (c *Conn) cmdTxGet(args [][]byte, withCAS bool) error {
 // data block on a bad command line so the connection stays aligned — but
 // queues instead of applying.
 func (c *Conn) cmdTxSet(args [][]byte) error {
-	if len(args) < 4 {
-		return c.reply("ERROR\r\n")
-	}
-	key := args[0]
-	flags, err1 := strconv.ParseUint(string(args[1]), 10, 32)
-	exptime, err2 := strconv.ParseUint(string(args[2]), 10, 64)
-	nbytes, err3 := strconv.Atoi(string(args[3]))
-	noreply := len(args) > 4 && string(args[4]) == "noreply"
-	if err1 != nil || err2 != nil || err3 != nil || nbytes < 0 ||
-		nbytes > MaxBodyLen || len(key) > MaxKeyLen {
-		if nbytes >= 0 {
-			c.discard(nbytes + 2)
-		}
-		if noreply {
-			return c.flushIfIdle()
-		}
-		return c.clientError("bad command line format")
-	}
-	data := make([]byte, nbytes)
-	if _, err := io.ReadFull(c.r, data); err != nil {
-		return fmt.Errorf("%w: set data block truncated: %v", ErrProtocol, err)
-	}
-	term, err := c.readLine()
-	if err != nil {
-		return fmt.Errorf("%w: set data block unterminated: %v", ErrProtocol, err)
-	}
-	if len(term) != 0 {
-		if noreply {
-			return c.flushIfIdle()
-		}
-		return c.clientError("bad data chunk")
+	sa, data, done, err := c.readStore(args, false)
+	if done {
+		return err
 	}
 	qerr := c.txQueue(engine.TxOp{
 		Kind:    engine.TxSet,
-		Key:     key,
-		Flags:   uint32(flags),
-		Exptime: absoluteExptime(c.worker, exptime),
+		Key:     sa.key,
+		Flags:   sa.flags,
+		Exptime: sa.exptime,
 		Value:   data,
 	})
-	return c.txQueuedReply(noreply, qerr)
+	return c.txQueuedReply(sa.noreply, qerr)
 }
 
 func (c *Conn) cmdTxDelete(args [][]byte) error {
@@ -318,8 +281,8 @@ func (c *Conn) cmdTxTouch(args [][]byte) error {
 	if len(args) < 2 {
 		return c.clientError("touch requires key and exptime")
 	}
-	exptime, err := strconv.ParseUint(string(args[1]), 10, 64)
-	if err != nil {
+	exptime, ok := parseUint(args[1], 64)
+	if !ok {
 		return c.clientError("invalid exptime argument")
 	}
 	qerr := c.txQueue(engine.TxOp{
@@ -330,16 +293,16 @@ func (c *Conn) cmdTxTouch(args [][]byte) error {
 	return c.txQueuedReply(hasNoreply(args[2:]), qerr)
 }
 
-func (c *Conn) cmdTxDelta(cmd string, args [][]byte) error {
+func (c *Conn) cmdTxDelta(cmd textCmd, args [][]byte) error {
 	if len(args) < 2 {
 		return c.clientError("incr/decr require key and value")
 	}
-	delta, err := strconv.ParseUint(string(args[1]), 10, 64)
-	if err != nil {
+	delta, ok := parseUint(args[1], 64)
+	if !ok {
 		return c.clientError("invalid numeric delta argument")
 	}
 	kind := engine.TxIncr
-	if cmd == "decr" {
+	if cmd == cmdDecr {
 		kind = engine.TxDecr
 	}
 	qerr := c.txQueue(engine.TxOp{Kind: kind, Key: args[0], Delta: delta})
@@ -413,9 +376,9 @@ func (c *Conn) dispatchBinaryInTx(req binHeader, extras, key, value []byte) erro
 	switch req.opcode {
 	case OpGet, OpGetK:
 		if len(extras) != 0 {
-			return c.binError(req, StatusInvalidArgs, []byte("Get takes no extras"))
+			return c.binError(req, StatusInvalidArgs, "Get takes no extras")
 		}
-		val, flags, cas, ok := c.worker.Get(key)
+		val, flags, cas, ok := c.worker.GetInto(&c.sc.get, key)
 		rcas := uint64(0)
 		if ok {
 			rcas = cas
@@ -424,7 +387,7 @@ func (c *Conn) dispatchBinaryInTx(req binHeader, extras, key, value []byte) erro
 			return c.binReplyError(req, err)
 		}
 		if !ok {
-			return c.binError(req, StatusKeyNotFound, []byte("Not found"))
+			return c.binError(req, StatusKeyNotFound, "Not found")
 		}
 		var fx [4]byte
 		fx[0], fx[1], fx[2], fx[3] = byte(flags>>24), byte(flags>>16), byte(flags>>8), byte(flags)
@@ -436,7 +399,7 @@ func (c *Conn) dispatchBinaryInTx(req binHeader, extras, key, value []byte) erro
 
 	case OpSet:
 		if len(extras) < 8 {
-			return c.binError(req, StatusInvalidArgs, nil)
+			return c.binError(req, StatusInvalidArgs, "")
 		}
 		flags := uint32(extras[0])<<24 | uint32(extras[1])<<16 | uint32(extras[2])<<8 | uint32(extras[3])
 		exp := uint64(extras[4])<<24 | uint64(extras[5])<<16 | uint64(extras[6])<<8 | uint64(extras[7])
@@ -454,7 +417,7 @@ func (c *Conn) dispatchBinaryInTx(req binHeader, extras, key, value []byte) erro
 
 	case OpTouch:
 		if len(extras) < 4 {
-			return c.binError(req, StatusInvalidArgs, nil)
+			return c.binError(req, StatusInvalidArgs, "")
 		}
 		exp := uint64(extras[0])<<24 | uint64(extras[1])<<16 | uint64(extras[2])<<8 | uint64(extras[3])
 		err := c.txQueue(engine.TxOp{
@@ -466,7 +429,7 @@ func (c *Conn) dispatchBinaryInTx(req binHeader, extras, key, value []byte) erro
 
 	case OpIncrement, OpDecrement:
 		if len(extras) < 20 {
-			return c.binError(req, StatusInvalidArgs, nil)
+			return c.binError(req, StatusInvalidArgs, "")
 		}
 		var delta uint64
 		for _, b := range extras[0:8] {

@@ -285,46 +285,78 @@ type servConn struct {
 	srv  *Server
 	ev   bool        // served by the event-loop transport
 	busy atomic.Bool // inside a command (between CommandStarted and CommandDone)
+
+	// Read-deadline state, owned by the serving goroutine (see
+	// armReadDeadline): whether any deadline is set on the socket, and whether
+	// the current command has had its one.
+	armed    bool
+	cmdArmed bool
 }
 
-// BeforeCommand refuses new commands while draining, and otherwise arms the
-// idle deadline the next-command read blocks under. Event-loop connections
-// never block waiting for the next command (the poller owns idle time and a
-// reaper enforces IdleTimeout), so they arm the ReadTimeout instead — it
-// bounds the burst's reads even if the readiness event was a bare RDHUP.
+// BeforeCommand refuses new commands while draining.
 func (sc *servConn) BeforeCommand() error {
 	if sc.srv.draining.Load() {
 		return errDraining
 	}
-	if sc.ev {
-		if t := sc.srv.cfg.ReadTimeout; t > 0 {
-			sc.Conn.SetReadDeadline(time.Now().Add(t))
-		}
-		return nil
-	}
-	if t := sc.srv.cfg.IdleTimeout; t > 0 {
-		sc.Conn.SetReadDeadline(time.Now().Add(t))
-	}
 	return nil
 }
 
-// CommandStarted marks the connection busy and rearms the read deadline for
-// the command body.
+// CommandStarted marks the connection busy.
 func (sc *servConn) CommandStarted() {
 	sc.busy.Store(true)
-	if sc.srv.draining.Load() {
-		return // keep the drain deadline Close imposed
-	}
-	if t := sc.srv.cfg.ReadTimeout; t > 0 {
-		sc.Conn.SetReadDeadline(time.Now().Add(t))
-	} else if sc.srv.cfg.IdleTimeout > 0 {
-		sc.Conn.SetReadDeadline(time.Time{})
-	}
+	sc.cmdArmed = false
 }
 
 // CommandDone marks the connection idle again.
 func (sc *servConn) CommandDone() {
 	sc.busy.Store(false)
+}
+
+// armReadDeadline runs when a read is about to reach the socket — not per
+// command: the commands of a pipeline that are already in the read buffer
+// never get here, and they are most of them.
+//
+// Between commands the read waits under the IdleTimeout. Event-loop
+// connections never wait for the next command in a read (the poller owns idle
+// time and a reaper enforces IdleTimeout), so theirs is bounded by the
+// ReadTimeout even if the readiness event was a bare RDHUP. Inside a command
+// the ReadTimeout bounds the rest of it: it is armed at the command's first
+// read and not again, or a client trickling a body byte by byte would extend
+// it forever. The drain deadline Close imposes is left alone.
+func (sc *servConn) armReadDeadline() {
+	s := sc.srv
+	if s.draining.Load() {
+		return
+	}
+	busy := sc.busy.Load()
+	t := s.cfg.ReadTimeout
+	switch {
+	case busy && sc.cmdArmed:
+		return
+	case busy:
+		sc.cmdArmed = true
+	case !sc.ev:
+		t = s.cfg.IdleTimeout
+	}
+	switch {
+	case t > 0:
+		sc.Conn.SetReadDeadline(time.Now().Add(t))
+		sc.armed = true
+	case sc.armed:
+		sc.Conn.SetReadDeadline(time.Time{})
+		sc.armed = false
+	default:
+		return
+	}
+	if s.draining.Load() {
+		// Close began in between and its deadline may be the one just
+		// overwritten: impose it again.
+		if busy {
+			sc.Conn.SetDeadline(time.Now().Add(s.cfg.DrainTimeout))
+		} else if !sc.ev {
+			sc.Conn.SetDeadline(time.Now())
+		}
+	}
 }
 
 func (sc *servConn) Read(p []byte) (int, error) {
@@ -340,6 +372,7 @@ func (sc *servConn) Read(p []byte) (int, error) {
 			p = p[:1]
 		}
 	}
+	sc.armReadDeadline()
 	return sc.Conn.Read(p)
 }
 

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -297,4 +299,36 @@ func TestStatsReportsConnErrors(t *testing.T) {
 
 	line := roundTrip(t, s.Addr(), "stats\r\n", "STAT")
 	_ = line
+}
+
+// TestOverlongLineClosesConnection: a client that never sends a newline is
+// told "line too long", cut off and counted as a protocol error, on the
+// classic transport and on the event loop.
+func TestOverlongLineClosesConnection(t *testing.T) {
+	for _, evloop := range []bool{false, true} {
+		t.Run(fmt.Sprintf("eventloop=%v", evloop), func(t *testing.T) {
+			s := startServerConfig(t, engine.ITOnCommit, Config{EventLoop: evloop})
+			conn, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			go func() {
+				// The server hangs up mid-flood; the write error is expected.
+				conn.Write(bytes.Repeat([]byte("x"), 1<<20))
+			}()
+			reply, err := io.ReadAll(conn)
+			if string(reply) != "CLIENT_ERROR line too long\r\n" {
+				t.Fatalf("reply %q (%v), want the line-too-long error and a close", reply, err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for time.Now().Before(deadline) && s.ConnErrors().Protocol.Load() == 0 {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if got := s.ConnErrors().Protocol.Load(); got != 1 {
+				t.Errorf("conn_errors_protocol = %d, want 1", got)
+			}
+		})
+	}
 }

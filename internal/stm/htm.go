@@ -36,7 +36,7 @@ type htmCapacitySignal struct{}
 
 // htmFootprint returns the transaction's current location footprint.
 func (tx *Tx) htmFootprint() int {
-	return len(tx.reads) + len(tx.owned) + len(tx.undoW) + len(tx.undoA)
+	return len(tx.reads) + len(tx.owned) + len(tx.undoW) + len(tx.undoP)
 }
 
 // htmCheckCapacity aborts with a capacity signal when the footprint exceeds

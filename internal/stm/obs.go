@@ -207,8 +207,8 @@ func (tx *Tx) obsRecord(o *txobs.Observer, k txobs.Kind, cause string) {
 		Shard:  tx.rt.obsShard.Load(),
 		Serial: tx.serial,
 		Retry:  uint32(tx.th.consecAborts.Load()),
-		Reads:  uint32(len(tx.reads) + len(tx.nReadsW) + len(tx.nReadsA)),
-		Writes: uint32(len(tx.undoW) + len(tx.undoA) + len(tx.redoW) + len(tx.redoA)),
+		Reads:  uint32(len(tx.reads) + len(tx.nReadsW) + len(tx.nReadsP)),
+		Writes: uint32(len(tx.undoW) + len(tx.undoP) + len(tx.redoW) + len(tx.redoP)),
 		Orec:   -1,
 	}
 	if tx.conflictID != 0 {

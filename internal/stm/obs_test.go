@@ -157,8 +157,8 @@ func TestLabelEncoding(t *testing.T) {
 		}
 	}
 	a := NewTAny("x").Label(l)
-	if labelOf(a.id) != l {
-		t.Fatalf("TAny label = %v", labelOf(a.id))
+	if labelOf(a.c.id) != l {
+		t.Fatalf("TAny label = %v", labelOf(a.c.id))
 	}
 	if NewTWord(0).id>>labelShift != 0 {
 		t.Fatal("unlabeled word has label bits set")

@@ -40,7 +40,7 @@ type retrySignal struct{}
 // irrevocable transaction has no tracked read set.
 func (tx *Tx) Retry() {
 	if !tx.serial && tx.algo != TML &&
-		len(tx.reads) == 0 && len(tx.nReadsW) == 0 && len(tx.nReadsA) == 0 {
+		len(tx.reads) == 0 && len(tx.nReadsW) == 0 && len(tx.nReadsP) == 0 {
 		panic("stm: Retry with an empty read set would never wake")
 	}
 	// A serial-irrevocable commit stores in place without touching an orec or
@@ -94,8 +94,8 @@ func (tx *Tx) waitReadSetChange() {
 					return
 				}
 			}
-			for _, r := range tx.nReadsA {
-				if r.a.p.Load() != r.b {
+			for _, r := range tx.nReadsP {
+				if r.c.loadRaw() != r.v {
 					return
 				}
 			}

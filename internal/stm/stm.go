@@ -3,8 +3,8 @@
 // Legacy Code" (ASPLOS 2014) studies and modifies.
 //
 // Because Go has no compiler instrumentation, shared locations are explicit
-// transactional cells (TWord, TAny, TBytes) and the read/write barriers that
-// GCC would emit are method calls on a transaction descriptor (Tx). The
+// transactional cells (TWord, TPtr, TAny, TBytes) and the read/write barriers
+// that GCC would emit are method calls on a transaction descriptor (Tx). The
 // runtime-level protocol is otherwise structurally faithful to libitm:
 //
 //   - an ownership-record (orec) table hashed by location id, with a global

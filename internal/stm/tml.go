@@ -64,8 +64,8 @@ func (tx *Tx) tmlRollback() {
 	for i := len(tx.undoW) - 1; i >= 0; i-- {
 		tx.undoW[i].p.Store(tx.undoW[i].v)
 	}
-	for i := len(tx.undoA) - 1; i >= 0; i-- {
-		tx.undoA[i].a.p.Store(tx.undoA[i].b)
+	for i := len(tx.undoP) - 1; i >= 0; i-- {
+		tx.undoP[i].c.storeRaw(tx.undoP[i].v)
 	}
 	tx.rt.nseq.Store(tx.start + 2)
 	tx.tmlWriter = false

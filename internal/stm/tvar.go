@@ -11,8 +11,14 @@ import (
 // package unsafe.
 var ids atomic.Uint64
 
-func nextID() uint64          { return ids.Add(1) }
-func reserveIDs(n int) uint64 { return ids.Add(uint64(n)) - uint64(n) + 1 }
+func nextID() uint64 { return ids.Add(1) }
+
+// ReserveIDs reserves n consecutive location ids and returns the first. A
+// structure that embeds its cells by value (an item, a bucket array) draws all
+// of them from one block and hands them out with the cells' Init methods.
+func ReserveIDs(n int) uint64 { return ids.Add(uint64(n)) - uint64(n) + 1 }
+
+func labeled(id uint64, l txobs.Label) uint64 { return id&labelMask | uint64(l)<<labelShift }
 
 // Location ids carry an optional txobs label in their high bits: the low 48
 // bits are the allocation counter, the top 16 a Label naming the data
@@ -30,25 +36,26 @@ func labelOf(id uint64) txobs.Label { return txobs.Label(id >> labelShift) }
 // layer. Call it at creation, before the location is shared; it returns the
 // receiver so constructors chain: stm.NewTWord(0).Label(refcountLabel).
 func (t *TWord) Label(l txobs.Label) *TWord {
-	t.id = t.id&labelMask | uint64(l)<<labelShift
+	t.id = labeled(t.id, l)
 	return t
 }
 
 // Label tags the location for conflict attribution (see TWord.Label).
 func (t *TAny) Label(l txobs.Label) *TAny {
-	t.id = t.id&labelMask | uint64(l)<<labelShift
+	t.c.id = labeled(t.c.id, l)
 	return t
 }
 
 // Label tags every word of the buffer for conflict attribution (see
 // TWord.Label).
 func (t *TBytes) Label(l txobs.Label) *TBytes {
-	t.baseID = t.baseID&labelMask | uint64(l)<<labelShift
+	t.baseID = labeled(t.baseID, l)
 	return t
 }
 
 // TWord is a word-sized transactional location (counters, booleans, sizes,
-// reference counts). The zero value is not usable; create with NewTWord.
+// reference counts). The zero value is not usable; create with NewTWord, or
+// embed it by value and call Init.
 type TWord struct {
 	id uint64
 	w  atomic.Uint64
@@ -60,6 +67,17 @@ func NewTWord(v uint64) *TWord {
 	t.w.Store(v)
 	return t
 }
+
+// Init makes an embedded word usable in place: id comes from a ReserveIDs
+// block, l labels it for conflict attribution, v is the initial value. Call
+// it before the enclosing structure is shared.
+func (t *TWord) Init(id uint64, l txobs.Label, v uint64) {
+	t.id = labeled(id, l)
+	t.w.Store(v)
+}
+
+// LabelOf returns the label conflicts on this word are attributed to.
+func (t *TWord) LabelOf() txobs.Label { return labelOf(t.id) }
 
 // Load reads the word inside tx.
 func (t *TWord) Load(tx *Tx) uint64 { return tx.loadWord(t.id, &t.w) }
@@ -93,39 +111,82 @@ func (t *TWord) CompareAndSwapDirect(old, new uint64) bool {
 	return t.w.CompareAndSwap(old, new)
 }
 
+// ptrCell is the type-erased view of a TPtr[T] that the barriers and the
+// transaction logs work with. A *T in an interface is pointer-shaped, so
+// neither reading a cell into the log nor restoring it allocates.
+type ptrCell interface {
+	cellID() uint64
+	loadRaw() any   // always a *T, possibly nil
+	storeRaw(v any) // v is a value loadRaw returned or Store was given
+}
+
+// TPtr is a transactional location holding a *T (item links, chain heads,
+// LRU heads and tails). Unlike TAny it needs no box: the pointer itself is
+// the atomically replaced word, so a store allocates nothing. The zero value
+// is not usable; embed it by value and call Init.
+type TPtr[T any] struct {
+	id uint64
+	p  atomic.Pointer[T]
+}
+
+// Init makes an embedded pointer cell usable in place (see TWord.Init).
+func (t *TPtr[T]) Init(id uint64, l txobs.Label, v *T) {
+	t.id = labeled(id, l)
+	t.p.Store(v)
+}
+
+// LabelOf returns the label conflicts on this cell are attributed to.
+func (t *TPtr[T]) LabelOf() txobs.Label { return labelOf(t.id) }
+
+func (t *TPtr[T]) cellID() uint64 { return t.id }
+func (t *TPtr[T]) loadRaw() any   { return t.p.Load() }
+func (t *TPtr[T]) storeRaw(v any) { t.p.Store(v.(*T)) }
+
+// Load reads the pointer inside tx.
+func (t *TPtr[T]) Load(tx *Tx) *T { return tx.loadPtr(t).(*T) }
+
+// Store writes the pointer inside tx.
+func (t *TPtr[T]) Store(tx *Tx, v *T) { tx.storePtr(t, v) }
+
+// LoadDirect reads the pointer outside any transaction (privatized access).
+func (t *TPtr[T]) LoadDirect() *T { return t.p.Load() }
+
+// StoreDirect writes the pointer outside any transaction.
+func (t *TPtr[T]) StoreDirect(v *T) { t.p.Store(v) }
+
 // box wraps an arbitrary value so TAny can be read and written atomically.
 type box struct{ v any }
 
-// TAny is a transactional location holding an arbitrary value (pointers to
-// items, strings, ...). The zero value is not usable; create with NewTAny.
-type TAny struct {
-	id uint64
-	p  atomic.Pointer[box]
-}
+// TAny is a transactional location holding an arbitrary value: a pointer
+// cell whose target is a freshly allocated box per store. Locations that only
+// ever hold one pointer type should be a TPtr instead. The zero value is not
+// usable; create with NewTAny.
+type TAny struct{ c TPtr[box] }
 
 // NewTAny creates a location holding v.
 func NewTAny(v any) *TAny {
-	t := &TAny{id: nextID()}
-	t.p.Store(&box{v: v})
+	t := &TAny{}
+	t.c.Init(nextID(), txobs.NoLabel, &box{v: v})
 	return t
 }
 
 // Load reads the value inside tx.
-func (t *TAny) Load(tx *Tx) any { return tx.loadAny(t).v }
+func (t *TAny) Load(tx *Tx) any { return t.c.Load(tx).v }
 
 // Store writes the value inside tx.
-func (t *TAny) Store(tx *Tx, v any) { tx.storeAny(t, &box{v: v}) }
+func (t *TAny) Store(tx *Tx, v any) { t.c.Store(tx, &box{v: v}) }
 
 // LoadDirect reads the value outside any transaction (privatized access).
-func (t *TAny) LoadDirect() any { return t.p.Load().v }
+func (t *TAny) LoadDirect() any { return t.c.LoadDirect().v }
 
 // StoreDirect writes the value outside any transaction.
-func (t *TAny) StoreDirect(v any) { t.p.Store(&box{v: v}) }
+func (t *TAny) StoreDirect(v any) { t.c.StoreDirect(&box{v: v}) }
 
 // TBytes is a transactional byte buffer, stored as 64-bit words so that the
 // word-granular barriers (and the word-vs-byte logging costs the paper
 // discusses for memcpy under buffered-update algorithms) are faithfully
-// reproduced. Length is fixed at creation, like a C allocation.
+// reproduced. Length is fixed at creation, like a C allocation. Create with
+// NewTBytes, or embed it by value and call Init.
 type TBytes struct {
 	baseID uint64
 	n      int
@@ -134,8 +195,17 @@ type TBytes struct {
 
 // NewTBytes allocates a transactional buffer of n bytes, zero-filled.
 func NewTBytes(n int) *TBytes {
-	nw := (n + 7) / 8
-	return &TBytes{baseID: reserveIDs(nw), n: n, words: make([]atomic.Uint64, nw)}
+	t := &TBytes{}
+	t.Init(ReserveIDs((n+7)/8), txobs.NoLabel, n)
+	return t
+}
+
+// Init makes an embedded buffer usable in place: n zero bytes whose words
+// take the (n+7)/8 ids starting at baseID (see TWord.Init).
+func (t *TBytes) Init(baseID uint64, l txobs.Label, n int) {
+	t.baseID = labeled(baseID, l)
+	t.n = n
+	t.words = make([]atomic.Uint64, (n+7)/8)
 }
 
 // NewTBytesFrom allocates a transactional buffer holding a copy of src,
@@ -149,6 +219,10 @@ func NewTBytesFrom(src []byte) *TBytes {
 	}
 	return t
 }
+
+// LabelOf returns the label conflicts on this buffer's words are attributed
+// to.
+func (t *TBytes) LabelOf() txobs.Label { return labelOf(t.baseID) }
 
 // Len returns the buffer length in bytes.
 func (t *TBytes) Len() int { return t.n }
@@ -232,20 +306,25 @@ func (t *TBytes) ReadAllDirect(dst []byte) {
 }
 
 // WriteAllDirect copies src into the buffer nontransactionally.
-func (t *TBytes) WriteAllDirect(src []byte) {
-	if len(src) > t.n {
-		panic("stm: TBytes.WriteAllDirect: source too long")
+func (t *TBytes) WriteAllDirect(src []byte) { t.WriteAtDirect(0, src) }
+
+// WriteAtDirect copies src to the word-aligned byte offset off,
+// nontransactionally (fresh, captured memory).
+func (t *TBytes) WriteAtDirect(off int, src []byte) {
+	if off%8 != 0 || off+len(src) > t.n {
+		panic("stm: TBytes.WriteAtDirect: unaligned offset or source too long")
 	}
+	words := t.words[off/8:]
 	for i := 0; i*8 < len(src); i++ {
 		var w uint64
 		if i*8+8 > len(src) {
-			w = t.words[i].Load()
+			w = words[i].Load()
 		}
 		for b := 0; b < 8 && i*8+b < len(src); b++ {
 			sh := 8 * b
 			w = w&^(0xFF<<sh) | uint64(src[i*8+b])<<sh
 		}
-		t.words[i].Store(w)
+		words[i].Store(w)
 	}
 }
 

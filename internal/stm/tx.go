@@ -103,9 +103,11 @@ type wordSlot struct {
 	v uint64
 }
 
-type anySlot struct {
-	a *TAny
-	b *box
+// ptrSlot logs a pointer cell with a value of it (the pre-image in the undo
+// log, the value read in NOrec's read set), both type-erased.
+type ptrSlot struct {
+	c ptrCell
+	v any
 }
 
 type wordRedo struct {
@@ -204,22 +206,22 @@ type Tx struct {
 	ro        bool      // read-only fast path attempt (orec algorithms only)
 	algo      Algorithm // pinned at begin from the dynamic config; never changes mid-attempt
 	lockWord  uint64    // odd; unique per attempt
-	start     uint64 // clock snapshot (MLWT/Lazy) or sequence snapshot (NOrec/TML)
-	htmSeq    uint64 // serial-lock subscription sequence (HTM)
-	roSeq     uint64 // serial-lock subscription sequence (read-only fast path)
-	retrySeq  uint64 // serial-lock sequence a Retry-ing attempt ran under (see retry.go)
-	tmlWriter bool   // TML: holding the global sequence lock
+	start     uint64    // clock snapshot (MLWT/Lazy) or sequence snapshot (NOrec/TML)
+	htmSeq    uint64    // serial-lock subscription sequence (HTM)
+	roSeq     uint64    // serial-lock subscription sequence (read-only fast path)
+	retrySeq  uint64    // serial-lock sequence a Retry-ing attempt ran under (see retry.go)
+	tmlWriter bool      // TML: holding the global sequence lock
 
 	reads []orecRead
 	owned []ownedOrec
 	undoW []wordSlot
-	undoA []anySlot
+	undoP []ptrSlot
 
 	redoW map[*atomic.Uint64]wordRedo
-	redoA map[*TAny]*box
+	redoP map[ptrCell]any
 
 	nReadsW []wordSlot
-	nReadsA []anySlot
+	nReadsP []ptrSlot
 
 	onCommit []func()
 	onAbort  []func()
@@ -520,7 +522,7 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 		return nil
 	}
 	tx := &th.tx
-	redoW, redoA := tx.redoW, tx.redoA
+	redoW, redoP := tx.redoW, tx.redoP
 	*tx = Tx{
 		th:       th,
 		rt:       rt,
@@ -529,13 +531,13 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 		reads:    tx.reads[:0],
 		owned:    tx.owned[:0],
 		undoW:    tx.undoW[:0],
-		undoA:    tx.undoA[:0],
+		undoP:    tx.undoP[:0],
 		nReadsW:  tx.nReadsW[:0],
-		nReadsA:  tx.nReadsA[:0],
+		nReadsP:  tx.nReadsP[:0],
 		onCommit: tx.onCommit[:0],
 		onAbort:  tx.onAbort[:0],
 	}
-	tx.redoW, tx.redoA = redoW, redoA
+	tx.redoW, tx.redoP = redoW, redoP
 	tx.traced = th.trace != nil
 	rt.stats.Starts.Add(1)
 	if !serial {
@@ -585,10 +587,10 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 		if !tx.ro && (tx.algo == LazyAlg || tx.algo == NOrec) {
 			if tx.redoW == nil {
 				tx.redoW = make(map[*atomic.Uint64]wordRedo)
-				tx.redoA = make(map[*TAny]*box)
+				tx.redoP = make(map[ptrCell]any)
 			} else {
 				clear(tx.redoW)
-				clear(tx.redoA)
+				clear(tx.redoP)
 			}
 		}
 	}
@@ -755,53 +757,53 @@ func (tx *Tx) storeWord(id uint64, p *atomic.Uint64, v uint64) {
 	}
 }
 
-func (tx *Tx) loadAny(a *TAny) *box {
+func (tx *Tx) loadPtr(c ptrCell) any {
 	tx.faultBarrier(fault.STMReadAbort, fault.STMReadDelay)
 	if tx.serial {
-		return a.p.Load()
+		return c.loadRaw()
 	}
 	switch tx.algo {
 	case MLWT, HTM:
-		var b *box
-		tx.orecLoad(a.id, func() uint64 { b = a.p.Load(); return 0 })
+		var v any
+		tx.orecLoad(c.cellID(), func() uint64 { v = c.loadRaw(); return 0 })
 		if tx.algo == HTM {
 			tx.htmCheckCapacity()
 		}
-		return b
+		return v
 	case LazyAlg:
 		if !tx.ro {
-			if b, ok := tx.redoA[a]; ok {
-				return b
+			if v, ok := tx.redoP[c]; ok {
+				return v
 			}
 		}
-		var b *box
-		tx.orecLoad(a.id, func() uint64 { b = a.p.Load(); return 0 })
-		return b
+		var v any
+		tx.orecLoad(c.cellID(), func() uint64 { v = c.loadRaw(); return 0 })
+		return v
 	case NOrec:
-		if b, ok := tx.redoA[a]; ok {
-			return b
+		if v, ok := tx.redoP[c]; ok {
+			return v
 		}
-		b := tx.norecLoadAny(a)
-		tx.nReadsA = append(tx.nReadsA, anySlot{a: a, b: b})
-		return b
+		v := tx.norecLoadPtr(c)
+		tx.nReadsP = append(tx.nReadsP, ptrSlot{c: c, v: v})
+		return v
 	case TML:
-		var b *box
-		tx.tmlLoad(func() uint64 { b = a.p.Load(); return 0 })
-		return b
+		var v any
+		tx.tmlLoad(func() uint64 { v = c.loadRaw(); return 0 })
+		return v
 	}
 	panic("stm: bad algorithm")
 }
 
-func (tx *Tx) storeAny(a *TAny, b *box) {
+func (tx *Tx) storePtr(c ptrCell, v any) {
 	tx.faultBarrier(fault.STMWriteAbort, fault.STMWriteDelay)
 	if tx.ro {
 		panic(roUpgradeSignal{})
 	}
 	if tx.serial {
 		if tx.props.Kind == Atomic {
-			tx.undoA = append(tx.undoA, anySlot{a: a, b: a.p.Load()})
+			tx.undoP = append(tx.undoP, ptrSlot{c: c, v: c.loadRaw()})
 		}
-		a.p.Store(b)
+		c.storeRaw(v)
 		return
 	}
 	switch tx.algo {
@@ -809,18 +811,18 @@ func (tx *Tx) storeAny(a *TAny, b *box) {
 		if tx.algo == HTM {
 			tx.htmMarkEager()
 		}
-		tx.orecAcquire(a.id)
-		tx.undoA = append(tx.undoA, anySlot{a: a, b: a.p.Load()})
-		a.p.Store(b)
+		tx.orecAcquire(c.cellID())
+		tx.undoP = append(tx.undoP, ptrSlot{c: c, v: c.loadRaw()})
+		c.storeRaw(v)
 		if tx.algo == HTM {
 			tx.htmCheckCapacity()
 		}
 	case LazyAlg, NOrec:
-		tx.redoA[a] = b
+		tx.redoP[c] = v
 	case TML:
 		tx.tmlAcquire()
-		tx.undoA = append(tx.undoA, anySlot{a: a, b: a.p.Load()})
-		a.p.Store(b)
+		tx.undoP = append(tx.undoP, ptrSlot{c: c, v: c.loadRaw()})
+		c.storeRaw(v)
 	}
 }
 
@@ -948,13 +950,13 @@ func (tx *Tx) norecLoadWord(p *atomic.Uint64) uint64 {
 	return v
 }
 
-func (tx *Tx) norecLoadAny(a *TAny) *box {
-	b := a.p.Load()
+func (tx *Tx) norecLoadPtr(c ptrCell) any {
+	v := c.loadRaw()
 	for tx.rt.nseq.Load() != tx.start {
 		tx.start = tx.norecValidate()
-		b = a.p.Load()
+		v = c.loadRaw()
 	}
-	return b
+	return v
 }
 
 // norecValidate re-checks every recorded read by value and returns a new
@@ -970,8 +972,8 @@ func (tx *Tx) norecValidate() uint64 {
 			}
 		}
 		if ok {
-			for _, r := range tx.nReadsA {
-				if r.a.p.Load() != r.b {
+			for _, r := range tx.nReadsP {
+				if r.c.loadRaw() != r.v {
 					ok = false
 					break
 				}
@@ -1068,7 +1070,7 @@ func (tx *Tx) commitProtocol() bool {
 		tx.endSpeculation(wrote)
 		return true
 	case LazyAlg:
-		wrote := len(tx.redoW) > 0 || len(tx.redoA) > 0
+		wrote := len(tx.redoW) > 0 || len(tx.redoP) > 0
 		if wrote {
 			if !tx.lazyAcquireAll() {
 				return false
@@ -1079,8 +1081,8 @@ func (tx *Tx) commitProtocol() bool {
 			for p, e := range tx.redoW {
 				p.Store(e.v)
 			}
-			for a, b := range tx.redoA {
-				a.p.Store(b)
+			for c, v := range tx.redoP {
+				c.storeRaw(v)
 			}
 			nv := versionWord(rt.clock.Add(1))
 			for _, ow := range tx.owned {
@@ -1092,7 +1094,7 @@ func (tx *Tx) commitProtocol() bool {
 		tx.endSpeculation(wrote)
 		return true
 	case NOrec:
-		if len(tx.redoW) == 0 && len(tx.redoA) == 0 {
+		if len(tx.redoW) == 0 && len(tx.redoP) == 0 {
 			rt.serial.RUnlock()
 			tx.endSpeculation(false)
 			return true
@@ -1103,8 +1105,8 @@ func (tx *Tx) commitProtocol() bool {
 		for p, e := range tx.redoW {
 			p.Store(e.v)
 		}
-		for a, b := range tx.redoA {
-			a.p.Store(b)
+		for c, v := range tx.redoP {
+			c.storeRaw(v)
 		}
 		rt.nseq.Store(tx.start + 2)
 		rt.serial.RUnlock()
@@ -1167,8 +1169,8 @@ func (tx *Tx) lazyAcquireAll() bool {
 			return false
 		}
 	}
-	for a := range tx.redoA {
-		if !tx.lazyAcquire(a.id) {
+	for c := range tx.redoP {
+		if !tx.lazyAcquire(c.cellID()) {
 			return false
 		}
 	}
@@ -1206,8 +1208,8 @@ func (tx *Tx) rollback() {
 		for i := len(tx.undoW) - 1; i >= 0; i-- {
 			tx.undoW[i].p.Store(tx.undoW[i].v)
 		}
-		for i := len(tx.undoA) - 1; i >= 0; i-- {
-			tx.undoA[i].a.p.Store(tx.undoA[i].b)
+		for i := len(tx.undoP) - 1; i >= 0; i-- {
+			tx.undoP[i].c.storeRaw(tx.undoP[i].v)
 		}
 		rt.serial.Unlock()
 		return
@@ -1221,8 +1223,8 @@ func (tx *Tx) rollback() {
 	for i := len(tx.undoW) - 1; i >= 0; i-- {
 		tx.undoW[i].p.Store(tx.undoW[i].v)
 	}
-	for i := len(tx.undoA) - 1; i >= 0; i-- {
-		tx.undoA[i].a.p.Store(tx.undoA[i].b)
+	for i := len(tx.undoP) - 1; i >= 0; i-- {
+		tx.undoP[i].c.storeRaw(tx.undoP[i].v)
 	}
 	for _, ow := range tx.owned {
 		ow.o.v.Store(ow.prev)

@@ -213,12 +213,11 @@ func Realloc(tx *stm.Tx, old *stm.TBytes, n int) *stm.TBytes {
 // nontransactional path cannot use the optimized libc either (§3.4 calls out
 // this cost). These run the same naive loops on direct accessors.
 
-// MemcmpDirect is the nontransactional clone of MemcmpLocal.
+// MemcmpDirect is the nontransactional clone of MemcmpLocal: the same naive
+// byte loop, one direct word read per byte compared.
 func MemcmpDirect(shared *stm.TBytes, off int, local []byte) int {
-	buf := make([]byte, shared.Len())
-	shared.ReadAllDirect(buf)
 	for i := range local {
-		cs := buf[off+i]
+		cs := byte(shared.WordDirect((off+i)/8) >> (8 * ((off + i) % 8)))
 		if cs != local[i] {
 			if cs < local[i] {
 				return -1
@@ -274,6 +273,13 @@ func MarshalIn(tx *stm.Tx, s *stm.TBytes, off, n int) []byte {
 	buf := make([]byte, n)
 	MemcpyToLocal(tx, buf, s, off, n)
 	return buf
+}
+
+// MarshalInto is MarshalIn onto a caller-provided "stack" buffer: it fills
+// all of dst from the shared bytes starting at off.
+func MarshalInto(tx *stm.Tx, dst []byte, s *stm.TBytes, off int) {
+	marshalCheck("MarshalIn", s.Len(), off, len(dst))
+	MemcpyToLocal(tx, dst, s, off, len(dst))
 }
 
 // MarshalOut copies a private buffer back into shared memory. An overflowing
