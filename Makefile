@@ -23,8 +23,9 @@ lint: vet
 test:
 	$(GO) test ./...
 
-# allocs runs the allocation ceilings of the request path (an item is two heap
-# objects, a get allocates nothing) and the item layout test by name. They are
+# allocs runs the allocation ceilings of the request path (a chunk is two heap
+# objects made once; a get allocates nothing, nor does a set that replaces or
+# evicts) and the item layout test by name. They are
 # ordinary tier-1 tests, so `make test` runs them too; this target is what to
 # run after touching stm, item, assoc, engine or protocol.
 allocs:
@@ -43,9 +44,11 @@ race:
 	$(GO) test -race -count=1 -skip Torture ./...
 
 # stress repeats the suites whose failures depend on the schedule — the
-# torture harness and the Retry-driven maintenance threads — five times at
+# torture harness (TestTortureRecycle, the chunk-reuse run on all 14 branches,
+# matches the pattern) and the Retry-driven maintenance threads — five times at
 # GOMAXPROCS 1 and 2: the it-nolock accounting damage of ROADMAP item 1 only
-# ever showed on the second P, and only about one run in ten.
+# ever showed on the second P, and only about one run in ten. The seeded-bug
+# case is apart: go test -run TortureRecycleMutant ./internal/engine -torture.mutant
 stress:
 	$(GO) test -count=5 -cpu 1,2 -run 'Torture|RetryCondSync' ./internal/engine ./internal/server
 

@@ -175,32 +175,19 @@ func (c DirectCtx) Memcmp(s *stm.TBytes, off int, local []byte) int {
 }
 
 // MemcpyOut copies shared bytes into a private buffer.
-func (DirectCtx) MemcpyOut(dst []byte, s *stm.TBytes, off, n int) {
-	i := 0
-	if off%8 == 0 {
-		for ; i+8 <= n; i += 8 {
-			w := s.WordDirect(off/8 + i/8)
-			for b := 0; b < 8; b++ {
-				dst[i+b] = byte(w >> (8 * b))
-			}
-		}
-	}
-	for ; i < n; i++ {
-		dst[i] = byteAtDirect(s, off+i)
-	}
-}
+func (DirectCtx) MemcpyOut(dst []byte, s *stm.TBytes, off, n int) { s.ReadAtDirect(dst[:n], off) }
 
 // MemcpyIn copies a private buffer into shared bytes.
-func (DirectCtx) MemcpyIn(dst *stm.TBytes, off int, src []byte) {
-	for i, b := range src {
-		setByteAtDirect(dst, off+i, b)
-	}
-}
+func (DirectCtx) MemcpyIn(dst *stm.TBytes, off int, src []byte) { dst.WriteAtDirect(off, src) }
 
-// MemcpyTB copies between shared buffers.
+// MemcpyTB copies between shared buffers, a stack buffer's worth at a time.
 func (c DirectCtx) MemcpyTB(dst *stm.TBytes, doff int, src *stm.TBytes, soff, n int) {
-	for i := 0; i < n; i++ {
-		setByteAtDirect(dst, doff+i, byteAtDirect(src, soff+i))
+	var stack [256]byte
+	for n > 0 {
+		buf := stack[:min(n, len(stack))]
+		src.ReadAtDirect(buf, soff)
+		dst.WriteAtDirect(doff, buf)
+		doff, soff, n = doff+len(buf), soff+len(buf), n-len(buf)
 	}
 }
 
@@ -375,7 +362,7 @@ func (c TxCtx) Fprintf(log func(string), msg string) {
 // serializes the transaction and posts immediately.
 func (c TxCtx) SemPost(s *sem.Sem) {
 	if c.Profile.OnCommitIO {
-		c.T.OnCommit(s.Post)
+		c.T.OnCommit(s.PostFunc())
 		return
 	}
 	c.T.Unsafe("sem_post")
@@ -385,19 +372,7 @@ func (c TxCtx) SemPost(s *sem.Sem) {
 // ---------------------------------------------------------------------------
 // helpers
 
-func byteAtDirect(s *stm.TBytes, i int) byte { return byte(wordAtDirect(s, i/8) >> (8 * (i % 8))) }
-
-func wordAtDirect(s *stm.TBytes, w int) uint64 {
-	// TBytes exposes direct access per call; use ReadAllDirect-equivalent on
-	// a single word via the public API.
-	return s.WordDirect(w)
-}
-
-func setByteAtDirect(s *stm.TBytes, i int, b byte) {
-	w := s.WordDirect(i / 8)
-	sh := 8 * (i % 8)
-	s.SetWordDirect(i/8, w&^(0xFF<<sh)|uint64(b)<<sh)
-}
+func byteAtDirect(s *stm.TBytes, i int) byte { return byte(s.WordDirect(i/8) >> (8 * (i % 8))) }
 
 // The "stack" the marshaling wrappers format on (Figure 7): fixed arrays in
 // the caller's frame, so a suffix or a counter costs no allocation.

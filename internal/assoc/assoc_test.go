@@ -15,7 +15,9 @@ var dc = access.DirectCtx{}
 
 func mk(key string) *item.Item {
 	k := []byte(key)
-	return item.New(k, Hash(k), 0, 0, 1, 0)
+	it := item.NewChunk(0, 192)
+	it.Fill(dc, k, Hash(k), 0, it.Reset(dc, len(k), 0, 0, 1, 0), []byte{0})
+	return it
 }
 
 func TestInsertFindDelete(t *testing.T) {

@@ -75,24 +75,54 @@ func TestAllocsGetMultiInto(t *testing.T) {
 	}
 }
 
-func TestAllocsSet(t *testing.T) {
+// TestAllocsSetSteadyState: once a class's chunks exist a set allocates
+// nothing, whether it replaces a key — the freed chunk is the next one handed
+// out — or evicts one, where the eviction's sem_post to the rebalancer rides an
+// onCommit handler (the cache is Automove).
+func TestAllocsSetSteadyState(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
+	val := bytes.Repeat([]byte("v"), 64)
 	for _, b := range allocBranches() {
-		t.Run(b.String(), func(t *testing.T) {
+		t.Run(b.String()+"/replace", func(t *testing.T) {
 			c := newTestCache(t, b)
 			w := c.NewWorker()
-			key, val := []byte("alloc-key"), bytes.Repeat([]byte("v"), 64)
+			key := []byte("alloc-key")
 			set := func() {
 				if res := w.Set(key, 0, 0, val); res != Stored {
 					t.Fatalf("set: %v", res)
 				}
 			}
 			set()
-			// Two of them are the item itself.
-			if n := testing.AllocsPerRun(200, set); n > 4 {
-				t.Errorf("Set: %.1f allocs/op, want <= 4", n)
+			set() // warm-up: the second chunk, the transaction logs
+			if n := testing.AllocsPerRun(200, set); n != 0 {
+				t.Errorf("replacing set: %.1f allocs/op, want 0", n)
+			}
+		})
+		t.Run(b.String()+"/evict", func(t *testing.T) {
+			c := New(Config{Branch: b, Shards: 1, MemLimit: 1 << 20, HashPower: 14, Stripes: 64, Automove: true})
+			w := c.NewWorker()
+			keys := make([][]byte, 20000)
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("evict-%05d", i))
+			}
+			i := 0
+			set := func() {
+				if res := w.Set(keys[i%len(keys)], 0, 0, val); res != Stored {
+					t.Fatalf("set %d: %v", i, res)
+				}
+				i++
+			}
+			for w.Stats().Evictions < 100 {
+				set() // fill the one page the class gets, then warm the eviction path
+			}
+			before := w.Stats().Evictions
+			if n := testing.AllocsPerRun(500, set); n != 0 {
+				t.Errorf("evicting set: %.1f allocs/op, want 0", n)
+			}
+			if got := w.Stats().Evictions - before; got < 500 {
+				t.Errorf("only %d of the measured sets evicted", got)
 			}
 		})
 	}

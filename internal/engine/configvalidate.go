@@ -50,6 +50,9 @@ func (c Config) Validate() error {
 		if err := c.STM.Validate(); err != nil {
 			return &ConfigError{Field: "STM", Reason: "invalid STM override", Err: err}
 		}
+		if c.STM.NoQuiesce {
+			return &ConfigError{Field: "STM", Reason: "NoQuiesce removes the grace period slab chunk reuse depends on"}
+		}
 	}
 	if c.Shards < 0 || c.Shards > 1024 {
 		return &ConfigError{Field: "Shards", Reason: "must be in [0, 1024] (0 = GOMAXPROCS)"}

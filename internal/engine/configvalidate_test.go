@@ -26,6 +26,7 @@ func TestEngineConfigValidate(t *testing.T) {
 		{Config{Branch: Branch(99)}, "Branch"},
 		{Config{Branch: Baseline, STM: &stm.Config{}}, "STM"},
 		{Config{Branch: ITOnCommit, STM: &stm.Config{OrecBits: 40}}, "STM"},
+		{Config{Branch: ITOnCommit, STM: &stm.Config{NoQuiesce: true}}, "STM"},
 		{Config{HashPower: 31}, "HashPower"},
 		{Config{Stripes: 3}, "Stripes"},
 		{Config{Stripes: -8}, "Stripes"},

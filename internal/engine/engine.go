@@ -172,6 +172,16 @@ type shard struct {
 
 	wg     sync.WaitGroup
 	stopCh chan struct{}
+
+	// allocInTx is slabs.AllocNew: what allocItem calls when it is nested in
+	// a transaction that stays open. A field so that the torture suite's
+	// mutation case can swap in slabs.Alloc, the bug the chunk-ownership rule
+	// forbids, without a switch on the allocation path.
+	allocInTx func(access.Ctx, int) *item.Item
+
+	// afterBatchCommit is a test seam, never set outside tests: it runs between
+	// a multi-get batch's commit and its deferred touch/unlink sections.
+	afterBatchCommit func()
 }
 
 // New builds a cache for the given configuration. Call Start to launch the
@@ -198,6 +208,7 @@ func newShard(conf Config) *shard {
 	}
 	c.lru = item.NewLRU(c.slabs.NumClasses())
 	c.slabs.SetFault(conf.Fault)
+	c.allocInTx = c.slabs.AllocNew
 	if cfg.tm {
 		sc := stmConfigFor(cfg)
 		if conf.STM != nil {
@@ -464,8 +475,16 @@ func (c *shard) expandChunk(a *agent, ctx access.Ctx) {
 	// live) while workers race against it — the window of the lost-key
 	// incident.
 	c.faultSleep(fault.MaintExpandStall, 100*time.Microsecond)
+	if c.cfg.itemTx {
+		// No item locks to take: conflict detection stands in for them.
+		c.tab.ExpandStepLocked(ctx, assoc.BulkMove, nil)
+		return
+	}
 	c.tab.ExpandStepLocked(ctx, assoc.BulkMove, func(hv uint64) (func(), bool) {
-		return a.victimTryLock(ctx, hv)
+		if !a.victimTryLock(ctx, hv) {
+			return nil, false
+		}
+		return func() { a.victimUnlock(ctx, hv) }, true
 	})
 }
 

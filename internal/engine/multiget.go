@@ -43,10 +43,18 @@ type GetBuf struct {
 	subHvs  []uint64
 	subRes  []GetResult
 
-	// One batch transaction's deferred work.
+	// One batch transaction's deferred work. The batch holds no reference on
+	// these items, so each pointer travels with the CAS id the batch read: by
+	// the time the deferred section runs the chunk may hold another entry.
 	hits      []*item.Item
 	needTouch []bool
-	stale     []*item.Item
+	stale     []staleItem
+}
+
+// staleItem is an item a batch found expired, to unlink after it commits.
+type staleItem struct {
+	it  *item.Item
+	cas uint64
 }
 
 // alloc returns n fresh bytes at the end of the arena. Growing the arena
@@ -134,14 +142,15 @@ func (w *shardWorker) getBatch(b *GetBuf, keys [][]byte, hvs []uint64, out []Get
 				// The per-key path unlinks in place; here the unlink is
 				// deferred past the batch commit so the batch itself stays
 				// read-only. An expired item is a miss either way.
-				b.stale = append(b.stale, it)
+				b.stale = append(b.stale, staleItem{it, ctx.Word(&it.CasID)})
 				continue
 			}
 			// No RefIncr: inside one transaction the refcount round trip is
 			// pure overhead (the §5 TxRefOpt observation) and it would
 			// upgrade the batch off the read-only fast path. Conflict
 			// detection protects the reads; the deferred touch/unlink
-			// sections below re-check Linked before dereferencing state.
+			// sections below re-check the item's identity before
+			// dereferencing state.
 			n := int(ctx.Word(&it.NBytes))
 			buf := b.alloc(n)
 			ctx.MemcpyOut(buf, it.Buf(), it.DataOff(), n)
@@ -158,12 +167,15 @@ func (w *shardWorker) getBatch(b *GetBuf, keys [][]byte, hvs []uint64, out []Get
 	// commits on the read-only fast path.
 	w.section(domains{cache: true}, profile{volatiles: true, volatileFirst: true, libc: true, ro: true, site: "item_get_multi"}, body)
 
-	for _, it := range b.stale {
-		w.reclaimStale(it)
+	if w.c.afterBatchCommit != nil {
+		w.c.afterBatchCommit()
+	}
+	for _, st := range b.stale {
+		w.reclaimStale(st.it, st.cas)
 	}
 	for i, it := range hits {
 		if it != nil && needTouch[i] {
-			w.touchHit(it, now)
+			w.touchHit(it, out[i].CAS, now)
 		}
 	}
 	// The marks are dead; do not let them keep evicted items reachable.
@@ -194,12 +206,20 @@ func (w *shardWorker) getBatch(b *GetBuf, keys [][]byte, hvs []uint64, out []Get
 	}
 }
 
+// sameEntry reports whether it still holds the linked entry whose CAS id a
+// committed section read. The caller kept the pointer without a reference, so
+// the chunk may since have been unlinked, recycled and linked again for
+// another key: Linked alone would say yes. CAS ids are never reissued.
+func sameEntry(ctx access.Ctx, it *item.Item, cas uint64) bool {
+	return it.Linked(ctx) && ctx.Word(&it.CasID) == cas
+}
+
 // reclaimStale unlinks an item a batch found expired, unless someone else
 // already has.
-func (w *shardWorker) reclaimStale(it *item.Item) {
+func (w *shardWorker) reclaimStale(it *item.Item, cas uint64) {
 	reclaimed := false
 	w.section(domains{cache: true}, profile{volatiles: true, libc: true, site: "do_item_unlink"}, func(cctx access.Ctx) {
-		reclaimed = it.Linked(cctx)
+		reclaimed = sameEntry(cctx, it, cas)
 		if reclaimed {
 			w.unlinkLocked(cctx, it)
 		}
@@ -209,11 +229,11 @@ func (w *shardWorker) reclaimStale(it *item.Item) {
 	}
 }
 
-// touchHit is item_update for an item a batch read: the occasional cache-lock
+// touchHit is item_update for an item a get read: the occasional cache-lock
 // critical section that moves it to the head of its LRU.
-func (w *shardWorker) touchHit(it *item.Item, now uint64) {
+func (w *shardWorker) touchHit(it *item.Item, cas uint64, now uint64) {
 	w.section(domains{cache: true}, profile{site: "item_update"}, func(ctx access.Ctx) {
-		if it.Linked(ctx) {
+		if sameEntry(ctx, it, cas) {
 			w.c.lru.Touch(ctx, it, now)
 		}
 	})

@@ -16,8 +16,11 @@ import (
 //
 // The conflict is staged deterministically (the machine may have one CPU, so
 // organic overlap is rare): a holder agent keeps the cas_counter orec acquired
-// inside an open transaction while a worker's Set — whose commit also bumps
-// cas_counter — aborts against it until the contention manager serializes it.
+// inside an open transaction while a worker's in-place Incr — one transaction,
+// which also bumps cas_counter — aborts against it until the contention
+// manager serializes it. (A Set would not do: its allocating section commits
+// first, and a writer's commit waits for every older transaction to finish —
+// the parked holder included.)
 func TestObsSerialAttribution(t *testing.T) {
 	sc := stmConfigFor(configFor(ITOnCommit))
 	sc.CM = stm.CMSerialize
@@ -33,6 +36,9 @@ func TestObsSerialAttribution(t *testing.T) {
 	defer c.Stop()
 	obs := c.EnableTracing()
 
+	if res := c.NewWorker().Set([]byte("hot"), 0, 0, []byte("1")); res != Stored {
+		t.Fatalf("set: %v", res)
+	}
 	holder := c.shard0().newAgent()
 	hold := make(chan struct{})
 	held := make(chan struct{}, 1)
@@ -54,7 +60,7 @@ func TestObsSerialAttribution(t *testing.T) {
 	go func() {
 		defer close(setterDone)
 		w := c.NewWorker()
-		w.Set([]byte("hot"), 0, 0, []byte("v"))
+		w.Incr([]byte("hot"), 1)
 	}()
 
 	deadline := time.Now().Add(5 * time.Second)

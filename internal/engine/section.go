@@ -136,7 +136,7 @@ func (a *agent) gstat(fn func(access.Ctx)) {
 		a.c.statsMu.Unlock()
 		return
 	}
-	if tx := a.tctx.Current(); tx != nil {
+	if tx := a.openTx(); tx != nil {
 		fn(a.txCtx(tx))
 		return
 	}
@@ -147,6 +147,15 @@ func (a *agent) gstat(fn func(access.Ctx)) {
 func (a *agent) txCtx(tx *stm.Tx) access.Ctx {
 	a.txc.T = tx
 	return &a.txc
+}
+
+// openTx returns the transaction the agent is inside, or nil: between
+// sections on a transactional branch, always on a lock branch.
+func (a *agent) openTx() *stm.Tx {
+	if a.tctx == nil {
+		return nil
+	}
+	return a.tctx.Current()
 }
 
 // ---------------------------------------------------------------------------
@@ -247,22 +256,32 @@ func (a *agent) itemTryLockTM(s int) bool {
 // victimTryLock is the in-transaction trylock (Figure 1a, line 3): ctx is the
 // enclosing section's context, so in the IP branches the boolean is read and
 // written speculatively inside the larger transaction, and in lock branches
-// it is a mutex TryLock. It returns an unlock closure, or ok=false when the
-// stripe is busy ("save for later").
-func (a *agent) victimTryLock(ctx access.Ctx, hv uint64) (func(), bool) {
+// it is a mutex TryLock. It reports false when the stripe is busy ("save for
+// later"); a true return is paired with victimUnlock.
+func (a *agent) victimTryLock(ctx access.Ctx, hv uint64) bool {
 	if a.c.cfg.itemTx {
-		return func() {}, true
+		return true
 	}
 	s := a.stripe(hv)
 	if !a.c.cfg.tm {
-		if !a.c.itemMus[s].TryLock() {
-			return nil, false
-		}
-		return a.c.itemMus[s].Unlock, true
+		return a.c.itemMus[s].TryLock()
 	}
 	if ctx.Word(a.c.itemFlags[s]) != 0 {
-		return nil, false
+		return false
 	}
 	ctx.SetWord(a.c.itemFlags[s], 1)
-	return func() { ctx.SetWord(a.c.itemFlags[s], 0) }, true
+	return true
+}
+
+// victimUnlock releases a stripe victimTryLock took.
+func (a *agent) victimUnlock(ctx access.Ctx, hv uint64) {
+	if a.c.cfg.itemTx {
+		return
+	}
+	s := a.stripe(hv)
+	if !a.c.cfg.tm {
+		a.c.itemMus[s].Unlock()
+		return
+	}
+	ctx.SetWord(a.c.itemFlags[s], 0)
 }

@@ -147,3 +147,58 @@ func TestTortureTxn(t *testing.T) {
 		})
 	}
 }
+
+// tortureMutant runs the seeded-bug cases, which are expected to FAIL the
+// harness and are therefore skipped by default:
+//
+//	go test -run TortureRecycleMutant ./internal/engine -torture.mutant
+var tortureMutant = flag.Bool("torture.mutant", false, "run the mutation cases (seeded bugs the torture suite must catch)")
+
+func runRecycle(t *testing.T, b engine.Branch, mix torture.Mix) {
+	t.Run(fmt.Sprintf("%s/%s", b, mix), func(t *testing.T) {
+		t.Parallel()
+		rep := torture.RunRecycle(torture.Config{Branch: b, Seed: 0xC4A27, Mix: mix, Short: *tortureShort})
+		if rep.Failed() {
+			t.Errorf("%s", rep)
+		} else {
+			t.Logf("%s", rep)
+		}
+	})
+}
+
+// TestTortureRecycle is the chunk-reuse proof: a cache a few pages small, so
+// that every store evicts and refills a chunk some reader may just have found,
+// with every reply checked against its key and exact chunk ownership checked
+// at the end. Per-key gets run on all 14 branches; multi-get batches, which
+// read without a reference, on one branch of each family (lock, IP, IT,
+// NoLock); wire transactions, which allocate inside their commit transaction,
+// on the IT branch that supports them.
+func TestTortureRecycle(t *testing.T) {
+	for _, b := range engine.Branches() {
+		runRecycle(t, b, torture.MixGet)
+	}
+	for _, b := range []engine.Branch{engine.Baseline, engine.IPOnCommit, engine.ITOnCommit, engine.ITNoLock} {
+		runRecycle(t, b, torture.MixBatch)
+	}
+	runRecycle(t, engine.ITOnCommit, torture.MixTxn)
+}
+
+// TestTortureRecycleMutant seeds the bug the chunk-ownership rule exists to
+// prevent — key, value and plain fields stored directly into a recycled chunk
+// while the transaction that took it is still open, so readers that began
+// earlier see torn values and an abort leaves a linked entry with another
+// key's bytes — and requires TestTortureRecycle's harness to catch it. The
+// mutant acts where allocations nest: every set of the wire-transaction mix.
+func TestTortureRecycleMutant(t *testing.T) {
+	if !*tortureMutant {
+		t.Skip("mutation case: run with -torture.mutant")
+	}
+	for _, seed := range tortureSeeds {
+		rep := torture.RunRecycle(torture.Config{Branch: engine.ITOnCommit, Seed: seed, Mix: torture.MixTxn, Prepare: engine.RecycleInTx})
+		if !rep.Failed() {
+			t.Errorf("seed %d: recycled chunks filled inside open transactions went unnoticed", seed)
+		} else {
+			t.Logf("caught:\n%s", rep)
+		}
+	}
+}

@@ -5,14 +5,14 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/item"
-	"repro/internal/slab"
 )
 
 // Validate cross-checks the cache's internal structures while quiescent (no
 // concurrent workers): every LRU entry must be linked and findable in the
 // hash table under its own key, counts must agree across the hash table, the
-// LRU lists and the stats counters, and slab accounting must cover every
-// live item. It returns nil or a description of the first inconsistency.
+// LRU lists and the stats counters, and every chunk the slab allocator ever
+// created must be in exactly one place — linked, or on its class's freelist.
+// It returns nil or a description of the first inconsistency.
 //
 // This is the deep invariant the branch matrix must preserve: the same
 // engine state machine run under 14 different synchronization regimes has to
@@ -36,8 +36,8 @@ func (c *shard) Validate() error {
 					err = fmt.Errorf("engine: item in LRU class %d has Class=%d", cls, it.Class)
 					return
 				}
-				if !it.Linked(ctx) {
-					err = fmt.Errorf("engine: LRU contains unlinked item (class %d)", cls)
+				if ctx.Word(&it.ItFlags) != item.FlagLinked {
+					err = fmt.Errorf("engine: LRU item of class %d has flags %#x, want linked only", cls, ctx.Word(&it.ItFlags))
 					return
 				}
 				if got := access.Ptr(ctx, &it.Prev); got != prev {
@@ -73,15 +73,31 @@ func (c *shard) Validate() error {
 			return
 		}
 
-		// Slab accounting: for each class, pages*perPage = free + live.
+		// Chunk ownership, per class: the freelist holds exactly Free chunks,
+		// each flagged slabbed and nothing else, none of them twice (a double
+		// free closes the list into a cycle or makes the walk outrun Free), and
+		// free plus linked chunks are all the chunks ever created — one missing
+		// is a leak, one extra was freed while still linked.
 		for cls := 0; cls < c.slabs.NumClasses(); cls++ {
-			pages := c.slabs.PagesOf(ctx, cls)
-			free := c.slabs.FreeChunks(ctx, cls)
-			perPage := uint64(slab.PageSize / c.slabs.ChunkSize(cls))
-			total := pages * perPage
-			if free+classCounts[cls] != total {
-				err = fmt.Errorf("engine: class %d accounting: pages=%d (chunks %d) free=%d live=%d",
-					cls, pages, total, free, classCounts[cls])
+			head, free := c.slabs.FreeList(ctx, cls)
+			walked := uint64(0)
+			for it := head; it != nil; it = access.Ptr(ctx, &it.Next) {
+				if walked++; walked > free {
+					err = fmt.Errorf("engine: class %d freelist is longer than its count %d (chunk freed twice?)", cls, free)
+					return
+				}
+				if it.Class != cls || ctx.Word(&it.ItFlags) != item.FlagSlabbed {
+					err = fmt.Errorf("engine: class %d freelist holds a chunk of class %d with flags %#x", cls, it.Class, ctx.Word(&it.ItFlags))
+					return
+				}
+			}
+			if walked != free {
+				err = fmt.Errorf("engine: class %d freelist holds %d chunks, count says %d", cls, walked, free)
+				return
+			}
+			if created := c.slabs.Created(ctx, cls); free+classCounts[cls] != created {
+				err = fmt.Errorf("engine: class %d ownership: %d chunks created, %d free + %d linked (pages=%d)",
+					cls, created, free, classCounts[cls], c.slabs.PagesOf(ctx, cls))
 				return
 			}
 		}

@@ -134,18 +134,27 @@ func (w *shardWorker) releaseRef(it *item.Item) {
 	}
 }
 
-// freeChunk returns the item's chunk to its slab class.
+// freeChunk returns an unlinked, unreferenced chunk to its slab class: the
+// slabs domain, nested when called from inside a critical section (one of the
+// lock-inside-lock patterns of §3.1).
 func (w *shardWorker) freeChunk(it *item.Item) {
 	w.section(domains{slabs: true}, profile{}, func(ctx access.Ctx) {
-		w.c.slabs.Release(ctx, it.Class)
+		w.c.slabs.Release(ctx, it)
 	})
+}
+
+// dropLocked gives up a reference from inside a critical section; the last
+// one frees the chunk.
+func (w *shardWorker) dropLocked(ctx access.Ctx, it *item.Item) {
+	if ctx.AddVolatile(&it.Refcount, ^uint64(0)) == 0 {
+		w.freeChunk(it)
+	}
 }
 
 // unlinkLocked removes a linked item from the hash table, LRU and global
 // stats. Caller holds the item's stripe (lock/IP) or runs inside the item
 // transaction (IT), plus the cache-lock domain. It drops the hash table's
-// reference; if that was the last one, the chunk is freed (slabs domain,
-// nested — one of the lock-inside-lock patterns of §3.1).
+// reference.
 func (w *shardWorker) unlinkLocked(ctx access.Ctx, it *item.Item) {
 	if !it.Linked(ctx) {
 		return
@@ -158,11 +167,7 @@ func (w *shardWorker) unlinkLocked(ctx access.Ctx, it *item.Item) {
 		g.AddWord(w.c.gstats.CurrItems, ^uint64(0))
 		g.AddWord(w.c.gstats.CurrBytes, ^(size - 1))
 	})
-	if ctx.AddVolatile(&it.Refcount, ^uint64(0)) == 0 {
-		w.section(domains{slabs: true}, profile{}, func(sctx access.Ctx) {
-			w.c.slabs.Release(sctx, it.Class)
-		})
-	}
+	w.dropLocked(ctx, it)
 }
 
 // ---------------------------------------------------------------------------
@@ -237,7 +242,7 @@ func (w *shardWorker) get(b *GetBuf, hv uint64, key []byte, touch bool, exptime 
 
 	if hit != nil {
 		if needTouch {
-			w.touchHit(hit, now)
+			w.touchHit(hit, cas, now)
 		}
 		if !w.txRefOpt() {
 			w.releaseRef(hit)
@@ -293,10 +298,22 @@ func (w *shardWorker) CAS(key []byte, flags uint32, exptime uint64, value []byte
 	return w.store(ModeCAS, assoc.Hash(key), key, flags, exptime, value, casUnique)
 }
 
+// store is memcached's storage path in memcached's shape: do_item_alloc as a
+// critical section of its own (process_update_command allocates before the
+// value arrives), the key and value copied into the chunk with no section
+// open, then do_store_item under the item lock. Append and prepend learn the
+// size of what they store only from the old item, so they allocate inside
+// do_store_item, as memcached does.
 func (w *shardWorker) store(mode StoreMode, hv uint64, key []byte, flags uint32, exptime uint64, value []byte, casUnique uint64) StoreResult {
 	now := w.volatileLoad(w.c.CurrentTime)
 	flushAt := w.volatileLoad(w.c.flushBefore)
 	res := NotStored
+	concat := mode == ModeAppend || mode == ModePrepend
+
+	var newIt *item.Item
+	if !concat {
+		newIt, res = w.allocItem(key, hv, flags, exptime, value, flushAt)
+	}
 
 	body := func(ictx access.Ctx) {
 		res = NotStored
@@ -309,38 +326,18 @@ func (w *shardWorker) store(mode StoreMode, hv uint64, key []byte, flags uint32,
 			old = nil
 		}
 
-		switch mode {
-		case ModeAdd:
-			if old != nil {
-				res = NotStored
-				return
-			}
-		case ModeReplace:
-			if old == nil {
-				res = NotStored
-				return
-			}
-		case ModeCAS:
-			if old == nil {
-				res = NotFound
-				return
-			}
-			if ictx.Word(&old.CasID) != casUnique {
-				res = Exists
-				w.tstat(func(ctx access.Ctx) { ctx.AddWord(w.stats.CasBadval, 1) })
-				return
-			}
-		case ModeAppend, ModePrepend:
-			if old == nil {
-				res = NotStored
-				return
-			}
-		}
-
-		// Assemble the new value. Append/prepend read the old item's data —
-		// the memcpy from shared memory that needs tm_memcpy (§3.4).
-		newVal := value
-		if mode == ModeAppend || mode == ModePrepend {
+		it := newIt
+		switch {
+		case mode == ModeAdd && old != nil, mode == ModeReplace && old == nil, concat && old == nil:
+			// NotStored
+		case mode == ModeCAS && old == nil:
+			res = NotFound
+		case mode == ModeCAS && ictx.Word(&old.CasID) != casUnique:
+			res = Exists
+			w.tstat(func(ctx access.Ctx) { ctx.AddWord(w.stats.CasBadval, 1) })
+		case concat:
+			// Assemble the new value from the old item's data — the memcpy
+			// from shared memory that needs tm_memcpy (§3.4).
 			oldN := int(ictx.Word(&old.NBytes))
 			buf := make([]byte, oldN+len(value))
 			if mode == ModeAppend {
@@ -350,33 +347,30 @@ func (w *shardWorker) store(mode StoreMode, hv uint64, key []byte, flags uint32,
 				copy(buf, value)
 				ictx.MemcpyOut(buf[len(value):], old.Buf(), old.DataOff(), oldN)
 			}
-			newVal = buf
-			flags = old.Flags
-			exptime = ictx.Word(&old.Exptime)
-		}
-
-		size := item.SizeFor(len(key), len(newVal))
-		cls, err := w.c.slabs.ClassFor(size)
-		if err != nil {
-			res = TooLarge
+			if it, res = w.allocItem(key, hv, old.Flags, ictx.Word(&old.Exptime), buf, flushAt); it != nil {
+				w.linkItem(old, it)
+				res = Stored
+			}
+			return
+		default:
+			w.linkItem(old, it)
+			res = Stored
 			return
 		}
-
-		newIt, ok := w.allocItem(key, hv, flags, exptime, newVal, cls, flushAt)
-		if !ok {
-			res = OutOfMemory
-			return
+		// The command is refused: the chunk allocated for it goes back.
+		if it != nil {
+			w.dropLocked(ictx, it)
 		}
-		w.linkItem(old, newIt)
-		res = Stored
 	}
 
-	if w.c.cfg.itemTx {
-		w.section(domains{cache: true, slabs: true}, profile{volatiles: true, volatileFirst: true, libc: true, io: true, site: "do_store_item"}, body)
-	} else {
-		w.itemLock(hv)
-		body(w.dctx)
-		w.itemUnlock(hv)
+	if newIt != nil || concat {
+		if w.c.cfg.itemTx {
+			w.section(domains{cache: true, slabs: true}, profile{volatiles: true, volatileFirst: true, libc: true, io: true, site: "do_store_item"}, body)
+		} else {
+			w.itemLock(hv)
+			body(w.dctx)
+			w.itemUnlock(hv)
+		}
 	}
 
 	w.tstat(func(ctx access.Ctx) {
@@ -397,33 +391,49 @@ func (w *shardWorker) store(mode StoreMode, hv uint64, key []byte, flags uint32,
 // allocItem is do_item_alloc: the cache+slabs critical section whose first
 // operation reads the volatile current_time and which builds the item suffix
 // with snprintf — relaxed and start-serial pre-Max, in-flight serial pre-Lib
-// (§3.3). On memory pressure it evicts from the LRU tail.
-func (w *shardWorker) allocItem(key []byte, hv uint64, flags uint32, exptime uint64, val []byte, cls int, flushAt uint64) (*item.Item, bool) {
-	var newIt *item.Item
-	ok := false
+// (§3.3). On memory pressure it evicts from the LRU tail. It returns the
+// chunk filled with the entry and holding the creator's reference, or nil
+// with TooLarge or OutOfMemory.
+//
+// Everything the section itself stores into the chunk goes through its
+// context: the chunk may be the one it just evicted, which transactions that
+// began earlier are still reading. Key, value and the plain fields are stored
+// directly, by a thread that owns the chunk privately: after the section has
+// committed and, with that, waited out every transaction older than the commit
+// (the privatization-safety quiescence of stm, here the grace period of chunk
+// reuse). When the section is nested in a transaction that stays open there
+// is no such point, so it takes a chunk that was never shared (AllocNew).
+func (w *shardWorker) allocItem(key []byte, hv uint64, flags uint32, exptime uint64, val []byte, flushAt uint64) (*item.Item, StoreResult) {
+	cls, err := w.c.slabs.ClassFor(item.SizeFor(len(key), len(val)))
+	if err != nil {
+		return nil, TooLarge
+	}
+	alloc := w.c.slabs.Alloc
+	if w.openTx() != nil {
+		alloc = w.c.allocInTx
+	}
+	var it *item.Item
+	var suffixLen int
 	w.section(domains{cache: true, slabs: true}, profile{volatiles: true, volatileFirst: true, libc: true, io: true, site: "do_item_alloc"}, func(ctx access.Ctx) {
-		newIt, ok = nil, false
 		allocNow := ctx.Volatile(w.c.CurrentTime)
-		if !w.c.slabs.Alloc(ctx, cls) {
+		if it = alloc(ctx, cls); it == nil {
 			if !w.evictOne(ctx, cls, allocNow, flushAt) {
 				return
 			}
-			if !w.c.slabs.Alloc(ctx, cls) {
+			if it = alloc(ctx, cls); it == nil {
 				return
 			}
 		}
 		if allocNow < flushAt {
 			allocNow = flushAt // keep a same-second flush_all from eating the new item
 		}
-		// Fresh (captured) memory: uninstrumented stores, as GCC emits.
-		newIt = item.New(key, hv, flags, exptime, len(val), cls)
-		newIt.SetDataDirect(val)
-		newIt.Refcount.StoreDirect(1) // the creator's handle
-		newIt.Time.StoreDirect(allocNow)
-		newIt.SuffixLen = ctx.FormatSuffix(newIt.Buf(), newIt.SuffixOff(), flags, len(val))
-		ok = true
+		suffixLen = it.Reset(ctx, len(key), flags, exptime, len(val), allocNow)
 	})
-	return newIt, ok
+	if it == nil {
+		return nil, OutOfMemory
+	}
+	it.Fill(w.dctx, key, hv, flags, suffixLen, val)
+	return it, NotStored
 }
 
 // linkItem is do_item_link / do_store_item: the cache-lock critical section
@@ -463,14 +473,13 @@ func (w *shardWorker) evictOne(ctx access.Ctx, cls int, now, flushAt uint64) boo
 			it = access.Ptr(ctx, &it.Prev)
 			continue
 		}
-		unlock, ok := w.victimTryLock(ctx, it.Hash)
-		if !ok {
+		if !w.victimTryLock(ctx, it.Hash) {
 			it = access.Ptr(ctx, &it.Prev) // save for later
 			continue
 		}
 		wasExpired := w.expired(ctx, it, now, flushAt)
 		w.unlinkLocked(ctx, it)
-		unlock()
+		w.victimUnlock(ctx, it.Hash)
 		if wasExpired {
 			w.gstat(func(g access.Ctx) { g.AddWord(w.c.gstats.Expired, 1) })
 		} else {
@@ -581,14 +590,9 @@ func (w *shardWorker) delta(hv uint64, key []byte, delta uint64, decr bool) (uin
 				ctx.SetWord(&it.CasID, ctx.AddWord(w.c.casCounter, 1))
 			})
 		} else {
-			text := make([]byte, 0, 20)
-			text = appendUint(text, v)
-			cls, err := w.c.slabs.ClassFor(item.SizeFor(len(key), len(text)))
-			if err != nil {
-				return
-			}
-			repl, ok := w.allocItem(key, hv, it.Flags, ictx.Word(&it.Exptime), text, cls, flushAt)
-			if !ok {
+			var text [20]byte
+			repl, _ := w.allocItem(key, hv, it.Flags, ictx.Word(&it.Exptime), appendUint(text[:0], v), flushAt)
+			if repl == nil {
 				return
 			}
 			w.linkItem(it, repl)

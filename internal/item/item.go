@@ -41,19 +41,23 @@ const (
 	FlagSlabbed
 )
 
-// Item is one cache entry, laid out as two heap objects: this struct, whose
-// transactional cells are embedded by value, and the word buffer behind buf,
-// which holds key | suffix | data at word-aligned offsets. Every cell has its
-// own location id (one block per item, in the order of idWords) and its
-// per-field conflict label, so the barriers, orec mapping and `stats
-// conflicts` attribution are those of separately allocated cells.
+// Item is one slab chunk: two heap objects made once by NewChunk and reused
+// for every cache entry the chunk ever holds. This struct carries the header,
+// its transactional cells embedded by value; the word buffer behind buf, sized
+// to the chunk's class, holds key | suffix | data at word-aligned offsets.
+// Every cell has its own location id (one block per chunk, in the order of
+// idWords) and its per-field conflict label, so the barriers, orec mapping and
+// `stats conflicts` attribution are those of separately allocated cells.
 //
-// The cells embed atomics, so an Item is never copied by value: it is created
-// by New and passed around as *Item (go vet's copylocks check enforces it).
+// The cells embed atomics, so an Item is never copied by value: it is passed
+// around as *Item (go vet's copylocks check enforces it).
 //
-// Immutable fields (the key bytes, Hash, Class, Flags, CapBytes and the
-// offsets) are written once before the item is published; everything else is
-// shared state accessed through a Ctx.
+// A chunk is in exactly one place: linked (hash chain and LRU), held by the
+// worker that allocated it, or on its class's freelist with FlagSlabbed set.
+// Class never changes. Hash, KeyLen, Flags, CapBytes and SuffixLen are plain
+// fields with no barrier to cover them, so Fill writes them only while the
+// chunk is unreachable and no transaction that could still hold its pointer
+// is running; everything else is shared state accessed through a Ctx.
 type Item struct {
 	Hash   uint64
 	KeyLen int
@@ -61,7 +65,7 @@ type Item struct {
 	Flags  uint32
 
 	// NBytes (mutable: incr/decr rewrite the value in place) is the live
-	// value length, CapBytes the allocated capacity.
+	// value length, CapBytes the length it was allocated for.
 	NBytes   stm.TWord
 	CapBytes int
 
@@ -77,7 +81,7 @@ type Item struct {
 	CasID    stm.TWord
 
 	HNext      stm.TPtr[Item] // hash chain (item-lock domain)
-	Prev, Next stm.TPtr[Item] // LRU links (cache-lock domain)
+	Prev, Next stm.TPtr[Item] // LRU links (cache-lock domain); Next threads the slab freelist
 
 	buf stm.TBytes
 }
@@ -96,31 +100,59 @@ const (
 
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// New allocates an item for the given key with capacity for nbytes of value
-// data. All stores are to captured (not yet published) memory, so they are
-// direct, exactly as uninstrumented GCC stores to fresh allocations.
-func New(key []byte, hash uint64, flags uint32, exptime uint64, nbytes int, class int) *Item {
-	it := &Item{
-		Hash:     hash,
-		KeyLen:   len(key),
-		Class:    class,
-		Flags:    flags,
-		CapBytes: nbytes,
-	}
-	size := it.DataOff() + nbytes
-	id := stm.ReserveIDs(idWords + (size+7)/8)
-	it.NBytes.Init(id, lblItemHeader, uint64(nbytes))
+// NewChunk creates the chunk of a slab class whose accounted chunk size is
+// chunkSize, with its location ids reserved once for the full buffer. The
+// buffer holds any key and value SizeFor admits to the class: of the
+// accounted header and suffix charge only the suffix region is real, and
+// aligning the key costs at most 7 bytes. It comes off no freelist: flags
+// clear, links nil.
+func NewChunk(class, chunkSize int) *Item {
+	it := &Item{Class: class}
+	size := chunkSize - headerSize - suffixCharge + suffixCap + 8
+	id := stm.ReserveIDs(idWords + size/8)
+	it.NBytes.Init(id, lblItemHeader, 0)
 	it.Refcount.Init(id+1, lblItemRefcount, 0)
 	it.ItFlags.Init(id+2, lblItemHeader, 0)
-	it.Exptime.Init(id+3, lblItemHeader, exptime)
+	it.Exptime.Init(id+3, lblItemHeader, 0)
 	it.Time.Init(id+4, lblItemHeader, 0)
 	it.CasID.Init(id+5, lblItemHeader, 0)
 	it.HNext.Init(id+6, lblHashChain, nil)
 	it.Prev.Init(id+7, lblLRULink, nil)
 	it.Next.Init(id+8, lblLRULink, nil)
 	it.buf.Init(id+idWords, lblItemData, size)
-	it.buf.WriteAllDirect(key)
 	return it
+}
+
+// Reset is the shared-state half of do_item_alloc, run inside the allocating
+// critical section on a chunk just taken from its class: the header cells of
+// a new entry — one reference, the creator's — and the snprintf'd suffix,
+// every store through c, because until that section commits the chunk may be
+// one it evicted and transactions that began earlier still read. It returns
+// the suffix length for Fill. Flags and links are already clear — a chunk
+// leaves the hash chain, the LRU and the freelist with them reset — and the
+// CAS id stays the previous entry's until linking issues a new one: an id
+// that still matches nothing linked is what tells a stale pointer apart.
+func (it *Item) Reset(c access.Ctx, keyLen int, flags uint32, exptime uint64, nbytes int, now uint64) int {
+	c.SetWord(&it.NBytes, uint64(nbytes))
+	c.SetVolatile(&it.Refcount, 1)
+	c.SetWord(&it.Exptime, exptime)
+	c.SetWord(&it.Time, now)
+	return c.FormatSuffix(&it.buf, align8(keyLen), flags, nbytes)
+}
+
+// Fill completes the entry Reset began: the plain fields, the key and the
+// value. The caller owns the chunk privately (see the type comment: nothing
+// covers the plain fields) — the section that took it has committed and its
+// grace period has passed, or the chunk is a new one — so c is its direct
+// context.
+func (it *Item) Fill(c access.Ctx, key []byte, hash uint64, flags uint32, suffixLen int, val []byte) {
+	it.Hash = hash
+	it.KeyLen = len(key)
+	it.Flags = flags
+	it.CapBytes = len(val)
+	it.SuffixLen = suffixLen
+	c.MemcpyIn(&it.buf, it.KeyOff(), key)
+	c.MemcpyIn(&it.buf, it.DataOff(), val)
 }
 
 // Buf returns the item's word buffer; KeyOff, SuffixOff and DataOff are the
@@ -135,9 +167,6 @@ func (it *Item) SuffixOff() int { return align8(it.KeyLen) }
 
 // DataOff is the offset of the value in Buf.
 func (it *Item) DataOff() int { return align8(it.KeyLen) + suffixCap }
-
-// SetDataDirect copies val into the value region of a captured item.
-func (it *Item) SetDataDirect(val []byte) { it.buf.WriteAtDirect(it.DataOff(), val) }
 
 // Linked reports whether the item is in the hash table/LRU.
 func (it *Item) Linked(c access.Ctx) bool { return c.Word(&it.ItFlags)&FlagLinked != 0 }

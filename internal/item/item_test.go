@@ -39,9 +39,63 @@ func forEachCtx(t *testing.T, fn func(t *testing.T, run func(func(access.Ctx))))
 	})
 }
 
+// New builds an entry the way the engine does — a chunk that fits, Reset, then
+// Fill — with direct accesses, and gives the creator's reference back so the
+// refcount starts at zero.
+func New(key []byte, hash uint64, flags uint32, exptime uint64, nbytes int, class int) *Item {
+	it := NewChunk(class, align8(SizeFor(len(key), nbytes)))
+	c := access.DirectCtx{}
+	suffixLen := it.Reset(c, len(key), flags, exptime, nbytes, 0)
+	it.Fill(c, key, hash, flags, suffixLen, make([]byte, nbytes))
+	it.Refcount.StoreDirect(0)
+	return it
+}
+
 func newItem(key string, nbytes int) *Item {
 	k := []byte(key)
 	return New(k, fnv(k), 0, 0, nbytes, 1)
+}
+
+// TestChunkReuse: a chunk refilled with a shorter key and value holds exactly
+// the new entry — offsets, lengths, suffix and bytes — whichever context wrote
+// it, and the bytes of the previous entry beyond it do not show.
+func TestChunkReuse(t *testing.T) {
+	forEachCtx(t, func(t *testing.T, run func(func(access.Ctx))) {
+		it := NewChunk(3, 240)
+		fill := func(key, val string, flags uint32) {
+			var n int
+			run(func(c access.Ctx) { n = it.Reset(c, len(key), flags, 7, len(val), 42) })
+			run(func(c access.Ctx) { it.Fill(c, []byte(key), fnv([]byte(key)), flags, n, []byte(val)) })
+		}
+		check := func(key, val, suffix string) {
+			t.Helper()
+			c := access.DirectCtx{}
+			if it.KeyLen != len(key) || it.CapBytes != len(val) || int(c.Word(&it.NBytes)) != len(val) || it.Hash != fnv([]byte(key)) {
+				t.Errorf("%q: KeyLen %d CapBytes %d NBytes %d", key, it.KeyLen, it.CapBytes, c.Word(&it.NBytes))
+			}
+			if c.Memcmp(it.Buf(), it.KeyOff(), []byte(key)) != 0 {
+				t.Errorf("%q: key does not read back", key)
+			}
+			got := make([]byte, len(val))
+			c.MemcpyOut(got, it.Buf(), it.DataOff(), len(val))
+			sfx := make([]byte, it.SuffixLen)
+			c.MemcpyOut(sfx, it.Buf(), it.SuffixOff(), it.SuffixLen)
+			if string(got) != val || string(sfx) != suffix {
+				t.Errorf("%q: value %q suffix %q, want %q %q", key, got, sfx, val, suffix)
+			}
+			if c.Volatile(&it.Refcount) != 1 || c.Word(&it.Exptime) != 7 || c.Word(&it.Time) != 42 {
+				t.Errorf("%q: header not reset", key)
+			}
+		}
+		long := "a-rather-long-key-of-thirty-bytes"
+		fill(long, "0123456789012345678901234567890123456789", 9)
+		check(long, "0123456789012345678901234567890123456789", " 9 40\r\n")
+		fill("k", "xyz", 0)
+		check("k", "xyz", " 0 3\r\n")
+		if it.Class != 3 || it.Buf().Len() != 240-64 {
+			t.Errorf("class %d, buffer %d bytes: a chunk keeps both for life", it.Class, it.Buf().Len())
+		}
+	})
 }
 
 func TestLinkedFlag(t *testing.T) {

@@ -20,16 +20,15 @@ func TestLayout(t *testing.T) {
 			key[i] = byte('a' + i%26)
 		}
 		val := []byte("0123456789abc")
-		it := New(key, fnv(key), 5, 0, len(val), 1)
-		it.SetDataDirect(val)
 		c := access.DirectCtx{}
-		it.SuffixLen = c.FormatSuffix(it.Buf(), it.SuffixOff(), 5, len(val))
+		it := NewChunk(1, align8(SizeFor(keyLen, len(val))))
+		it.Fill(c, key, fnv(key), 5, it.Reset(c, keyLen, 5, 0, len(val), 0), val)
 
 		if it.KeyOff()%8 != 0 || it.SuffixOff()%8 != 0 || it.DataOff()%8 != 0 {
 			t.Errorf("keyLen %d: offsets %d/%d/%d not word-aligned", keyLen, it.KeyOff(), it.SuffixOff(), it.DataOff())
 		}
 		if it.SuffixOff() < it.KeyOff()+keyLen || it.DataOff() < it.SuffixOff()+it.SuffixLen ||
-			it.Buf().Len() != it.DataOff()+len(val) {
+			it.Buf().Len() < it.DataOff()+len(val) {
 			t.Errorf("keyLen %d: regions overlap or buffer mis-sized: %d/%d/%d in %d", keyLen, it.KeyOff(), it.SuffixOff(), it.DataOff(), it.Buf().Len())
 		}
 		if c.Memcmp(it.Buf(), it.KeyOff(), key) != 0 {
@@ -96,9 +95,16 @@ func TestAllocsItem(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	key := []byte("key-00000001")
-	if n := testing.AllocsPerRun(100, func() { New(key, 1, 0, 0, 64, 1) }); n != 2 {
-		t.Errorf("item.New: %.0f heap objects, want 2 (the struct and its word buffer)", n)
+	// A chunk is created once — two heap objects, the struct and its word
+	// buffer — and every entry it holds afterwards costs none.
+	key, val := []byte("key-00000001"), make([]byte, 64)
+	var chunk *Item
+	if n := testing.AllocsPerRun(100, func() { chunk = NewChunk(1, 192) }); n != 2 {
+		t.Errorf("item.NewChunk: %.0f heap objects, want 2 (the struct and its word buffer)", n)
+	}
+	dc := access.DirectCtx{}
+	if n := testing.AllocsPerRun(100, func() { chunk.Fill(dc, key, 1, 0, chunk.Reset(dc, len(key), 0, 0, len(val), 0), val) }); n != 0 {
+		t.Errorf("Reset+Fill of an existing chunk: %.1f allocs, want 0", n)
 	}
 
 	l := NewLRU(2)

@@ -17,6 +17,7 @@ type Sem struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	count int
+	post  func() // Post bound to this semaphore by New (see PostFunc)
 }
 
 // New returns a semaphore with the given initial count.
@@ -24,7 +25,9 @@ func New(initial int) *Sem {
 	if initial < 0 {
 		panic("sem: negative initial count")
 	}
-	return &Sem{count: initial}
+	s := &Sem{count: initial}
+	s.post = s.Post
+	return s
 }
 
 func (s *Sem) ensureCond() {
@@ -40,6 +43,17 @@ func (s *Sem) Post() {
 	s.count++
 	s.cond.Signal()
 	s.mu.Unlock()
+}
+
+// PostFunc returns Post as a func() value. New makes the method value once, so
+// a caller that hands sem_post to something taking a func() — an onCommit
+// handler registered on every eviction — allocates nothing; a zero-value Sem
+// pays for a fresh one per call.
+func (s *Sem) PostFunc() func() {
+	if s.post != nil {
+		return s.post
+	}
+	return s.Post
 }
 
 // Wait blocks until the count is positive, then decrements it (sem_wait).

@@ -80,18 +80,17 @@ func TestHTMAbortedBySerialWriter(t *testing.T) {
 	}()
 	<-inTx
 	// A relaxed start-serial transaction acquires the lock: the in-flight
-	// hardware transaction must abort at its commit subscription check.
-	th := rt.NewThread()
-	serDone := make(chan struct{})
-	go func() {
-		mustRun(t, th, Props{Kind: Relaxed, StartSerial: true}, func(tx *Tx) {
-			w.Store(tx, 100)
-		})
-		close(serDone)
-	}()
-	<-serDone
-	close(proceed)
+	// hardware transaction must abort at its next subscription check. It is
+	// released from inside the serial body — the serial commit waits for
+	// attempts that subscribed before it to retire, so the writer's Run cannot
+	// return while the reader is still parked.
+	mustRun(t, rt.NewThread(), Props{Kind: Relaxed, StartSerial: true}, func(tx *Tx) {
+		w.Store(tx, 100)
+		close(proceed)
+	})
 	wg.Wait()
+	// What the test has always asserted, whoever releases the reader: an
+	// attempt that subscribed before the serial writer is doomed by it.
 	if attempts < 2 {
 		t.Errorf("attempts = %d; the serial writer should have aborted attempt 1", attempts)
 	}

@@ -2,7 +2,9 @@ package stm
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestPrivatizationSafety pins the guarantee §3.1/Figure 1a of the paper
@@ -81,6 +83,64 @@ func TestPrivatizationSafety(t *testing.T) {
 				_ = th.Run(Props{Kind: Atomic}, func(tx *Tx) { flag.Store(tx, 0) })
 			}
 			close(stop)
+			wg.Wait()
+		})
+	}
+}
+
+// TestPrivatizationSafetySerialCommit pins the same guarantee for a serial
+// writer. Taking the serial lock drains read-lock holders, but attempts that
+// subscribed to it instead — the read-only fast path, emulated hardware
+// transactions — hold nothing: the acquisition only dooms them. The writer's
+// Run must not return while one that began before it is still executing, or
+// the writer's thread would treat as private (and overwrite in place) memory
+// the doomed reader is still copying out of.
+func TestPrivatizationSafetySerialCommit(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		alg   Algorithm
+		props Props
+	}{
+		{"read-only fast path", MLWT, Props{Kind: Atomic, ReadOnly: true}},
+		{"htm reader", HTM, Props{Kind: Atomic}},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			rt := New(Config{Algorithm: c.alg, HTMRetries: 100})
+			w := NewTWord(0)
+			var inBody atomic.Bool
+			began := make(chan struct{})
+			serialRan := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				attempts := 0
+				mustRun(t, rt.NewThread(), c.props, func(tx *Tx) {
+					attempts++
+					if attempts > 1 {
+						_ = w.Load(tx)
+						return
+					}
+					// The deferred clear runs while the abort unwinds the body,
+					// before the attempt retires.
+					inBody.Store(true)
+					defer inBody.Store(false)
+					_ = w.Load(tx)
+					close(began)
+					<-serialRan
+					time.Sleep(2 * time.Millisecond) // doomed, and still running
+					_ = w.Load(tx)
+				})
+			}()
+			<-began
+			mustRun(t, rt.NewThread(), Props{Kind: Relaxed, StartSerial: true}, func(tx *Tx) {
+				w.Store(tx, 1)
+				close(serialRan)
+			})
+			if inBody.Load() {
+				t.Error("the serial writer's Run returned while an attempt that subscribed before it was still running")
+			}
 			wg.Wait()
 		})
 	}

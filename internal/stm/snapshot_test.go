@@ -143,3 +143,47 @@ func TestSnapshotStatsFields(t *testing.T) {
 		t.Errorf("ResetStats incomplete: %+v", s)
 	}
 }
+
+// TestTBytesDirectCopiesMatchModel checks the word-wise direct copies against
+// a plain byte slice at every alignment of offset and length: whole words in
+// the middle, read-modify-write of the ragged head and tail, and nothing
+// outside the range disturbed.
+func TestTBytesDirectCopiesMatchModel(t *testing.T) {
+	const size = 61
+	tb := NewTBytes(size)
+	model := make([]byte, size)
+	fill := byte(1)
+	for off := 0; off < 20; off++ {
+		for n := 0; off+n <= size; n += 1 + n/9 {
+			src := make([]byte, n)
+			for i := range src {
+				src[i] = fill
+				fill = fill*31 + 7
+			}
+			tb.WriteAtDirect(off, src)
+			copy(model[off:], src)
+			if got := tb.Bytes(); !bytes.Equal(got, model) {
+				t.Fatalf("after WriteAtDirect(%d, %d bytes): %x, want %x", off, n, got, model)
+			}
+			got := make([]byte, n)
+			tb.ReadAtDirect(got, off)
+			if !bytes.Equal(got, model[off:off+n]) {
+				t.Fatalf("ReadAtDirect(%d bytes, %d) = %x, want %x", n, off, got, model[off:off+n])
+			}
+		}
+	}
+	for _, bad := range []func(){
+		func() { tb.WriteAtDirect(size-1, []byte{1, 2}) },
+		func() { tb.ReadAtDirect(make([]byte, 2), size-1) },
+		func() { tb.WriteAtDirect(-1, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("no panic for a range outside the buffer")
+				}
+			}()
+			bad()
+		}()
+	}
+}

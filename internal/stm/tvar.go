@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 
 	"repro/internal/txobs"
@@ -213,10 +214,7 @@ func (t *TBytes) Init(baseID uint64, l txobs.Label, n int) {
 // instrument these stores either).
 func NewTBytesFrom(src []byte) *TBytes {
 	t := NewTBytes(len(src))
-	for i, b := range src {
-		w := &t.words[i/8]
-		w.Store(w.Load() | uint64(b)<<(8*(i%8)))
-	}
+	t.WriteAllDirect(src)
 	return t
 }
 
@@ -297,10 +295,26 @@ func (t *TBytes) ReadAllDirect(dst []byte) {
 	if len(dst) < t.n {
 		panic("stm: TBytes.ReadAllDirect: destination too short")
 	}
-	for i := 0; i < len(t.words); i++ {
-		w := t.words[i].Load()
-		for b := 0; b < 8 && i*8+b < t.n; b++ {
-			dst[i*8+b] = byte(w >> (8 * b))
+	t.ReadAtDirect(dst[:t.n], 0)
+}
+
+// ReadAtDirect fills dst from byte offset off, nontransactionally: one load
+// per whole word, byte by byte only over a ragged head and tail.
+func (t *TBytes) ReadAtDirect(dst []byte, off int) {
+	if off < 0 || off+len(dst) > t.n {
+		panic("stm: TBytes.ReadAtDirect: range outside the buffer")
+	}
+	for ; len(dst) > 0 && off%8 != 0; off, dst = off+1, dst[1:] {
+		dst[0] = byte(t.words[off/8].Load() >> (8 * (off % 8)))
+	}
+	words := t.words[off/8:]
+	for ; len(dst) >= 8; words, dst = words[1:], dst[8:] {
+		binary.LittleEndian.PutUint64(dst, words[0].Load())
+	}
+	if len(dst) > 0 {
+		w := words[0].Load()
+		for b := range dst {
+			dst[b] = byte(w >> (8 * b))
 		}
 	}
 }
@@ -308,23 +322,27 @@ func (t *TBytes) ReadAllDirect(dst []byte) {
 // WriteAllDirect copies src into the buffer nontransactionally.
 func (t *TBytes) WriteAllDirect(src []byte) { t.WriteAtDirect(0, src) }
 
-// WriteAtDirect copies src to the word-aligned byte offset off,
-// nontransactionally (fresh, captured memory).
+// WriteAtDirect copies src to byte offset off, nontransactionally (memory the
+// caller owns privately): one store per whole word, a read-modify-write of
+// the word only for a ragged head and tail.
 func (t *TBytes) WriteAtDirect(off int, src []byte) {
-	if off%8 != 0 || off+len(src) > t.n {
-		panic("stm: TBytes.WriteAtDirect: unaligned offset or source too long")
+	if off < 0 || off+len(src) > t.n {
+		panic("stm: TBytes.WriteAtDirect: range outside the buffer")
+	}
+	for ; len(src) > 0 && off%8 != 0; off, src = off+1, src[1:] {
+		w, sh := &t.words[off/8], 8*(off%8)
+		w.Store(w.Load()&^(0xFF<<sh) | uint64(src[0])<<sh)
 	}
 	words := t.words[off/8:]
-	for i := 0; i*8 < len(src); i++ {
-		var w uint64
-		if i*8+8 > len(src) {
-			w = words[i].Load()
+	for ; len(src) >= 8; words, src = words[1:], src[8:] {
+		words[0].Store(binary.LittleEndian.Uint64(src))
+	}
+	if len(src) > 0 {
+		w := words[0].Load()
+		for b, c := range src {
+			w = w&^(0xFF<<(8*b)) | uint64(c)<<(8*b)
 		}
-		for b := 0; b < 8 && i*8+b < len(src); b++ {
-			sh := 8 * b
-			w = w&^(0xFF<<sh) | uint64(src[i*8+b])<<sh
-		}
-		words[i].Store(w)
+		words[0].Store(w)
 	}
 }
 

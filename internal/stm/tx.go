@@ -311,6 +311,13 @@ func causeAt(cause, site string) string {
 // conflicts per the configured contention manager. Nested calls flatten into
 // the enclosing transaction. It returns nil on commit, ErrCanceled if the
 // transaction canceled itself.
+//
+// Unless the runtime is configured NoQuiesce, a transaction that wrote —
+// speculative or serial — does not return from Run while any transaction that
+// began before its commit point is still running (see endSpeculation). So fn
+// must not block on something only another thread's writing transaction can
+// provide once that transaction has returned: the two would wait for each
+// other. Waiting on what the other transaction's body does is fine.
 func (th *Thread) Run(props Props, fn func(*Tx)) error {
 	if th.cur != nil {
 		// Flat nesting: subsumed by the outer transaction, as in GCC.
@@ -1023,7 +1030,18 @@ func (tx *Tx) commitProtocol() bool {
 		}
 	}
 	if tx.serial {
+		// The same grace period a speculative writer's commit pays. Taking the
+		// write lock drained the read-lock holders only: attempts that
+		// subscribed instead (read-only fast path, emulated HTM that has not
+		// written) are doomed by the acquisition but may still be running, and
+		// the caller is about to treat what this transaction unlinked as private.
+		// The commit point is taken before the release, so attempts that begin
+		// once the lock is free are not waited for.
+		cs := rt.txSeq.Add(1)
 		rt.serial.Unlock()
+		if !rt.cfg.NoQuiesce {
+			rt.quiesce(cs)
+		}
 		return true
 	}
 	if tx.ro {
@@ -1151,7 +1169,10 @@ func (tx *Tx) roCommit() bool {
 // Specification requires (and the paper's Figure 1a correctness argument
 // relies on): wait until every transaction that began before this commit has
 // finished, so their doomed eager writes and rollbacks cannot be observed by
-// this thread's subsequent nontransactional (privatized) accesses.
+// this thread's subsequent nontransactional (privatized) accesses. Serial
+// commits pay the same wait (commitProtocol), so the guarantee is uniform:
+// when Run returns from a transaction that wrote, no transaction that began
+// before its commit point is still running.
 func (tx *Tx) endSpeculation(wrote bool) {
 	if tx.algo == HTM {
 		tx.th.eagerSub.Store(false)

@@ -22,6 +22,7 @@
 package tmlib
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -93,11 +94,7 @@ func MemcpyFromLocal(tx *stm.Tx, dst *stm.TBytes, off int, src []byte) {
 	i := 0
 	if off%8 == 0 {
 		for ; i+8 <= len(src); i += 8 {
-			var w uint64
-			for b := 0; b < 8; b++ {
-				w |= uint64(src[i+b]) << (8 * b)
-			}
-			dst.StoreWord(tx, off/8+i/8, w)
+			dst.StoreWord(tx, off/8+i/8, binary.LittleEndian.Uint64(src[i:]))
 		}
 	}
 	for ; i < len(src); i++ {
@@ -111,10 +108,7 @@ func MemcpyToLocal(tx *stm.Tx, dst []byte, src *stm.TBytes, off, n int) {
 	i := 0
 	if off%8 == 0 {
 		for ; i+8 <= n; i += 8 {
-			w := src.LoadWord(tx, off/8+i/8)
-			for b := 0; b < 8; b++ {
-				dst[i+b] = byte(w >> (8 * b))
-			}
+			binary.LittleEndian.PutUint64(dst[i:], src.LoadWord(tx, off/8+i/8))
 		}
 	}
 	for ; i < n; i++ {

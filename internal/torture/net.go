@@ -81,7 +81,7 @@ func RunNetwork(cfg Config) *Report {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			netChaosWorker(srv.Addr(), cfg, id)
+			netChaosWorker(srv.Addr(), cfg, id, rep)
 		}(w)
 	}
 	wg.Wait()
@@ -148,18 +148,24 @@ func RunNetwork(cfg Config) *Report {
 
 // netChaosWorker mirrors chaosWorker over the wire. Faults make individual
 // ops fail; the worker's only obligation is to keep going.
-func netChaosWorker(addr string, cfg Config, id int) {
+func netChaosWorker(addr string, cfg Config, id int, rep *Report) {
 	cl := &netClient{addr: addr}
 	defer cl.reset()
 	rng := rngState(cfg.Seed, uint64(id)+0xC0FFEE)
 	for op := 0; op < cfg.Ops; op++ {
 		r := rng.next()
-		key := fmt.Sprintf("churn-%d", r%191)
+		key := string(runChurn.key(r))
 		switch (r >> 8) % 5 {
 		case 0, 1:
-			cl.tryGet(key)
+			// A reply that arrived whole is verified; one a transport fault
+			// cut short is a redial.
+			if val, found, err := cl.get(key); err != nil {
+				cl.reset()
+			} else if found {
+				verifyChaos(rep, []byte(key), val)
+			}
 		case 2, 3:
-			val := chaosValue(r)
+			val := runChurn.value([]byte(key), r>>24)
 			cl.tryCmd(fmt.Sprintf("set %s %d 0 %d\r\n%s\r\n", key, uint32(r), len(val), val))
 		default:
 			cl.tryCmd("delete " + key + "\r\n")
@@ -242,12 +248,6 @@ func (c *netClient) tryCmd(cmd string) {
 		return
 	}
 	if _, err := c.r.ReadString('\n'); err != nil {
-		c.reset()
-	}
-}
-
-func (c *netClient) tryGet(key string) {
-	if _, _, err := c.get(key); err != nil {
 		c.reset()
 	}
 }

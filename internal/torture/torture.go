@@ -11,12 +11,20 @@
 //     stable keys cannot be refused or evicted: once Set returns Stored, the
 //     key must survive.
 //
+// Every value either phase stores certifies itself: it is a function of its
+// key closed by a length-and-checksum trailer (chaosValue), so every reply a
+// worker reads is verified on the spot, whoever wrote it and whenever — a torn
+// copy, or a chunk recycled under a reader, cannot pass.
+//
 // The check phase disarms the injector, waits for expansion to finish, and
 // asserts the invariants: no ACKed stable key lost or corrupted across
 // expansion, stat counters consistent with the harness's own op counts,
-// and — via engine.ValidateQuiescent — balanced refcounts and exact slab
-// byte accounting. Every failure message carries the seed, so any run
-// reproduces from its report alone.
+// and — via engine.ValidateQuiescent — balanced refcounts and exact chunk
+// ownership (engine.Validate also runs after each chaos phase). Every failure
+// message carries the seed, so any run reproduces from its report alone.
+//
+// RunRecycle (recycle.go) is the chaos phase alone on a cache a few pages
+// small, so that it evicts and recycles chunks continuously.
 package torture
 
 import (
@@ -25,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/assoc"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/tmctl"
@@ -66,7 +75,48 @@ type Config struct {
 
 	// Short shrinks the run for -race smoke tests (-torture.short).
 	Short bool
+
+	// Mix selects how the chaos workers read and write (see Mix).
+	Mix Mix
+
+	// Prepare, when set, runs on RunRecycle's cache before any worker starts:
+	// the mutation test uses it to seed the bug the run must catch.
+	Prepare func(*engine.Cache)
 }
+
+// churn is the keyspace and value sizes of a chaos phase.
+type churn struct {
+	keys            int // keys all workers share
+	valMin, valSpan int // a value's body is valMin..valMin+valSpan-1 bytes
+}
+
+// runChurn is Run's and RunNetwork's: a keyspace hot enough that every op
+// meets another worker's, values spread across the small slab classes.
+var runChurn = churn{keys: 191, valMin: 5, valSpan: 116}
+
+func (c churn) key(r uint64) []byte { return []byte(fmt.Sprintf("churn-%d", r%uint64(c.keys))) }
+
+// value is key's self-certifying value, its length drawn from r.
+func (c churn) value(key []byte, r uint64) []byte {
+	return chaosValue(key, c.valMin+int(r%uint64(c.valSpan)))
+}
+
+// Mix is the shape of a chaos worker's reads and writes.
+type Mix int
+
+const (
+	// MixGet reads one key per get (the default).
+	MixGet Mix = iota
+	// MixBatch reads engine.MultiGetBatch keys per multi-get: the read-only
+	// batch transactions that hold no reference on what they read.
+	MixBatch
+	// MixTxn turns sets into wire transactions — one validated read, two
+	// queued sets — whose allocations happen inside the commit transaction.
+	// Needs a branch with wire-transaction support.
+	MixTxn
+)
+
+func (m Mix) String() string { return [...]string{"get", "batch", "txn"}[m] }
 
 func (c Config) withDefaults() Config {
 	if c.Short {
@@ -113,6 +163,8 @@ func (c Config) withDefaults() Config {
 // Report is the outcome of a run. Violations is empty on success; every
 // entry embeds the seed so a failing schedule can be replayed exactly.
 type Report struct {
+	mu sync.Mutex // chaos workers report bad replies concurrently
+
 	Branch      engine.Branch
 	Seed        uint64
 	Violations  []string
@@ -152,8 +204,13 @@ func (r *Report) String() string {
 }
 
 func (r *Report) violatef(format string, args ...interface{}) {
-	r.Violations = append(r.Violations,
-		fmt.Sprintf("[seed=%d] ", r.Seed)+fmt.Sprintf(format, args...))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// A broken build fails every reply; the first few say it all.
+	if len(r.Violations) < 20 {
+		r.Violations = append(r.Violations,
+			fmt.Sprintf("[seed=%d] ", r.Seed)+fmt.Sprintf(format, args...))
+	}
 }
 
 // opCounts tallies what one worker actually issued, to reconcile against the
@@ -231,10 +288,11 @@ func runChaos(cache *engine.Cache, cfg Config, in *fault.Injector, rep *Report) 
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			perWorker[id] = chaosWorker(cache.NewWorker(), cfg, id)
+			perWorker[id] = chaosWorker(cache.NewWorker(), cfg, runChurn, id, rep)
 		}(w)
 	}
 	wg.Wait()
+	validatePhase(cache, in, rep, "A")
 
 	// Phase B: stable keys under expansion. Allocation failure off — an
 	// eviction or refused store here would be indistinguishable from the
@@ -248,6 +306,7 @@ func runChaos(cache *engine.Cache, cfg Config, in *fault.Injector, rep *Report) 
 		}(w)
 	}
 	wg.Wait()
+	validatePhase(cache, in, rep, "B")
 
 	stopFlaps()
 
@@ -256,6 +315,19 @@ func runChaos(cache *engine.Cache, cfg Config, in *fault.Injector, rep *Report) 
 		total.add(perWorker[i])
 	}
 	return total
+}
+
+// validatePhase runs the structural validator once a phase's workers have
+// returned. The maintenance threads are still running, which it tolerates: it
+// is one critical section over every domain. The injector is disarmed for it —
+// a walk of every item is thousands of barriers, which at per-barrier abort
+// rates never commits, and a NoLock branch would retry it forever.
+func validatePhase(cache *engine.Cache, in *fault.Injector, rep *Report, phase string) {
+	in.Disarm()
+	defer in.Arm()
+	if err := cache.Validate(); err != nil {
+		rep.violatef("structural validation after phase %s: %v", phase, err)
+	}
 }
 
 // startFlapper launches the forced-swap goroutine when Config.ModeFlaps asks
@@ -308,24 +380,66 @@ func startFlapper(cache *engine.Cache, cfg Config, rep *Report) (stop func()) {
 }
 
 // chaosWorker is one phase-A goroutine: a deterministic op stream from the
-// seed and worker id, aimed at a churn keyspace shared by all workers.
-func chaosWorker(wk *engine.Worker, cfg Config, id int) opCounts {
-	var n opCounts
+// seed and worker id, aimed at a churn keyspace shared by all workers. Every
+// value it reads back is verified against its key.
+func chaosWorker(wk *engine.Worker, cfg Config, ch churn, id int, rep *Report) (n opCounts) {
+	// A reader that trips over a half-recycled chunk may not return a wrong
+	// value but index out of its buffer: that is a violation with a seed, not
+	// a crashed test binary.
+	defer func() {
+		if r := recover(); r != nil {
+			rep.violatef("chaos worker %d panicked: %v", id, r)
+		}
+	}()
 	rng := rngState(cfg.Seed, uint64(id))
 	ctr := []byte(fmt.Sprintf("churn-ctr-%d", id))
 	wk.Set(ctr, 0, 0, []byte("0")) // may be refused by an alloc fault; incr then just misses
 	n.stores++
+	get := func(key []byte) (uint64, bool) {
+		val, _, cas, ok := wk.Get(key)
+		n.gets++
+		if ok {
+			verifyChaos(rep, key, val)
+		}
+		return cas, ok
+	}
 	for op := 0; op < cfg.Ops; op++ {
 		r := rng.next()
-		key := []byte(fmt.Sprintf("churn-%d", r%191)) // shared hot keyspace
-		val := chaosValue(r)
+		key := ch.key(r)
+		val := ch.value(key, r>>24)
 		switch r >> 8 % 10 {
 		case 0, 1, 2:
-			wk.Get(key)
-			n.gets++
+			if cfg.Mix != MixBatch {
+				get(key)
+				break
+			}
+			keys := make([][]byte, engine.MultiGetBatch)
+			for i := range keys {
+				keys[i] = ch.key(r + uint64(i)*7)
+			}
+			for i, res := range wk.GetMulti(keys) {
+				if res.Found {
+					verifyChaos(rep, keys[i], res.Value)
+				}
+			}
+			n.gets += uint64(len(keys))
 		case 3, 4:
-			wk.Set(key, uint32(r), 0, val)
-			n.stores++
+			if cfg.Mix != MixTxn {
+				wk.Set(key, uint32(r), 0, val)
+				n.stores++
+				break
+			}
+			// A missing key validates as CAS 0, so the commit goes through
+			// unless someone stored it in between.
+			cas, _ := get(key)
+			key2 := ch.key(r >> 32)
+			out := wk.CommitTx([]engine.TxRead{{Key: key, CAS: cas}}, []engine.TxOp{
+				{Kind: engine.TxSet, Key: key, Value: val},
+				{Kind: engine.TxSet, Key: key2, Value: ch.value(key2, r>>40)},
+			})
+			if out.Committed {
+				n.stores += 2
+			}
 		case 5:
 			wk.Add(key, 0, 0, val)
 			n.stores++
@@ -340,14 +454,12 @@ func chaosWorker(wk *engine.Worker, cfg Config, id int) opCounts {
 			}
 			n.deltas++
 		case 8:
-			_, _, cas, ok := wk.Get(key)
-			n.gets++
-			if ok {
+			if cas, ok := get(key); ok {
 				wk.CAS(key, 0, 0, val, cas)
 				n.stores++
 			}
 		default:
-			wk.Append(key, []byte("+t"))
+			wk.Append(key, []byte(chaosAppend))
 			n.stores++
 		}
 	}
@@ -389,10 +501,62 @@ func stableValue(seed uint64, i int) []byte {
 	return []byte(fmt.Sprintf("v-%06d-%016x", i, h))
 }
 
-func chaosValue(r uint64) []byte {
-	// 5..~120 bytes so churn spreads across slab classes.
-	n := 5 + int(r>>24%116)
-	return bytes.Repeat([]byte{byte('a' + r%26)}, n)
+// chaosAppend is what the chaos mix appends to a value; no chaosValue byte is
+// a '+', so any number of them strips off unambiguously.
+const chaosAppend = "+t"
+
+// chaosValue is the self-certifying value of key with an n-byte body: the
+// body is a letter stream seeded by the key's hash, and a trailer closes it
+// with n and a checksum of key and n. Two values of one key differ only in
+// where they end, values of different keys almost everywhere, and whatever a
+// reader assembles from pieces of two of them fails checkChaosValue.
+func chaosValue(key []byte, n int) []byte {
+	h := assoc.Hash(key)
+	val := make([]byte, n, n+chaosTrailer)
+	x := h
+	for i := range val {
+		x = x*6364136223846793005 + 1442695040888963407
+		val[i] = 'a' + byte(x>>59)%26
+	}
+	return fmt.Appendf(val, "|%04x%08x", n, uint32(h>>32)^uint32(n)*0x9E3779B1)
+}
+
+// chaosTrailer is the length of chaosValue's trailer.
+const chaosTrailer = 13
+
+// checkChaosValue reports what is wrong with val as a value of key: it must
+// be some chaosValue(key, n) followed by any number of chaosAppends.
+func checkChaosValue(key, val []byte) error {
+	body := val
+	for bytes.HasSuffix(body, []byte(chaosAppend)) {
+		body = body[:len(body)-len(chaosAppend)]
+	}
+	n := len(body) - chaosTrailer
+	if n < 0 {
+		return fmt.Errorf("%d bytes, shorter than a trailer", len(val))
+	}
+	if want := chaosValue(key, n); !bytes.Equal(body, want) {
+		i := 0
+		for i < len(body) && body[i] == want[i] {
+			i++
+		}
+		return fmt.Errorf("%d bytes, differs from the value of this key at byte %d: got %q, want %q",
+			len(val), i, clip(body[i:]), clip(want[i:]))
+	}
+	return nil
+}
+
+func clip(b []byte) []byte {
+	if len(b) > 24 {
+		return b[:24]
+	}
+	return b
+}
+
+func verifyChaos(rep *Report, key, val []byte) {
+	if err := checkChaosValue(key, val); err != nil {
+		rep.violatef("get %q returned a value that is not this key's: %v", key, err)
+	}
 }
 
 // waitExpansion lets the hash maintainer finish migrating; the per-key check
