@@ -65,9 +65,9 @@ torture:
 
 # bench runs the experiments behind every claim made beyond the paper's
 # figures (EXP=all, or a comma-separated subset: shards, trace-overhead,
-# fingerprint-overhead, tmctl-storm, txn, conns) through the one runner in
-# internal/bench and records them in BENCH_experiments.json; entries of
-# experiments not run are kept.
+# fingerprint-overhead, txn, conns) through the one runner in internal/bench
+# and records them in BENCH_experiments.json; entries of experiments not run
+# are kept.
 EXP ?= all
 bench:
 	$(GO) run ./cmd/mcbench -exp $(EXP)

@@ -9,7 +9,7 @@
 //	mcbench -all -ops 625000 -threads 1,2,4,8,12 -trials 5   # paper scale
 //
 //	mcbench -exp all             # shards, trace-overhead, fingerprint-overhead,
-//	mcbench -exp shards,txn      # tmctl-storm, txn, conns -> BENCH_experiments.json
+//	mcbench -exp shards,txn      # txn, conns -> BENCH_experiments.json
 //
 // Experiments take no sizing flags: their sizes are constants in the table
 // (internal/bench/experiments.go), so a recorded number names its workload.

@@ -1,8 +1,8 @@
 // Command mctop is a live terminal console for a running tm-memcached
 // server: it polls the stats surface (stats, stats fingerprint, stats
-// tmctl, stats eventloop) at a fixed interval and renders one screen of
-// per-shard workload fingerprints — decayed op counts, hot keys, abort mix,
-// controller rung — plus transport queue depths and poller counters.
+// eventloop) at a fixed interval and renders one screen of per-shard
+// workload fingerprints — decayed op counts, hot keys, abort mix — plus
+// transport queue depths and poller counters.
 //
 //	mctop -addr 127.0.0.1:11211
 //	mctop -addr 127.0.0.1:11211 -interval 2s

@@ -29,7 +29,6 @@ func main() {
 	stable := flag.Int("stable", 0, "phase-B stable keys (0 = default)")
 	rate := flag.Float64("rate", 0, "max per-point fault rate (0 = default 0.02)")
 	shards := flag.Int("shards", 0, "TM domains to shard the cache into (0 = single domain)")
-	flaps := flag.Int("flaps", 0, "force at least this many seeded controller mode swaps during the run")
 	verbose := flag.Bool("v", false, "print the fault schedule summary for green runs too")
 	flag.Parse()
 
@@ -56,7 +55,6 @@ func main() {
 				Ops:        *ops,
 				StableKeys: *stable,
 				MaxRate:    *rate,
-				ModeFlaps:  *flaps,
 				Short:      *short,
 			}
 			var rep *torture.Report

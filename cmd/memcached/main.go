@@ -21,7 +21,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/stm"
-	"repro/internal/tmctl"
 	"repro/internal/txtrace"
 )
 
@@ -39,12 +38,9 @@ func main() {
 		trace     = flag.Bool("trace", false, "enable transaction observability from startup (stats tm/conflicts/latency)")
 		txtraceMd = flag.String("txtrace", "off", "request tracing mode from startup: off, sampled, or full (stats slowlog, /debug/trace)")
 		debugAddr = flag.String("debug-addr", "", "serve the debug HTTP endpoint (/debug/vars, /metrics, /debug/pprof/) on this address")
-		tmCtl     = flag.Bool("tmctl", false, "enable the per-shard feedback controller (stats tmctl, /debug/tmctl)")
-		ctlIntvl  = flag.Duration("tmctl-interval", 0, "controller sampling interval (0 = default 1s)")
-		ctlDwell  = flag.Duration("tmctl-dwell", 0, "controller minimum dwell time between mode swaps on one shard (0 = default 5s)")
 		eventLoop = flag.Bool("event-loop", runtime.GOOS == "linux", "event-driven transport: epoll parks idle connections, a bounded shard-affine worker pool serves ready ones (default on linux; off = goroutine per connection)")
 		workers   = flag.Int("workers", 0, "event-loop execution workers (0 = shards+2, capped at 32)")
-		fprint    = flag.Bool("fingerprint", false, "enable per-shard workload fingerprinting from startup (stats fingerprint, /debug/fingerprint, mctop; arms the tmctl hot-key gate)")
+		fprint    = flag.Bool("fingerprint", false, "enable per-shard workload fingerprinting from startup (stats fingerprint, /debug/fingerprint, mctop)")
 	)
 	flag.Parse()
 
@@ -76,12 +72,6 @@ func main() {
 			}
 		}
 		conf.STM = &sc
-	}
-	if *tmCtl {
-		p := tmctl.DefaultPolicy()
-		p.Interval = *ctlIntvl
-		p.MinDwell = *ctlDwell
-		conf.TMCtl = &p
 	}
 	// Validate refuses flag combinations New would otherwise clamp silently
 	// or panic on, with the offending field in the message.
@@ -122,7 +112,7 @@ func main() {
 			log.Fatal(err)
 		}
 		dbg = d
-		log.Printf("debug endpoint on http://%s/debug/vars (also /metrics, /debug/pprof/, /debug/tm, /debug/trace, /debug/tmctl, /debug/fingerprint)", bound)
+		log.Printf("debug endpoint on http://%s/debug/vars (also /metrics, /debug/pprof/, /debug/tm, /debug/trace, /debug/fingerprint)", bound)
 	}
 
 	sig := make(chan os.Signal, 1)

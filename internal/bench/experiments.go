@@ -13,10 +13,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/fault"
 	"repro/internal/protocol"
 	"repro/internal/server"
-	"repro/internal/tmctl"
 	"repro/internal/txtrace"
 )
 
@@ -35,7 +33,6 @@ func experiments(tiny bool) []experiment {
 		shardSweep(sz),
 		traceOverhead(sz),
 		fingerprintOverhead(sz),
-		tmctlStorm(sz),
 		wireTxn(sz),
 		connScale(sz),
 	}
@@ -218,172 +215,6 @@ func fingerprintOverhead(sz sizer) experiment {
 }
 
 // ---------------------------------------------------------------------------
-// tmctl-storm
-
-// tmctlStorm injects a single-hot-key contention storm into a sharded cache
-// running the feedback controller. Every thread read-modify-writes ONE key —
-// all landing in one TM domain — while a seeded commit-delay fault widens
-// commit windows so the conflicts materialize even on a small host; then the
-// load turns uniform and the run watches the degraded shard heal. The series
-// is the controller's response, one entry per sampling interval.
-func tmctlStorm(sz sizer) experiment {
-	ms := func(full, small int) time.Duration { return time.Duration(sz(full, small)) * time.Millisecond }
-	storm, recovery := ms(2000, 400), ms(2500, 500)
-
-	in := fault.New(1) // one injector for every trial: the schedule continues, it does not restart
-	in.Set(fault.STMCommitDelay, 0.2)
-	pol := tmctl.DefaultPolicy()
-	pol.Interval, pol.MinDwell = ms(50, 20), ms(250, 60)
-	// No within-normal mlwt<->lazy retune: it adapts the hot shard out of the
-	// storm, and the ladder under test is degrade/heal with an exact restore.
-	pol.ROReadBias = -1
-
-	hot := []byte("tmctl-storm-hot-key")
-	return experiment{
-		name:    "tmctl-storm",
-		claim:   "under a single-hot-key storm the controller degrades the hot shard to a pessimistic rung, client p99 stays bounded, and the shard heals to its exact base configuration once the storm passes",
-		threads: 4, trials: sz(3, 1),
-		keyspace: sz(4096, 512), valueSize: 64,
-		points: []point{{
-			label: "storm",
-			params: Metrics{
-				"shards": 4, "seed": 1,
-				"storm_ms": storm.Milliseconds(), "recover_ms": recovery.Milliseconds(),
-				"interval_ms": pol.Interval.Milliseconds(), "min_dwell_ms": pol.MinDwell.Milliseconds(),
-			},
-			cache: engine.Config{Branch: engine.ITOnCommit, Shards: 4, MemLimit: 256 << 20, HashPower: 10, Fault: in, TMCtl: &pol},
-			prep:  func(r *rig) { r.c.NewWorker().Set(hot, 0, 0, []byte("0")) },
-			trial: func(r *rig) sample { return stormTrial(r, hot, storm, recovery, pol.Interval) },
-		}},
-	}
-}
-
-// stormWindow is one controller-interval sample of a storm trial.
-type stormWindow struct {
-	ms       int64 // since trial start
-	recovery bool
-	modes    []string  // per-shard controller rung
-	ratios   []float64 // per-shard abort ratio of the last completed window
-	ops      int
-	p99      float64 // client-side, of the operations completed in the window
-}
-
-func stormTrial(r *rig, hot []byte, storm, recovery, interval time.Duration) sample {
-	before := r.c.ShardStats()
-	base := r.c.Runtimes()[0].DynConfig() // every domain starts from the same one
-	ctl := r.c.Controller()
-	stormOver, done := make(chan struct{}), make(chan struct{})
-
-	var windows []stormWindow
-	go func() {
-		defer close(done)
-		start := time.Now()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for now := range tick.C {
-			win := stormWindow{ms: now.Sub(start).Milliseconds(), recovery: now.Sub(start) > storm}
-			if win.recovery && (len(windows) == 0 || !windows[len(windows)-1].recovery) {
-				close(stormOver)
-			}
-			for _, ss := range ctl.Snapshot().Shards {
-				win.modes, win.ratios = append(win.modes, ss.Mode), append(win.ratios, ss.AbortRatio)
-			}
-			ds := r.lat.drain()
-			win.ops, win.p99 = len(ds), quantileMs(ds, 0.99)
-			windows = append(windows, win)
-			// Run out the recovery phase, then wait (bounded) for the heal.
-			if over := now.Sub(start) - storm - recovery; over > 0 && (allNormal(win.modes) || over > 4*recovery) {
-				return
-			}
-		}
-	}()
-	ops := r.fanOut(func(r *rig, t int, w *engine.Worker) uint64 {
-		rng := rngState(uint64(t) + 0x57a3)
-		val := make([]byte, r.e.valueSize)
-		var n uint64
-		timed := func(op func()) {
-			t0 := time.Now()
-			op()
-			r.lat.add(time.Since(t0))
-			n++
-		}
-		for {
-			select {
-			case <-done:
-				return n
-			case <-stormOver: // recovery: uniform traffic, no hot set
-				k := benchKey(int(nextRand(&rng) % uint64(r.e.keyspace)))
-				if nextRand(&rng)%10 == 0 {
-					timed(func() { w.Set(k, 0, 0, val) })
-				} else {
-					timed(func() { w.Get(k) })
-				}
-			default: // storm: every thread read-modify-writes the one key
-				timed(func() { w.Incr(hot, 1) })
-			}
-		}
-	})
-
-	// The hot shard is whichever domain the hot key hashed to: the one with
-	// the most aborts.
-	hotShard, maxAborts := 0, uint64(0)
-	for i, ss := range r.c.ShardStats() {
-		if d := ss.Aborts - before[i].Aborts; d > maxAborts {
-			hotShard, maxAborts = i, d
-		}
-	}
-	// -1 in either time means it never happened: a failed run.
-	degradeMs, healMs := int64(-1), int64(-1)
-	deepest := tmctl.ModeNormal
-	var stormP99 float64
-	series := make([]Metrics, len(windows))
-	for i, win := range windows {
-		phase := "storm"
-		if win.recovery {
-			phase = "recovery"
-		}
-		series[i] = Metrics{
-			"ms": win.ms, "phase": phase, "modes": win.modes,
-			"hot_abort_ratio": win.ratios[hotShard], "ops": win.ops, "p99_ms": win.p99,
-		}
-		if mode, err := tmctl.ParseMode(win.modes[hotShard]); err == nil && mode > deepest {
-			deepest = mode
-		}
-		normal := allNormal(win.modes)
-		if !normal && degradeMs < 0 {
-			degradeMs = win.ms
-		}
-		if !win.recovery {
-			stormP99 = max(stormP99, win.p99)
-		} else if normal && healMs < 0 {
-			healMs = win.ms - storm.Milliseconds()
-		}
-	}
-	final := ctl.Snapshot()
-	return sample{ops: ops, series: series, metrics: Metrics{
-		"hot_shard":        hotShard,
-		"degrade_after_ms": degradeMs,
-		"deepest_mode":     deepest.String(),
-		"heal_after_ms":    healMs,
-		"base_restored":    r.c.Runtimes()[hotShard].DynConfig() == base && final.Shards[hotShard].Mode == "normal",
-		"storm_p99_max_ms": stormP99,
-		"recovered_p99_ms": windows[len(windows)-1].p99,
-		"degrades":         final.Degrades,
-		"promotes":         final.Promotes,
-		"retunes":          final.Retunes,
-	}}
-}
-
-func allNormal(modes []string) bool {
-	for _, m := range modes {
-		if m != "normal" {
-			return false
-		}
-	}
-	return true
-}
-
-// ---------------------------------------------------------------------------
 // txn
 
 // wireTxn measures wire-transaction commits. Three shapes isolate the commit
@@ -402,7 +233,7 @@ func wireTxn(sz sizer) experiment {
 		e.points = append(e.points, point{
 			label:  label,
 			params: Metrics{"shards": 4, "keys_per_shard": perShard},
-			cache:  engine.Config{Branch: engine.ITMax, Shards: 4, MemLimit: 64 << 20, HashPower: 10},
+			cache:  engine.Config{Branch: engine.ITOnCommit, Shards: 4, MemLimit: 64 << 20, HashPower: 10},
 			prep:   func(r *rig) { r.state = txnPools(r.c, perShard) },
 			load: func(r *rig, t int, w *engine.Worker) uint64 {
 				pools := r.state.([2][][]byte)

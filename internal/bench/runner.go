@@ -57,9 +57,8 @@ type Result struct {
 	// reference point (rows[0]) and an identical twin measured alongside it:
 	// what this host reports as a change when nothing changed. A vs_ref
 	// closer to 1 than this is not an effect.
-	NoiseFloor float64   `json:"noise_floor"`
-	Rows       []Row     `json:"rows"`
-	Series     []Metrics `json:"series,omitempty"`
+	NoiseFloor float64 `json:"noise_floor"`
+	Rows       []Row   `json:"rows"`
 }
 
 // experiment is one entry of the table.
@@ -86,12 +85,9 @@ type point struct {
 	// prep runs once per trial after the prefill (seed extra keys, switch a
 	// telemetry layer on).
 	prep func(r *rig)
-	// load is the per-thread closure of the default trial: run r.ops
-	// operations as thread t, return how many were done.
+	// load is the per-thread closure of a trial: run r.ops operations as
+	// thread t, return how many were done.
 	load func(r *rig, t int, w *engine.Worker) uint64
-	// trial replaces the default fan-out of load for a point that drives
-	// threads and a sampler itself (the contention storm).
-	trial func(r *rig) sample
 	// verify runs after the clock stops and adds to the trial's metrics what
 	// is not a counter delta (cross-shard conflicts, ledger drift, latency
 	// quantiles).
@@ -140,13 +136,12 @@ func (r *rig) fanOut(load func(r *rig, t int, w *engine.Worker) uint64) uint64 {
 	return total
 }
 
-// sample is one trial's outcome. A trial fills in ops and whatever metrics and
-// series are its own; measure adds the rate and the counter deltas.
+// sample is one trial's outcome: the operations done, their rate, and the
+// counter deltas plus whatever verify added.
 type sample struct {
 	ops     uint64
 	rate    float64 // ops per second
 	metrics Metrics
-	series  []Metrics
 }
 
 // withRig builds p's cache (and server), prefills it, runs fn, and tears it
@@ -189,11 +184,7 @@ func measure(e *experiment, p point) (sample, error) {
 		w := r.c.NewWorker() // reads the merged engine counters
 		before, shardsBefore := w.Stats(), r.c.ShardStats()
 		start := time.Now()
-		if p.trial != nil {
-			s = p.trial(r)
-		} else {
-			s.ops = r.fanOut(p.load)
-		}
+		s.ops = r.fanOut(p.load)
 		elapsed := time.Since(start)
 		after := w.Stats()
 
@@ -223,9 +214,6 @@ func measure(e *experiment, p point) (sample, error) {
 				balance[i] = float64(n) / float64(d.Commits)
 			}
 			m["shard_balance"] = balance
-		}
-		for k, v := range s.metrics {
-			m[k] = v
 		}
 		s.metrics = m
 		if p.verify != nil {
@@ -289,7 +277,6 @@ func (e *experiment) run(env Env) (Result, error) {
 		med := ss[medianIndex(rates)]
 		if i == 0 {
 			ref = med.rate
-			res.Series = med.series
 		}
 		if i == len(e.points) { // the twin: a measurement, not a row
 			res.NoiseFloor = math.Abs(med.rate/ref - 1)

@@ -59,18 +59,6 @@ var invariants = map[string]func(t *testing.T, res Result){
 	},
 	"trace-overhead":       func(t *testing.T, res Result) {},
 	"fingerprint-overhead": func(t *testing.T, res Result) {},
-	"tmctl-storm": func(t *testing.T, res Result) {
-		m := res.Rows[0].Metrics
-		if num(t, m, "degrade_after_ms") < 0 || m["deepest_mode"] == "normal" {
-			t.Errorf("hot shard never degraded: %v", m)
-		}
-		if num(t, m, "heal_after_ms") < 0 || m["base_restored"] != true {
-			t.Errorf("hot shard did not heal to its base configuration: %v", m)
-		}
-		if len(res.Series) == 0 || res.Series[0]["modes"] == nil {
-			t.Errorf("no window series: %v", res.Series)
-		}
-	},
 	"txn": func(t *testing.T, res Result) {
 		for _, row := range res.Rows {
 			if drift := num(t, row.Metrics, "ledger_drift"); drift != 0 {

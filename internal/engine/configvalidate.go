@@ -69,13 +69,5 @@ func (c Config) Validate() error {
 	if c.Watchdog < 0 {
 		return &ConfigError{Field: "Watchdog", Reason: "must be >= 0 (0 = disabled)"}
 	}
-	if c.TMCtl != nil {
-		if !configFor(c.Branch).tm {
-			return &ConfigError{Field: "TMCtl", Reason: fmt.Sprintf("branch %s is not transactional; there is nothing to control", c.Branch)}
-		}
-		if c.STM != nil && c.STM.NoSerialLock {
-			return &ConfigError{Field: "TMCtl", Reason: "NoSerialLock runtimes cannot quiesce, so their configuration is frozen"}
-		}
-	}
 	return nil
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/slab"
 	"repro/internal/stm"
 	"repro/internal/tm"
-	"repro/internal/tmctl"
 	"repro/internal/txobs"
 )
 
@@ -86,13 +85,6 @@ type Config struct {
 	// Watchdog, when non-zero, enables the STM starvation watchdog at this
 	// scan interval (transactional branches only; see stm.Config).
 	Watchdog time.Duration
-
-	// TMCtl, when non-nil, enables the per-shard feedback controller
-	// (internal/tmctl) under this policy: each shard's algorithm, backoff
-	// curve and retry budget are retuned live from its abort and
-	// serialization signals. Transactional branches only, and incompatible
-	// with an STM override that sets NoSerialLock (no quiesce, no swap).
-	TMCtl *tmctl.Policy
 }
 
 func (c Config) withDefaults() Config {

@@ -31,9 +31,7 @@ func (w *shardWorker) fpRecord(op fingerprint.Op, hv uint64, key []byte, size in
 // observer: one per cache, created on first call (repeat calls return the
 // same one), with a per-shard fingerprint each shard's op paths feed. A
 // 1 Hz tick goroutine drives the decay windows and mirrors each shard
-// runtime's abort-cause deltas into its fingerprint. When a tmctl
-// controller is configured, the observer is attached as its concentration
-// source, arming the hot-key gate.
+// runtime's abort-cause deltas into its fingerprint.
 func (c *Cache) EnableFingerprint() *fingerprint.Observer {
 	c.fpMu.Lock()
 	defer c.fpMu.Unlock()
@@ -46,9 +44,6 @@ func (c *Cache) EnableFingerprint() *fingerprint.Observer {
 		s.fp.Store(o.Shard(i))
 	}
 	c.fpLive.Store(o)
-	if c.ctl != nil {
-		c.ctl.SetFingerprint(o)
-	}
 	if c.fpStop == nil {
 		stop := make(chan struct{})
 		c.fpStop = stop
@@ -59,9 +54,8 @@ func (c *Cache) EnableFingerprint() *fingerprint.Observer {
 }
 
 // DisableFingerprint stops sampling: op paths go back to the single nil
-// load, the tick goroutine halts, and the tmctl gate loses its source (it
-// falls back to ungated threshold decisions). Collected windows stay
-// queryable through Fingerprint.
+// load and the tick goroutine halts. Collected windows stay queryable
+// through Fingerprint.
 func (c *Cache) DisableFingerprint() {
 	c.fpMu.Lock()
 	defer c.fpMu.Unlock()
@@ -69,9 +63,6 @@ func (c *Cache) DisableFingerprint() {
 		s.fp.Store(nil)
 	}
 	c.fpLive.Store(nil)
-	if c.ctl != nil {
-		c.ctl.SetFingerprint(nil)
-	}
 	if c.fpStop != nil {
 		close(c.fpStop)
 		c.fpStop = nil

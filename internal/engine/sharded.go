@@ -13,7 +13,6 @@ import (
 	"repro/internal/slab"
 	"repro/internal/stm"
 	"repro/internal/tm"
-	"repro/internal/tmctl"
 	"repro/internal/txobs"
 	"repro/internal/txtrace"
 )
@@ -47,10 +46,6 @@ type Cache struct {
 	samplerMu   sync.Mutex
 	samplerStop chan struct{}
 	samplerWG   sync.WaitGroup
-
-	// ctl is the per-shard feedback controller (Config.TMCtl), nil when
-	// disabled or on lock branches. Start/Stop bracket its sampling loop.
-	ctl *tmctl.Controller
 
 	// Workload fingerprinting (internal/fingerprint): fpObs is created on
 	// first EnableFingerprint and lives for the cache's lifetime; fpLive is
@@ -119,9 +114,6 @@ func New(conf Config) *Cache {
 			s.rt.SetShardInfo(i, base)
 			base += s.rt.OrecCount()
 		}
-	}
-	if conf.TMCtl != nil && c.cfg.tm && (per.STM == nil || !per.STM.NoSerialLock) {
-		c.ctl = tmctl.New(*conf.TMCtl, c.Runtimes(), c.tracer)
 	}
 	return c
 }
@@ -201,23 +193,16 @@ func (c *Cache) ShardStats() []stm.Snapshot {
 	return out
 }
 
-// Start launches every shard's clock thread and maintenance threads, and the
-// feedback controller's sampling loop when one is configured.
+// Start launches every shard's clock thread and maintenance threads.
 func (c *Cache) Start() {
 	for _, s := range c.shards {
 		s.Start()
-	}
-	if c.ctl != nil {
-		c.ctl.Start()
 	}
 }
 
 // Stop halts every shard's maintenance threads and waits for them, and stops
 // the tracing sampler if one is running.
 func (c *Cache) Stop() {
-	if c.ctl != nil {
-		c.ctl.Stop()
-	}
 	c.DisableFingerprint()
 	c.stopSampler()
 	c.fpWG.Wait()
@@ -290,10 +275,6 @@ func (c *Cache) Observer() *txobs.Observer { return c.obs.Load() }
 
 // Tracer returns the cache's request tracer (never nil; mode off by default).
 func (c *Cache) Tracer() *txtrace.Tracer { return c.tracer }
-
-// Controller returns the feedback controller, or nil when Config.TMCtl was
-// not set (or the branch has no TM domains to control).
-func (c *Cache) Controller() *tmctl.Controller { return c.ctl }
 
 // EnableTxTrace switches request tracing to mode (sampled or full), enables
 // orec-owner attribution on every shard runtime, and starts the per-second
@@ -626,10 +607,6 @@ func (w *Worker) Observer() *txobs.Observer { return w.c.Observer() }
 // Tracer exposes the cache's request tracer (never nil).
 func (w *Worker) Tracer() *txtrace.Tracer { return w.c.Tracer() }
 
-// Controller exposes the feedback controller to the protocol layer (nil when
-// not configured).
-func (w *Worker) Controller() *tmctl.Controller { return w.c.Controller() }
-
 // SetTxTrace installs (nil: removes) a request-trace sink on every shard
 // thread this worker owns: while set, each STM event of the worker's
 // transactions — whatever shard the command routes to — is delivered to the
@@ -646,7 +623,7 @@ func (w *Worker) SetTxTrace(sink stm.TraceSink) {
 func (w *Worker) NumShards() int { return len(w.ws) }
 
 // Runtimes exposes the per-shard STM runtimes (nil on lock branches), so the
-// stats surface can report each shard's live algorithm.
+// stats surface can report each shard's algorithm.
 func (w *Worker) Runtimes() []*stm.Runtime { return w.c.Runtimes() }
 
 // ShardStats returns each shard's STM snapshot in shard order, for the
@@ -697,12 +674,6 @@ func (w *Worker) ResetStats() {
 		o.Reset()
 	}
 	w.c.Tracer().Reset()
-	// The controller is cache-global like the tracer: its swap counters clear
-	// exactly once per reset, and only the counters — modes, learned base
-	// configs and dwell clocks are state, not statistics.
-	if w.c.ctl != nil {
-		w.c.ctl.ResetSwapCounters()
-	}
 	// The fingerprint observer spans every shard (one fingerprint.Shard per
 	// TM domain plus the cache-global txn-phase histograms), so like the
 	// observer and tracer above it clears exactly once per reset — never

@@ -60,38 +60,6 @@ func TestTortureITFamily(t *testing.T) {
 	runTortureFamily(t, []engine.Branch{engine.IT, engine.ITOnCommit, engine.ITNoLock})
 }
 
-// TestTortureModeFlap is the controller-swap correctness proof: seeded forced
-// algorithm swaps — at least 50 per run, each quiescing its shard through the
-// serial lock — while the chaos and stable phases churn a four-domain cache.
-// A transaction observing mixed-algorithm state (or a swap clobbering an
-// in-flight attempt's effects) surfaces as a lost or corrupted stable key, an
-// unbalanced refcount, or a slab accounting mismatch in the check phase.
-func TestTortureModeFlap(t *testing.T) {
-	for _, b := range []engine.Branch{engine.IPOnCommit, engine.ITOnCommit} {
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
-			t.Parallel()
-			for _, seed := range tortureSeeds {
-				rep := torture.Run(torture.Config{
-					Branch:    b,
-					Seed:      seed,
-					Shards:    4,
-					ModeFlaps: 50,
-					Short:     *tortureShort,
-				})
-				if rep.Failed() {
-					// Replay: mctorture -branch <b> -seed <seed> -shards 4 -flaps 50
-					t.Errorf("%s", rep)
-				} else if rep.ModeSwaps < 50 {
-					t.Errorf("only %d mode swaps executed, want >= 50", rep.ModeSwaps)
-				} else {
-					t.Logf("%s", rep)
-				}
-			}
-		})
-	}
-}
-
 // TestTortureSharded runs the torture schedules against a four-domain cache:
 // four private hash tables expanding independently under key churn (the
 // lost-key check must survive every per-shard expansion), with refcount and

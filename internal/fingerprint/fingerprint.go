@@ -2,8 +2,8 @@
 // Space-Saving hot-key sketch, the read/write/delete mix, a key-skew
 // concentration estimate, a value-size log-histogram, and the abort-cause
 // mix, all kept in exponentially decayed windows so consumers (stats
-// fingerprint, /debug/fingerprint, mctop, and the tmctl hot-key gate) see
-// the last few seconds of traffic rather than process lifetime totals.
+// fingerprint, /debug/fingerprint, mctop) see the last few seconds of
+// traffic rather than process lifetime totals.
 //
 // The design contract mirrors txobs/txtrace: when fingerprinting is
 // disabled the engine hot path pays exactly one atomic pointer load (nil).
@@ -44,8 +44,8 @@ const (
 
 // decayEvery: the observer decays its windows every decayEvery ticks. At
 // the engine's 1 Hz tick this gives a half-life of 4 s — responsive enough
-// for mctop, stable enough that the tmctl gate is not whipsawed by a
-// single quiet second.
+// for mctop, stable enough that a single quiet second does not erase the
+// picture.
 const decayEvery = 4
 
 // Recorder is the per-engine-worker sampling point. Exactly one goroutine
@@ -344,16 +344,6 @@ func (o *Observer) Snapshot() Snapshot {
 		out.Shards[i] = s.snapshot()
 	}
 	return out
-}
-
-// Concentration reports shard i's current hot-key concentration — the
-// decayed-window share of operations landing on the merged top-K keys.
-// This is the tmctl FingerprintSource contract.
-func (o *Observer) Concentration(shard int) float64 {
-	if shard < 0 || shard >= len(o.shards) {
-		return 0
-	}
-	return o.shards[shard].snapshot().Concentration
 }
 
 // Reset clears every counter window and the txn-phase histograms —

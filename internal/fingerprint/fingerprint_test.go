@@ -73,10 +73,7 @@ func TestRecorderMixAndConcentration(t *testing.T) {
 	if len(s0.HotKeys) == 0 || s0.HotKeys[0].Key != "stormkey" {
 		t.Fatalf("hot keys %v, want stormkey first", s0.HotKeys)
 	}
-	if o.Concentration(0) < 0.9 {
-		t.Fatalf("Concentration(0) = %.3f", o.Concentration(0))
-	}
-	if c := o.Concentration(1); c != 0 {
+	if c := snap.Shards[1].Concentration; c != 0 {
 		t.Fatalf("idle shard concentration %.3f, want 0", c)
 	}
 	if s0.VSize.Count != 1000 || s0.VSize.Max < 128 {
@@ -182,7 +179,6 @@ func TestFingerprintConcurrentRace(t *testing.T) {
 			}
 			o.Tick()
 			_ = o.Snapshot()
-			_ = o.Concentration(1)
 			o.TxnValidate.Record(42)
 		}
 	}()

@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // TopK is the hot-key sketch capacity per recorder. Space-Saving guarantees
 // any key with true frequency > N/TopK is present, which is exactly the
-// "one or a few hot keys" question the tmctl gate asks.
+// "one or a few hot keys" question a contention diagnosis asks.
 const TopK = 16
 
 // sketchEntry is one monitored key. All fields are atomic so snapshot

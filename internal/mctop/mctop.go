@@ -1,8 +1,8 @@
 // Package mctop implements the data layer of cmd/mctop: it polls a live
 // tm-memcached server over the plain text protocol (stats, stats
-// fingerprint, stats tmctl, stats eventloop), parses the STAT lines into a
-// Frame, and renders a terminal dashboard of shards × (ops, hot keys, abort
-// ratio, controller rung, queue depths). It needs nothing but the wire
+// fingerprint, stats eventloop), parses the STAT lines into a Frame, and
+// renders a terminal dashboard of shards × (ops, hot keys, abort mix) plus
+// the transport's queue depths. It needs nothing but the wire
 // protocol, so it works against any build of the server — fingerprinting or
 // the event loop being off just blanks those columns.
 package mctop
@@ -35,12 +35,6 @@ type ShardRow struct {
 	HotKeys       []HotKey
 	AbortConflict uint64
 	AbortSerial   uint64 // serial-evidence escalations, all causes summed
-
-	// From stats tmctl (zero values when the controller is off).
-	Mode       string
-	Algorithm  string
-	AbortRatio float64
-	HaveCtl    bool
 }
 
 // Frame is one poll of the server.
@@ -136,7 +130,7 @@ func shardField(key string) (int, string, bool) {
 	return n, field, true
 }
 
-// Fetch polls addr once. The timeout covers dial plus all four queries.
+// Fetch polls addr once. The timeout covers dial plus all three queries.
 func Fetch(addr string, timeout time.Duration) (*Frame, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -221,27 +215,6 @@ func Fetch(addr string, timeout time.Duration) (*Frame, error) {
 					})
 				}
 			}
-		}
-	}); err != nil {
-		return nil, err
-	}
-
-	if err := statsQuery(rw, "tmctl", func(k, v string) {
-		if k == "tmctl" {
-			return
-		}
-		i, field, ok := shardField(k)
-		if !ok {
-			return
-		}
-		s := shard(i)
-		switch field {
-		case "mode":
-			s.Mode, s.HaveCtl = v, true
-		case "algorithm":
-			s.Algorithm = v
-		case "abort_ratio":
-			s.AbortRatio = atoiF(v)
 		}
 	}); err != nil {
 		return nil, err
@@ -350,14 +323,10 @@ func Render(cur, prev *Frame) string {
 	if !cur.FingerprintOn {
 		b.WriteString("fingerprint: DISABLED (showing last collected windows)\n")
 	}
-	fmt.Fprintf(&b, "%-5s %10s %8s %8s %6s %6s %5s %-8s %-6s %s\n",
-		"shard", "ops(win)", "reads", "writes", "conc", "abrt", "serl", "mode", "algo", "hot keys")
+	fmt.Fprintf(&b, "%-5s %10s %8s %8s %6s %6s %5s %s\n",
+		"shard", "ops(win)", "reads", "writes", "conc", "abrt", "serl", "hot keys")
 	for i := range cur.Shards {
 		s := &cur.Shards[i]
-		mode, algo := s.Mode, s.Algorithm
-		if !s.HaveCtl {
-			mode, algo = "-", "-"
-		}
 		hot := make([]string, 0, 3)
 		for j, hk := range s.HotKeys {
 			if j == 3 {
@@ -365,9 +334,9 @@ func Render(cur, prev *Frame) string {
 			}
 			hot = append(hot, fmt.Sprintf("%s:%d", hk.Key, hk.Count))
 		}
-		fmt.Fprintf(&b, "%-5d %10d %8d %8d %5.2f %6d %5d %-8s %-6s %s\n",
+		fmt.Fprintf(&b, "%-5d %10d %8d %8d %5.2f %6d %5d %s\n",
 			i, s.Ops, s.Reads, s.Writes, s.Concentration,
-			s.AbortConflict, s.AbortSerial, mode, algo, strings.Join(hot, " "))
+			s.AbortConflict, s.AbortSerial, strings.Join(hot, " "))
 	}
 	return b.String()
 }

@@ -201,6 +201,34 @@ func TestTextStatsAndVersion(t *testing.T) {
 	}
 }
 
+// TestTextStatsGroups: every stats group the server knows answers with its
+// own block, and a group it does not know — including the retired feedback
+// controller's group — answers ERROR, as memcached does, rather than the
+// general stats block.
+func TestTextStatsGroups(t *testing.T) {
+	for _, group := range []string{"", "reset", "slabs", "tm", "conflicts", "latency", "slowlog", "fingerprint", "eventloop"} {
+		cmd := strings.TrimSpace("stats " + group)
+		out := runText(t, cmd+"\r\n")
+		want := "END\r\n"
+		if group == "reset" {
+			want = "RESET\r\n"
+		}
+		if !strings.HasSuffix(out, want) {
+			t.Errorf("%q: out = %q, want a block ending in %q", cmd, out, want)
+		}
+	}
+	retired := "tm" + "ctl" // the removed feedback controller's group
+	for _, group := range []string{retired, "nosuch"} {
+		if out := runText(t, "stats "+group+"\r\n"); out != "ERROR\r\n" {
+			t.Errorf("stats %s: out = %q, want ERROR", group, out)
+		}
+	}
+	// The connection survives the error.
+	if out := runText(t, "stats nosuch\r\nversion\r\n"); out != "ERROR\r\nVERSION "+Version+"\r\n" {
+		t.Errorf("after unknown group: out = %q", out)
+	}
+}
+
 func TestTextFlushAll(t *testing.T) {
 	out := runText(t, "set a 0 0 1\r\nx\r\nflush_all\r\nget a\r\n")
 	if !strings.HasSuffix(out, "OK\r\nEND\r\n") {

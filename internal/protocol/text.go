@@ -424,8 +424,6 @@ func (c *Conn) dispatchText(cmd textCmd, args [][]byte) error {
 				return c.cmdStatsSlabs()
 			case "tm":
 				return c.cmdStatsTM()
-			case "tmctl":
-				return c.cmdStatsTMCtl()
 			case "conflicts":
 				return c.cmdStatsConflicts()
 			case "latency":
@@ -437,6 +435,9 @@ func (c *Conn) dispatchText(cmd textCmd, args [][]byte) error {
 			case "eventloop":
 				return c.cmdStatsEventLoop()
 			}
+			// A group this server does not know: memcached answers ERROR
+			// rather than a plausible but unrelated block.
+			return c.reply("ERROR\r\n")
 		}
 		return c.cmdStats()
 	case cmdFlushAll:
@@ -835,9 +836,7 @@ func (c *Conn) cmdStatsTM() error {
 	fmt.Fprintf(c.w, "STAT start_serial %d\r\n", s.StartSerial)
 	fmt.Fprintf(c.w, "STAT inflight_switch %d\r\n", s.InFlightSwitch)
 	// Per-domain breakdown: each shard owns an independent STM runtime, so
-	// the merged counters above decompose exactly into these lines. Each
-	// shard's live algorithm and swap counters ride along — under the
-	// feedback controller these can differ per shard and change mid-run.
+	// the merged counters above decompose exactly into these lines.
 	if shards := c.worker.ShardStats(); len(shards) > 1 {
 		rts := c.worker.Runtimes()
 		fmt.Fprintf(c.w, "STAT shards %d\r\n", len(shards))
@@ -846,9 +845,8 @@ func (c *Conn) cmdStatsTM() error {
 			fmt.Fprintf(c.w, "STAT shard_%d_aborts %d\r\n", i, ss.Aborts)
 			fmt.Fprintf(c.w, "STAT shard_%d_ro_fast_commit %d\r\n", i, ss.ROFastCommits)
 			if rts != nil {
-				fmt.Fprintf(c.w, "STAT shard_%d_algorithm %s\r\n", i, rts[i].Algorithm())
+				fmt.Fprintf(c.w, "STAT shard_%d_algorithm %s\r\n", i, rts[i].Config().Algorithm)
 			}
-			fmt.Fprintf(c.w, "STAT shard_%d_algo_swaps %d\r\n", i, ss.AlgoSwaps)
 		}
 	}
 	r, ok, err := c.obsReport(0)
@@ -865,37 +863,6 @@ func (c *Conn) cmdStatsTM() error {
 	}
 	for i, cc := range r.AbortCauses {
 		fmt.Fprintf(c.w, "STAT abort_cause_%d %d %s\r\n", i, cc.Count, cc.Cause)
-	}
-	return c.reply("END\r\n")
-}
-
-// cmdStatsTMCtl reports the feedback controller's view (`stats tmctl`): the
-// per-shard mode ladder position, live algorithm, last-window signals and
-// swap counters. A server without -tmctl replies with a bare disabled marker.
-func (c *Conn) cmdStatsTMCtl() error {
-	ctl := c.worker.Controller()
-	if ctl == nil {
-		fmt.Fprintf(c.w, "STAT tmctl 0\r\n")
-		return c.reply("END\r\n")
-	}
-	st := ctl.Snapshot()
-	fmt.Fprintf(c.w, "STAT tmctl 1\r\n")
-	fmt.Fprintf(c.w, "STAT interval_ms %d\r\n", st.Interval.Milliseconds())
-	fmt.Fprintf(c.w, "STAT degrades %d\r\n", st.Degrades)
-	fmt.Fprintf(c.w, "STAT promotes %d\r\n", st.Promotes)
-	fmt.Fprintf(c.w, "STAT retunes %d\r\n", st.Retunes)
-	fmt.Fprintf(c.w, "STAT anomaly_trips %d\r\n", st.AnomalyTrips)
-	for _, s := range st.Shards {
-		fmt.Fprintf(c.w, "STAT shard_%d_mode %s\r\n", s.Shard, s.Mode)
-		fmt.Fprintf(c.w, "STAT shard_%d_algorithm %s\r\n", s.Shard, s.Algorithm)
-		fmt.Fprintf(c.w, "STAT shard_%d_pinned %d\r\n", s.Shard, boolInt(s.Pinned))
-		fmt.Fprintf(c.w, "STAT shard_%d_abort_ratio %.3f\r\n", s.Shard, s.AbortRatio)
-		fmt.Fprintf(c.w, "STAT shard_%d_ro_share %.3f\r\n", s.Shard, s.ROShare)
-		fmt.Fprintf(c.w, "STAT shard_%d_calm_windows %d\r\n", s.Shard, s.CalmWins)
-		fmt.Fprintf(c.w, "STAT shard_%d_heal_backoff_shift %d\r\n", s.Shard, s.HealShift)
-		fmt.Fprintf(c.w, "STAT shard_%d_degrades %d\r\n", s.Shard, s.Degrades)
-		fmt.Fprintf(c.w, "STAT shard_%d_promotes %d\r\n", s.Shard, s.Promotes)
-		fmt.Fprintf(c.w, "STAT shard_%d_retunes %d\r\n", s.Shard, s.Retunes)
 	}
 	return c.reply("END\r\n")
 }

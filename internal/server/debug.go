@@ -15,10 +15,6 @@
 //	               captures the flight recorder now, ?reset=1 clears it
 //	/debug/fingerprint  GET reports the live workload fingerprint (JSON);
 //	               POST ?enable=0|1 toggles sampling, ?reset=1 clears windows
-//	/debug/tmctl   GET reports the feedback controller's per-shard modes;
-//	               POST ?shard=N&mode=normal|tml|serial[&pin=1] forces a
-//	               shard's rung, ?shard=N&release=1 hands it back to
-//	               automatic control
 package server
 
 import (
@@ -27,11 +23,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 
 	"repro/internal/engine"
 	"repro/internal/protocol"
-	"repro/internal/tmctl"
 	"repro/internal/txtrace"
 )
 
@@ -80,9 +74,6 @@ func NewDebugHandlerServer(cache *engine.Cache, srv *Server) http.Handler {
 		inuse, idle := protocol.BufferGauges()
 		vars["conn_buffers_inuse"] = inuse
 		vars["conn_buffers_idle"] = idle
-		if ctl := cache.Controller(); ctl != nil {
-			vars["tmctl"] = ctl.Snapshot()
-		}
 		if o := cache.Fingerprint(); o != nil {
 			vars["fingerprint_enabled"] = cache.FingerprintEnabled()
 			vars["fingerprint"] = o.Snapshot()
@@ -227,42 +218,6 @@ func NewDebugHandlerServer(cache *engine.Cache, srv *Server) http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(tr.Export())
-	})
-
-	mux.HandleFunc("/debug/tmctl", func(w http.ResponseWriter, r *http.Request) {
-		ctl := cache.Controller()
-		if ctl == nil {
-			http.Error(w, "tmctl: controller not enabled (-tmctl)", http.StatusServiceUnavailable)
-			return
-		}
-		if r.Method == http.MethodPost {
-			q := r.URL.Query()
-			shard, err := strconv.Atoi(q.Get("shard"))
-			if err != nil {
-				http.Error(w, "tmctl: shard=N required", http.StatusBadRequest)
-				return
-			}
-			switch {
-			case q.Get("release") == "1":
-				err = ctl.Release(shard)
-			case q.Get("mode") != "":
-				var mode tmctl.Mode
-				mode, err = tmctl.ParseMode(q.Get("mode"))
-				if err == nil {
-					err = ctl.Override(shard, mode, q.Get("pin") == "1")
-				}
-			default:
-				err = fmt.Errorf("tmctl: mode= or release=1 required")
-			}
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(ctl.Snapshot())
 	})
 
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -1,5 +1,7 @@
 package stm
 
+import "runtime"
+
 // Hardware-TM emulation.
 //
 // §5 of the paper observes that "the latest version of GCC requires every
@@ -68,5 +70,34 @@ func (tx *Tx) htmMarkEager() {
 		th.eagerSub.Store(false)
 		tx.noteConflict("conflict: serial-lock subscription", 0)
 		panic(abortSignal{})
+	}
+}
+
+// drainEagerSubscribed waits, with the serial write lock held, for in-flight
+// emulated-hardware attempts that have performed eager writes to retire.
+// They subscribe instead of taking the read side, so Lock() does not drain
+// them — yet they write eagerly in place, and their rollback (undo-log
+// restore) racing this serial writer's uninstrumented stores would clobber
+// committed data. Real RTM aborts the hardware transaction the moment the
+// lock's cache line is invalidated; the emulation gets the same guarantee by
+// waiting here. Only attempts holding dirty in-place state are waited for:
+// eagerSub is published at the first eager write (htmMarkEager), not at
+// begin, so a hardware attempt that has merely read — and may be parked in
+// its body — cannot stall the serial writer. The waited-for attempts are
+// doomed (the acquisition broke their subscription) and already past their
+// last subscription check, so the wait is bounded by their rollback.
+func (rt *Runtime) drainEagerSubscribed() {
+	snapP := rt.thSnap.Load()
+	if snapP == nil {
+		return
+	}
+	for _, th := range *snapP {
+		spins := 0
+		for th.eagerSub.Load() {
+			spins++
+			if spins > 32 {
+				runtime.Gosched()
+			}
+		}
 	}
 }

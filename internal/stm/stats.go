@@ -38,11 +38,6 @@ type Stats struct {
 	// execution for guaranteed progress.
 	WatchdogBackoffs   atomic.Uint64
 	WatchdogSerializes atomic.Uint64
-
-	// Dynamic reconfiguration (see dyn.go): total Reconfigure calls, and the
-	// subset that changed the algorithm (controller mode swaps).
-	Reconfigures atomic.Uint64
-	AlgoSwaps    atomic.Uint64
 }
 
 // Snapshot is a point-in-time copy of Stats plus per-thread breakdowns.
@@ -64,9 +59,6 @@ type Snapshot struct {
 
 	WatchdogBackoffs   uint64
 	WatchdogSerializes uint64
-
-	Reconfigures uint64
-	AlgoSwaps    uint64
 
 	ThreadCommits []uint64
 	ThreadAborts  []uint64
@@ -92,9 +84,6 @@ func (rt *Runtime) Stats() Snapshot {
 
 		WatchdogBackoffs:   rt.stats.WatchdogBackoffs.Load(),
 		WatchdogSerializes: rt.stats.WatchdogSerializes.Load(),
-
-		Reconfigures: rt.stats.Reconfigures.Load(),
-		AlgoSwaps:    rt.stats.AlgoSwaps.Load(),
 	}
 	rt.mu.Lock()
 	for _, th := range rt.threads {
@@ -121,8 +110,6 @@ func (rt *Runtime) ResetStats() {
 	rt.stats.ROUpgrades.Store(0)
 	rt.stats.WatchdogBackoffs.Store(0)
 	rt.stats.WatchdogSerializes.Store(0)
-	rt.stats.Reconfigures.Store(0)
-	rt.stats.AlgoSwaps.Store(0)
 	rt.mu.Lock()
 	for _, th := range rt.threads {
 		th.commits.Store(0)
@@ -147,8 +134,6 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 
 		WatchdogBackoffs:   s.WatchdogBackoffs - base.WatchdogBackoffs,
 		WatchdogSerializes: s.WatchdogSerializes - base.WatchdogSerializes,
-		Reconfigures:       s.Reconfigures - base.Reconfigures,
-		AlgoSwaps:          s.AlgoSwaps - base.AlgoSwaps,
 	}
 }
 
@@ -170,8 +155,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.ROUpgrades += o.ROUpgrades
 	s.WatchdogBackoffs += o.WatchdogBackoffs
 	s.WatchdogSerializes += o.WatchdogSerializes
-	s.Reconfigures += o.Reconfigures
-	s.AlgoSwaps += o.AlgoSwaps
 	s.ThreadCommits = append(append([]uint64(nil), s.ThreadCommits...), o.ThreadCommits...)
 	s.ThreadAborts = append(append([]uint64(nil), s.ThreadAborts...), o.ThreadAborts...)
 	return s

@@ -257,12 +257,7 @@ func (c Config) withDefaults() Config {
 // Runtime is a TM domain: an orec table, a version clock, the global serial
 // lock, a contention-management gate, and statistics.
 type Runtime struct {
-	cfg Config
-
-	// dyn is the runtime-swappable slice of the configuration (algorithm,
-	// contention manager, retry budget, backoff curve); see dyn.go. Attempts
-	// pin the pointer at begin; Reconfigure swaps it under the serial lock.
-	dyn  atomic.Pointer[DynConfig]
+	cfg  Config
 	seed uint64 // backoff-jitter seed (Config.Seed, defaulted)
 
 	clock  atomic.Uint64 // global version clock (MLWT, Lazy)
@@ -328,12 +323,6 @@ func New(cfg Config) *Runtime {
 	if rt.seed == 0 {
 		rt.seed = 0x9E3779B97F4A7C15
 	}
-	d := DynConfig{
-		Algorithm:      cfg.Algorithm,
-		CM:             cfg.CM,
-		SerializeAfter: cfg.SerializeAfter,
-	}.withDefaults()
-	rt.dyn.Store(&d)
 	return rt
 }
 

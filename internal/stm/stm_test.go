@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"repro/internal/fault"
 )
 
 var algorithms = []Algorithm{MLWT, LazyAlg, NOrec, SerialAlg, HTM, TML}
@@ -252,6 +255,94 @@ func TestOnAbortRunsPerAbort(t *testing.T) {
 	}
 	if got := rt.Stats().AbortSerial; got != 1 {
 		t.Errorf("AbortSerial = %d, want 1", got)
+	}
+}
+
+// TestSerializeAfterBudget checks the static retry budget: under CMSerialize
+// an attempt escalates to serial after exactly Config.SerializeAfter
+// consecutive aborts, and a transaction that aborts fewer times commits
+// speculatively.
+func TestSerializeAfterBudget(t *testing.T) {
+	for _, budget := range []int{1, 3, 8} {
+		for _, want := range []int{budget - 1, budget, budget + 2} {
+			rt := New(Config{Algorithm: MLWT, CM: CMSerialize, SerializeAfter: budget})
+			th := rt.NewThread()
+			v := NewTWord(0)
+			aborts, serial := 0, false
+			mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
+				v.Store(tx, v.Load(tx)+1)
+				serial = tx.Serial()
+				if aborts < want && !serial {
+					aborts++
+					tx.Abort()
+				}
+			})
+			wantSerial := want >= budget
+			if serial != wantSerial {
+				t.Errorf("budget %d, %d requested aborts: committed serial = %v, want %v", budget, want, serial, wantSerial)
+			}
+			if wantSerial && aborts != budget {
+				t.Errorf("budget %d: escalated after %d aborts, want %d", budget, aborts, budget)
+			}
+			var wantAS uint64
+			if wantSerial {
+				wantAS = 1
+			}
+			if got := rt.Stats().AbortSerial; got != wantAS {
+				t.Errorf("budget %d, %d requested aborts: AbortSerial = %d, want %d", budget, want, got, wantAS)
+			}
+			if got := v.LoadDirect(); got != 1 {
+				t.Errorf("budget %d: v = %d, want 1", budget, got)
+			}
+		}
+	}
+}
+
+// TestBackoffDeterminism: with the jitter state seeded from an internal/fault
+// injector seed, the backoff delay sequence is a pure function of (seed,
+// thread ordinal, consec) — identical across runtimes with the same seed,
+// different across seeds — and follows the fixed exponential curve.
+func TestBackoffDeterminism(t *testing.T) {
+	seq := func(seed uint64, ordinal uint64, n int) []time.Duration {
+		in := fault.New(seed)
+		rt := New(Config{Algorithm: MLWT, CM: CMBackoff, Fault: in})
+		var th *Thread
+		for i := uint64(0); i <= ordinal; i++ {
+			th = rt.NewThread()
+		}
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = backoffDelay(&th.rngState, i+1)
+		}
+		return out
+	}
+
+	a := seq(0xDECAFBAD, 1, 32)
+	b := seq(0xDECAFBAD, 1, 32)
+	c := seq(0x5EED5EED, 1, 32)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("delay[%d]: %v != %v for identical seeds", i, a[i], b[i])
+		}
+	}
+	diff := false
+	for i := range a {
+		if a[i] != c[i] {
+			diff = true
+			break
+		}
+	}
+	if !diff {
+		t.Fatal("identical delay sequences for different seeds")
+	}
+
+	// The curve must be exponential with jitter inside [w/2, w] where the
+	// window w doubles per consecutive abort up to the cap.
+	for i, d := range a {
+		w := time.Duration(backoffBaseNs << min(i+1, backoffMaxShift))
+		if d < w/2 || d > w {
+			t.Errorf("delay[%d] = %v outside window [%v, %v]", i, d, w/2, w)
+		}
 	}
 }
 

@@ -204,7 +204,7 @@ type Tx struct {
 
 	serial    bool
 	ro        bool      // read-only fast path attempt (orec algorithms only)
-	algo      Algorithm // pinned at begin from the dynamic config; never changes mid-attempt
+	algo      Algorithm // the runtime's algorithm, copied at begin
 	lockWord  uint64    // odd; unique per attempt
 	start     uint64    // clock snapshot (MLWT/Lazy) or sequence snapshot (NOrec/TML)
 	htmSeq    uint64    // serial-lock subscription sequence (HTM)
@@ -333,16 +333,14 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 	}
 
 	// serial is sticky across attempts once escalation (in-flight switch,
-	// abort-serial, watchdog) demands it; an attempt also runs serial when
-	// the dynamic config says SerialAlg, decided per attempt in begin so a
-	// controller swapping the domain back to a speculative algorithm takes
-	// effect on the very next attempt.
+	// abort-serial, watchdog) demands it; under SerialAlg begin makes every
+	// attempt serial.
 	serial := false
 	// The read-only fast path exists for the orec-based algorithms, where a
 	// reader otherwise pays serial-lock read acquisition and release on every
 	// attempt. NOrec's read-only commit is already free, HTM already
 	// subscribes, and TML/serial have nothing to skip; begin applies the hint
-	// against the algorithm current at each attempt.
+	// against the runtime's algorithm.
 	wantRO := props.ReadOnly
 	if props.StartSerial {
 		serial = true
@@ -373,9 +371,10 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 		th.escalate.Store(escalateNone)
 	}()
 
+	cfg := &rt.cfg
 	consec := 0 // consecutive aborts of this source-level transaction
 	for {
-		if rt.dynLoad().CM == CMHourglass && !serial {
+		if cfg.CM == CMHourglass && !serial {
 			th.gateWait()
 		}
 		tx := th.begin(props, serial, wantRO && !serial)
@@ -391,9 +390,7 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 				rt.stats.SerialCommits.Add(1)
 			}
 			if th.id != 0 {
-				// Release the hourglass gate if this thread ever closed it —
-				// unconditional on the current CM, which the controller may
-				// have swapped away from hourglass mid-transaction.
+				// Release the hourglass gate if this thread ever closed it.
 				th.gateRelease()
 			}
 			if o := rt.obs.Load(); o != nil || th.trace != nil {
@@ -452,11 +449,7 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 			if props.MaxRetries > 0 && consec >= props.MaxRetries {
 				return ErrRetryLimit
 			}
-			// Contention-management decisions read the configuration fresh:
-			// the controller may have retuned CM, retry budget, or backoff
-			// curve while the attempt ran.
-			d := rt.dynLoad()
-			if d.Algorithm == HTM && consec >= rt.cfg.HTMRetries {
+			if cfg.Algorithm == HTM && consec >= cfg.HTMRetries {
 				// Lock-elision fallback: take the global lock for real.
 				rt.stats.HTMFallbacks.Add(1)
 				if o := rt.obs.Load(); o != nil || th.trace != nil {
@@ -465,9 +458,9 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 				serial = true
 				continue
 			}
-			switch d.CM {
+			switch cfg.CM {
 			case CMSerialize:
-				if consec >= d.SerializeAfter {
+				if consec >= cfg.SerializeAfter {
 					rt.stats.AbortSerial.Add(1)
 					// The abort-serial event inherits the conflict that pushed
 					// the attempt over the limit, so serialization-for-progress
@@ -478,9 +471,9 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 					serial = true
 				}
 			case CMBackoff:
-				th.backoff(consec, d.Backoff)
+				th.backoff(consec)
 			case CMHourglass:
-				if consec >= rt.cfg.HourglassAfter {
+				if consec >= cfg.HourglassAfter {
 					th.gateAcquire()
 				}
 			case CMNone:
@@ -495,8 +488,8 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 			// the next attempt serial-irrevocable for guaranteed progress.
 			switch th.escalate.Load() {
 			case escalateBackoff:
-				if d.CM != CMBackoff {
-					th.backoff(consec, d.Backoff)
+				if cfg.CM != CMBackoff {
+					th.backoff(consec)
 				}
 			case escalateSerialize:
 				serial = true
@@ -548,8 +541,8 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 	tx.traced = th.trace != nil
 	rt.stats.Starts.Add(1)
 	if !serial {
-		// Pin the dynamic configuration and acquire the attempt's serial-lock
-		// side; a domain reconfigured to SerialAlg makes this attempt serial.
+		// Acquire the attempt's serial-lock side; under SerialAlg every
+		// attempt is serial.
 		serial = !th.beginSpeculative(tx, wantRO)
 	}
 	tx.serial = serial
@@ -575,9 +568,9 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 		if tx.traced {
 			rt.noteSerialOwner(tx.sitePtr())
 		}
-		tx.algo = rt.dynLoad().Algorithm // stable under the write lock
+		tx.algo = rt.cfg.Algorithm
 	} else {
-		// beginSpeculative already pinned tx.algo, acquired the read side or
+		// beginSpeculative already set tx.algo, acquired the read side or
 		// the subscription (read-only fast path, HTM elision), and published
 		// activeSince — which keeps writers' privatization-safety quiescence
 		// covering fast-path readers too.
@@ -610,6 +603,46 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 	}
 	th.cur = tx
 	return tx
+}
+
+// beginSpeculative acquires a speculative attempt's serial-lock side:
+// read-only and HTM attempts publish activeSince and subscribe (loads only),
+// everything else takes the read side. Returns false — with nothing held —
+// under SerialAlg, in which case the caller must run serially.
+func (th *Thread) beginSpeculative(tx *Tx, wantRO bool) bool {
+	rt := th.rt
+	algo := rt.cfg.Algorithm
+	if algo == SerialAlg {
+		return false
+	}
+	tx.algo = algo
+	tx.ro = wantRO && (algo == MLWT || algo == LazyAlg)
+	if !tx.ro && algo != HTM {
+		rt.serial.RLock()
+		th.activeSince.Store(rt.txSeq.Add(1))
+		return true
+	}
+	for {
+		// Publish activeSince before subscribing: a concurrent serial writer
+		// either makes the subscription fail (writer bit visible) or sees the
+		// published state in its commit-time quiescence and waits for this
+		// attempt to retire. Emulated-HTM attempts publish their eagerSub
+		// mark lazily, at the first eager write (htmMarkEager) — an attempt
+		// that has only read holds no in-place state, so a serial writer need
+		// not wait for it.
+		th.activeSince.Store(rt.txSeq.Add(1))
+		seq, ok := rt.serial.trySubscribe()
+		if ok {
+			if tx.ro {
+				tx.roSeq = seq
+			} else {
+				tx.htmSeq = seq
+			}
+			return true
+		}
+		th.activeSince.Store(0)
+		rt.serial.waitNoWriter()
+	}
 }
 
 // finish tears down the attempt; on commit it then runs the onCommit
@@ -1307,17 +1340,15 @@ func (th *Thread) gateRelease() {
 }
 
 // backoff waits for an exponentially growing interval with deterministic
-// seeded jitter (see backoffDelay in dyn.go): the window shape is taken from
-// the dynamic config, so a controller can widen a degraded shard's curve
-// live. Long waits use the OS timer, which is exactly the preemption
-// exposure the paper blames for backoff's poor behaviour at high thread
-// counts; short waits burn scheduler yields instead.
-func (th *Thread) backoff(consec int, bc BackoffConfig) {
+// seeded jitter (see backoffDelay). Long waits use the OS timer, which is
+// exactly the preemption exposure the paper blames for backoff's poor
+// behaviour at high thread counts; short waits burn scheduler yields instead.
+func (th *Thread) backoff(consec int) {
 	if o := th.rt.obs.Load(); o != nil {
 		t0 := time.Now()
 		defer func() { o.ObservePhase(txobs.PhaseBackoff, time.Since(t0)) }()
 	}
-	ns := uint64(backoffDelay(&th.rngState, consec, bc))
+	ns := uint64(backoffDelay(&th.rngState, consec))
 	if ns < 2048 {
 		for i := uint64(0); i < ns/16; i++ {
 			runtime.Gosched()
@@ -1325,4 +1356,37 @@ func (th *Thread) backoff(consec int, bc BackoffConfig) {
 		return
 	}
 	time.Sleep(time.Duration(ns) * time.Nanosecond)
+}
+
+// The abort-backoff curve: the delay window for the n-th consecutive abort is
+// backoffBaseNs<<min(n, backoffMaxShift) nanoseconds.
+const (
+	backoffBaseNs   = 64
+	backoffMaxShift = 12
+)
+
+// backoffDelay computes the next exponential-with-jitter abort delay: the
+// window doubles per consecutive abort up to backoffMaxShift, and the delay is
+// drawn from the upper half of the window using the caller's xorshift64*
+// state — advancing it — so a fixed seed yields a reproducible sequence (the
+// determinism the fault-injection replay harness depends on).
+func backoffDelay(state *uint64, consec int) time.Duration {
+	ns := uint64(backoffBaseNs) << min(consec, backoffMaxShift)
+	x := *state
+	x ^= x >> 12
+	x ^= x << 25
+	x ^= x >> 27
+	*state = x
+	r := x * 0x2545F4914F6CDD1D
+	ns = ns/2 + r%(ns/2+1) // jitter in [ns/2, ns]
+	return time.Duration(ns)
+}
+
+// mixSeed folds a runtime seed and a thread ordinal into a nonzero xorshift
+// state (splitmix64 finalizer).
+func mixSeed(seed, ordinal uint64) uint64 {
+	z := seed + (ordinal+1)*0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31) | 1
 }

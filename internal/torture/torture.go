@@ -36,7 +36,6 @@ import (
 	"repro/internal/assoc"
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/tmctl"
 )
 
 // Config parameterizes one torture run. Zero fields take defaults.
@@ -58,15 +57,6 @@ type Config struct {
 	// concurrent per-shard expansions, and the refcount/slab balance checks
 	// sum over shards via ValidateQuiescent.
 	Shards int
-
-	// ModeFlaps, when positive, runs the controller fault schedule: a flapper
-	// goroutine forces at least this many algorithm/mode swaps — drawn from
-	// the run's seed — across the shards while the chaos phases churn, each
-	// swap quiescing its shard through the serial lock. The lost-key,
-	// refcount and slab-accounting checks then cover transactions that
-	// spanned mode boundaries. Transactional branches only (lock branches
-	// have nothing to swap; the flapper is skipped and ModeSwaps stays 0).
-	ModeFlaps int
 
 	// EventLoop runs the network phases over the event-driven transport
 	// (epoll front end + shard-affine worker pool) instead of goroutine per
@@ -170,7 +160,6 @@ type Report struct {
 	Violations  []string
 	HashExpands uint64
 	FaultsFired uint64
-	ModeSwaps   uint64 // forced controller swaps executed (Config.ModeFlaps)
 	Faults      string // injector summary (point, rate, hits, fires)
 	Elapsed     time.Duration
 
@@ -185,16 +174,13 @@ func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 
 func (r *Report) String() string {
 	if !r.Failed() {
-		flaps := ""
-		if r.ModeSwaps > 0 {
-			flaps = fmt.Sprintf(", %d mode swaps", r.ModeSwaps)
-		}
+		tx := ""
 		if r.TxCommits > 0 {
-			flaps += fmt.Sprintf(", %d tx commits (%d conflicts, %d serial fallbacks)",
+			tx = fmt.Sprintf(", %d tx commits (%d conflicts, %d serial fallbacks)",
 				r.TxCommits, r.TxConflicts, r.TxSerialFallbacks)
 		}
 		return fmt.Sprintf("torture %s seed=%d: ok (%d faults fired, %d hash expansions%s, %v)",
-			r.Branch, r.Seed, r.FaultsFired, r.HashExpands, flaps, r.Elapsed.Round(time.Millisecond))
+			r.Branch, r.Seed, r.FaultsFired, r.HashExpands, tx, r.Elapsed.Round(time.Millisecond))
 	}
 	out := fmt.Sprintf("torture %s seed=%d: %d violation(s):\n", r.Branch, r.Seed, len(r.Violations))
 	for _, v := range r.Violations {
@@ -236,7 +222,7 @@ func Run(cfg Config) *Report {
 	in := fault.RandomSchedule(cfg.Seed, points, cfg.MaxRate)
 	in.Arm()
 
-	econf := engine.Config{
+	cache := engine.New(engine.Config{
 		Branch:    cfg.Branch,
 		Shards:    cfg.Shards,
 		MemLimit:  cfg.MemLimit,
@@ -244,16 +230,7 @@ func Run(cfg Config) *Report {
 		Automove:  true,
 		Fault:     in,
 		Watchdog:  2 * time.Millisecond,
-	}
-	if cfg.ModeFlaps > 0 {
-		// The flapper drives the controller manually (Override); a huge
-		// interval keeps its own sampling loop out of the schedule so the
-		// swap sequence is exactly the seeded one.
-		p := tmctl.DefaultPolicy()
-		p.Interval = time.Hour
-		econf.TMCtl = &p
-	}
-	cache := engine.New(econf)
+	})
 	cache.Start()
 
 	issued := runChaos(cache, cfg, in, rep)
@@ -276,11 +253,8 @@ func Run(cfg Config) *Report {
 	return rep
 }
 
-// runChaos runs phases A and B — with the mode flapper alongside when
-// configured — and returns the totals of what was issued.
+// runChaos runs phases A and B and returns the totals of what was issued.
 func runChaos(cache *engine.Cache, cfg Config, in *fault.Injector, rep *Report) opCounts {
-	stopFlaps := startFlapper(cache, cfg, rep)
-
 	// Phase A: full command mix over a churn keyspace, everything armed.
 	perWorker := make([]opCounts, cfg.Workers)
 	var wg sync.WaitGroup
@@ -308,8 +282,6 @@ func runChaos(cache *engine.Cache, cfg Config, in *fault.Injector, rep *Report) 
 	wg.Wait()
 	validatePhase(cache, in, rep, "B")
 
-	stopFlaps()
-
 	var total opCounts
 	for i := range perWorker {
 		total.add(perWorker[i])
@@ -327,55 +299,6 @@ func validatePhase(cache *engine.Cache, in *fault.Injector, rep *Report, phase s
 	defer in.Arm()
 	if err := cache.Validate(); err != nil {
 		rep.violatef("structural validation after phase %s: %v", phase, err)
-	}
-}
-
-// startFlapper launches the forced-swap goroutine when Config.ModeFlaps asks
-// for one. The flap schedule — target shard, mode rung, pacing — is a pure
-// function of the run's seed. The returned stop function waits until at
-// least ModeFlaps swaps have executed (the quiesce protocol makes each swap
-// cheap, so trailing flaps on an idling cache finish promptly), then heals
-// every shard back to Normal so the check phase and the final structural
-// validation also cover the "storm passed" configuration restore.
-func startFlapper(cache *engine.Cache, cfg Config, rep *Report) (stop func()) {
-	ctl := cache.Controller()
-	if cfg.ModeFlaps <= 0 || ctl == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		rng := rngState(cfg.Seed, 0xF1A9)
-		modes := []tmctl.Mode{tmctl.ModeTML, tmctl.ModeSerial, tmctl.ModeNormal}
-		flaps := 0
-		for {
-			select {
-			case <-done:
-				if flaps >= cfg.ModeFlaps {
-					return
-				}
-			default:
-			}
-			r := rng.next()
-			shard := int(r % uint64(cache.NumShards()))
-			if err := ctl.Override(shard, modes[(r>>16)%3], false); err != nil {
-				rep.violatef("mode flap %d: %v", flaps, err)
-				return
-			}
-			flaps++
-			rep.ModeSwaps++
-			time.Sleep(time.Duration(500+r>>32%1500) * time.Microsecond)
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
-		for s := 0; s < cache.NumShards(); s++ {
-			if err := ctl.Override(s, tmctl.ModeNormal, false); err != nil {
-				rep.violatef("healing shard %d after flaps: %v", s, err)
-			}
-		}
 	}
 }
 
