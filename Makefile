@@ -64,7 +64,8 @@ torture:
 	$(GO) test -race -run Torture -count=1 ./internal/engine ./internal/server
 
 # bench runs the experiments behind every claim made beyond the paper's
-# figures (EXP=all, or a comma-separated subset: shards, trace-overhead,
+# figures (EXP=all, or a comma-separated subset: shards, trace-overhead —
+# transaction observability never on, on then off, and on —,
 # fingerprint-overhead, txn, conns) through the one runner in internal/bench
 # and records them in BENCH_experiments.json; entries of experiments not run
 # are kept.
@@ -73,6 +74,7 @@ bench:
 	$(GO) run ./cmd/mcbench -exp $(EXP)
 
 # profile runs a short mcbench with transaction observability on and prints
-# the serialization causes, conflict heat map, and latency summary.
+# the serialization causes, conflict heat map, who aborted whom, and latency
+# summary.
 profile:
 	$(GO) run ./cmd/mcbench -profile it-oncommit -ops 2000 -threads 4

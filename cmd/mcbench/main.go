@@ -5,7 +5,8 @@
 //	mcbench -fig 9               # one figure
 //	mcbench -table 1             # one table
 //	mcbench -ratios              # the §4 abort-ratio quotes
-//	mcbench -profile it-oncommit # one branch with transaction observability on
+//	mcbench -profile it-oncommit # one branch with transaction observability on:
+//	                             # causes, heat map, who aborted whom
 //	mcbench -all -ops 625000 -threads 1,2,4,8,12 -trials 5   # paper scale
 //
 //	mcbench -exp all             # shards, trace-overhead, fingerprint-overhead,
@@ -13,6 +14,8 @@
 //
 // Experiments take no sizing flags: their sizes are constants in the table
 // (internal/bench/experiments.go), so a recorded number names its workload.
+// trace-overhead prices transaction observability (the one event pipeline,
+// `stats tm`/`stats conflicts`): never enabled, enabled then disabled, on.
 package main
 
 import (

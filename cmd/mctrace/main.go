@@ -6,28 +6,22 @@
 //	mctrace info run.trace                               # inspect
 //	mctrace replay -branch it-oncommit run.trace         # replay
 //	mctrace replay -branch baseline -branch it-nolock run.trace
+//	mctrace replay -txobs run.trace                      # + observability report
 //
-// It also analyzes request-trace exports (internal/txtrace): retry-chain
-// reconstruction and the who-aborted-whom conflict graph, from a saved
-// /debug/trace JSON document or live from a running server's debug port.
-//
-//	mctrace analyze trace.json                           # saved export
-//	mctrace analyze -addr 127.0.0.1:11212                # live /debug/trace
+// With -txobs each replay runs with transaction observability on and prints
+// the observer's report: serialization causes, the conflict heat map and who
+// aborted whom.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"os"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/trace"
-	"repro/internal/txtrace"
 )
 
 func main() {
@@ -41,60 +35,14 @@ func main() {
 		info(os.Args[2:])
 	case "replay":
 		replay(os.Args[2:])
-	case "analyze":
-		analyze(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mctrace gen|info|replay|analyze [flags] [file]")
+	fmt.Fprintln(os.Stderr, "usage: mctrace gen|info|replay [flags] [file]")
 	os.Exit(2)
-}
-
-// analyze reads a /debug/trace export (from a file argument or a live debug
-// address) and prints the retry-chain and conflict-graph report.
-func analyze(args []string) {
-	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
-	addr := fs.String("addr", "", "debug address to fetch /debug/trace from (instead of a file)")
-	chains := fs.Int("chains", 10, "retry chains to print (longest first)")
-	raw := fs.Bool("json", false, "re-emit the export as indented JSON instead of the report")
-	fs.Parse(args)
-
-	var data []byte
-	var err error
-	switch {
-	case *addr != "":
-		var resp *http.Response
-		resp, err = http.Get("http://" + *addr + "/debug/trace")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			log.Fatalf("GET /debug/trace: %s", resp.Status)
-		}
-		data, err = io.ReadAll(resp.Body)
-	case fs.NArg() == 1:
-		data, err = os.ReadFile(fs.Arg(0))
-	default:
-		usage()
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var ex txtrace.Export
-	if err := json.Unmarshal(data, &ex); err != nil {
-		log.Fatalf("parse export: %v", err)
-	}
-	if *raw {
-		out, _ := json.MarshalIndent(&ex, "", "  ")
-		os.Stdout.Write(append(out, '\n'))
-		return
-	}
-	fmt.Print(txtrace.FormatAnalysis(&ex, *chains))
 }
 
 func gen(args []string) {

@@ -21,7 +21,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/stm"
-	"repro/internal/txtrace"
 )
 
 func main() {
@@ -35,8 +34,7 @@ func main() {
 		stmAlg    = flag.String("stm", "", "override STM algorithm (mlwt, lazy, norec, serial)")
 		cmStr     = flag.String("cm", "", "override contention manager (serialize, none, backoff, hourglass)")
 		noLock    = flag.Bool("nolock", false, "override: remove the global serial lock")
-		trace     = flag.Bool("trace", false, "enable transaction observability from startup (stats tm/conflicts/latency)")
-		txtraceMd = flag.String("txtrace", "off", "request tracing mode from startup: off, sampled, or full (stats slowlog, /debug/trace)")
+		trace     = flag.Bool("trace", false, "enable transaction observability from startup (stats tm/conflicts/latency, who aborted whom)")
 		debugAddr = flag.String("debug-addr", "", "serve the debug HTTP endpoint (/debug/vars, /metrics, /debug/pprof/) on this address")
 		eventLoop = flag.Bool("event-loop", runtime.GOOS == "linux", "event-driven transport: epoll parks idle connections, a bounded shard-affine worker pool serves ready ones (default on linux; off = goroutine per connection)")
 		workers   = flag.Int("workers", 0, "event-loop execution workers (0 = shards+2, capped at 32)")
@@ -84,11 +82,6 @@ func main() {
 	if *trace {
 		cache.EnableTracing()
 	}
-	if mode, err := txtrace.ParseMode(*txtraceMd); err != nil {
-		log.Fatal(err)
-	} else if mode != txtrace.ModeOff {
-		cache.EnableTxTrace(mode)
-	}
 	if *fprint {
 		cache.EnableFingerprint()
 	}
@@ -112,7 +105,7 @@ func main() {
 			log.Fatal(err)
 		}
 		dbg = d
-		log.Printf("debug endpoint on http://%s/debug/vars (also /metrics, /debug/pprof/, /debug/tm, /debug/trace, /debug/fingerprint)", bound)
+		log.Printf("debug endpoint on http://%s/debug/vars (also /metrics, /debug/pprof/, /debug/tm, /debug/fingerprint)", bound)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -82,10 +82,11 @@ func main() {
 	<-done
 
 	// Serialization-cause profiling (§6 tooling).
-	rt.EnableProfiling()
+	obs := rt.EnableTracing()
 	_ = tm.Relaxed(th, tm.Options{}, func(tx *stm.Tx) { tx.Unsafe("perror") })
-	if p := rt.Profile(); p != nil {
-		fmt.Print(p)
+	fmt.Println("serialization causes:")
+	for _, c := range obs.SerialCauses() {
+		fmt.Printf("  %8d  %s\n", c.Count, c.Cause)
 	}
 
 	s := rt.Stats()

@@ -15,7 +15,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/protocol"
 	"repro/internal/server"
-	"repro/internal/txtrace"
 )
 
 // experiments is the table: every claim this repository makes beyond the
@@ -149,14 +148,10 @@ type scriptConn struct {
 	io.Writer
 }
 
-// wireLoad serves thread t's script through the text protocol; with spans set
-// the connection carries a span buffer, as every server connection does.
-func wireLoad(scripts func() [][]byte, spans bool) func(r *rig, t int, w *engine.Worker) uint64 {
+// wireLoad serves thread t's script through the text protocol.
+func wireLoad(scripts func() [][]byte) func(r *rig, t int, w *engine.Worker) uint64 {
 	return func(r *rig, t int, w *engine.Worker) uint64 {
 		pc := protocol.NewConn(w, scriptConn{Reader: bytes.NewReader(scripts()[t]), Writer: io.Discard})
-		if spans {
-			pc.SetSpans(txtrace.NewConnSpans(r.c.Tracer(), uint64(t)+1))
-		}
 		pc.Serve()
 		return uint64(r.e.ops)
 	}
@@ -164,31 +159,24 @@ func wireLoad(scripts func() [][]byte, spans bool) func(r *rig, t int, w *engine
 
 var overheadCache = engine.Config{Branch: engine.ITOnCommit, MemLimit: 256 << 20, HashPower: 10}
 
-// traceOverhead: the number that matters is the disabled point — a connection
-// with a span buffer bound but the tracer off pays one atomic load per request.
+// traceOverhead prices transaction observability, the one event pipeline:
+// off-after-enable proves DisableTracing restores the one-atomic-load path at
+// every event site; on prices recording every event into the aggregates.
 func traceOverhead(sz sizer) experiment {
 	e := experiment{
 		name:    "trace-overhead",
-		claim:   "request tracing bound to a connection but switched off costs <= 2% of text-protocol throughput; sampled and full tracing are priced",
+		claim:   "transaction observability costs one atomic load per event site when off, also after an enable/disable cycle (<= 2% of text-protocol throughput); recording every event is priced",
 		threads: 4, ops: sz(60000, 600), trials: sz(5, 1),
 		keyspace: sz(4096, 512), valueSize: 1024,
 	}
-	scripts := wireScripts(e)
-	for _, cfg := range []struct {
-		label string
-		spans bool
-		mode  txtrace.Mode
-	}{
-		{"no-spans", false, txtrace.ModeOff},
-		{"off", true, txtrace.ModeOff},
-		{"sampled", true, txtrace.ModeSampled},
-		{"full", true, txtrace.ModeFull},
-	} {
-		p := point{label: cfg.label, cache: overheadCache, load: wireLoad(scripts, cfg.spans)}
-		if mode := cfg.mode; mode != txtrace.ModeOff {
-			p.prep = func(r *rig) { r.c.EnableTxTrace(mode) }
-		}
-		e.points = append(e.points, p)
+	load := wireLoad(wireScripts(e))
+	e.points = []point{
+		{label: "off", cache: overheadCache, load: load},
+		{label: "off-after-enable", cache: overheadCache, load: load, prep: func(r *rig) {
+			r.c.EnableTracing()
+			r.c.DisableTracing()
+		}},
+		{label: "on", cache: overheadCache, load: load, prep: func(r *rig) { r.c.EnableTracing() }},
 	}
 	return e
 }
@@ -202,7 +190,7 @@ func fingerprintOverhead(sz sizer) experiment {
 		threads: 4, ops: sz(40000, 600), trials: sz(11, 1),
 		keyspace: sz(4096, 512), valueSize: 1024,
 	}
-	load := wireLoad(wireScripts(e), false)
+	load := wireLoad(wireScripts(e))
 	e.points = []point{
 		{label: "disabled", cache: overheadCache, load: load},
 		{label: "off-after-enable", cache: overheadCache, load: load, prep: func(r *rig) {

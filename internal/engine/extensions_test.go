@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -84,11 +85,11 @@ func TestTxRefOptIgnoredWhereInvalid(t *testing.T) {
 }
 
 // TestSerializationProfiler exercises the §6 execinfo-style attribution: the
-// profiler must name the unsafe operations and the sites that caused
+// observer must name the unsafe operations and the sites that caused
 // serialization.
 func TestSerializationProfiler(t *testing.T) {
 	c := New(Config{Branch: ITCallable, HashPower: 8, MemLimit: 1 << 20, Automove: true})
-	c.Runtime().EnableProfiling()
+	obs := c.Runtime().EnableTracing()
 	c.Start()
 	defer c.Stop()
 	w := c.NewWorker()
@@ -100,11 +101,7 @@ func TestSerializationProfiler(t *testing.T) {
 			w.Get(key)
 		}
 	}
-	p := c.Runtime().Profile()
-	if p == nil {
-		t.Fatal("profile nil after EnableProfiling")
-	}
-	causes := p.Causes()
+	causes := obs.SerialCauses()
 	if len(causes) == 0 {
 		t.Fatal("no causes attributed")
 	}
@@ -118,8 +115,8 @@ func TestSerializationProfiler(t *testing.T) {
 	if bySite["start serial @ do_store_item"] == 0 {
 		t.Errorf("missing do_store_item attribution; causes = %v", causes)
 	}
-	if got := p.String(); len(got) == 0 {
-		t.Error("empty report")
+	if got := obs.Report(0).String(); !strings.Contains(got, "start serial @ item_get") {
+		t.Errorf("report lacks the item_get cause:\n%s", got)
 	}
 	// Most frequent first.
 	for i := 1; i < len(causes); i++ {

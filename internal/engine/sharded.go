@@ -6,15 +6,12 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/assoc"
 	"repro/internal/fingerprint"
 	"repro/internal/slab"
 	"repro/internal/stm"
-	"repro/internal/tm"
 	"repro/internal/txobs"
-	"repro/internal/txtrace"
 )
 
 // Cache is the memcached engine under one synchronization branch, partitioned
@@ -37,15 +34,6 @@ type Cache struct {
 	// branches: command latency only). Created on first EnableTracing.
 	obs   atomic.Pointer[txobs.Observer]
 	obsMu sync.Mutex
-
-	// tracer is the request-scoped tracing layer (internal/txtrace): one
-	// tracer spanning every shard, created unconditionally at New (mode off;
-	// the idle cost is its memory). The sampler goroutine drives its
-	// per-second time series while any tracing mode is active.
-	tracer      *txtrace.Tracer
-	samplerMu   sync.Mutex
-	samplerStop chan struct{}
-	samplerWG   sync.WaitGroup
 
 	// Workload fingerprinting (internal/fingerprint): fpObs is created on
 	// first EnableFingerprint and lives for the cache's lifetime; fpLive is
@@ -96,24 +84,6 @@ func New(conf Config) *Cache {
 	c.shards = make([]*shard, conf.Shards)
 	for i := range c.shards {
 		c.shards[i] = newShard(per)
-	}
-	// Request tracing: one tracer for the whole cache. The head sampler
-	// inherits the fault injector's seed when one is configured, so a torture
-	// run's trace population is reproducible from the same seed that drives
-	// its fault schedule. Shard coordinates are stamped on the runtimes up
-	// front so span events carry them even while the aggregate observer is
-	// off.
-	topt := txtrace.Options{}
-	if conf.Fault != nil {
-		topt.Seed = conf.Fault.Seed()
-	}
-	c.tracer = txtrace.New(topt)
-	if c.cfg.tm {
-		base := 0
-		for i, s := range c.shards {
-			s.rt.SetShardInfo(i, base)
-			base += s.rt.OrecCount()
-		}
 	}
 	return c
 }
@@ -200,11 +170,9 @@ func (c *Cache) Start() {
 	}
 }
 
-// Stop halts every shard's maintenance threads and waits for them, and stops
-// the tracing sampler if one is running.
+// Stop halts every shard's maintenance threads and waits for them.
 func (c *Cache) Stop() {
 	c.DisableFingerprint()
-	c.stopSampler()
 	c.fpWG.Wait()
 	for _, s := range c.shards {
 		s.Stop()
@@ -272,95 +240,6 @@ func (c *Cache) DisableTracing() {
 // Observer returns the shared observability collector, or nil if tracing was
 // never enabled on this cache.
 func (c *Cache) Observer() *txobs.Observer { return c.obs.Load() }
-
-// Tracer returns the cache's request tracer (never nil; mode off by default).
-func (c *Cache) Tracer() *txtrace.Tracer { return c.tracer }
-
-// EnableTxTrace switches request tracing to mode (sampled or full), enables
-// orec-owner attribution on every shard runtime, and starts the per-second
-// sampler that feeds the time-series ring and anomaly detector. Passing
-// ModeOff here is equivalent to DisableTxTrace.
-func (c *Cache) EnableTxTrace(mode txtrace.Mode) {
-	if mode == txtrace.ModeOff {
-		c.DisableTxTrace()
-		return
-	}
-	if c.cfg.tm {
-		for _, s := range c.shards {
-			s.rt.EnableOwnerTracking()
-		}
-	}
-	c.tracer.SetMode(mode)
-	c.startSampler()
-}
-
-// DisableTxTrace turns request tracing off (requests go back to the one-
-// atomic-load path) and stops the sampler. Collected spans, dumps and the
-// time series stay queryable.
-func (c *Cache) DisableTxTrace() {
-	c.tracer.SetMode(txtrace.ModeOff)
-	c.stopSampler()
-}
-
-// startSampler launches the 1 Hz tick goroutine once; subsequent calls while
-// it runs are no-ops.
-func (c *Cache) startSampler() {
-	c.samplerMu.Lock()
-	defer c.samplerMu.Unlock()
-	if c.samplerStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	c.samplerStop = stop
-	w := c.NewWorker()
-	c.samplerWG.Add(1)
-	go func() {
-		defer c.samplerWG.Done()
-		t := time.NewTicker(time.Second)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.tracer.Tick(c.traceCounters(w))
-			}
-		}
-	}()
-}
-
-// stopSampler halts the tick goroutine and waits for it.
-func (c *Cache) stopSampler() {
-	c.samplerMu.Lock()
-	stop := c.samplerStop
-	c.samplerStop = nil
-	c.samplerMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	c.samplerWG.Wait()
-}
-
-// traceCounters snapshots the cumulative counters the time series tracks,
-// merged across shards, through the sampler's own worker.
-func (c *Cache) traceCounters(w *Worker) txtrace.Counters {
-	s := w.Stats()
-	return txtrace.Counters{
-		Commits:            s.STM.Commits,
-		Aborts:             s.STM.Aborts,
-		StartSerial:        s.STM.StartSerial,
-		InFlightSwitch:     s.STM.InFlightSwitch,
-		AbortSerial:        s.STM.AbortSerial,
-		SerialCommits:      s.STM.SerialCommits,
-		WatchdogBackoffs:   s.STM.WatchdogBackoffs,
-		WatchdogSerializes: s.STM.WatchdogSerializes,
-		ROFastCommits:      s.STM.ROFastCommits,
-		Ops:                s.Aggregated.Ops(),
-		GetHits:            s.Aggregated.GetHits,
-		GetMisses:          s.Aggregated.GetMisses,
-	}
-}
 
 // Validate cross-checks every shard's internal structures while quiescent;
 // see shard.Validate for the invariants.
@@ -604,21 +483,6 @@ func (w *Worker) Expanding() bool {
 // protocol layer, or nil when tracing was never enabled.
 func (w *Worker) Observer() *txobs.Observer { return w.c.Observer() }
 
-// Tracer exposes the cache's request tracer (never nil).
-func (w *Worker) Tracer() *txtrace.Tracer { return w.c.Tracer() }
-
-// SetTxTrace installs (nil: removes) a request-trace sink on every shard
-// thread this worker owns: while set, each STM event of the worker's
-// transactions — whatever shard the command routes to — is delivered to the
-// sink. Lock branches have no TM contexts and the call is a no-op there.
-func (w *Worker) SetTxTrace(sink stm.TraceSink) {
-	for _, sw := range w.ws {
-		if sw.tctx != nil {
-			tm.SetTrace(sw.tctx, sink)
-		}
-	}
-}
-
 // NumShards reports the TM domain count, for stats output.
 func (w *Worker) NumShards() int { return len(w.ws) }
 
@@ -661,11 +525,7 @@ func (w *Worker) Stats() Snapshot {
 // (curr_items, bytes) survive. The shared observer spans all shards and is
 // reset exactly once, whatever the current tracing state: toggling tracing
 // mid-run attaches/detaches runtimes but never splits the observer, so a
-// reset cannot double-clear one shard's view or miss another's. The request
-// tracer gets the same treatment: it is cache-global by construction, so the
-// slowlog and time-series rings are cleared exactly once per reset whatever
-// the mode toggle is doing concurrently (Tracer.Reset clears data only —
-// mode, seed and sampler ordinals survive).
+// reset cannot double-clear one shard's view or miss another's.
 func (w *Worker) ResetStats() {
 	for _, sw := range w.ws {
 		sw.ResetStats()
@@ -673,10 +533,9 @@ func (w *Worker) ResetStats() {
 	if o := w.c.Observer(); o != nil {
 		o.Reset()
 	}
-	w.c.Tracer().Reset()
 	// The fingerprint observer spans every shard (one fingerprint.Shard per
 	// TM domain plus the cache-global txn-phase histograms), so like the
-	// observer and tracer above it clears exactly once per reset — never
+	// observer above it clears exactly once per reset — never
 	// once per shard — whatever an Enable/Disable toggle is doing
 	// concurrently. Enabled-state and recorder bindings survive: reset
 	// clears windows, not wiring.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/txobs"
 )
 
 // newShardedCache builds a cache partitioned into the given number of TM
@@ -284,7 +286,7 @@ func TestShardedStatsMergeAndReset(t *testing.T) {
 		t.Errorf("per-shard sums (%d/%d/%d) != merged STM (%d/%d/%d)",
 			commits, aborts, roFast, s.STM.Commits, s.STM.Aborts, s.STM.ROFastCommits)
 	}
-	if len(obs.Events()) == 0 {
+	if obs.KindCount(txobs.KBegin) == 0 || obs.KindCount(txobs.KCommit) == 0 {
 		t.Fatal("no events recorded with tracing on")
 	}
 
@@ -294,8 +296,8 @@ func TestShardedStatsMergeAndReset(t *testing.T) {
 	// The observer is cleared last in the router's reset, after the per-shard
 	// zeroing transactions it would otherwise record — so it reads empty NOW,
 	// before the next traced operation.
-	if n := len(obs.Events()); n != 0 {
-		t.Errorf("%d observer events survived reset", n)
+	if kinds := obs.Report(0).Kinds; len(kinds) != 0 {
+		t.Errorf("observer events survived reset: %v", kinds)
 	}
 	s = w.Stats()
 	if s.SetCmds != 0 || s.GetCmds != 0 || s.GetHits != 0 || s.TotalItems != 0 {
@@ -321,7 +323,7 @@ func TestShardedStatsMergeAndReset(t *testing.T) {
 	if s := w.Stats(); s.STM.Commits == 0 {
 		t.Error("no commits after re-enable; tracing toggle wedged the runtimes")
 	}
-	if len(obs.Events()) == 0 {
+	if obs.KindCount(txobs.KBegin) == 0 {
 		t.Error("no events after re-enable")
 	}
 }
@@ -364,7 +366,7 @@ func TestShardedTracingNoCrossShardConflicts(t *testing.T) {
 	if n := obs.CrossShardOrecConflicts(); n != 0 {
 		t.Errorf("cross_shard_orec_conflicts = %d, want 0: independent domains shared an orec", n)
 	}
-	if len(obs.Events()) == 0 {
+	if obs.KindCount(txobs.KBegin) == 0 {
 		t.Error("no events traced")
 	}
 	if err := c.ValidateQuiescent(); err != nil {

@@ -6,16 +6,15 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fault"
-	"repro/internal/txtrace"
+	"repro/internal/txobs"
 )
 
 // TestTraceResetToggleRace is the regression test for `stats reset` racing
-// tracing toggles: workers run traced requests while one goroutine flips the
-// request tracer's mode, another flips the txobs observer, and a third fires
-// ResetStats — all concurrently, under -race. Nothing here asserts counts
-// (the interleavings make them unpredictable); the test's job is that the
-// exactly-once reset and the mode flips never tear a data structure.
+// tracing toggles: workers run traffic while one goroutine flips the txobs
+// observer on and off and another fires ResetStats — all concurrently, under
+// -race. Nothing here asserts counts (the interleavings make them
+// unpredictable); the test's job is that the exactly-once reset and the
+// toggles never tear a data structure.
 func TestTraceResetToggleRace(t *testing.T) {
 	c := New(Config{Branch: ITOnCommit, Shards: 2, HashPower: 8})
 	c.Start()
@@ -23,208 +22,48 @@ func TestTraceResetToggleRace(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-
-	for g := 0; g < 4; g++ {
-		g := g
+	loop := func(body func()) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := c.NewWorker()
-			cs := txtrace.NewConnSpans(c.Tracer(), uint64(g)+1)
-			key := []byte(fmt.Sprintf("race-key-%d", g%2))
-			val := []byte("v")
-			for i := 0; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if cs.Begin("set") {
-					w.SetTxTrace(cs)
-					w.Set(key, 0, 0, val)
-					w.SetTxTrace(nil)
-					cs.End()
-				} else {
-					w.Set(key, 0, 0, val)
-				}
-				w.Get(key)
+				body()
 			}
 		}()
 	}
 
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			c.EnableTxTrace(txtrace.ModeSampled)
-			c.EnableTxTrace(txtrace.ModeFull)
-			c.DisableTxTrace()
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			c.EnableTracing()
-			c.DisableTracing()
-		}
-	}()
-	go func() {
-		defer wg.Done()
+	for g := 0; g < 4; g++ {
 		w := c.NewWorker()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			w.ResetStats()
-			time.Sleep(time.Millisecond)
-		}
-	}()
+		key := []byte(fmt.Sprintf("race-key-%d", g%2))
+		loop(func() {
+			w.Set(key, 0, 0, []byte("v"))
+			w.Get(key)
+		})
+	}
+	loop(func() {
+		c.EnableTracing()
+		c.DisableTracing()
+	})
+	rw := c.NewWorker()
+	loop(func() {
+		rw.ResetStats()
+		time.Sleep(time.Millisecond)
+	})
 
 	time.Sleep(500 * time.Millisecond)
 	close(stop)
 	wg.Wait()
 
-	// The tracer must still be functional after the storm.
-	c.EnableTxTrace(txtrace.ModeFull)
-	w := c.NewWorker()
-	cs := txtrace.NewConnSpans(c.Tracer(), 99)
-	if !cs.Begin("set") {
-		t.Fatal("tracer dead after reset/toggle storm")
+	// The observer must still be functional after the storm.
+	obs := c.EnableTracing()
+	before := obs.KindCount(txobs.KCommit)
+	c.NewWorker().Set([]byte("after"), 0, 0, []byte("v"))
+	if obs.KindCount(txobs.KCommit) == before {
+		t.Fatal("observer dead after reset/toggle storm")
 	}
-	w.SetTxTrace(cs)
-	w.Set([]byte("after"), 0, 0, []byte("v"))
-	w.SetTxTrace(nil)
-	cs.End()
-	if c.Tracer().Kept() == 0 {
-		t.Fatal("full-mode request not kept after storm")
-	}
-}
-
-// TestFlightRecorderNamesHotLabel is the acceptance test for the tentpole's
-// diagnosis loop: a seeded fault-injection run hammers stores (every store
-// bumps the shared cas_counter word — the engine's known global hotspot),
-// the abort-rate anomaly detector trips, and the auto-captured
-// flight-recorder dump's conflict graph must name that hot label.
-func TestFlightRecorderNamesHotLabel(t *testing.T) {
-	in := fault.New(0x746d2d747261636b) // fixed seed: deterministic delays
-	in.Set(fault.STMCommitDelay, 0.05)  // widen the commit window to force conflicts
-	c := New(Config{Branch: ITOnCommit, Shards: 1, HashPower: 8, Fault: in})
-	c.Start()
-	defer c.Stop()
-	c.EnableTxTrace(txtrace.ModeFull)
-	tr := c.Tracer()
-	tr.SetRetryK(1) // any retry chain goes straight to the flight recorder
-
-	// Prepopulate the per-goroutine numeric keys with a fixed-width value so
-	// increments update in place (no reallocation, no slab traffic).
-	w0 := c.NewWorker()
-	for g := 0; g < 8; g++ {
-		w0.Set([]byte(fmt.Sprintf("key-%d", g)), 0, 0, []byte("1000000000"))
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	statsW := c.NewWorker()
-	// tick drives the per-second sampler by hand (deterministically, instead
-	// of sleeping wall-clock seconds): each call is "one second" of history.
-	tick := func() {
-		st := statsW.Stats()
-		tr.Tick(txtrace.Counters{
-			Commits:     st.STM.Commits,
-			Aborts:      st.STM.Aborts,
-			StartSerial: st.STM.StartSerial,
-			AbortSerial: st.STM.AbortSerial,
-		})
-	}
-	hammer := func() {
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			g := g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := c.NewWorker()
-				cs := txtrace.NewConnSpans(tr, uint64(g)+1)
-				key := []byte(fmt.Sprintf("key-%d", g))
-				for i := 0; i < 400; i++ {
-					// Disjoint keys, in-place increments (no allocation, no
-					// shared bucket): the only word every increment shares is
-					// the global CAS counter, so that is the injected hotspot
-					// the conflict graph must recover.
-					if cs.Begin("incr") {
-						w.SetTxTrace(cs)
-						w.Incr(key, 1)
-						w.SetTxTrace(nil)
-						cs.End()
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	for round := 0; len(tr.Dumps()) == 0; round++ {
-		// Quiet seconds first so the trailing abort mean is ~zero, then one
-		// hammered second whose delta dwarfs it: the spike shape the detector
-		// is built for.
-		tick()
-		tick()
-		tick()
-		hammer()
-		tick()
-		if time.Now().After(deadline) {
-			t.Fatalf("no anomaly dump after %d rounds: aborts=%d anomalies=%+v",
-				round+1, statsW.Stats().STM.Aborts, tr.Anomalies())
-		}
-	}
-
-	dumps := tr.Dumps()
-	d := dumps[len(dumps)-1]
-	if len(d.Spans) == 0 {
-		t.Fatal("anomaly dump captured an empty flight recorder")
-	}
-	if len(d.Graph) == 0 {
-		t.Fatal("anomaly dump has no conflict graph")
-	}
-	var hasHot bool
-	for _, e := range d.Graph {
-		if e.Label == "cas_counter" {
-			hasHot = true
-		}
-	}
-	if !hasHot {
-		t.Fatalf("conflict graph does not name the injected hot label cas_counter: %+v", d.Graph)
-	}
-	if hot := txtrace.HotLabel(d.Graph); hot == "" {
-		t.Fatalf("HotLabel empty over %+v", d.Graph)
-	}
-
-	// The same attribution must survive the offline path analyze uses.
-	report := txtrace.FormatAnalysis(&txtrace.Export{
-		Mode: tr.Mode().String(), Slowlog: d.Spans, ConflictGraph: d.Graph,
-		Anomalies: tr.Anomalies(), Dumps: dumps,
-	}, 5)
-	if !containsStr(report, "cas_counter") {
-		t.Fatalf("analysis report lost the hot label:\n%s", report)
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

@@ -54,16 +54,10 @@ const (
 	MaintSlabDelay   Point = "maint.slab.delay"   // slab rebalancer wakes late
 
 	// Server/protocol transport (internal/server): connection-level faults.
-	ConnDrop       Point = "server.conn.drop"   // close the connection mid-command
+	ConnDrop       Point = "server.conn.drop"       // close the connection mid-command
 	ConnShortRead  Point = "server.conn.shortread"  // deliver one byte per read
 	ConnShortWrite Point = "server.conn.shortwrite" // truncate a reply mid-write
-	ConnSlow       Point = "server.conn.slow"   // slow-client byte trickling
-
-	// Request tracing (internal/txtrace): not a fault at all — the tracer
-	// reuses the injector's deterministic per-ordinal decision as its head
-	// sampler, so a trace captured at seed S keeps exactly the same request
-	// set when replayed at seed S.
-	TraceHeadSample Point = "trace.head.sample"
+	ConnSlow       Point = "server.conn.slow"       // slow-client byte trickling
 )
 
 // StmPoints are the points meaningful for a transactional runtime.
@@ -98,11 +92,11 @@ type pointState struct {
 // points fire. Configure points before the run; Fire is safe for concurrent
 // use. The zero rate (point not configured) never fires.
 type Injector struct {
-	seed    uint64
-	armed   atomic.Bool
-	mu      sync.Mutex // guards points map shape (reads use the snapshot)
-	points  map[Point]*pointState
-	snap    atomic.Pointer[map[Point]*pointState]
+	seed   uint64
+	armed  atomic.Bool
+	mu     sync.Mutex // guards points map shape (reads use the snapshot)
+	points map[Point]*pointState
+	snap   atomic.Pointer[map[Point]*pointState]
 }
 
 // New returns an armed injector with no points configured.

@@ -5,8 +5,8 @@
 // fingerprint, /debug/fingerprint, mctop) see the last few seconds of
 // traffic rather than process lifetime totals.
 //
-// The design contract mirrors txobs/txtrace: when fingerprinting is
-// disabled the engine hot path pays exactly one atomic pointer load (nil).
+// The design contract mirrors txobs: when fingerprinting is disabled the
+// engine hot path pays exactly one atomic pointer load (nil).
 // When enabled, each engine worker owns a private single-writer Recorder —
 // all fields atomic, so any number of snapshot readers race it without
 // locks and without upsetting the race detector, and the record path takes

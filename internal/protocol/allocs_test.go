@@ -76,6 +76,7 @@ func TestAllocsRequestPath(t *testing.T) {
 		{"text get of 24 keys", []byte(multi.String()), "VALUE multi-00 0 256\r\n", 0},
 		{"text set", []byte("set k 5 0 64\r\n" + strings.Repeat("v", 64) + "\r\n"), "STORED\r\n", 0},
 		{"text incr", []byte("incr n 1\r\n"), "", 0},
+		{"text unknown command", []byte("frobnicate k\r\n"), "ERROR\r\n", 0},
 		{"binary get", binFrame(OpGet, nil, []byte("k"), nil, 0), "\x81\x00", 0},
 		{"binary set", binFrame(OpSet, make([]byte, 8), []byte("k"), bytes.Repeat([]byte("v"), 64), 0), "\x81\x01", 0},
 	} {

@@ -126,26 +126,8 @@ func (c *Conn) serveBinaryOne() error {
 	key := body[req.extraLen : int(req.extraLen)+int(req.keyLen)]
 	value := body[int(req.extraLen)+int(req.keyLen):]
 
-	// Same span bracket as the text path; the span's cmd is prefixed so a
-	// flight-recorder line says which protocol carried the request.
-	if cs := c.spans; cs != nil && cs.Begin(binSpanNames[req.opcode]) {
-		c.worker.SetTxTrace(cs)
-		err := c.dispatchBinaryTimed(req, extras, key, value)
-		c.worker.SetTxTrace(nil)
-		cs.End()
-		return err
-	}
 	return c.dispatchBinaryTimed(req, extras, key, value)
 }
-
-// binSpanNames are the request-span names of the 256 opcodes, built once so
-// that opening a span costs no string.
-var binSpanNames = func() (names [256]string) {
-	for op := range names {
-		names[op] = "binary/" + binOpName(byte(op))
-	}
-	return names
-}()
 
 func (c *Conn) dispatchBinaryTimed(req binHeader, extras, key, value []byte) error {
 	if o := c.worker.Observer(); o != nil && o.Enabled() {

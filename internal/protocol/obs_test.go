@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -133,5 +134,30 @@ func TestStatsTMSubcommands(t *testing.T) {
 	out = runTextOn(t, c, "stats reset\r\nstats latency\r\n")
 	if strings.Contains(out, "STAT cmd_set count=") {
 		t.Fatalf("latency histograms survived stats reset:\n%s", out)
+	}
+}
+
+// TestUnknownCommandsShareOneHistogram: with tracing on, every command word
+// the server does not know is timed under one key, so a client sending
+// distinct junk words cannot grow the latency-histogram map.
+func TestUnknownCommandsShareOneHistogram(t *testing.T) {
+	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8})
+	c.Start()
+	defer c.Stop()
+	c.EnableTracing()
+
+	var script strings.Builder
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&script, "junk%04d\r\n", i)
+	}
+	if out := runTextOn(t, c, script.String()); strings.Count(out, "ERROR\r\n") != 1000 {
+		t.Fatalf("want 1000 ERROR replies, got %d", strings.Count(out, "ERROR\r\n"))
+	}
+	out := runTextOn(t, c, "stats latency\r\n")
+	if n := strings.Count(out, "STAT cmd_"); n != 1 {
+		t.Fatalf("%d cmd_ lines, want 1:\n%s", n, out)
+	}
+	if !strings.Contains(out, "STAT cmd_unknown count=1000 ") {
+		t.Fatalf("stats latency missing cmd_unknown count=1000:\n%s", out)
 	}
 }

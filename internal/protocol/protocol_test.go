@@ -203,10 +203,10 @@ func TestTextStatsAndVersion(t *testing.T) {
 
 // TestTextStatsGroups: every stats group the server knows answers with its
 // own block, and a group it does not know — including the retired feedback
-// controller's group — answers ERROR, as memcached does, rather than the
-// general stats block.
+// controller's and request tracer's groups — answers ERROR, as memcached
+// does, rather than the general stats block.
 func TestTextStatsGroups(t *testing.T) {
-	for _, group := range []string{"", "reset", "slabs", "tm", "conflicts", "latency", "slowlog", "fingerprint", "eventloop"} {
+	for _, group := range []string{"", "reset", "slabs", "tm", "conflicts", "latency", "fingerprint", "eventloop"} {
 		cmd := strings.TrimSpace("stats " + group)
 		out := runText(t, cmd+"\r\n")
 		want := "END\r\n"
@@ -217,8 +217,9 @@ func TestTextStatsGroups(t *testing.T) {
 			t.Errorf("%q: out = %q, want a block ending in %q", cmd, out, want)
 		}
 	}
-	retired := "tm" + "ctl" // the removed feedback controller's group
-	for _, group := range []string{retired, "nosuch"} {
+	retired := "tm" + "ctl"      // the removed feedback controller's group
+	retiredLog := "slow" + "log" // the removed request tracer's group
+	for _, group := range []string{retired, retiredLog, "nosuch"} {
 		if out := runText(t, "stats "+group+"\r\n"); out != "ERROR\r\n" {
 			t.Errorf("stats %s: out = %q, want ERROR", group, out)
 		}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mcstats"
 	"repro/internal/txobs"
-	"repro/internal/txtrace"
 )
 
 // Version is the version string reported to clients; the paper's study uses
@@ -93,11 +92,6 @@ type Conn struct {
 	connErrs *mcstats.ConnErrors
 	tstats   TransportStats
 
-	// spans is the connection's request-span buffer (nil when the transport
-	// owner did not wire tracing). One Begin/End pair brackets every
-	// dispatched command; with tracing off, Begin is a single atomic load.
-	spans *txtrace.ConnSpans
-
 	// tx is the connection's open wire transaction (nil outside txbegin/
 	// txcommit). It lives entirely in this struct — no engine resource is
 	// held — so dropping the connection drops the transaction.
@@ -164,10 +158,6 @@ func (c *Conn) SetControl(ctl Control) { c.ctl = ctl }
 // SetConnErrors supplies the server's connection-error counters for the
 // `stats` command to report (nil omits the lines).
 func (c *Conn) SetConnErrors(e *mcstats.ConnErrors) { c.connErrs = e }
-
-// SetSpans installs the connection's request-span buffer (nil disables
-// request tracing for this connection).
-func (c *Conn) SetSpans(cs *txtrace.ConnSpans) { c.spans = cs }
 
 // SetWorker rebinds the connection to an engine worker. The event-loop
 // transport shares a small pool of workers across all connections (a worker
@@ -292,24 +282,7 @@ func (c *Conn) serveTextOne() error {
 	if len(fields) == 0 {
 		return c.reply("ERROR\r\n")
 	}
-	cmd := lookupTextCmd(fields[0])
-	name := textCmdNames[cmd]
-	if cmd == cmdUnknown {
-		name = string(fields[0])
-	}
-	args := fields[1:]
-
-	// Request tracing: one atomic load (inside Begin) when tracing is off.
-	// When a span opens, the worker's STM threads deliver every transaction
-	// event of this command into it until End.
-	if cs := c.spans; cs != nil && cs.Begin(name) {
-		c.worker.SetTxTrace(cs)
-		err := c.dispatchTextTimed(cmd, name, args)
-		c.worker.SetTxTrace(nil)
-		cs.End()
-		return err
-	}
-	return c.dispatchTextTimed(cmd, name, args)
+	return c.dispatchTextTimed(lookupTextCmd(fields[0]), fields[1:])
 }
 
 // textCmd is a parsed command word. Comparing the word's bytes against the
@@ -343,9 +316,11 @@ const (
 )
 
 // textCmdNames are the command words, which are also the keys of the
-// per-command latency histograms and the names of request spans.
+// per-command latency histograms. Every word the server does not know is
+// timed under the one key "unknown", so a client cannot grow the histogram
+// map.
 var textCmdNames = [...]string{
-	cmdUnknown: "", cmdGet: "get", cmdGets: "gets", cmdGat: "gat", cmdGats: "gats",
+	cmdUnknown: "unknown", cmdGet: "get", cmdGets: "gets", cmdGat: "gat", cmdGats: "gats",
 	cmdSet: "set", cmdAdd: "add", cmdReplace: "replace", cmdAppend: "append",
 	cmdPrepend: "prepend", cmdCas: "cas", cmdDelete: "delete", cmdIncr: "incr",
 	cmdDecr: "decr", cmdTouch: "touch", cmdStats: "stats", cmdFlushAll: "flush_all",
@@ -367,11 +342,11 @@ func lookupTextCmd(word []byte) textCmd {
 // dispatchTextTimed is dispatchText behind the per-command latency gate: one
 // observer load when `stats tm` tracing was never enabled, one timestamp pair
 // per command when it is on.
-func (c *Conn) dispatchTextTimed(cmd textCmd, name string, args [][]byte) error {
+func (c *Conn) dispatchTextTimed(cmd textCmd, args [][]byte) error {
 	if o := c.worker.Observer(); o != nil && o.Enabled() {
 		t0 := time.Now()
 		err := c.dispatchText(cmd, args)
-		o.ObserveCommand(name, time.Since(t0))
+		o.ObserveCommand(textCmdNames[cmd], time.Since(t0))
 		return err
 	}
 	return c.dispatchText(cmd, args)
@@ -428,8 +403,6 @@ func (c *Conn) dispatchText(cmd textCmd, args [][]byte) error {
 				return c.cmdStatsConflicts()
 			case "latency":
 				return c.cmdStatsLatency()
-			case "slowlog":
-				return c.cmdStatsSlowlog()
 			case "fingerprint":
 				return c.cmdStatsFingerprint()
 			case "eventloop":
@@ -869,7 +842,8 @@ func (c *Conn) cmdStatsTM() error {
 
 // cmdStatsConflicts reports the conflict heat map (`stats conflicts`):
 // aborts and abort-serial escalations by named structure, then the hottest
-// ownership records.
+// ownership records, then the heaviest who-aborted-whom edges as
+// "<count> <owner> <victim> <structure>".
 func (c *Conn) cmdStatsConflicts() error {
 	r, ok, err := c.obsReport(16)
 	if !ok {
@@ -890,6 +864,9 @@ func (c *Conn) cmdStatsConflicts() error {
 	}
 	for _, oc := range r.HotOrecs {
 		fmt.Fprintf(c.w, "STAT orec_%d %d %s\r\n", oc.Orec, oc.Count, oc.LastLabel)
+	}
+	for i, e := range r.ConflictEdges[:min(len(r.ConflictEdges), 16)] {
+		fmt.Fprintf(c.w, "STAT conflict_edge_%d %d %s %s %s\r\n", i, e.Count, orDash(e.Owner), orDash(e.Victim), e.Label)
 	}
 	return c.reply("END\r\n")
 }
@@ -914,41 +891,8 @@ func (c *Conn) cmdStatsLatency() error {
 	return c.reply("END\r\n")
 }
 
-// cmdStatsSlowlog reports the request tracer's flight recorder
-// (`stats slowlog`): mode and counters first, then one line per captured
-// pathological span, newest last.
-func (c *Conn) cmdStatsSlowlog() error {
-	tr := c.worker.Tracer()
-	if tr == nil {
-		return c.reply("END\r\n")
-	}
-	fmt.Fprintf(c.w, "STAT trace_mode %s\r\n", tr.Mode())
-	fmt.Fprintf(c.w, "STAT trace_requests %d\r\n", tr.Requests())
-	fmt.Fprintf(c.w, "STAT trace_kept %d\r\n", tr.Kept())
-	fmt.Fprintf(c.w, "STAT slowlog_len %d\r\n", tr.SlowlogLen())
-	fmt.Fprintf(c.w, "STAT slowlog_dropped %d\r\n", tr.SlowlogDropped())
-	fmt.Fprintf(c.w, "STAT est_p99_ns %d\r\n", tr.EstP99())
-	for _, sp := range tr.Slowlog() {
-		why, owner, label := sp.Keep, "", ""
-		// Surface the last abort's attribution so the one-line view already
-		// answers "who aborted me" without dumping the span tree.
-		for i := len(sp.Events) - 1; i >= 0; i-- {
-			ev := sp.Events[i]
-			if ev.Kind == "abort" || ev.Kind == "abort_serial" {
-				owner, label = ev.Owner, ev.Label
-				break
-			}
-		}
-		fmt.Fprintf(c.w,
-			"STAT slow_%d cmd=%s conn=%d dur_us=%d aborts=%d max_retry=%d serialized=%d keep=%s owner=%s label=%s\r\n",
-			sp.ID, sp.Cmd, sp.Conn, sp.DurNanos/1000, sp.Aborts, sp.MaxRetry,
-			boolInt(sp.Serialized), why, orDash(owner), orDash(label))
-	}
-	return c.reply("END\r\n")
-}
-
-// orDash substitutes "-" for empty attribution fields so the slowlog lines
-// stay whitespace-parseable.
+// orDash writes an unknown site as "-", so attribution lines stay
+// whitespace-parseable.
 func orDash(s string) string {
 	if s == "" {
 		return "-"

@@ -9,10 +9,6 @@
 //	               the worker goroutines blocked?"
 //	/debug/tm      GET reports tracing state; POST ?enable=0|1 toggles it;
 //	               POST ?reset=1 zeroes the collected aggregates
-//	/debug/trace   GET exports the request tracer (OTLP-style span JSON plus
-//	               slowlog, conflict graph, time series, anomalies, dumps);
-//	               POST ?mode=off|sampled|full switches modes, ?dump=1
-//	               captures the flight recorder now, ?reset=1 clears it
 //	/debug/fingerprint  GET reports the live workload fingerprint (JSON);
 //	               POST ?enable=0|1 toggles sampling, ?reset=1 clears windows
 package server
@@ -26,7 +22,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/protocol"
-	"repro/internal/txtrace"
 )
 
 // NewDebugHandler builds the debug mux for one cache, with no transport
@@ -60,17 +55,6 @@ func NewDebugHandlerServer(cache *engine.Cache, srv *Server) http.Handler {
 		// Always present, even at -shards=1: a dashboard scraping shard_stats
 		// must not break when the operator collapses the cache to one domain.
 		vars["shard_stats"] = cache.ShardStats()
-		if tr := cache.Tracer(); tr != nil {
-			vars["trace_mode"] = tr.Mode().String()
-			vars["timeseries_seconds"] = tr.TimeSeriesSeconds()
-			vars["slowlog_len"] = tr.SlowlogLen()
-			vars["slowlog_dropped"] = tr.SlowlogDropped()
-		}
-		var ringDropped uint64
-		if o := cache.Observer(); o != nil {
-			ringDropped = o.RingDropped()
-		}
-		vars["ring_dropped"] = ringDropped
 		inuse, idle := protocol.BufferGauges()
 		vars["conn_buffers_inuse"] = inuse
 		vars["conn_buffers_idle"] = idle
@@ -190,34 +174,6 @@ func NewDebugHandlerServer(cache *engine.Cache, srv *Server) http.Handler {
 			return
 		}
 		fmt.Fprintf(w, "tracing: enabled=%v\n%s", o.Enabled(), o.Report(16))
-	})
-
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		tr := cache.Tracer()
-		if tr == nil {
-			http.Error(w, "tracer unavailable", http.StatusServiceUnavailable)
-			return
-		}
-		if r.Method == http.MethodPost {
-			if m := r.URL.Query().Get("mode"); m != "" {
-				mode, err := txtrace.ParseMode(m)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				cache.EnableTxTrace(mode)
-			}
-			if r.URL.Query().Get("dump") == "1" {
-				tr.TriggerDump("manual: /debug/trace?dump=1")
-			}
-			if r.URL.Query().Get("reset") == "1" {
-				tr.Reset()
-			}
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(tr.Export())
 	})
 
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -191,3 +191,66 @@ func TestDebugFingerprintEndpoint(t *testing.T) {
 		t.Fatal("POST enable=1 did not re-enable sampling")
 	}
 }
+
+// TestDebugVarsGaugesAtOneShard: /debug/vars must report shards and
+// shard_stats even when the cache runs a single TM domain.
+func TestDebugVarsGaugesAtOneShard(t *testing.T) {
+	c := engine.New(engine.Config{Branch: engine.ITOnCommit, Shards: 1, HashPower: 8})
+	c.Start()
+	defer c.Stop()
+	ts := httptest.NewServer(NewDebugHandler(c))
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal(body, &vars); err != nil {
+		t.Fatalf("/debug/vars not JSON: %v\n%s", err, body)
+	}
+	for _, key := range []string{"shards", "shard_stats"} {
+		if _, ok := vars[key]; !ok {
+			t.Errorf("/debug/vars missing %q at shards=1:\n%s", key, body)
+		}
+	}
+	var shards int
+	json.Unmarshal(vars["shards"], &shards)
+	if shards != 1 {
+		t.Errorf("shards = %d, want 1", shards)
+	}
+	var shardStats []json.RawMessage
+	if err := json.Unmarshal(vars["shard_stats"], &shardStats); err != nil || len(shardStats) != 1 {
+		t.Errorf("shard_stats = %s (err %v), want one entry", vars["shard_stats"], err)
+	}
+}
+
+// TestDebugTraceEndpoint: the request tracer and its route are gone, so
+// /debug/trace is an unknown path for reads and for the old mode switch alike.
+func TestDebugTraceEndpoint(t *testing.T) {
+	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8})
+	c.Start()
+	defer c.Stop()
+	ts := httptest.NewServer(NewDebugHandler(c))
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/debug/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/trace = %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Post(ts.URL+"/debug/trace?mode=full", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /debug/trace?mode=full = %d, want 404", resp.StatusCode)
+	}
+}

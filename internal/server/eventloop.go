@@ -13,7 +13,6 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/poller"
 	"repro/internal/protocol"
-	"repro/internal/txtrace"
 )
 
 // The event-loop transport splits the front end into two tiers:
@@ -60,7 +59,7 @@ type evConn struct {
 // burst — noise next to one syscall. Counters and histograms reset on
 // `stats reset`; queue depths and overflow length are live gauges.
 type evStats struct {
-	spills   atomic.Uint64      // enqueues that spilled to the overflow list
+	spills   atomic.Uint64       // enqueues that spilled to the overflow list
 	dispatch fingerprint.LogHist // queued→running latency, ns
 	burstOps fingerprint.LogHist // commands served per burst
 
@@ -159,7 +158,6 @@ func (ev *evLoop) adopt(sc *servConn) {
 	pc := protocol.NewConnPooled(sc)
 	pc.SetControl(sc)
 	pc.SetConnErrors(&s.errs)
-	pc.SetSpans(txtrace.NewConnSpans(s.cache.Tracer(), s.connSeq.Add(1)))
 	pc.SetShardTracking(s.cache.NumShards() > 1)
 	fd := -1
 	if scc, ok := sc.Conn.(syscall.Conn); ok {

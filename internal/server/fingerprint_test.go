@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/poller"
 	"repro/internal/protocol"
+	"repro/internal/txobs"
 )
 
 // TestEventLoopOverflowSpill exercises the enqueue spill path white-box: a
@@ -183,10 +184,26 @@ func TestStatsFingerprintAndEventloopOverWire(t *testing.T) {
 
 // TestStatsResetRacedOverWire is the protocol-level exactly-once check:
 // concurrent `stats reset` commands racing live traffic must leave every new
-// counter coherent (no underflow blow-ups), keep fingerprinting enabled, and
-// preserve gauges (workers, conns).
+// counter coherent (no underflow blow-ups), keep fingerprinting and tracing
+// enabled, clear the who-aborted-whom edges, and preserve gauges (workers,
+// conns).
 func TestStatsResetRacedOverWire(t *testing.T) {
 	s, c := startFPServer(t)
+	obs := c.EnableTracing()
+	// A synthetic edge no real transaction can produce: the resets must
+	// clear it, and a fresh one must then count from zero.
+	seedEdge := func() {
+		obs.Record(&txobs.Event{Kind: txobs.KAbort, Orec: -1, Site: "seed_victim", Owner: "seed_owner"})
+	}
+	seedCount := func(m map[string]string) string {
+		for k, v := range m {
+			if n, rest, _ := strings.Cut(v, " "); strings.HasPrefix(k, "conflict_edge_") && rest == "seed_owner seed_victim (unlabeled)" {
+				return n
+			}
+		}
+		return ""
+	}
+	seedEdge()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -253,6 +270,17 @@ func TestStatsResetRacedOverWire(t *testing.T) {
 	}
 	if ops := sumShardStat(fp, "ops"); ops > 1<<40 {
 		t.Fatalf("shard ops implausible after raced resets: %d", ops)
+	}
+	conflicts := statsMap(t, conn, r, "conflicts")
+	if conflicts["tracing"] != "1" {
+		t.Fatalf("raced resets turned tracing off: %v", conflicts)
+	}
+	if n := seedCount(conflicts); n != "" {
+		t.Fatalf("seeded conflict edge survived raced resets with count %s", n)
+	}
+	seedEdge()
+	if n := seedCount(statsMap(t, conn, r, "conflicts")); n != "1" {
+		t.Fatalf("fresh conflict edge after raced resets counts %q, want 1", n)
 	}
 	el := statsMap(t, conn, r, "eventloop")
 	for _, k := range []string{"event_overflow_spills", "poller_wakeups", "poller_probes"} {

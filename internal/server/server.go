@@ -25,7 +25,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mcstats"
 	"repro/internal/protocol"
-	"repro/internal/txtrace"
 )
 
 // Config parameterizes a Server. The zero value disables every limit.
@@ -87,8 +86,6 @@ type Server struct {
 	closed bool
 
 	draining atomic.Bool
-
-	connSeq atomic.Uint64 // connection ids for request-span attribution
 
 	// ev is the event-loop transport state; nil when cfg.EventLoop is off
 	// (classic goroutine-per-connection serving).
@@ -214,9 +211,6 @@ func (s *Server) handle(sc *servConn) {
 	pc := protocol.NewConn(worker, sc)
 	pc.SetControl(sc)
 	pc.SetConnErrors(&s.errs)
-	// Every connection gets a span buffer up front; with tracing off its only
-	// cost is one atomic load per request inside Begin.
-	pc.SetSpans(txtrace.NewConnSpans(s.cache.Tracer(), s.connSeq.Add(1)))
 	s.countErr(pc.Serve())
 }
 

@@ -12,10 +12,12 @@ import (
 // collected data can still be queried), and obs is the active pointer the hot
 // paths consult — nil while tracing is disabled. Every event site in the
 // runtime therefore costs exactly one atomic pointer load when tracing is
-// off.
+// off. An event is built on the stack and handed to Observer.Record, which
+// folds it into the aggregates.
 
 // EnableTracing activates transaction event tracing, creating the observer
-// (sized to the orec table) on first use, and returns it.
+// (sized to the orec table) on first use, and returns it. It also turns on
+// orec-owner attribution, so aborts name the site that aborted them.
 func (rt *Runtime) EnableTracing() *txobs.Observer {
 	rt.mu.Lock()
 	o := rt.obsAll.Load()
@@ -24,6 +26,7 @@ func (rt *Runtime) EnableTracing() *txobs.Observer {
 		rt.obsAll.Store(o)
 	}
 	rt.mu.Unlock()
+	rt.enableOwnerTracking()
 	o.Enable()
 	rt.obs.Store(o)
 	return o
@@ -41,6 +44,7 @@ func (rt *Runtime) AttachTracing(o *txobs.Observer, shard, orecBase int) {
 	rt.mu.Lock()
 	rt.obsAll.Store(o)
 	rt.mu.Unlock()
+	rt.enableOwnerTracking()
 	o.Enable()
 	rt.obs.Store(o)
 }
@@ -77,59 +81,11 @@ func (rt *Runtime) obsEvent(k txobs.Kind, cause string) {
 	}
 }
 
-// SetShardInfo stamps the runtime's TM-domain index and orec base offset
-// without attaching an observer, so events recorded through a request-trace
-// hook carry their shard and orec coordinates even while the aggregate
-// observer is off. AttachTracing overwrites these with the same values.
-func (rt *Runtime) SetShardInfo(shard, orecBase int) {
-	rt.obsShard.Store(int32(shard))
-	rt.obsBase.Store(int32(orecBase))
-}
-
-// sink returns the thread's recording sink for o, creating it on first use
-// (or when tracing was re-enabled with a different observer).
-func (th *Thread) sink(o *txobs.Observer) *txobs.Sink {
-	if th.obsSinkFor != o {
-		th.obsSink = o.NewSink()
-		th.obsSinkFor = o
-	}
-	return th.obsSink
-}
-
-// TraceSink receives a copy of every event a thread's transactions emit while
-// a request-trace hook is installed (see Thread.SetTraceHook). TraceTx must
-// copy the event before returning: the runtime may hand the same pointer to
-// the aggregate observer, which stamps and retains it.
-type TraceSink interface {
-	TraceTx(ev *txobs.Event)
-}
-
-// SetTraceHook installs (or, with nil, removes) the thread's request-trace
-// hook. The hook makes every event site fire regardless of the aggregate
-// observer's state, so a sampled request sees its full span stream even when
-// `stats tm` tracing is off. The thread is single-owner; the field is plain.
-func (th *Thread) SetTraceHook(t TraceSink) { th.trace = t }
-
-// TraceHook returns the currently installed hook (nil when none).
-func (th *Thread) TraceHook() TraceSink { return th.trace }
-
-// deliver fans one event out to the thread's request-trace hook (which copies
-// it) and then to the aggregate observer (which takes ownership). Either may
-// be absent; callers guarantee at least one is present.
-func (th *Thread) deliver(o *txobs.Observer, ev *txobs.Event) {
-	if t := th.trace; t != nil {
-		t.TraceTx(ev)
-	}
-	if o != nil {
-		th.sink(o).Record(ev)
-	}
-}
-
-// EnableOwnerTracking allocates the orec-owner attribution table (one
-// pointer per orec). Idempotent; called once by the engine when request
-// tracing is first enabled. Without it, owner attribution quietly reports
-// "" — tracing still works, the conflict graph just has anonymous writers.
-func (rt *Runtime) EnableOwnerTracking() {
+// enableOwnerTracking allocates the orec-owner attribution table (one
+// pointer per orec). Idempotent; EnableTracing and AttachTracing call it.
+// Without it, owner attribution quietly reports "" — the who-aborted-whom
+// edges then have anonymous owners.
+func (rt *Runtime) enableOwnerTracking() {
 	if rt.owners.Load() != nil {
 		return
 	}
@@ -139,7 +95,7 @@ func (rt *Runtime) EnableOwnerTracking() {
 
 // noteOwner records site as the last traced writer of the orec covering id.
 // Last-writer-wins: the table answers "who was here" (approximately), not
-// "who holds the lock now" — good enough for a conflict graph, and the
+// "who holds the lock now" — good enough for who-aborted-whom, and the
 // honest best available once the orec word itself only holds a lock word.
 func (rt *Runtime) noteOwner(id uint64, site *string) {
 	t := rt.owners.Load()
@@ -173,18 +129,22 @@ func (rt *Runtime) serialOwnerSite() string {
 	return ""
 }
 
-// sitePtr interns the transaction's site label as a stable pointer, cached on
-// the thread (sites are static per call site, so the cache almost always
-// hits). Used for owner attribution, where an 8-byte pointer store must not
-// become a string allocation on the write barrier.
+// sitePtr interns the transaction's site label as a stable pointer, in a
+// per-thread table (sites are static per call site, so each thread allocates
+// once per site it ever runs). Used for owner attribution, where an 8-byte
+// pointer store must not become a string allocation on the write barrier.
 func (tx *Tx) sitePtr() *string {
 	th := tx.th
-	if th.sitePtrFor != tx.props.Site {
-		s := tx.props.Site
-		th.sitePtrVal = &s
-		th.sitePtrFor = s
+	if p, ok := th.sites[tx.props.Site]; ok {
+		return p
 	}
-	return th.sitePtrVal
+	if th.sites == nil {
+		th.sites = make(map[string]*string)
+	}
+	p := new(string)
+	*p = tx.props.Site
+	th.sites[*p] = p
+	return p
 }
 
 // noteConflict stashes the abort cause and the conflicting location id on the
@@ -195,21 +155,15 @@ func (tx *Tx) noteConflict(cause string, id uint64) {
 	tx.conflictID = id
 }
 
-// obsRecord builds and records an event carrying the attempt's current
-// context: site, serial mode, retry ordinal, read/write-set sizes, and the
-// conflicting orec/label/owner when one was noted. o may be nil (request
-// tracing without the aggregate observer); deliver handles both consumers.
+// obsRecord records an event carrying the attempt's site and shard, and the
+// conflicting orec/label/owner when one was noted.
 func (tx *Tx) obsRecord(o *txobs.Observer, k txobs.Kind, cause string) {
-	ev := &txobs.Event{
-		Kind:   k,
-		Cause:  cause,
-		Site:   tx.props.Site,
-		Shard:  tx.rt.obsShard.Load(),
-		Serial: tx.serial,
-		Retry:  uint32(tx.th.consecAborts.Load()),
-		Reads:  uint32(len(tx.reads) + len(tx.nReadsW) + len(tx.nReadsP)),
-		Writes: uint32(len(tx.undoW) + len(tx.undoP) + len(tx.redoW) + len(tx.redoP)),
-		Orec:   -1,
+	ev := txobs.Event{
+		Kind:  k,
+		Cause: cause,
+		Site:  tx.props.Site,
+		Shard: tx.rt.obsShard.Load(),
+		Orec:  -1,
 	}
 	if tx.conflictID != 0 {
 		ev.Orec = tx.rt.orecIndex(tx.conflictID)
@@ -220,5 +174,5 @@ func (tx *Tx) obsRecord(o *txobs.Observer, k txobs.Kind, cause string) {
 		// subscription. Attribute to the last traced serial-lock holder.
 		ev.Owner = tx.rt.serialOwnerSite()
 	}
-	tx.th.deliver(o, ev)
+	o.Record(&ev)
 }

@@ -88,21 +88,14 @@ func TestObsConflictAttribution(t *testing.T) {
 		t.Fatalf("commit phase = %+v", r.Phases)
 	}
 
-	var sawAbort, sawSerial bool
-	for _, ev := range obs.Events() {
-		switch ev.Kind {
-		case txobs.KAbort:
-			if ev.Label == lbl && ev.Orec == wantOrec && ev.Cause == "conflict: location locked (read)" {
-				sawAbort = true
-			}
-		case txobs.KAbortSerial:
-			if ev.Label == lbl && ev.Site == "aborter" {
-				sawSerial = true
-			}
-		}
+	if len(r.AbortCauses) == 0 || r.AbortCauses[0].Cause != "conflict: location locked (read)" {
+		t.Fatalf("abort causes = %+v", r.AbortCauses)
 	}
-	if !sawAbort || !sawSerial {
-		t.Fatalf("missing attributed events (abort=%v serial=%v)", sawAbort, sawSerial)
+	// Who aborted whom: every abort and the abort-serial escalation of the
+	// reader ran into the orec the holder's write barrier had taken.
+	want := txobs.ConflictEdge{Owner: "holder", Victim: "aborter", Label: "obs_test_word", Count: obs.KindCount(txobs.KAbort) + 1}
+	if len(r.ConflictEdges) != 1 || r.ConflictEdges[0] != want {
+		t.Fatalf("conflict edges = %+v, want [%+v]", r.ConflictEdges, want)
 	}
 }
 

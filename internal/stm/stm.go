@@ -274,8 +274,6 @@ type Runtime struct {
 
 	stats Stats
 
-	prof atomic.Pointer[SerializationProfile]
-
 	// obs is the active observability sink (nil = tracing disabled; the hot
 	// paths pay one atomic load to find out). obsAll is the persistent
 	// observer, kept across DisableTracing. See obs.go.
@@ -289,10 +287,10 @@ type Runtime struct {
 	obsShard atomic.Int32
 	obsBase  atomic.Int32
 
-	// owners is the orec-owner attribution table for request tracing: one
-	// interned site-label pointer per orec slot, stored by traced writers at
-	// lock acquisition and read by traced victims at abort. Lazily allocated
-	// by EnableOwnerTracking; nil (one pointer load) when tracing never ran.
+	// owners is the orec-owner attribution table: one interned site-label
+	// pointer per orec slot, stored by traced writers at lock acquisition and
+	// read by traced victims at abort. Allocated by the first EnableTracing or
+	// AttachTracing; nil (one pointer load) when tracing never ran.
 	// serialOwner is the site of the last traced serial-lock writer — the
 	// "who" behind serial-subscription aborts. Both are last-writer-wins
 	// approximations; see obs.go.

@@ -151,19 +151,8 @@ type Thread struct {
 	runSince     atomic.Int64
 	escalate     atomic.Uint32
 
-	// Observability sink, cached per observer (see obs.go). Only touched
-	// while tracing is enabled.
-	obsSink    *txobs.Sink
-	obsSinkFor *txobs.Observer
-
-	// Request-trace hook (see obs.go): non-nil while the current request is
-	// being traced. Plain field — the thread is single-owner, and the hook is
-	// installed/removed between transactions by the same goroutine.
-	trace TraceSink
-
-	// Interned Site pointer cache for owner attribution (see Tx.sitePtr).
-	sitePtrVal *string
-	sitePtrFor string
+	// Interned Site pointers for owner attribution (see Tx.sitePtr).
+	sites map[string]*string
 }
 
 var threadIDs atomic.Uint64
@@ -235,9 +224,9 @@ type Tx struct {
 	abortCause string
 	conflictID uint64
 
-	// traced is set at begin when the thread has a request-trace hook; write
-	// barriers then publish this transaction's site into the orec-owner table
-	// so victims can name who aborted them.
+	// traced is set at begin when an observer is attached; write barriers
+	// then publish this transaction's site into the orec-owner table so
+	// victims can name who aborted them.
 	traced bool
 }
 
@@ -294,7 +283,7 @@ func (tx *Tx) Unsafe(op string) {
 	if tx.props.Kind == Atomic {
 		panic(fmt.Errorf("%w: %s", ErrUnsafeInAtomic, op))
 	}
-	if o := tx.rt.obs.Load(); o != nil || tx.th.trace != nil {
+	if o := tx.rt.obs.Load(); o != nil {
 		tx.obsRecord(o, txobs.KInFlightSwitch, causeAt("in-flight switch: "+op, tx.props.Site))
 	}
 	panic(switchSerialSignal{op: op})
@@ -345,9 +334,9 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 	if props.StartSerial {
 		serial = true
 		rt.stats.StartSerial.Add(1)
-		if o := rt.obs.Load(); o != nil || th.trace != nil {
-			th.deliver(o, &txobs.Event{
-				Kind: txobs.KStartSerial, Serial: true, Orec: -1,
+		if o := rt.obs.Load(); o != nil {
+			o.Record(&txobs.Event{
+				Kind: txobs.KStartSerial, Orec: -1,
 				Site: props.Site, Cause: causeAt("start serial", props.Site),
 				Shard: rt.obsShard.Load(),
 			})
@@ -393,7 +382,7 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 				// Release the hourglass gate if this thread ever closed it.
 				th.gateRelease()
 			}
-			if o := rt.obs.Load(); o != nil || th.trace != nil {
+			if o := rt.obs.Load(); o != nil {
 				tx.obsRecord(o, txobs.KCommit, "")
 			}
 			th.finish(tx, true)
@@ -413,7 +402,7 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 			// nothing and read consistently, so restarting on the
 			// writer-capable path is a clean upgrade, not a contention event.
 			rt.stats.ROUpgrades.Add(1)
-			if o := rt.obs.Load(); o != nil || th.trace != nil {
+			if o := rt.obs.Load(); o != nil {
 				tx.obsRecord(o, txobs.KROUpgrade, causeAt("ro upgrade: write in read-only transaction", props.Site))
 			}
 			wantRO = false
@@ -424,7 +413,7 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 			// dirtied by another commit, then re-run. Not an abort for
 			// contention-management purposes.
 			rt.stats.Retries.Add(1)
-			if o := rt.obs.Load(); o != nil || th.trace != nil {
+			if o := rt.obs.Load(); o != nil {
 				tx.obsRecord(o, txobs.KRetryWait, "retry: read-set wait")
 			}
 			th.finish(tx, false)
@@ -435,13 +424,13 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 			rt.stats.Aborts.Add(1)
 			consec++
 			th.consecAborts.Store(uint64(consec))
-			if o := rt.obs.Load(); o != nil || th.trace != nil {
+			if o := rt.obs.Load(); o != nil {
 				cause := tx.abortCause
 				if cause == "" {
 					cause = "conflict: commit validation"
 				}
 				tx.obsRecord(o, txobs.KAbort, cause)
-				if o != nil && consec == 1 && !runT0.IsZero() {
+				if consec == 1 && !runT0.IsZero() {
 					o.ObservePhase(txobs.PhaseFirstAbort, time.Since(runT0))
 				}
 			}
@@ -452,7 +441,7 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 			if cfg.Algorithm == HTM && consec >= cfg.HTMRetries {
 				// Lock-elision fallback: take the global lock for real.
 				rt.stats.HTMFallbacks.Add(1)
-				if o := rt.obs.Load(); o != nil || th.trace != nil {
+				if o := rt.obs.Load(); o != nil {
 					tx.obsRecord(o, txobs.KHTMFallback, causeAt("htm fallback: retry limit", props.Site))
 				}
 				serial = true
@@ -465,7 +454,7 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 					// The abort-serial event inherits the conflict that pushed
 					// the attempt over the limit, so serialization-for-progress
 					// is attributed to a named structure.
-					if o := rt.obs.Load(); o != nil || th.trace != nil {
+					if o := rt.obs.Load(); o != nil {
 						tx.obsRecord(o, txobs.KAbortSerial, causeAt("abort serial: consecutive-abort limit", props.Site))
 					}
 					serial = true
@@ -538,7 +527,8 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 		onAbort:  tx.onAbort[:0],
 	}
 	tx.redoW, tx.redoP = redoW, redoP
-	tx.traced = th.trace != nil
+	o := rt.obs.Load()
+	tx.traced = o != nil
 	rt.stats.Starts.Add(1)
 	if !serial {
 		// Acquire the attempt's serial-lock side; under SerialAlg every
@@ -555,7 +545,7 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 		}
 		if props.TrySerial {
 			// Already acquired by the bounded TryLock at the top of begin.
-		} else if o := rt.obs.Load(); o != nil {
+		} else if o != nil {
 			t0 := time.Now()
 			rt.serial.Lock()
 			o.ObservePhase(txobs.PhaseSerialWait, time.Since(t0))
@@ -594,10 +584,9 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 			}
 		}
 	}
-	if o := rt.obs.Load(); o != nil || th.trace != nil {
-		th.deliver(o, &txobs.Event{
-			Kind: txobs.KBegin, Serial: serial, Site: props.Site,
-			Retry: uint32(th.consecAborts.Load()), Orec: -1,
+	if o != nil {
+		o.Record(&txobs.Event{
+			Kind: txobs.KBegin, Site: props.Site, Orec: -1,
 			Shard: rt.obsShard.Load(),
 		})
 	}
@@ -1190,7 +1179,7 @@ func (tx *Tx) roCommit() bool {
 		return false
 	}
 	rt.stats.ROFastCommits.Add(1)
-	if o := rt.obs.Load(); o != nil || tx.th.trace != nil {
+	if o := rt.obs.Load(); o != nil {
 		tx.obsRecord(o, txobs.KROFastCommit, "")
 	}
 	tx.endSpeculation(false)

@@ -122,11 +122,3 @@ func AddWord(th *stm.Thread, w *stm.TWord, delta uint64) uint64 {
 	_ = Atomic(th, Options{}, func(tx *stm.Tx) { v = w.Add(tx, delta) })
 	return v
 }
-
-// SetTrace installs (nil: removes) a request-scoped trace sink on th: while
-// set, every transaction run through th delivers its begin/abort/serialize/
-// commit events to sink regardless of the aggregate observer's toggle. This
-// is the single entry point the engine uses to thread request spans down into
-// the runtime; it exists here (not on the caller's side of stm) so the
-// tracing contract is part of the same API surface as Atomic/Relaxed.
-func SetTrace(th *stm.Thread, sink stm.TraceSink) { th.SetTraceHook(sink) }

@@ -1,8 +1,8 @@
 // Package txobs is the transaction observability layer: a label registry for
-// naming transactional data structures, per-thread lock-free event rings
-// recording begin/abort/serialize/commit events, a conflict heat map
-// aggregated by ownership record and by label, and log-bucketed latency
-// histograms per STM phase and per server command.
+// naming transactional data structures, per-kind counters of the runtime's
+// begin/abort/serialize/commit events, a conflict heat map aggregated by
+// ownership record, by label and by who-aborted-whom edge, and log-bucketed
+// latency histograms per STM phase and per server command.
 //
 // The paper's authors report that "manually diagnosing the causes of aborts
 // and serialization was challenging", and extended the GCC TM library with

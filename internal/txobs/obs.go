@@ -22,8 +22,6 @@ type Options struct {
 	// the per-shard conflict-label heat map and the cross-shard consistency
 	// check on the orec heat map. 0 and 1 mean a single (unsharded) domain.
 	Shards int
-	// RingCapacity is the per-sink event ring size (default 4096).
-	RingCapacity int
 }
 
 // heatCell is one orec's aggregate: abort count plus the label of the last
@@ -42,15 +40,23 @@ type shardCells struct {
 	aborts [MaxLabels]atomic.Uint64
 }
 
+// edgeKey is one who-aborted-whom edge: the site that last wrote the
+// conflicting orec, the site that aborted on it, and the location's label.
+type edgeKey struct {
+	owner, victim string
+	label         Label
+}
+
 // Observer owns the aggregation state of the observability layer: per-kind
-// event counters, the conflict heat map, serialization/abort cause maps, and
-// the phase and command latency histograms. One Observer serves one cache
-// (runtime); it persists across Enable/Disable so collected data survives
-// turning tracing off.
+// event counters, the conflict heat map, serialization/abort cause maps, the
+// who-aborted-whom edges, and the phase and command latency histograms. One
+// Observer serves one cache (runtime); it persists across Enable/Disable so
+// collected data survives turning tracing off.
 type Observer struct {
 	enabled atomic.Bool
-	seq     atomic.Uint64
-	ringCap int
+	// events counts every event recorded; unlike the aggregates it is not
+	// cleared by Reset.
+	events atomic.Uint64
 
 	kinds [kindN]atomic.Uint64
 
@@ -63,27 +69,23 @@ type Observer struct {
 	shardHeat  []shardCells
 	crossShard atomic.Uint64
 
+	// causeMu guards the cause maps and the edge map, all written on abort
+	// and serialization paths only.
 	causeMu      sync.Mutex
 	serialCauses map[string]uint64
 	abortCauses  map[string]uint64
+	edges        map[edgeKey]uint64
 
 	phases [phaseN]Histogram
 	cmds   sync.Map // command name -> *Histogram
-
-	mu     sync.Mutex
-	sinks  []*Sink
-	global *Sink
 }
 
 // New creates a disabled Observer.
 func New(opts Options) *Observer {
-	if opts.RingCapacity <= 0 {
-		opts.RingCapacity = 4096
-	}
 	o := &Observer{
-		ringCap:      opts.RingCapacity,
 		serialCauses: make(map[string]uint64),
 		abortCauses:  make(map[string]uint64),
+		edges:        make(map[edgeKey]uint64),
 	}
 	if opts.Orecs > 0 {
 		o.orecHeat = make([]heatCell, opts.Orecs)
@@ -91,7 +93,6 @@ func New(opts Options) *Observer {
 	if opts.Shards > 1 {
 		o.shardHeat = make([]shardCells, opts.Shards)
 	}
-	o.global = &Sink{obs: o, ring: NewRing(opts.RingCapacity), id: -1}
 	return o
 }
 
@@ -104,22 +105,15 @@ func (o *Observer) Disable() { o.enabled.Store(false) }
 // Enabled reports whether events are being recorded.
 func (o *Observer) Enabled() bool { return o.enabled.Load() }
 
-// NewSink registers a new per-thread recording sink with its own event ring.
-func (o *Observer) NewSink() *Sink {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	s := &Sink{obs: o, ring: NewRing(o.ringCap), id: int32(len(o.sinks))}
-	o.sinks = append(o.sinks, s)
-	return s
-}
-
-// Record records a runtime-global event (watchdog escalations and other
-// events without a thread context). No-op while disabled.
-func (o *Observer) Record(ev *Event) { o.global.Record(ev) }
-
-// aggregate folds one recorded event into the counters, cause maps, and the
-// conflict heat map. Called from Sink.Record (enabled path only).
-func (o *Observer) aggregate(ev *Event) {
+// Record folds one event into the aggregates: kind counters, cause maps, the
+// conflict heat map and the who-aborted-whom edges. It keeps nothing of ev,
+// so an event the runtime builds on its stack stays there. No-op while
+// disabled: the cost is one atomic load.
+func (o *Observer) Record(ev *Event) {
+	if !o.enabled.Load() {
+		return
+	}
+	o.events.Add(1)
 	o.kinds[ev.Kind].Add(1)
 	switch {
 	case ev.Kind == KAbort:
@@ -140,37 +134,30 @@ func (o *Observer) aggregate(ev *Event) {
 		if int(ev.Shard) < len(o.shardHeat) && int(ev.Label) < MaxLabels {
 			o.shardHeat[ev.Shard].aborts[ev.Label].Add(1)
 		}
-		if ev.Cause != "" {
-			o.addCause(&o.abortCauses, ev.Cause)
-		}
+		o.addConflict(o.abortCauses, ev)
 	case ev.Kind == KAbortSerial:
 		if int(ev.Label) < MaxLabels {
 			o.serialByLabel[ev.Label].Add(1)
 		}
-		if ev.Cause != "" {
-			o.addCause(&o.serialCauses, ev.Cause)
-		}
+		o.addConflict(o.serialCauses, ev)
 	case ev.Kind.serializes():
 		if ev.Cause != "" {
-			o.addCause(&o.serialCauses, ev.Cause)
+			o.causeMu.Lock()
+			o.serialCauses[ev.Cause]++
+			o.causeMu.Unlock()
 		}
 	}
 }
 
-func (o *Observer) addCause(m *map[string]uint64, cause string) {
+// addConflict counts an abort or abort-serial event's cause in causes and its
+// who-aborted-whom edge.
+func (o *Observer) addConflict(causes map[string]uint64, ev *Event) {
 	o.causeMu.Lock()
-	(*m)[cause]++
-	o.causeMu.Unlock()
-}
-
-// RecordSerialCause counts a serialization cause without an event (the
-// compatibility path for stm.SerializationProfile callers). No-op while
-// disabled.
-func (o *Observer) RecordSerialCause(cause string) {
-	if !o.enabled.Load() {
-		return
+	if ev.Cause != "" {
+		causes[ev.Cause]++
 	}
-	o.addCause(&o.serialCauses, cause)
+	o.edges[edgeKey{owner: ev.Owner, victim: ev.Site, label: ev.Label}]++
+	o.causeMu.Unlock()
 }
 
 // KindCount returns the number of events of kind k recorded.
@@ -212,8 +199,8 @@ func (o *Observer) ObserveCommand(cmd string, d time.Duration) {
 }
 
 // SerialCauses returns the serialization causes, most frequent first (ties
-// broken by cause name). This is the collection the legacy
-// stm.SerializationProfile reads through.
+// broken by cause name): the §6 attribution of every in-flight switch,
+// start-serial and abort-serial to its unsafe operation or site.
 func (o *Observer) SerialCauses() []CauseCount {
 	o.causeMu.Lock()
 	out := make([]CauseCount, 0, len(o.serialCauses))
@@ -239,23 +226,8 @@ func (o *Observer) SerialAttribution() (named, total uint64) {
 	return named, total
 }
 
-// Events merges every ring's current contents, oldest first.
-func (o *Observer) Events() []Event {
-	o.mu.Lock()
-	sinks := append([]*Sink(nil), o.sinks...)
-	o.mu.Unlock()
-	sinks = append(sinks, o.global)
-	var out []Event
-	for _, s := range sinks {
-		out = append(out, s.ring.Snapshot()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
 // Reset zeroes every resettable aggregate: kind counters, heat map, cause
-// maps, histograms, and the ring contents. The event sequence keeps counting
-// so post-reset events still order after pre-reset ones.
+// maps, edges and histograms. The total event count keeps counting.
 func (o *Observer) Reset() {
 	for i := range o.kinds {
 		o.kinds[i].Store(0)
@@ -278,6 +250,7 @@ func (o *Observer) Reset() {
 	o.causeMu.Lock()
 	clear(o.serialCauses)
 	clear(o.abortCauses)
+	clear(o.edges)
 	o.causeMu.Unlock()
 	for i := range o.phases {
 		o.phases[i].Reset()
@@ -286,28 +259,6 @@ func (o *Observer) Reset() {
 		v.(*Histogram).Reset()
 		return true
 	})
-	o.mu.Lock()
-	sinks := append([]*Sink(nil), o.sinks...)
-	o.mu.Unlock()
-	sinks = append(sinks, o.global)
-	for _, s := range sinks {
-		s.ring.reset()
-	}
-}
-
-// RingDropped sums the wrap-loss counters of every ring: events overwritten
-// before a reader could have snapshotted them. Exported as the ring_dropped
-// gauge on the debug surfaces.
-func (o *Observer) RingDropped() uint64 {
-	o.mu.Lock()
-	sinks := append([]*Sink(nil), o.sinks...)
-	o.mu.Unlock()
-	sinks = append(sinks, o.global)
-	var n uint64
-	for _, s := range sinks {
-		n += s.ring.Dropped()
-	}
-	return n
 }
 
 // ---------------------------------------------------------------------------
@@ -335,17 +286,28 @@ type OrecCount struct {
 	Shard int `json:"shard"`
 }
 
+// ConflictEdge is one who-aborted-whom edge: Count aborts and abort-serial
+// escalations of transactions at site Victim on a Label location whose orec
+// a transaction at site Owner last wrote. "" is an unknown site: the owner
+// wrote before tracing was on, or no orec conflicted.
+type ConflictEdge struct {
+	Owner  string `json:"owner"`
+	Victim string `json:"victim"`
+	Label  string `json:"label"`
+	Count  uint64 `json:"count"`
+}
+
 // Report is a point-in-time structured view of everything the observer has
 // collected; it marshals directly to JSON for the debug endpoint.
 type Report struct {
-	Enabled        bool                    `json:"enabled"`
-	Events         uint64                  `json:"events"`
-	Kinds          map[string]uint64       `json:"kinds"`
-	SerialCauses   []CauseCount            `json:"serial_causes"`
-	AbortCauses    []CauseCount            `json:"abort_causes"`
-	ConflictLabels []LabelCount            `json:"conflict_labels"`
-	SerialLabels   []LabelCount            `json:"serial_labels"`
-	HotOrecs       []OrecCount             `json:"hot_orecs"`
+	Enabled        bool              `json:"enabled"`
+	Events         uint64            `json:"events"`
+	Kinds          map[string]uint64 `json:"kinds"`
+	SerialCauses   []CauseCount      `json:"serial_causes"`
+	AbortCauses    []CauseCount      `json:"abort_causes"`
+	ConflictLabels []LabelCount      `json:"conflict_labels"`
+	SerialLabels   []LabelCount      `json:"serial_labels"`
+	HotOrecs       []OrecCount       `json:"hot_orecs"`
 	// Shards is the TM domain count; ShardConflicts is the conflict heat map
 	// with the shard dimension ("s2/hash_bucket"), only populated when the
 	// observer serves more than one shard. CrossShardOrecConflicts counts
@@ -354,8 +316,10 @@ type Report struct {
 	Shards                  int          `json:"shards,omitempty"`
 	ShardConflicts          []LabelCount `json:"shard_conflicts,omitempty"`
 	CrossShardOrecConflicts uint64       `json:"cross_shard_orec_conflicts"`
-	Phases         map[string]HistSnapshot `json:"phases"`
-	Commands       map[string]HistSnapshot `json:"commands"`
+	// ConflictEdges answers who aborted whom, heaviest edge first.
+	ConflictEdges []ConflictEdge          `json:"conflict_edges"`
+	Phases        map[string]HistSnapshot `json:"phases"`
+	Commands      map[string]HistSnapshot `json:"commands"`
 }
 
 func sortCauses(cs []CauseCount) {
@@ -381,7 +345,7 @@ func sortLabels(ls []LabelCount) {
 func (o *Observer) Report(topOrecs int) Report {
 	r := Report{
 		Enabled:  o.enabled.Load(),
-		Events:   o.seq.Load(),
+		Events:   o.events.Load(),
 		Kinds:    make(map[string]uint64, kindN),
 		Phases:   make(map[string]HistSnapshot, phaseN),
 		Commands: make(map[string]HistSnapshot),
@@ -396,8 +360,26 @@ func (o *Observer) Report(topOrecs int) Report {
 	for c, n := range o.abortCauses {
 		r.AbortCauses = append(r.AbortCauses, CauseCount{Cause: c, Count: n})
 	}
+	for k, n := range o.edges {
+		r.ConflictEdges = append(r.ConflictEdges, ConflictEdge{
+			Owner: k.owner, Victim: k.victim, Label: k.label.String(), Count: n,
+		})
+	}
 	o.causeMu.Unlock()
 	sortCauses(r.AbortCauses)
+	sort.Slice(r.ConflictEdges, func(i, j int) bool {
+		a, b := r.ConflictEdges[i], r.ConflictEdges[j]
+		if a.Count != b.Count {
+			return a.Count > b.Count
+		}
+		if a.Owner != b.Owner {
+			return a.Owner < b.Owner
+		}
+		if a.Victim != b.Victim {
+			return a.Victim < b.Victim
+		}
+		return a.Label < b.Label
+	})
 	for i := 0; i < NumLabels(); i++ {
 		if n := o.labelAborts[i].Load(); n > 0 {
 			r.ConflictLabels = append(r.ConflictLabels, LabelCount{Label: Label(i).String(), Count: n})
@@ -506,6 +488,12 @@ func (r Report) String() string {
 			}
 		}
 	}
+	if len(r.ConflictEdges) > 0 {
+		b.WriteString("  who aborted whom (owner -> victim [structure]):\n")
+		for _, e := range r.ConflictEdges {
+			fmt.Fprintf(&b, "    %10d  %s -> %s [%s]\n", e.Count, orDash(e.Owner), orDash(e.Victim), e.Label)
+		}
+	}
 	if len(r.HotOrecs) > 0 {
 		b.WriteString("  hottest orecs:\n")
 		for _, oc := range r.HotOrecs {
@@ -525,6 +513,14 @@ func (r Report) String() string {
 		}
 	}
 	return b.String()
+}
+
+// orDash writes an unknown site as "-".
+func orDash(s string) string {
+	if s == "" {
+		return "-"
+	}
+	return s
 }
 
 func sortedHistKeys(m map[string]HistSnapshot) []string {

@@ -9,172 +9,87 @@ import (
 	"time"
 )
 
-// TestRingHammer drives one shared ring from N goroutines while a reader
-// snapshots concurrently, then checks (a) the total-recorded counter lost
-// nothing, (b) retention loss is bounded by the ring capacity, and (c) no
-// event was torn (every snapshot entry is internally consistent).
-func TestRingHammer(t *testing.T) {
-	const (
-		goroutines = 8
-		perG       = 2000
-		capacity   = 256
-	)
-	o := New(Options{RingCapacity: capacity})
-	o.Enable()
-	sink := o.NewSink() // one ring, many writers
-	if sink.Ring().Cap() != capacity {
-		t.Fatalf("ring capacity = %d, want %d", sink.Ring().Cap(), capacity)
-	}
-
-	stop := make(chan struct{})
-	var readerWG sync.WaitGroup
-	readerWG.Add(1)
-	go func() {
-		defer readerWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for _, ev := range sink.Ring().Snapshot() {
-				checkConsistent(t, ev)
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				// Retry and Reads encode the writer identity and iteration;
-				// Cause repeats them so tearing would be detectable.
-				sink.Record(&Event{
-					Kind:   KCommit,
-					Retry:  uint32(g),
-					Reads:  uint32(i),
-					Writes: uint32(g + i),
-					Orec:   -1,
-					Cause:  fmt.Sprintf("w%d-%d", g, i),
-				})
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(stop)
-	readerWG.Wait()
-
-	if got := sink.Ring().Recorded(); got != goroutines*perG {
-		t.Fatalf("recorded counter = %d, want %d (lost records)", got, goroutines*perG)
-	}
-	if got := o.KindCount(KCommit); got != goroutines*perG {
-		t.Fatalf("commit kind counter = %d, want %d (lost-commit undercount)", got, goroutines*perG)
-	}
-	snap := sink.Ring().Snapshot()
-	// Retention bounded by capacity: with >>capacity records, every slot holds
-	// an event; losses beyond the last `capacity` events are by design.
-	if len(snap) != capacity {
-		t.Fatalf("final snapshot holds %d events, want full ring of %d", len(snap), capacity)
-	}
-	seen := map[uint64]bool{}
-	for _, ev := range snap {
-		checkConsistent(t, ev)
-		if seen[ev.Seq] {
-			t.Fatalf("duplicate seq %d in snapshot", ev.Seq)
-		}
-		seen[ev.Seq] = true
-	}
-}
-
-func checkConsistent(t *testing.T, ev Event) {
-	t.Helper()
-	want := fmt.Sprintf("w%d-%d", ev.Retry, ev.Reads)
-	if ev.Cause != want || ev.Writes != ev.Retry+ev.Reads {
-		t.Errorf("torn event: %+v", ev)
-	}
-	if ev.Seq == 0 || ev.When == 0 {
-		t.Errorf("unsequenced event: %+v", ev)
-	}
-}
-
 // TestDisabledRecordsNothing checks the disabled path is a pure no-op: no
-// events retained, no counters moved, no histograms filled.
+// counters moved, no histograms filled.
 func TestDisabledRecordsNothing(t *testing.T) {
-	o := New(Options{Orecs: 16, RingCapacity: 64})
-	sink := o.NewSink()
+	o := New(Options{Orecs: 16})
 	for i := 0; i < 100; i++ {
-		sink.Record(&Event{Kind: KAbort, Orec: 3, Label: RegisterLabel("test_disabled")})
+		o.Record(&Event{Kind: KAbort, Orec: 3, Label: RegisterLabel("test_disabled"), Site: "victim", Owner: "owner"})
 		o.ObservePhase(PhaseCommit, time.Millisecond)
 		o.ObserveCommand("get", time.Millisecond)
-		o.RecordSerialCause("should not appear")
-	}
-	if n := sink.Ring().Recorded(); n != 0 {
-		t.Fatalf("disabled ring recorded %d events", n)
 	}
 	if n := o.KindCount(KAbort); n != 0 {
 		t.Fatalf("disabled kind counter = %d", n)
 	}
 	r := o.Report(0)
 	if r.Events != 0 || len(r.Kinds) != 0 || len(r.SerialCauses) != 0 ||
-		len(r.ConflictLabels) != 0 || len(r.Phases) != 0 || len(r.Commands) != 0 {
+		len(r.ConflictLabels) != 0 || len(r.ConflictEdges) != 0 || len(r.Phases) != 0 || len(r.Commands) != 0 {
 		t.Fatalf("disabled observer accumulated state: %+v", r)
 	}
 }
 
-// TestPerThreadMerge checks that events recorded through separate per-thread
-// sinks merge into one globally ordered stream.
+// TestPerThreadMerge records from several goroutines at once, each standing
+// for one thread of its own shard: nothing may be lost between them, and
+// every abort lands in its own shard's conflict heat map.
 func TestPerThreadMerge(t *testing.T) {
-	const threads, each = 4, 50
-	o := New(Options{RingCapacity: 128})
+	const threads, each = 4, 2000
+	lbl := RegisterLabel("test_merge")
+	o := New(Options{Orecs: 64, Shards: threads})
 	o.Enable()
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
-		s := o.NewSink()
 		wg.Add(1)
-		go func(s *Sink) {
+		go func(shard int32) {
 			defer wg.Done()
 			for j := 0; j < each; j++ {
-				s.Record(&Event{Kind: KBegin, Orec: -1})
+				o.Record(&Event{Kind: KBegin, Orec: -1, Shard: shard})
+				o.Record(&Event{Kind: KAbort, Orec: shard, Shard: shard, Label: lbl,
+					Site: "victim", Owner: "owner", Cause: "conflict: location locked"})
 			}
-		}(s)
+		}(int32(i))
 	}
 	wg.Wait()
-	evs := o.Events()
-	if len(evs) != threads*each {
-		t.Fatalf("merged %d events, want %d", len(evs), threads*each)
+	if n := o.KindCount(KBegin); n != threads*each {
+		t.Fatalf("begin events = %d, want %d (lost records)", n, threads*each)
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq {
-			t.Fatalf("merge not ordered at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
+	r := o.Report(0)
+	if r.Events != 2*threads*each {
+		t.Fatalf("events = %d, want %d", r.Events, 2*threads*each)
+	}
+	if len(r.ShardConflicts) != threads {
+		t.Fatalf("shard conflicts = %+v, want one row per shard", r.ShardConflicts)
+	}
+	for _, l := range r.ShardConflicts {
+		if l.Count != each {
+			t.Errorf("%s = %d, want %d", l.Label, l.Count, each)
 		}
 	}
-	threadsSeen := map[int32]int{}
-	for _, ev := range evs {
-		threadsSeen[ev.Thread]++
+	if r.CrossShardOrecConflicts != 0 {
+		t.Errorf("cross-shard orec conflicts = %d with disjoint orecs", r.CrossShardOrecConflicts)
 	}
-	if len(threadsSeen) != threads {
-		t.Fatalf("events from %d threads, want %d", len(threadsSeen), threads)
+	want := ConflictEdge{Owner: "owner", Victim: "victim", Label: "test_merge", Count: threads * each}
+	if len(r.ConflictEdges) != 1 || r.ConflictEdges[0] != want {
+		t.Fatalf("conflict edges = %+v, want [%+v]", r.ConflictEdges, want)
 	}
 }
 
 // TestHeatMapAndReport drives aborts with labels through the aggregation and
-// checks the report: per-label counts, per-orec counts, attribution rate.
+// checks the report: per-label counts, per-orec counts, attribution rate, and
+// who aborted whom.
 func TestHeatMapAndReport(t *testing.T) {
 	lb := RegisterLabel("test_bucket")
 	ll := RegisterLabel("test_lru")
-	o := New(Options{Orecs: 32, RingCapacity: 64})
+	o := New(Options{Orecs: 32})
 	o.Enable()
-	s := o.NewSink()
 	for i := 0; i < 10; i++ {
-		s.Record(&Event{Kind: KAbort, Orec: 5, Label: lb, Cause: "conflict: location locked"})
+		o.Record(&Event{Kind: KAbort, Orec: 5, Label: lb, Cause: "conflict: location locked", Site: "item_get", Owner: "do_item_link"})
 	}
 	for i := 0; i < 3; i++ {
-		s.Record(&Event{Kind: KAbort, Orec: 9, Label: ll, Cause: "conflict: read validation"})
+		o.Record(&Event{Kind: KAbort, Orec: 9, Label: ll, Cause: "conflict: read validation", Site: "item_get"})
 	}
-	s.Record(&Event{Kind: KAbortSerial, Orec: 5, Label: lb, Cause: "abort serial: consecutive-abort limit"})
-	s.Record(&Event{Kind: KAbortSerial, Orec: -1, Label: NoLabel, Cause: "abort serial: consecutive-abort limit"})
+	o.Record(&Event{Kind: KAbortSerial, Orec: 5, Label: lb, Cause: "abort serial: consecutive-abort limit", Site: "item_get", Owner: "do_item_link"})
+	o.Record(&Event{Kind: KAbortSerial, Orec: -1, Label: NoLabel, Cause: "abort serial: consecutive-abort limit"})
+	o.Record(&Event{Kind: KCommit, Orec: -1, Site: "item_get"})
 
 	r := o.Report(10)
 	if len(r.ConflictLabels) != 2 || r.ConflictLabels[0].Label != "test_bucket" || r.ConflictLabels[0].Count != 10 {
@@ -193,12 +108,24 @@ func TestHeatMapAndReport(t *testing.T) {
 	if len(r.SerialCauses) != 1 || r.SerialCauses[0].Count != 2 {
 		t.Fatalf("serial causes = %+v", r.SerialCauses)
 	}
+	// Aborts and abort-serial escalations both count; commits do not.
+	wantEdges := []ConflictEdge{
+		{Owner: "do_item_link", Victim: "item_get", Label: "test_bucket", Count: 11},
+		{Owner: "", Victim: "item_get", Label: "test_lru", Count: 3},
+		{Owner: "", Victim: "", Label: "(unlabeled)", Count: 1},
+	}
+	if fmt.Sprint(r.ConflictEdges) != fmt.Sprint(wantEdges) {
+		t.Fatalf("conflict edges = %+v, want %+v", r.ConflictEdges, wantEdges)
+	}
 
-	// Reset zeroes everything resettable.
+	// Reset zeroes everything resettable; the event total keeps counting.
 	o.Reset()
 	r = o.Report(0)
-	if len(r.Kinds) != 0 || len(r.ConflictLabels) != 0 || len(r.HotOrecs) != 0 || len(o.Events()) != 0 {
+	if len(r.Kinds) != 0 || len(r.ConflictLabels) != 0 || len(r.HotOrecs) != 0 || len(r.ConflictEdges) != 0 {
 		t.Fatalf("report not empty after reset: %+v", r)
+	}
+	if r.Events != 16 {
+		t.Fatalf("events = %d after reset, want 16", r.Events)
 	}
 }
 
@@ -239,8 +166,7 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestReportRendering(t *testing.T) {
 	o := New(Options{Orecs: 8})
 	o.Enable()
-	s := o.NewSink()
-	s.Record(&Event{Kind: KAbort, Orec: 2, Label: RegisterLabel("test_render"), Cause: "conflict: location locked"})
+	o.Record(&Event{Kind: KAbort, Orec: 2, Label: RegisterLabel("test_render"), Cause: "conflict: location locked", Site: "item_get"})
 	o.ObservePhase(PhaseCommit, 3*time.Microsecond)
 	o.ObserveCommand("set", 40*time.Microsecond)
 
@@ -269,5 +195,8 @@ func TestReportRendering(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "test_render") {
 		t.Errorf("text report missing label:\n%s", r)
+	}
+	if !strings.Contains(r.String(), "who aborted whom") || !strings.Contains(r.String(), "- -> item_get [test_render]") {
+		t.Errorf("text report missing the who-aborted-whom block:\n%s", r)
 	}
 }
