@@ -65,10 +65,9 @@ torture:
 
 # bench runs the experiments behind every claim made beyond the paper's
 # figures (EXP=all, or a comma-separated subset: shards, trace-overhead —
-# transaction observability never on, on then off, and on —,
-# fingerprint-overhead, txn, conns) through the one runner in internal/bench
-# and records them in BENCH_experiments.json; entries of experiments not run
-# are kept.
+# transaction observability never on, on then off, and on —, txn, conns)
+# through the one runner in internal/bench and records them in
+# BENCH_experiments.json; entries of experiments not run are kept.
 EXP ?= all
 bench:
 	$(GO) run ./cmd/mcbench -exp $(EXP)

@@ -9,8 +9,8 @@
 //	                             # causes, heat map, who aborted whom
 //	mcbench -all -ops 625000 -threads 1,2,4,8,12 -trials 5   # paper scale
 //
-//	mcbench -exp all             # shards, trace-overhead, fingerprint-overhead,
-//	mcbench -exp shards,txn      # txn, conns -> BENCH_experiments.json
+//	mcbench -exp all             # shards, trace-overhead, txn, conns
+//	mcbench -exp shards,txn      #   -> BENCH_experiments.json
 //
 // Experiments take no sizing flags: their sizes are constants in the table
 // (internal/bench/experiments.go), so a recorded number names its workload.

@@ -1,15 +1,16 @@
 // Command mctop is a live terminal console for a running tm-memcached
-// server: it polls the stats surface (stats, stats fingerprint, stats
-// eventloop) at a fixed interval and renders one screen of per-shard
-// workload fingerprints — decayed op counts, hot keys, abort mix — plus
-// transport queue depths and poller counters.
+// server: it polls the stats surface (stats, stats tm, stats conflicts,
+// stats eventloop) at a fixed interval and renders one screen of command
+// and transaction rates, per-shard commits, aborts and read-only fast-path
+// commits, the hottest conflict label and the heaviest who-aborted-whom
+// edge, plus transport queue depths and poller counters.
 //
 //	mctop -addr 127.0.0.1:11211
 //	mctop -addr 127.0.0.1:11211 -interval 2s
 //	mctop -addr 127.0.0.1:11211 -once        # one frame, no screen control
 //
-// Enable fingerprinting on the server first (-fingerprint, or POST
-// /debug/fingerprint?enable=1); without it the per-shard table is empty.
+// The conflict line needs transaction observability on the server (-trace,
+// or POST /debug/tm?enable=1); without it the line reads "tracing off".
 package main
 
 import (

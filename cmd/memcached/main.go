@@ -38,7 +38,6 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "serve the debug HTTP endpoint (/debug/vars, /metrics, /debug/pprof/) on this address")
 		eventLoop = flag.Bool("event-loop", runtime.GOOS == "linux", "event-driven transport: epoll parks idle connections, a bounded shard-affine worker pool serves ready ones (default on linux; off = goroutine per connection)")
 		workers   = flag.Int("workers", 0, "event-loop execution workers (0 = shards+2, capped at 32)")
-		fprint    = flag.Bool("fingerprint", false, "enable per-shard workload fingerprinting from startup (stats fingerprint, /debug/fingerprint, mctop)")
 	)
 	flag.Parse()
 
@@ -82,9 +81,6 @@ func main() {
 	if *trace {
 		cache.EnableTracing()
 	}
-	if *fprint {
-		cache.EnableFingerprint()
-	}
 	srv, err := server.ListenConfig(cache, server.Config{
 		Addr:      *addr,
 		EventLoop: *eventLoop,
@@ -105,7 +101,7 @@ func main() {
 			log.Fatal(err)
 		}
 		dbg = d
-		log.Printf("debug endpoint on http://%s/debug/vars (also /metrics, /debug/pprof/, /debug/tm, /debug/fingerprint)", bound)
+		log.Printf("debug endpoint on http://%s/debug/vars (also /metrics, /debug/pprof/, /debug/tm)", bound)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -31,7 +31,6 @@ func experiments(tiny bool) []experiment {
 	return []experiment{
 		shardSweep(sz),
 		traceOverhead(sz),
-		fingerprintOverhead(sz),
 		wireTxn(sz),
 		connScale(sz),
 	}
@@ -114,7 +113,7 @@ func shardLoad(r *rig, t int, w *engine.Worker) uint64 {
 }
 
 // ---------------------------------------------------------------------------
-// trace-overhead, fingerprint-overhead
+// trace-overhead
 
 // wireScripts builds one request stream per thread, once per experiment: ops
 // text-protocol commands at 9:1 GET:SET over the prefilled keyspace. Every
@@ -177,27 +176,6 @@ func traceOverhead(sz sizer) experiment {
 			r.c.DisableTracing()
 		}},
 		{label: "on", cache: overheadCache, load: load, prep: func(r *rig) { r.c.EnableTracing() }},
-	}
-	return e
-}
-
-// fingerprintOverhead: off-after-enable proves Disable restores the cheap path
-// rather than leaving recorders bound; enabled prices live sampling.
-func fingerprintOverhead(sz sizer) experiment {
-	e := experiment{
-		name:    "fingerprint-overhead",
-		claim:   "workload fingerprinting costs one atomic nil load per op when disabled, also after an enable/disable cycle (<= 2%); live sampling is priced",
-		threads: 4, ops: sz(40000, 600), trials: sz(11, 1),
-		keyspace: sz(4096, 512), valueSize: 1024,
-	}
-	load := wireLoad(wireScripts(e))
-	e.points = []point{
-		{label: "disabled", cache: overheadCache, load: load},
-		{label: "off-after-enable", cache: overheadCache, load: load, prep: func(r *rig) {
-			r.c.EnableFingerprint()
-			r.c.DisableFingerprint()
-		}},
-		{label: "enabled", cache: overheadCache, load: load, prep: func(r *rig) { r.c.EnableFingerprint() }},
 	}
 	return e
 }

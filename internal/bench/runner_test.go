@@ -57,8 +57,7 @@ var invariants = map[string]func(t *testing.T, res Result){
 			}
 		}
 	},
-	"trace-overhead":       func(t *testing.T, res Result) {},
-	"fingerprint-overhead": func(t *testing.T, res Result) {},
+	"trace-overhead": func(t *testing.T, res Result) {},
 	"txn": func(t *testing.T, res Result) {
 		for _, row := range res.Rows {
 			if drift := num(t, row.Metrics, "ledger_drift"); drift != 0 {

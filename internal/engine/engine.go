@@ -9,7 +9,6 @@ import (
 	"repro/internal/access"
 	"repro/internal/assoc"
 	"repro/internal/fault"
-	"repro/internal/fingerprint"
 	"repro/internal/item"
 	"repro/internal/mcstats"
 	"repro/internal/sem"
@@ -154,10 +153,6 @@ type shard struct {
 	txCommits         atomic.Uint64
 	txConflicts       atomic.Uint64
 	txSerialFallbacks atomic.Uint64
-
-	// fp is this shard's workload-fingerprint home, nil while fingerprinting
-	// is disabled: every op path loads it exactly once (see fingerprint.go).
-	fp atomic.Pointer[fingerprint.Shard]
 
 	mu      sync.Mutex // registration of worker stat blocks
 	tblocks []*mcstats.Thread

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/access"
-	"repro/internal/fingerprint"
 	"repro/internal/item"
 )
 
@@ -193,17 +192,6 @@ func (w *shardWorker) getBatch(b *GetBuf, keys [][]byte, hvs []uint64, out []Get
 		ctx.AddWord(w.stats.GetHits, h)
 		ctx.AddWord(w.stats.GetMisses, uint64(len(keys))-h)
 	})
-	// One disabled-path atomic load for the whole batch, then per-key
-	// samples: a multi-get is len(keys) reads in the workload mix.
-	if w.c.fp.Load() != nil {
-		for i := range keys {
-			size := -1
-			if out[i].Found {
-				size = len(out[i].Value)
-			}
-			w.fpRecord(fingerprint.OpRead, hvs[i], keys[i], size, out[i].Found)
-		}
-	}
 }
 
 // sameEntry reports whether it still holds the linked entry whose CAS id a

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/assoc"
-	"repro/internal/fingerprint"
 	"repro/internal/slab"
 	"repro/internal/stm"
 	"repro/internal/txobs"
@@ -34,15 +33,6 @@ type Cache struct {
 	// branches: command latency only). Created on first EnableTracing.
 	obs   atomic.Pointer[txobs.Observer]
 	obsMu sync.Mutex
-
-	// Workload fingerprinting (internal/fingerprint): fpObs is created on
-	// first EnableFingerprint and lives for the cache's lifetime; fpLive is
-	// non-nil only while sampling is on. See fingerprint.go.
-	fpObs  atomic.Pointer[fingerprint.Observer]
-	fpLive atomic.Pointer[fingerprint.Observer]
-	fpMu   sync.Mutex
-	fpStop chan struct{}
-	fpWG   sync.WaitGroup
 }
 
 // New builds a cache for the given configuration. Call Start to launch the
@@ -172,8 +162,6 @@ func (c *Cache) Start() {
 
 // Stop halts every shard's maintenance threads and waits for them.
 func (c *Cache) Stop() {
-	c.DisableFingerprint()
-	c.fpWG.Wait()
 	for _, s := range c.shards {
 		s.Stop()
 	}
@@ -531,15 +519,6 @@ func (w *Worker) ResetStats() {
 		sw.ResetStats()
 	}
 	if o := w.c.Observer(); o != nil {
-		o.Reset()
-	}
-	// The fingerprint observer spans every shard (one fingerprint.Shard per
-	// TM domain plus the cache-global txn-phase histograms), so like the
-	// observer above it clears exactly once per reset — never
-	// once per shard — whatever an Enable/Disable toggle is doing
-	// concurrently. Enabled-state and recorder bindings survive: reset
-	// clears windows, not wiring.
-	if o := w.c.Fingerprint(); o != nil {
 		o.Reset()
 	}
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"repro/internal/access"
 	"repro/internal/assoc"
 	"repro/internal/stm"
@@ -159,17 +157,6 @@ func (w *Worker) CommitTx(reads []TxRead, ops []TxOp) TxOutcome {
 
 	out := TxOutcome{Results: make([]TxOpResult, len(ops)), Shards: len(order)}
 
-	// Phase-latency instrumentation: one atomic load per commit while
-	// fingerprinting is off. bodyAt marks the final body entry, so
-	// commitAt→bodyAt is the serial-acquisition wait of a cross-shard
-	// commit (TrySerial spins and the global-fallback reacquisition
-	// included); validate and apply are timed inside the body itself.
-	fpo := w.c.fingerprintLive()
-	var commitAt, bodyAt time.Time
-	if fpo != nil {
-		commitAt = time.Now()
-	}
-
 	// body runs with every touched domain held (or inside the single-shard
 	// speculative transaction, which may retry it — everything it writes to
 	// `out` is reset up front so a re-run starts clean). Validation of ALL
@@ -178,11 +165,6 @@ func (w *Worker) CommitTx(reads []TxRead, ops []TxOp) TxOutcome {
 	// read set is known good.
 	body := func() {
 		out.Committed, out.ConflictKey = false, nil
-		var phaseAt time.Time
-		if fpo != nil {
-			bodyAt = time.Now()
-			phaseAt = bodyAt
-		}
 		ok := true
 		for i := range reads {
 			sw := w.pick(readHvs[i])
@@ -192,19 +174,11 @@ func (w *Worker) CommitTx(reads []TxRead, ops []TxOp) TxOutcome {
 				break
 			}
 		}
-		if fpo != nil {
-			now := time.Now()
-			fpo.TxnValidate.Record(uint64(now.Sub(phaseAt)))
-			phaseAt = now
-		}
 		if !ok {
 			return
 		}
 		for i := range ops {
 			out.Results[i] = w.pick(opHvs[i]).applyTxOp(opHvs[i], &ops[i])
-		}
-		if fpo != nil {
-			fpo.TxnApply.Record(uint64(time.Since(phaseAt)))
 		}
 		out.Committed = true
 	}
@@ -232,13 +206,6 @@ func (w *Worker) CommitTx(reads []TxRead, ops []TxOp) TxOutcome {
 			}
 			w.orderedCommit(all, 0, body, false)
 		}
-	}
-
-	// Cross-shard commits report how long the final successful pass waited
-	// for its serial locks; single-shard commits have no serial acquisition
-	// to wait on (in-flight escalation aside) and are skipped.
-	if fpo != nil && len(order) > 1 && !bodyAt.IsZero() {
-		fpo.TxnSerialWait.Record(uint64(bodyAt.Sub(commitAt)))
 	}
 
 	sh := w.ws[low].c

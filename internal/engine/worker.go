@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/assoc"
-	"repro/internal/fingerprint"
 	"repro/internal/item"
 	"repro/internal/mcstats"
 	"repro/internal/slab"
@@ -76,12 +75,6 @@ type shardWorker struct {
 	// branches replaced these uncontended locks with transactions, because
 	// any mutex operation is unsafe inside a transaction (§3.1).
 	statsMu sync.Mutex
-
-	// fpRec is this worker's single-writer fingerprint recorder, bound
-	// lazily to the observer generation fpFor the first time an op runs
-	// with fingerprinting enabled (see fingerprint.go).
-	fpRec *fingerprint.Recorder
-	fpFor *fingerprint.Shard
 }
 
 // NewWorker registers a new worker.
@@ -257,11 +250,6 @@ func (w *shardWorker) get(b *GetBuf, hv uint64, key []byte, touch bool, exptime 
 			ctx.AddWord(w.stats.GetMisses, 1)
 		}
 	})
-	size := -1
-	if found {
-		size = len(val)
-	}
-	w.fpRecord(fingerprint.OpRead, hv, key, size, found)
 	return val, flags, cas, found
 }
 
@@ -384,7 +372,6 @@ func (w *shardWorker) store(mode StoreMode, hv uint64, key []byte, flags uint32,
 			}
 		}
 	})
-	w.fpRecord(fingerprint.OpWrite, hv, key, len(value), res == Stored)
 	return res
 }
 
@@ -537,7 +524,6 @@ func (w *shardWorker) del(hv uint64, key []byte) bool {
 			ctx.AddWord(w.stats.DeleteMiss, 1)
 		}
 	})
-	w.fpRecord(fingerprint.OpDelete, hv, key, -1, found)
 	return found
 }
 
@@ -617,7 +603,6 @@ func (w *shardWorker) delta(hv uint64, key []byte, delta uint64, decr bool) (uin
 			ctx.AddWord(w.stats.IncrMiss, 1)
 		}
 	})
-	w.fpRecord(fingerprint.OpDelta, hv, key, -1, res == DeltaOK)
 	return out, res
 }
 
@@ -671,7 +656,6 @@ func (w *shardWorker) touch(hv uint64, key []byte, exptime uint64) bool {
 		w.itemUnlock(hv)
 	}
 	w.tstat(func(ctx access.Ctx) { ctx.AddWord(w.stats.TouchCmds, 1) })
-	w.fpRecord(fingerprint.OpTouch, hv, key, -1, found)
 	return found
 }
 

@@ -1,10 +1,11 @@
 // Package mctop implements the data layer of cmd/mctop: it polls a live
-// tm-memcached server over the plain text protocol (stats, stats
-// fingerprint, stats eventloop), parses the STAT lines into a Frame, and
-// renders a terminal dashboard of shards × (ops, hot keys, abort mix) plus
-// the transport's queue depths. It needs nothing but the wire
-// protocol, so it works against any build of the server — fingerprinting or
-// the event loop being off just blanks those columns.
+// tm-memcached server over the plain text protocol (stats, stats tm, stats
+// conflicts, stats eventloop), parses the STAT lines into a Frame, and
+// renders a terminal dashboard: per-shard commits, aborts and read-only
+// fast-path commits, the hottest conflict label and the heaviest
+// who-aborted-whom edge, plus the transport's queue depths. It needs nothing
+// but the wire protocol, so it works against any build of the server —
+// tracing or the event loop being off just blanks those lines.
 package mctop
 
 import (
@@ -16,25 +17,19 @@ import (
 	"time"
 )
 
-// HotKey is one entry of a shard's decayed top-K sketch.
-type HotKey struct {
-	Key   string
-	Count uint64
-	Err   uint64
+// ShardRow is one TM shard's cumulative transaction counters (stats tm).
+type ShardRow struct {
+	Commits uint64
+	Aborts  uint64
+	ROFast  uint64 // commits on the read-only fast path
 }
 
-// ShardRow is everything the dashboard shows for one TM shard.
-type ShardRow struct {
-	Ops           uint64
-	Reads         uint64
-	Writes        uint64
-	Deletes       uint64
-	Hits          uint64
-	Misses        uint64
-	Concentration float64
-	HotKeys       []HotKey
-	AbortConflict uint64
-	AbortSerial   uint64 // serial-evidence escalations, all causes summed
+// Edge is one who-aborted-whom line of stats conflicts: Owner's transactions
+// aborted Victim's Count times on a location labelled Label ("-" = unknown
+// site).
+type Edge struct {
+	Count                uint64
+	Owner, Victim, Label string
 }
 
 // Frame is one poll of the server.
@@ -49,9 +44,15 @@ type Frame struct {
 	TMAborts  uint64
 	CurrItems uint64
 
-	HasFP         bool // server knows the fingerprint surface
-	FingerprintOn bool
-	Shards        []ShardRow
+	// Shards has one row per TM domain; a single-shard server reports only
+	// the merged counters, which fill the one row.
+	Shards []ShardRow
+
+	// Conflict attribution (stats conflicts), only while the server traces.
+	Tracing  bool
+	HotLabel string // structure with the most conflict aborts, "" if none
+	HotCount uint64
+	TopEdge  Edge // Count 0 if no edge was recorded
 
 	// Transport telemetry (stats eventloop); HasEL false when the server
 	// runs the classic transport.
@@ -112,8 +113,8 @@ func atoiF(s string) float64 {
 	return v
 }
 
-// shardField matches keys like "shard_3_abort_conflicts", returning
-// (3, "abort_conflicts", true). The field keeps all its underscores.
+// shardField matches keys like "shard_3_ro_fast_commit", returning
+// (3, "ro_fast_commit", true). The field keeps all its underscores.
 func shardField(key string) (int, string, bool) {
 	rest, ok := strings.CutPrefix(key, "shard_")
 	if !ok {
@@ -130,7 +131,7 @@ func shardField(key string) (int, string, bool) {
 	return n, field, true
 }
 
-// Fetch polls addr once. The timeout covers dial plus all three queries.
+// Fetch polls addr once. The timeout covers dial plus all four queries.
 func Fetch(addr string, timeout time.Duration) (*Frame, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -160,61 +161,50 @@ func Fetch(addr string, timeout time.Duration) (*Frame, error) {
 		return nil, err
 	}
 
-	shard := func(i int) *ShardRow {
-		for len(f.Shards) <= i {
-			f.Shards = append(f.Shards, ShardRow{})
-		}
-		return &f.Shards[i]
-	}
-	if err := statsQuery(rw, "fingerprint", func(k, v string) {
+	var merged ShardRow
+	if err := statsQuery(rw, "tm", func(k, v string) {
 		switch k {
-		case "fingerprint":
-			f.HasFP = true
-			f.FingerprintOn = v == "1"
-			return
-		case "shards":
-			if n := int(atoiU(v)); n > 0 {
-				shard(n - 1)
-			}
-			return
+		case "commits":
+			merged.Commits = atoiU(v)
+		case "aborts":
+			merged.Aborts = atoiU(v)
+		case "ro_fast_commit":
+			merged.ROFast = atoiU(v)
 		}
 		i, field, ok := shardField(k)
 		if !ok {
 			return
 		}
-		s := shard(i)
+		for len(f.Shards) <= i {
+			f.Shards = append(f.Shards, ShardRow{})
+		}
 		switch field {
-		case "ops":
-			s.Ops = atoiU(v)
-		case "reads":
-			s.Reads = atoiU(v)
-		case "writes":
-			s.Writes = atoiU(v)
-		case "deletes":
-			s.Deletes = atoiU(v)
-		case "hits":
-			s.Hits = atoiU(v)
-		case "misses":
-			s.Misses = atoiU(v)
-		case "concentration":
-			s.Concentration = atoiF(v)
-		case "abort_conflicts":
-			s.AbortConflict = atoiU(v)
-		case "abort_start_serial", "abort_abort_serial", "abort_watchdog":
-			s.AbortSerial += atoiU(v)
-		default:
-			if strings.HasPrefix(field, "hot_") {
-				// value layout: "<count> <err> <key>" — key last, so keys
-				// with no spaces parse unambiguously.
-				parts := strings.SplitN(v, " ", 3)
-				if len(parts) == 3 {
-					s.HotKeys = append(s.HotKeys, HotKey{
-						Count: atoiU(parts[0]),
-						Err:   atoiU(parts[1]),
-						Key:   parts[2],
-					})
-				}
-			}
+		case "commits":
+			f.Shards[i].Commits = atoiU(v)
+		case "aborts":
+			f.Shards[i].Aborts = atoiU(v)
+		case "ro_fast_commit":
+			f.Shards[i].ROFast = atoiU(v)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	if len(f.Shards) == 0 {
+		f.Shards = []ShardRow{merged}
+	}
+
+	if err := statsQuery(rw, "conflicts", func(k, v string) {
+		if k == "tracing" {
+			f.Tracing = v == "1"
+		}
+		// Labels come hottest first; the shard-qualified ones ("s2/…")
+		// follow them, so the first line names the hottest structure.
+		if label, ok := strings.CutPrefix(k, "conflicts_"); ok && f.HotLabel == "" {
+			f.HotLabel, f.HotCount = label, atoiU(v)
+		}
+		// value layout: "<count> <owner> <victim> <label>".
+		if p := strings.Fields(v); k == "conflict_edge_0" && len(p) == 4 {
+			f.TopEdge = Edge{Count: atoiU(p[0]), Owner: p[1], Victim: p[2], Label: p[3]}
 		}
 	}); err != nil {
 		return nil, err
@@ -316,27 +306,25 @@ func Render(cur, prev *Frame) string {
 	} else {
 		b.WriteString("transport: classic (goroutine per connection)\n")
 	}
-	if !cur.HasFP {
-		b.WriteString("fingerprint: unavailable on this server\n")
-		return b.String()
-	}
-	if !cur.FingerprintOn {
-		b.WriteString("fingerprint: DISABLED (showing last collected windows)\n")
-	}
-	fmt.Fprintf(&b, "%-5s %10s %8s %8s %6s %6s %5s %s\n",
-		"shard", "ops(win)", "reads", "writes", "conc", "abrt", "serl", "hot keys")
-	for i := range cur.Shards {
-		s := &cur.Shards[i]
-		hot := make([]string, 0, 3)
-		for j, hk := range s.HotKeys {
-			if j == 3 {
-				break
-			}
-			hot = append(hot, fmt.Sprintf("%s:%d", hk.Key, hk.Count))
+	if !cur.Tracing {
+		b.WriteString("conflicts: tracing off (start the server with -trace)\n")
+	} else if cur.HotLabel == "" {
+		b.WriteString("conflicts: none recorded\n")
+	} else {
+		fmt.Fprintf(&b, "conflicts: hottest %s (%d)", cur.HotLabel, cur.HotCount)
+		if e := cur.TopEdge; e.Count > 0 {
+			fmt.Fprintf(&b, "  top edge: %s aborted %s %d× on %s", e.Owner, e.Victim, e.Count, e.Label)
 		}
-		fmt.Fprintf(&b, "%-5d %10d %8d %8d %5.2f %6d %5d %s\n",
-			i, s.Ops, s.Reads, s.Writes, s.Concentration,
-			s.AbortConflict, s.AbortSerial, strings.Join(hot, " "))
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "%-5s %12s %10s %12s %10s %10s\n", "shard", "commits", "aborts", "ro_fast", "commit/s", "abort/s")
+	for i, s := range cur.Shards {
+		var ps ShardRow
+		if i < len(p.Shards) {
+			ps = p.Shards[i]
+		}
+		fmt.Fprintf(&b, "%-5d %12d %10d %12d %10s %10s\n", i, s.Commits, s.Aborts, s.ROFast,
+			rate(s.Commits, ps.Commits, dt), rate(s.Aborts, ps.Aborts, dt))
 	}
 	return b.String()
 }

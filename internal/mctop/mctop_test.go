@@ -5,21 +5,26 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/mctop"
 	"repro/internal/server"
 )
 
-// startServer boots a multi-shard cache with fingerprinting on, served by
-// the event-loop transport — the exact deployment mctop is built for.
+// startServer boots a 4-shard cache with tracing on, served by the
+// event-loop transport — the deployment mctop is built for. A seeded commit
+// delay widens the commit window so that concurrent increments conflict.
 func startServer(t *testing.T) (*engine.Cache, *server.Server) {
 	t.Helper()
-	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8, Shards: 4})
+	in := fault.New(0x6d63746f70) // fixed seed: deterministic delays
+	in.Set(fault.STMCommitDelay, 0.05)
+	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8, Shards: 4, Fault: in})
 	c.Start()
-	c.EnableFingerprint()
+	c.EnableTracing()
 	s, err := server.ListenConfig(c, server.Config{Addr: "127.0.0.1:0", EventLoop: true})
 	if err != nil {
 		c.Stop()
@@ -32,8 +37,8 @@ func startServer(t *testing.T) (*engine.Cache, *server.Server) {
 	return c, s
 }
 
-// drive sends a skewed workload: one scorching key plus a spread of cold
-// ones, so the fingerprint has both a hot-key entry and a mix to report.
+// drive sends one get and one set per round over the wire, with a fresh key
+// per set so that every shard commits.
 func drive(t *testing.T, addr string, rounds int) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -56,14 +61,41 @@ func drive(t *testing.T, addr string, rounds int) {
 		expect("VALUE")
 		r.ReadString('\n') // value
 		r.ReadString('\n') // END
-		key := fmt.Sprintf("cold-%d", i)
-		fmt.Fprintf(conn, "set %s 0 0 2\r\ncc\r\n", key)
+		fmt.Fprintf(conn, "set cold-%d 0 0 2\r\ncc\r\n", i)
 		expect("STORED")
 	}
 }
 
+// contend runs in-place increments from 8 workers until the server has
+// recorded a conflict abort.
+func contend(t *testing.T, c *engine.Cache) {
+	t.Helper()
+	w0 := c.NewWorker()
+	for g := 0; g < 8; g++ {
+		w0.Set([]byte(fmt.Sprintf("ctr-%d", g)), 0, 0, []byte("1000000000"))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(c.Observer().Report(0).ConflictLabels) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no conflict after 10s: %s", c.Observer().Report(0))
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(key []byte) {
+				defer wg.Done()
+				w := c.NewWorker()
+				for i := 0; i < 200; i++ {
+					w.Incr(key, 1)
+				}
+			}([]byte(fmt.Sprintf("ctr-%d", g%2)))
+		}
+		wg.Wait()
+	}
+}
+
 func TestMctopLiveServerSnapshot(t *testing.T) {
-	_, s := startServer(t)
+	c, s := startServer(t)
 	drive(t, s.Addr(), 100)
 
 	first, err := mctop.Fetch(s.Addr(), 2*time.Second)
@@ -71,6 +103,7 @@ func TestMctopLiveServerSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	drive(t, s.Addr(), 50)
+	contend(t, c)
 	// Frames need distinct timestamps for the rate columns.
 	time.Sleep(10 * time.Millisecond)
 	cur, err := mctop.Fetch(s.Addr(), 2*time.Second)
@@ -78,30 +111,20 @@ func TestMctopLiveServerSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !cur.HasFP || !cur.FingerprintOn {
-		t.Fatalf("fingerprint surface not detected: %+v", cur)
-	}
 	if len(cur.Shards) != 4 {
 		t.Fatalf("shards = %d, want 4", len(cur.Shards))
 	}
-	var totalOps uint64
-	hotShard := -1
-	for i := range cur.Shards {
-		totalOps += cur.Shards[i].Ops
-		for _, hk := range cur.Shards[i].HotKeys {
-			if hk.Key == "scorcher" {
-				hotShard = i
-			}
+	for i, sh := range cur.Shards {
+		if sh.Commits == 0 {
+			t.Fatalf("shard %d reports no commits: %+v", i, cur.Shards)
 		}
 	}
-	if totalOps == 0 {
-		t.Fatal("no ops in any shard fingerprint")
+	if !cur.Tracing || cur.HotLabel == "" || cur.HotCount == 0 {
+		t.Fatalf("no hottest conflict label under contention: tracing=%v label=%q count=%d",
+			cur.Tracing, cur.HotLabel, cur.HotCount)
 	}
-	if hotShard < 0 {
-		t.Fatalf("hot key missing from every shard's sketch: %+v", cur.Shards)
-	}
-	if c := cur.Shards[hotShard].Concentration; c <= 0 || c > 1 {
-		t.Fatalf("hot shard concentration = %v, want (0, 1]", c)
+	if e := cur.TopEdge; e.Count == 0 || e.Label == "" {
+		t.Fatalf("no top conflict edge under contention: %+v", e)
 	}
 	if !cur.HasEL || cur.Workers == 0 {
 		t.Fatalf("event-loop telemetry missing: %+v", cur)
@@ -113,23 +136,22 @@ func TestMctopLiveServerSnapshot(t *testing.T) {
 		t.Fatalf("cmd_get did not advance between frames: %d -> %d", first.CmdGet, cur.CmdGet)
 	}
 
-	// The rendered console must carry the multi-shard view: a row per
-	// shard, the hot key with its count, the transport line, and rates.
+	// The rendered console carries the transport line, the conflict line
+	// naming the hot structure, and one numbered row per shard with rates.
 	out := mctop.Render(cur, first)
-	wants := []string{"mctop —", "transport: event-loop", "poller: wakeups=", "scorcher:", "shard"}
+	wants := []string{"mctop —", "transport: event-loop", "poller: wakeups=", "conflicts: hottest " + cur.HotLabel, "top edge:", "shard"}
 	for _, want := range wants {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered frame missing %q:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "\n"); n < 4+len(cur.Shards) {
-		t.Fatalf("rendered frame too short (%d lines):\n%s", n, out)
-	}
-	// One row per shard, numbered.
 	for i := range cur.Shards {
 		if !strings.Contains(out, fmt.Sprintf("\n%-5d", i)) {
 			t.Fatalf("rendered frame missing row for shard %d:\n%s", i, out)
 		}
+	}
+	if strings.Contains(out, "tm_commit=-") {
+		t.Fatalf("second-frame render should have rates:\n%s", out)
 	}
 
 	// Render with no previous frame blanks the rate columns instead of
@@ -139,10 +161,11 @@ func TestMctopLiveServerSnapshot(t *testing.T) {
 	}
 }
 
-// TestMctopClassicServer covers the degraded columns: a classic-transport,
-// never-fingerprinted server still yields a frame and a renderable screen.
+// TestMctopClassicServer covers the degraded lines: a classic-transport,
+// single-shard server without tracing still yields a frame — its one shard
+// row from the merged stats tm counters — and a renderable screen.
 func TestMctopClassicServer(t *testing.T) {
-	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8})
+	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8, Shards: 1})
 	c.Start()
 	s, err := server.ListenConfig(c, server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
@@ -153,6 +176,7 @@ func TestMctopClassicServer(t *testing.T) {
 		s.Close()
 		c.Stop()
 	}()
+	drive(t, s.Addr(), 5)
 	f, err := mctop.Fetch(s.Addr(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -160,11 +184,16 @@ func TestMctopClassicServer(t *testing.T) {
 	if f.HasEL {
 		t.Fatal("classic transport reported event-loop telemetry")
 	}
-	if f.HasFP && f.FingerprintOn {
-		t.Fatal("never-enabled fingerprint reported as on")
+	if f.Tracing || f.HotLabel != "" {
+		t.Fatalf("untraced server reported conflicts: %+v", f)
+	}
+	if len(f.Shards) != 1 || f.Shards[0].Commits == 0 {
+		t.Fatalf("single-shard row = %+v, want one row with commits", f.Shards)
 	}
 	out := mctop.Render(f, nil)
-	if !strings.Contains(out, "transport: classic") {
-		t.Fatalf("classic render:\n%s", out)
+	for _, want := range []string{"transport: classic", "conflicts: tracing off", "\n0    "} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("classic render missing %q:\n%s", want, out)
+		}
 	}
 }

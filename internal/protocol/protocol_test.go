@@ -203,10 +203,10 @@ func TestTextStatsAndVersion(t *testing.T) {
 
 // TestTextStatsGroups: every stats group the server knows answers with its
 // own block, and a group it does not know — including the retired feedback
-// controller's and request tracer's groups — answers ERROR, as memcached
-// does, rather than the general stats block.
+// controller's, request tracer's and workload fingerprint's groups — answers
+// ERROR, as memcached does, rather than the general stats block.
 func TestTextStatsGroups(t *testing.T) {
-	for _, group := range []string{"", "reset", "slabs", "tm", "conflicts", "latency", "fingerprint", "eventloop"} {
+	for _, group := range []string{"", "reset", "slabs", "tm", "conflicts", "latency", "eventloop"} {
 		cmd := strings.TrimSpace("stats " + group)
 		out := runText(t, cmd+"\r\n")
 		want := "END\r\n"
@@ -219,7 +219,7 @@ func TestTextStatsGroups(t *testing.T) {
 	}
 	retired := "tm" + "ctl"      // the removed feedback controller's group
 	retiredLog := "slow" + "log" // the removed request tracer's group
-	for _, group := range []string{retired, retiredLog, "nosuch"} {
+	for _, group := range []string{retired, retiredLog, "fingerprint", "nosuch"} {
 		if out := runText(t, "stats "+group+"\r\n"); out != "ERROR\r\n" {
 			t.Errorf("stats %s: out = %q, want ERROR", group, out)
 		}

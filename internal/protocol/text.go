@@ -385,7 +385,7 @@ func (c *Conn) dispatchText(cmd textCmd, args [][]byte) error {
 		if len(args) > 0 {
 			switch string(args[0]) {
 			case "reset":
-				// ResetStats clears engine counters AND the fingerprint
+				// ResetStats clears engine counters AND the txobs
 				// observer exactly once (cache-global); the transport's
 				// counters are reset here because the engine cannot see
 				// them. Both are idempotent Store(0)s, so racing resets
@@ -403,8 +403,6 @@ func (c *Conn) dispatchText(cmd textCmd, args [][]byte) error {
 				return c.cmdStatsConflicts()
 			case "latency":
 				return c.cmdStatsLatency()
-			case "fingerprint":
-				return c.cmdStatsFingerprint()
 			case "eventloop":
 				return c.cmdStatsEventLoop()
 			}

@@ -3,8 +3,8 @@ package protocol
 import (
 	"fmt"
 
-	"repro/internal/fingerprint"
 	"repro/internal/poller"
+	"repro/internal/txobs"
 )
 
 // EventLoopSnapshot is one transport's telemetry at a point in time. The
@@ -30,9 +30,10 @@ type EventLoopSnapshot struct {
 	OverflowSpills uint64 `json:"overflow_spills"`
 
 	// Dispatch is the queued→running latency in nanoseconds; BurstOps is the
-	// commands-served-per-burst distribution (its unit is ops, not ns).
-	Dispatch fingerprint.HistSnapshot `json:"dispatch_ns"`
-	BurstOps fingerprint.HistSnapshot `json:"burst_ops"`
+	// commands-served-per-burst distribution (its unit is ops, not ns, though
+	// its snapshot fields are named for nanoseconds).
+	Dispatch txobs.HistSnapshot `json:"dispatch_ns"`
+	BurstOps txobs.HistSnapshot `json:"burst_ops"`
 
 	// WorkerBusy is each pool worker's busy fraction (time inside bursts /
 	// wall time) since start or the last reset.
@@ -59,9 +60,9 @@ type TransportStats interface {
 // surface (nil for transports without one).
 func (c *Conn) SetTransport(ts TransportStats) { c.tstats = ts }
 
-// fpHist renders one histogram snapshot as a single STAT line. unit suffixes
+// histLine renders one histogram snapshot as a single STAT line. unit suffixes
 // the quantile field names ("_ns" for durations, "" for dimensionless).
-func (c *Conn) fpHist(name, unit string, s fingerprint.HistSnapshot) {
+func (c *Conn) histLine(name, unit string, s txobs.HistSnapshot) {
 	fmt.Fprintf(c.w, "STAT %s count=%d mean%s=%d p50%s=%d p95%s=%d p99%s=%d max%s=%d\r\n",
 		name, s.Count, unit, s.Mean, unit, s.P50, unit, s.P95, unit, s.P99, unit, s.Max)
 }
@@ -87,58 +88,12 @@ func (c *Conn) cmdStatsEventLoop() error {
 	for i, b := range s.WorkerBusy {
 		fmt.Fprintf(c.w, "STAT worker_%d_busy %.3f\r\n", i, b)
 	}
-	c.fpHist("dispatch_ns", "_ns", s.Dispatch)
-	c.fpHist("burst_ops", "", s.BurstOps)
+	c.histLine("dispatch_ns", "_ns", s.Dispatch)
+	c.histLine("burst_ops", "", s.BurstOps)
 	if s.HasPoller {
 		fmt.Fprintf(c.w, "STAT poller_wakeups %d\r\n", s.Poller.Wakeups)
 		fmt.Fprintf(c.w, "STAT poller_probes %d\r\n", s.Poller.Probes)
 		fmt.Fprintf(c.w, "STAT poller_synthesized %d\r\n", s.Poller.Synthesized)
-	}
-	return c.reply("END\r\n")
-}
-
-// cmdStatsFingerprint reports the decayed per-shard workload fingerprints
-// (`stats fingerprint`). A cache where fingerprinting was never enabled
-// replies with a bare disabled marker; a disabled-but-collected cache still
-// reports its last windows with fingerprint 0 on the first line.
-func (c *Conn) cmdStatsFingerprint() error {
-	o := c.worker.Fingerprint()
-	if o == nil {
-		fmt.Fprintf(c.w, "STAT fingerprint 0\r\n")
-		return c.reply("END\r\n")
-	}
-	snap := o.Snapshot()
-	fmt.Fprintf(c.w, "STAT fingerprint %d\r\n", boolInt(c.worker.FingerprintEnabled()))
-	fmt.Fprintf(c.w, "STAT shards %d\r\n", len(snap.Shards))
-	c.fpHist("txn_queue", "_ns", snap.TxnQueue)
-	c.fpHist("txn_validate", "_ns", snap.TxnValidate)
-	c.fpHist("txn_apply", "_ns", snap.TxnApply)
-	c.fpHist("txn_serial_wait", "_ns", snap.TxnSerialWait)
-	for i := range snap.Shards {
-		sh := &snap.Shards[i]
-		stat := func(k string, v uint64) {
-			fmt.Fprintf(c.w, "STAT shard_%d_%s %d\r\n", i, k, v)
-		}
-		stat("ops", sh.Ops)
-		stat("reads", sh.Reads)
-		stat("writes", sh.Writes)
-		stat("deletes", sh.Deletes)
-		stat("deltas", sh.Deltas)
-		stat("touches", sh.Touches)
-		stat("hits", sh.Hits)
-		stat("misses", sh.Misses)
-		fmt.Fprintf(c.w, "STAT shard_%d_concentration %.3f\r\n", i, sh.Concentration)
-		c.fpHist(fmt.Sprintf("shard_%d_vsize", i), "", sh.VSize)
-		stat("abort_conflicts", sh.Aborts.Conflicts)
-		stat("abort_start_serial", sh.Aborts.StartSerial)
-		stat("abort_abort_serial", sh.Aborts.AbortSerial)
-		stat("abort_inflight_switch", sh.Aborts.InflightSwitch)
-		stat("abort_watchdog", sh.Aborts.Watchdog)
-		// Hot keys ride in the value position (count, then error bound, then
-		// the key itself last so keys with no spaces parse unambiguously).
-		for j, hk := range sh.HotKeys {
-			fmt.Fprintf(c.w, "STAT shard_%d_hot_%d %d %d %s\r\n", i, j, hk.Count, hk.Err, hk.Key)
-		}
 	}
 	return c.reply("END\r\n")
 }

@@ -52,19 +52,7 @@ type txState struct {
 	reads    []engine.TxRead
 	ops      []engine.TxOp
 	bytes    int
-	started  time.Time // txbegin time, for the fingerprint queue-phase histogram
 	deadline time.Time
-}
-
-// txNoteQueuePhase records the txbegin→txcommit queueing span into the
-// fingerprint observer — one atomic load and nothing else when sampling is
-// off. The queue phase is protocol-side (client think time plus pipelining),
-// so the engine cannot time it; validate/apply/serial-wait are timed inside
-// CommitTx itself.
-func (c *Conn) txNoteQueuePhase(t *txState) {
-	if o := c.worker.FingerprintLive(); o != nil && !t.started.IsZero() {
-		o.TxnQueue.Record(uint64(time.Since(t.started)))
-	}
 }
 
 var (
@@ -139,8 +127,7 @@ func (c *Conn) cmdTxBegin(args [][]byte) error {
 		c.tx = nil
 		return c.replyError(errTxOpen)
 	}
-	now := time.Now()
-	c.tx = &txState{started: now, deadline: now.Add(TxTTL)}
+	c.tx = &txState{deadline: time.Now().Add(TxTTL)}
 	return c.replyMaybe(args, "STARTED\r\n")
 }
 
@@ -158,7 +145,6 @@ func (c *Conn) cmdTxCommit() error {
 	}
 	t := c.tx
 	c.tx = nil
-	c.txNoteQueuePhase(t)
 	out := c.worker.CommitTx(t.reads, t.ops)
 	if !out.Committed {
 		return c.reply("TX_CONFLICT " + string(out.ConflictKey) + "\r\n")
@@ -337,8 +323,7 @@ func (c *Conn) binTxBegin(req binHeader) error {
 		c.tx = nil
 		return c.binReplyError(req, errTxOpen)
 	}
-	now := time.Now()
-	c.tx = &txState{started: now, deadline: now.Add(TxTTL)}
+	c.tx = &txState{deadline: time.Now().Add(TxTTL)}
 	return c.binReply(req, StatusOK, nil, nil, nil, 0)
 }
 
@@ -358,7 +343,6 @@ func (c *Conn) binTxCommit(req binHeader) error {
 	}
 	t := c.tx
 	c.tx = nil
-	c.txNoteQueuePhase(t)
 	out := c.worker.CommitTx(t.reads, t.ops)
 	if !out.Committed {
 		return c.binReply(req, StatusKeyExists, nil, out.ConflictKey, []byte("Transaction conflict"), 0)

@@ -1,5 +1,5 @@
 // Debug HTTP endpoint: the live introspection surface the `-debug-addr` flag
-// exposes. Three families of routes, all read-only except the tracing toggle:
+// exposes. Four routes, all read-only except the tracing toggle:
 //
 //	/debug/vars    expvar-style JSON: the txobs report plus the engine's
 //	               stats snapshot under one object
@@ -9,8 +9,6 @@
 //	               the worker goroutines blocked?"
 //	/debug/tm      GET reports tracing state; POST ?enable=0|1 toggles it;
 //	               POST ?reset=1 zeroes the collected aggregates
-//	/debug/fingerprint  GET reports the live workload fingerprint (JSON);
-//	               POST ?enable=0|1 toggles sampling, ?reset=1 clears windows
 package server
 
 import (
@@ -58,10 +56,6 @@ func NewDebugHandlerServer(cache *engine.Cache, srv *Server) http.Handler {
 		inuse, idle := protocol.BufferGauges()
 		vars["conn_buffers_inuse"] = inuse
 		vars["conn_buffers_idle"] = idle
-		if o := cache.Fingerprint(); o != nil {
-			vars["fingerprint_enabled"] = cache.FingerprintEnabled()
-			vars["fingerprint"] = o.Snapshot()
-		}
 		if ts := transport(); ts != nil {
 			vars["eventloop"] = ts.EventLoopSnapshot()
 		}
@@ -81,25 +75,6 @@ func NewDebugHandlerServer(cache *engine.Cache, srv *Server) http.Handler {
 		fmt.Fprintf(w, "# TYPE tm_aborts_total counter\ntm_aborts_total %d\n", s.STM.Aborts)
 		if o := cache.Observer(); o != nil {
 			o.Report(32).WritePrometheus(w)
-		}
-		if o := cache.Fingerprint(); o != nil {
-			snap := o.Snapshot()
-			fmt.Fprintf(w, "# TYPE fp_shard_ops gauge\n")
-			for i := range snap.Shards {
-				fmt.Fprintf(w, "fp_shard_ops{shard=\"%d\"} %d\n", i, snap.Shards[i].Ops)
-			}
-			fmt.Fprintf(w, "# TYPE fp_shard_concentration gauge\n")
-			for i := range snap.Shards {
-				fmt.Fprintf(w, "fp_shard_concentration{shard=\"%d\"} %.4f\n", i, snap.Shards[i].Concentration)
-			}
-			fmt.Fprintf(w, "# TYPE fp_shard_abort_conflicts gauge\n")
-			for i := range snap.Shards {
-				fmt.Fprintf(w, "fp_shard_abort_conflicts{shard=\"%d\"} %d\n", i, snap.Shards[i].Aborts.Conflicts)
-			}
-			fmt.Fprintf(w, "# TYPE fp_txn_queue_p99_ns gauge\nfp_txn_queue_p99_ns %d\n", snap.TxnQueue.P99)
-			fmt.Fprintf(w, "# TYPE fp_txn_validate_p99_ns gauge\nfp_txn_validate_p99_ns %d\n", snap.TxnValidate.P99)
-			fmt.Fprintf(w, "# TYPE fp_txn_apply_p99_ns gauge\nfp_txn_apply_p99_ns %d\n", snap.TxnApply.P99)
-			fmt.Fprintf(w, "# TYPE fp_txn_serial_wait_p99_ns gauge\nfp_txn_serial_wait_p99_ns %d\n", snap.TxnSerialWait.P99)
 		}
 		if ts := transport(); ts != nil {
 			es := ts.EventLoopSnapshot()
@@ -121,38 +96,6 @@ func NewDebugHandlerServer(cache *engine.Cache, srv *Server) http.Handler {
 				fmt.Fprintf(w, "# TYPE poller_synthesized_total counter\npoller_synthesized_total %d\n", es.Poller.Synthesized)
 			}
 		}
-	})
-
-	mux.HandleFunc("/debug/fingerprint", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			switch r.URL.Query().Get("enable") {
-			case "1":
-				cache.EnableFingerprint()
-			case "0":
-				cache.DisableFingerprint()
-			}
-			if r.URL.Query().Get("reset") == "1" {
-				if o := cache.Fingerprint(); o != nil {
-					o.Reset()
-				}
-			}
-		}
-		o := cache.Fingerprint()
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if o == nil {
-			fmt.Fprintln(w, `{"enabled": false}`)
-			return
-		}
-		out := map[string]any{
-			"enabled":     cache.FingerprintEnabled(),
-			"fingerprint": o.Snapshot(),
-		}
-		if ts := transport(); ts != nil {
-			out["eventloop"] = ts.EventLoopSnapshot()
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
 	})
 
 	mux.HandleFunc("/debug/tm", func(w http.ResponseWriter, r *http.Request) {
@@ -192,8 +135,7 @@ func ListenDebug(cache *engine.Cache, addr string) (*http.Server, string, error)
 }
 
 // ListenDebugServer is ListenDebug with transport telemetry: when srv is
-// non-nil its event-loop snapshot joins /debug/vars, /debug/fingerprint and
-// /metrics.
+// non-nil its event-loop snapshot joins /debug/vars and /metrics.
 func ListenDebugServer(cache *engine.Cache, srv *Server, addr string) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

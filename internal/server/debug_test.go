@@ -97,13 +97,16 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 }
 
-// TestDebugFingerprintEndpoint drives the fingerprint debug surface: the
-// toggle endpoint, the JSON snapshot with transport telemetry, /debug/vars
-// integration, and the Prometheus names mctop's dashboards alias.
-func TestDebugFingerprintEndpoint(t *testing.T) {
-	s, c := startFPServer(t)
+// TestDebugFingerprintRetired: with the workload-fingerprint layer gone, its
+// route is an unknown path and no fingerprint key is left in /debug/vars or
+// /metrics, while the event-loop telemetry a server handler contributes is
+// still there.
+func TestDebugFingerprintRetired(t *testing.T) {
+	s, c := startShardedEventLoop(t)
+	c.EnableTracing()
 	ts := httptest.NewServer(NewDebugHandlerServer(c, s))
 	defer ts.Close()
+	roundTrip(t, s.Addr(), "set dbg 0 0 1\r\nv\r\n", "STORED")
 
 	get := func(path string) (int, string) {
 		t.Helper()
@@ -116,79 +119,44 @@ func TestDebugFingerprintEndpoint(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	w := c.NewWorker()
-	w.Set([]byte("dbg-hot"), 0, 0, []byte("v"))
-	for i := 0; i < 30; i++ {
-		w.Get([]byte("dbg-hot"))
+	if code, _ := get("/debug/fingerprint"); code != http.StatusNotFound {
+		t.Fatalf("GET /debug/fingerprint = %d, want 404", code)
+	}
+	resp, err := http.Post(ts.URL+"/debug/fingerprint?enable=1", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /debug/fingerprint?enable=1 = %d, want 404", resp.StatusCode)
 	}
 
-	code, body := get("/debug/fingerprint")
-	if code != 200 {
-		t.Fatalf("/debug/fingerprint = %d", code)
-	}
-	var snap struct {
-		Enabled     bool `json:"enabled"`
-		Fingerprint struct {
-			Shards []struct {
-				Ops     uint64 `json:"ops"`
-				HotKeys []struct {
-					Key string `json:"key"`
-				} `json:"hot_keys"`
-			} `json:"shards"`
-		} `json:"fingerprint"`
+	code, body := get("/debug/vars")
+	var vars struct {
 		EventLoop struct {
 			Workers int `json:"workers"`
 		} `json:"eventloop"`
 	}
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/debug/fingerprint not JSON: %v\n%s", err, body)
+	if err := json.Unmarshal([]byte(body), &vars); code != 200 || err != nil || vars.EventLoop.Workers != 6 {
+		t.Fatalf("/debug/vars = %d (err %v), eventloop %+v:\n%.400s", code, err, vars.EventLoop, body)
 	}
-	if !snap.Enabled || len(snap.Fingerprint.Shards) != 4 || snap.EventLoop.Workers <= 0 {
-		t.Fatalf("/debug/fingerprint content: %+v", snap)
-	}
-	found := false
-	for _, sh := range snap.Fingerprint.Shards {
-		for _, hk := range sh.HotKeys {
-			if hk.Key == "dbg-hot" {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("hot key missing from /debug/fingerprint:\n%s", body)
-	}
-
-	code, body = get("/debug/vars")
-	if code != 200 || !strings.Contains(body, `"fingerprint_enabled":true`) && !strings.Contains(body, `"fingerprint_enabled": true`) {
-		t.Fatalf("/debug/vars missing fingerprint_enabled (%d):\n%.400s", code, body)
+	if strings.Contains(body, "fingerprint") {
+		t.Fatalf("/debug/vars still carries a fingerprint key:\n%s", body)
 	}
 
 	code, body = get("/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
-	for _, want := range []string{
-		`fp_shard_ops{shard="0"}`,
-		"event_overflow_spills_total",
-		"poller_wakeups_total",
-	} {
+	for _, want := range []string{"event_overflow_spills_total", "event_dispatch_p99_ns", "poller_wakeups_total"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-
-	// Toggle off, then on again, through the endpoint.
-	if resp, err := http.Post(ts.URL+"/debug/fingerprint?enable=0", "", nil); err != nil || resp.StatusCode != 200 {
-		t.Fatalf("disable toggle: %v %v", err, resp)
-	}
-	if c.FingerprintEnabled() {
-		t.Fatal("POST enable=0 did not disable sampling")
-	}
-	if resp, err := http.Post(ts.URL+"/debug/fingerprint?enable=1", "", nil); err != nil || resp.StatusCode != 200 {
-		t.Fatalf("enable toggle: %v %v", err, resp)
-	}
-	if !c.FingerprintEnabled() {
-		t.Fatal("POST enable=1 did not re-enable sampling")
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "fp_") || strings.HasPrefix(line, "# TYPE fp_") || strings.Contains(line, "fingerprint") {
+			t.Errorf("/metrics still carries %q", line)
+		}
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/fingerprint"
 	"repro/internal/poller"
 	"repro/internal/protocol"
+	"repro/internal/txobs"
 )
 
 // The event-loop transport splits the front end into two tiers:
@@ -59,9 +59,9 @@ type evConn struct {
 // burst — noise next to one syscall. Counters and histograms reset on
 // `stats reset`; queue depths and overflow length are live gauges.
 type evStats struct {
-	spills   atomic.Uint64       // enqueues that spilled to the overflow list
-	dispatch fingerprint.LogHist // queued→running latency, ns
-	burstOps fingerprint.LogHist // commands served per burst
+	spills   atomic.Uint64   // enqueues that spilled to the overflow list
+	dispatch txobs.Histogram // queued→running latency
+	burstOps txobs.Histogram // commands served per burst
 
 	// busyNs[i] accumulates worker i's time inside bursts; baseNs and
 	// winStart snapshot the reset point so the busy fraction is computed
@@ -263,7 +263,7 @@ func (ev *evLoop) workerLoop(i int) {
 		// time it actually waits in a queue.
 		if enq := c.enqueuedNs.Swap(0); enq > 0 {
 			if d := start.UnixNano() - enq; d > 0 {
-				ev.stats.dispatch.Record(uint64(d))
+				ev.stats.dispatch.Observe(time.Duration(d))
 			}
 		}
 		ev.burst(c, w)

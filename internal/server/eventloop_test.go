@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/poller"
 	"repro/internal/protocol"
+	"repro/internal/txobs"
 )
 
 // transports runs a subtest per event-loop poller implementation (the
@@ -87,17 +91,26 @@ func TestEventLoopPipelinedBurst(t *testing.T) {
 	})
 }
 
-func TestEventLoopShardedConcurrentClients(t *testing.T) {
+// startShardedEventLoop boots a 4-shard cache on the event-loop transport
+// with 6 workers (so 4 affine queues) and returns the server plus its cache.
+func startShardedEventLoop(t *testing.T) (*Server, *engine.Cache) {
+	t.Helper()
 	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8, Shards: 4})
 	c.Start()
 	s, err := ListenConfig(c, Config{Addr: "127.0.0.1:0", EventLoop: true, Workers: 6})
 	if err != nil {
-		t.Fatal(err)
+		c.Stop()
+		t.Fatalf("ListenConfig: %v", err)
 	}
-	defer func() {
+	t.Cleanup(func() {
 		s.Close()
 		c.Stop()
-	}()
+	})
+	return s, c
+}
+
+func TestEventLoopShardedConcurrentClients(t *testing.T) {
+	s, _ := startShardedEventLoop(t)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		i := i
@@ -384,4 +397,298 @@ func TestEventLoopAcceptStormConcurrentClose(t *testing.T) {
 			c.Stop()
 		}
 	})
+}
+
+// TestEventLoopOverflowSpill exercises the enqueue spill path white-box: a
+// loop with a one-slot shared queue and no workers must divert the excess to
+// the overflow list, count each spill, and report the overflow length as a
+// gauge that survives a counter reset.
+func TestEventLoopOverflowSpill(t *testing.T) {
+	ev := &evLoop{
+		sharedQ: make(chan *evConn, 1),
+		conns:   make(map[poller.Token]*evConn),
+	}
+	ev.stats.winStart.Store(time.Now().UnixNano())
+
+	mkConn := func() *evConn {
+		a, b := net.Pipe()
+		t.Cleanup(func() { a.Close(); b.Close() })
+		return &evConn{pc: protocol.NewConnPooled(a), fd: -1}
+	}
+	for i := 0; i < 3; i++ {
+		ev.enqueue(mkConn())
+	}
+
+	if got := ev.stats.spills.Load(); got != 2 {
+		t.Fatalf("spills = %d, want 2 (one slot in sharedQ, three enqueues)", got)
+	}
+	s := ev.EventLoopSnapshot()
+	if s.OverflowSpills != 2 || s.OverflowLen != 2 || s.SharedDepth != 1 {
+		t.Fatalf("snapshot spills=%d overflow=%d shared=%d, want 2/2/1",
+			s.OverflowSpills, s.OverflowLen, s.SharedDepth)
+	}
+
+	// Reset clears the counter; the overflow gauge still shows the queued
+	// work, and draining it does not resurrect the counter.
+	ev.ResetTransportCounters()
+	s = ev.EventLoopSnapshot()
+	if s.OverflowSpills != 0 || s.OverflowLen != 2 {
+		t.Fatalf("after reset: spills=%d overflow=%d, want 0/2", s.OverflowSpills, s.OverflowLen)
+	}
+	if ev.popOverflow() == nil || ev.popOverflow() == nil || ev.popOverflow() != nil {
+		t.Fatal("overflow should drain exactly two connections in FIFO order")
+	}
+	if got := ev.EventLoopSnapshot().OverflowLen; got != 0 {
+		t.Fatalf("overflow gauge after drain = %d, want 0", got)
+	}
+}
+
+// statsMap runs one "stats <sub>" query over conn and returns the STAT
+// key→value map.
+func statsMap(t *testing.T, conn net.Conn, r *bufio.Reader, sub string) map[string]string {
+	t.Helper()
+	if _, err := fmt.Fprintf(conn, "stats %s\r\n", sub); err != nil {
+		t.Fatalf("write stats %s: %v", sub, err)
+	}
+	out := map[string]string{}
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("read stats %s: %v", sub, err)
+		}
+		line = strings.TrimRight(line, "\r\n")
+		if line == "END" {
+			return out
+		}
+		if rest, ok := strings.CutPrefix(line, "STAT "); ok {
+			if k, v, ok := strings.Cut(rest, " "); ok {
+				out[k] = v
+			}
+		}
+	}
+}
+
+// dialStats opens a connection for statsMap queries.
+func dialStats(t *testing.T, s *Server) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn, bufio.NewReader(conn)
+}
+
+// TestStatsKeySetsPinned pins the wire format the benchmark harness parses:
+// the key sets of `stats` and `stats eventloop` on a 4-shard, 6-worker
+// event-loop server, and the field names of the two histogram lines (it reads
+// burst_ops.mean and dispatch_ns.p99_ns). The values are not pinned. The
+// histograms behind the two lines are txobs.Histogram; they used to be a
+// second log-bucket type whose quantile was the first bucket with
+// cum > ⌊q·n⌋, reported as its inclusive bound 2^b−1. txobs's rule is
+// cum >= max(1, ⌊q·n⌋) with the exclusive bound 2^b, so a quantile may read
+// one bucket rank lower and 1 (ns or op) higher than before; both are capped
+// at the observed max.
+func TestStatsKeySetsPinned(t *testing.T) {
+	s, _ := startShardedEventLoop(t)
+	conn, r := dialStats(t, s)
+	fmt.Fprintf(conn, "set pin 0 0 1\r\nx\r\nget pin\r\n")
+	for i := 0; i < 4; i++ { // STORED, VALUE, payload, END
+		r.ReadString('\n')
+	}
+	shape := func(sub string) []string {
+		var keys []string
+		for k, v := range statsMap(t, conn, r, sub) {
+			if strings.Contains(v, "=") {
+				var names []string
+				for _, f := range strings.Fields(v) {
+					n, _, _ := strings.Cut(f, "=")
+					names = append(names, n)
+				}
+				k += " " + strings.Join(names, ",")
+			}
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	want := map[string][]string{
+		"": {"bytes", "cas_badval", "cas_hits", "cas_misses", "cmd_get", "cmd_set", "cmd_touch",
+			"conn_batched_replies", "conn_buffers_idle", "conn_buffers_inuse", "conn_errors_io",
+			"conn_errors_protocol", "conn_errors_timeout", "conn_flushes", "conn_writev_batches",
+			"curr_items", "delete_hits", "delete_misses", "evictions", "expired_unfetched",
+			"get_hits", "get_misses", "hash_buckets", "hash_expansions", "hash_items",
+			"incr_hits", "incr_misses", "limit_maxbytes", "shards", "slabs_moved",
+			"tm_abort_serial", "tm_aborts", "tm_htm_capacity_aborts", "tm_htm_fallbacks",
+			"tm_inflight_switch", "tm_ro_fast_commit", "tm_ro_upgrade", "tm_start_serial",
+			"tm_transactions", "tm_watchdog_backoff", "tm_watchdog_serialize", "total_items",
+			"tx_commits", "tx_conflicts", "tx_serial_fallbacks", "version"},
+		"eventloop": {"affine_0_depth", "affine_1_depth", "affine_2_depth", "affine_3_depth",
+			"affine_cap", "burst_ops count,mean,p50,p95,p99,max", "conns",
+			"dispatch_ns count,mean_ns,p50_ns,p95_ns,p99_ns,max_ns", "event_overflow_spills",
+			"eventloop", "overflow_len", "poller_probes", "poller_synthesized", "poller_wakeups",
+			"shared_cap", "shared_depth", "worker_0_busy", "worker_1_busy", "worker_2_busy",
+			"worker_3_busy", "worker_4_busy", "worker_5_busy", "workers"},
+	}
+	for sub, w := range want {
+		if got := shape(sub); !slices.Equal(got, w) {
+			t.Errorf("stats %s shape changed:\n got %q\nwant %q", sub, got, w)
+		}
+	}
+}
+
+// TestStatsEventloopOverWire drives traffic through the event-loop transport
+// and checks `stats eventloop` reports it.
+func TestStatsEventloopOverWire(t *testing.T) {
+	s, _ := startShardedEventLoop(t)
+	conn, r := dialStats(t, s)
+
+	fmt.Fprintf(conn, "set elhot 0 0 3\r\nabc\r\n")
+	if line, _ := r.ReadString('\n'); !strings.HasPrefix(line, "STORED") {
+		t.Fatalf("set reply %q", line)
+	}
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(conn, "get elhot\r\n")
+		for j := 0; j < 3; j++ { // VALUE, payload, END
+			if _, err := r.ReadString('\n'); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// A burst is recorded when it ends, and a client that sends each command
+	// as soon as the previous reply lands can keep one burst going through
+	// all of them, this stats query included; poll until one has ended.
+	var el map[string]string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		el = statsMap(t, conn, r, "eventloop")
+		count, _, _ := strings.Cut(strings.TrimPrefix(el["burst_ops"], "count="), " ")
+		if n, _ := strconv.ParseUint(count, 10, 64); n > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("burst_ops line = %q, want a non-empty histogram", el["burst_ops"])
+		}
+	}
+	if el["eventloop"] != "1" {
+		t.Fatalf("eventloop flag = %q, want 1", el["eventloop"])
+	}
+	if w, _ := strconv.Atoi(el["workers"]); w != 6 {
+		t.Fatalf("workers = %q, want 6", el["workers"])
+	}
+	if c, _ := strconv.Atoi(el["conns"]); c < 1 {
+		t.Fatalf("conns = %q, want >= 1 (this connection)", el["conns"])
+	}
+	if wk, _ := strconv.ParseUint(el["poller_wakeups"], 10, 64); wk == 0 {
+		t.Fatal("poller_wakeups = 0 after live traffic")
+	}
+	if spills, ok := el["event_overflow_spills"]; !ok {
+		t.Fatal("event_overflow_spills missing from stats eventloop")
+	} else if _, err := strconv.ParseUint(spills, 10, 64); err != nil {
+		t.Fatalf("event_overflow_spills = %q, not a counter", spills)
+	}
+}
+
+// TestStatsResetRacedOverWire is the protocol-level exactly-once check:
+// concurrent `stats reset` commands racing live traffic must leave every
+// counter coherent (no underflow blow-ups), keep tracing enabled, clear the
+// who-aborted-whom edges, and preserve gauges (workers, conns).
+func TestStatsResetRacedOverWire(t *testing.T) {
+	s, c := startShardedEventLoop(t)
+	obs := c.EnableTracing()
+	// A synthetic edge no real transaction can produce: the resets must
+	// clear it, and a fresh one must then count from zero.
+	seedEdge := func() {
+		obs.Record(&txobs.Event{Kind: txobs.KAbort, Orec: -1, Site: "seed_victim", Owner: "seed_owner"})
+	}
+	seedCount := func(m map[string]string) string {
+		for k, v := range m {
+			if n, rest, _ := strings.Cut(v, " "); strings.HasPrefix(k, "conflict_edge_") && rest == "seed_owner seed_victim (unlabeled)" {
+				return n
+			}
+		}
+		return ""
+	}
+	seedEdge()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // traffic the resets race against
+		defer wg.Done()
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			fmt.Fprintf(conn, "set rr-%d 0 0 1\r\nx\r\n", i%32)
+			if _, err := r.ReadString('\n'); err != nil {
+				return
+			}
+		}
+	}()
+
+	var resetters sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		resetters.Add(1)
+		go func() {
+			defer resetters.Done()
+			conn, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			r := bufio.NewReader(conn)
+			for j := 0; j < 15; j++ {
+				fmt.Fprintf(conn, "stats reset\r\n")
+				if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "RESET") {
+					t.Errorf("stats reset reply %q err %v", line, err)
+					return
+				}
+			}
+		}()
+	}
+	resetters.Wait()
+	close(stop)
+	wg.Wait()
+
+	conn, r := dialStats(t, s)
+	st := statsMap(t, conn, r, "")
+	for _, k := range []string{"cmd_set", "tm_transactions", "tm_aborts"} {
+		if n, err := strconv.ParseUint(st[k], 10, 64); err != nil || n > 1<<40 {
+			t.Fatalf("%s = %q after raced resets", k, st[k])
+		}
+	}
+	conflicts := statsMap(t, conn, r, "conflicts")
+	if conflicts["tracing"] != "1" {
+		t.Fatalf("raced resets turned tracing off: %v", conflicts)
+	}
+	if n := seedCount(conflicts); n != "" {
+		t.Fatalf("seeded conflict edge survived raced resets with count %s", n)
+	}
+	seedEdge()
+	if n := seedCount(statsMap(t, conn, r, "conflicts")); n != "1" {
+		t.Fatalf("fresh conflict edge after raced resets counts %q, want 1", n)
+	}
+	el := statsMap(t, conn, r, "eventloop")
+	for _, k := range []string{"event_overflow_spills", "poller_wakeups", "poller_probes"} {
+		n, err := strconv.ParseUint(el[k], 10, 64)
+		if err != nil || n > 1<<40 {
+			t.Fatalf("%s = %q after raced resets", k, el[k])
+		}
+	}
+	if w, _ := strconv.Atoi(el["workers"]); w <= 0 {
+		t.Fatalf("workers gauge lost after resets: %q", el["workers"])
+	}
+	if cn, _ := strconv.Atoi(el["conns"]); cn < 1 {
+		t.Fatalf("conns gauge lost after resets: %q", el["conns"])
+	}
 }

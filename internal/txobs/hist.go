@@ -7,45 +7,46 @@ import (
 	"time"
 )
 
-// histBuckets is the number of power-of-two latency buckets. Bucket b counts
-// observations with bits.Len64(ns) == b, i.e. durations in [2^(b-1), 2^b)
-// nanoseconds; bucket 0 is exactly zero. 48 buckets reach ~78 hours.
+// histBuckets is the number of power-of-two buckets. Bucket b counts values
+// with bits.Len64(v) == b, i.e. v in [2^(b-1), 2^b); bucket 0 is exactly
+// zero. 48 buckets reach ~78 hours of nanoseconds.
 const histBuckets = 48
 
-// Histogram is a log-bucketed latency histogram safe for concurrent Observe
-// and read. Quantiles are resolved to a bucket's upper bound, so they are
-// upper estimates with at most 2x resolution — the trade that makes recording
-// three atomic adds.
+// Histogram is the repository's one log-bucketed histogram, safe for
+// concurrent Record and read. Quantiles are resolved to a bucket's upper
+// bound, so they are upper estimates with at most 2x resolution — the trade
+// that makes recording three atomic adds. Latencies go in through Observe;
+// dimensionless counts (the event loop's commands per burst) go in through
+// Record, and their snapshot fields carry the count where the names say
+// nanoseconds.
 type Histogram struct {
 	count   atomic.Uint64
-	sum     atomic.Uint64 // nanoseconds
+	sum     atomic.Uint64
 	max     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
 }
 
-// Observe records one duration.
+// Observe records one duration in nanoseconds; a negative one counts as 0.
 func (h *Histogram) Observe(d time.Duration) {
-	ns := uint64(0)
-	if d > 0 {
-		ns = uint64(d)
-	}
-	b := bits.Len64(ns)
+	h.Record(uint64(max(d, 0)))
+}
+
+// Record records one value.
+func (h *Histogram) Record(v uint64) {
+	b := bits.Len64(v)
 	if b >= histBuckets {
 		b = histBuckets - 1
 	}
 	h.buckets[b].Add(1)
 	h.count.Add(1)
-	h.sum.Add(ns)
+	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
-		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
+		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			return
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Reset zeroes the histogram.
 func (h *Histogram) Reset() {
@@ -57,7 +58,7 @@ func (h *Histogram) Reset() {
 	}
 }
 
-// bucketUpper returns the exclusive upper bound of bucket b in nanoseconds.
+// bucketUpper returns the exclusive upper bound of bucket b.
 func bucketUpper(b int) uint64 {
 	if b == 0 {
 		return 1
@@ -67,12 +68,12 @@ func bucketUpper(b int) uint64 {
 
 // HistSnapshot is a point-in-time copy of a histogram with derived quantiles.
 type HistSnapshot struct {
-	Count   uint64          `json:"count"`
-	Mean    time.Duration   `json:"mean_ns"`
-	P50     time.Duration   `json:"p50_ns"`
-	P95     time.Duration   `json:"p95_ns"`
-	P99     time.Duration   `json:"p99_ns"`
-	Max     time.Duration   `json:"max_ns"`
+	Count   uint64              `json:"count"`
+	Mean    time.Duration       `json:"mean_ns"`
+	P50     time.Duration       `json:"p50_ns"`
+	P95     time.Duration       `json:"p95_ns"`
+	P99     time.Duration       `json:"p99_ns"`
+	Max     time.Duration       `json:"max_ns"`
 	Buckets [histBuckets]uint64 `json:"-"`
 }
 

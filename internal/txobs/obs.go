@@ -439,7 +439,7 @@ func (o *Observer) Report(topOrecs int) Report {
 }
 
 // String renders the report as a human-readable summary (mcbench -profile,
-// make profile, mctrace replay).
+// make profile, /debug/tm).
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "tx observability report (%d events):\n", r.Events)

@@ -160,6 +160,16 @@ func TestHistogramQuantiles(t *testing.T) {
 	if s := h.Snapshot(); s.Count != 0 || s.Max != 0 {
 		t.Fatalf("reset left state: %+v", s)
 	}
+
+	// Record takes a plain count (commands per burst): 1..100 once each.
+	// A negative duration observes as 0.
+	for v := uint64(1); v <= 100; v++ {
+		h.Record(v)
+	}
+	h.Observe(-time.Second)
+	if s := h.Snapshot(); s.Count != 101 || s.Max != 100 || s.Mean != 50 || s.P50 != 64 || s.P99 != 100 {
+		t.Fatalf("counts: %+v, want count 101 max 100 mean 50 p50 64 p99 100", s)
+	}
 }
 
 // TestReportRendering checks the JSON and Prometheus surfaces carry the data.
