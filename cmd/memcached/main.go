@@ -15,7 +15,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"repro/internal/engine"
@@ -36,8 +35,6 @@ func main() {
 		noLock    = flag.Bool("nolock", false, "override: remove the global serial lock")
 		trace     = flag.Bool("trace", false, "enable transaction observability from startup (stats tm/conflicts/latency, who aborted whom)")
 		debugAddr = flag.String("debug-addr", "", "serve the debug HTTP endpoint (/debug/vars, /metrics, /debug/pprof/) on this address")
-		eventLoop = flag.Bool("event-loop", runtime.GOOS == "linux", "event-driven transport: epoll parks idle connections, a bounded shard-affine worker pool serves ready ones (default on linux; off = goroutine per connection)")
-		workers   = flag.Int("workers", 0, "event-loop execution workers (0 = shards+2, capped at 32)")
 	)
 	flag.Parse()
 
@@ -81,22 +78,14 @@ func main() {
 	if *trace {
 		cache.EnableTracing()
 	}
-	srv, err := server.ListenConfig(cache, server.Config{
-		Addr:      *addr,
-		EventLoop: *eventLoop,
-		Workers:   *workers,
-	})
+	srv, err := server.Listen(cache, *addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	transport := "goroutine-per-conn"
-	if srv.EventLoop() {
-		transport = "event-loop"
-	}
-	log.Printf("tm-memcached serving on %s (branch %s, %s transport)", srv.Addr(), b, transport)
+	log.Printf("tm-memcached serving on %s (branch %s)", srv.Addr(), b)
 	var dbg interface{ Close() error }
 	if *debugAddr != "" {
-		d, bound, err := server.ListenDebugServer(cache, srv, *debugAddr)
+		d, bound, err := server.ListenDebug(cache, srv, *debugAddr)
 		if err != nil {
 			log.Fatal(err)
 		}

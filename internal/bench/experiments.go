@@ -284,34 +284,28 @@ func txnTransfer(w *engine.Worker, a, b []byte, yield bool) {
 // ---------------------------------------------------------------------------
 // conns
 
-// connScale asks what a connection costs per transport. The timed points run
-// an identical request-response mix through real sockets on each, to show the
-// event loop does not tax the busy path for what it saves on the idle one; the
-// extra rows hold a ladder of idle connections against each and record the
+// connScale asks what a connection costs the server. The timed point runs a
+// request-response mix from 64 connections through real sockets and records
+// its latency; the extra rows hold a ladder of idle connections and record the
 // server's RSS and goroutine growth per rung (see holder.go).
 func connScale(sz sizer) experiment {
 	e := experiment{
 		name:    "conns",
-		claim:   "the event-loop transport holds an idle connection for ~1 KB and no goroutine (RSS <= 0.25x goroutine-per-conn at 10k) without slowing an active 64-connection mix",
+		claim:   "the server holds an idle connection for ~1 KB of RSS and no goroutine (goroutine count flat at 10k held); an active 64-connection mix's p50/p99 are recorded",
 		threads: sz(64, 8), ops: sz(1500, 50), trials: sz(3, 1),
 		keyspace: 1024, valueSize: 100,
 	}
-	for _, tr := range []struct {
-		label     string
-		eventLoop bool
-	}{{"event-loop", true}, {"goroutine-per-conn", false}} {
-		e.points = append(e.points, point{
-			label:  tr.label + " active",
-			params: Metrics{"shards": 4, "transport": tr.label},
-			cache:  engine.Config{Branch: engine.ITOnCommit, Shards: 4, MemLimit: 64 << 20, HashPower: 12},
-			listen: &server.Config{Addr: "127.0.0.1:0", EventLoop: tr.eventLoop},
-			load:   connLoad,
-			verify: func(r *rig, m Metrics) {
-				ds := r.lat.drain()
-				m["p50_ms"], m["p99_ms"] = quantileMs(ds, 0.5), quantileMs(ds, 0.99)
-			},
-		})
-	}
+	e.points = []point{{
+		label:  "active",
+		params: Metrics{"shards": 4},
+		cache:  engine.Config{Branch: engine.ITOnCommit, Shards: 4, MemLimit: 64 << 20, HashPower: 12},
+		listen: &server.Config{Addr: "127.0.0.1:0"},
+		load:   connLoad,
+		verify: func(r *rig, m Metrics) {
+			ds := r.lat.drain()
+			m["p50_ms"], m["p99_ms"] = quantileMs(ds, 0.5), quantileMs(ds, 0.99)
+		},
+	}}
 	rungs := []int{sz(1000, 100), sz(10000, 200), sz(100000, 300)}
 	e.extra = func(e *experiment, res *Result) error { return connLadder(e, res, rungs) }
 	return e

@@ -16,11 +16,11 @@ import (
 	"repro/internal/protocol"
 )
 
-// The idle half of the conns experiment. The goroutine-per-connection
-// transport pays a goroutine stack plus a bufio pair for every connection,
-// busy or not; the event loop parks idle connections in the kernel poller and
-// returns their buffers to a pool. The ladder holds rungs of idle connections
-// against each transport and records what the server process grew by.
+// The idle half of the conns experiment. The server parks idle connections in
+// the kernel poller and returns their buffers to a pool, so an idle
+// connection should cost neither a goroutine stack nor a bufio pair. The
+// ladder holds rungs of idle connections and records what the server process
+// grew by.
 //
 // The held connections live in a forked agent (this binary re-exec'd as
 // `<exe> conns-agent <addr> <n>`): RLIMIT_NOFILE counts both halves of a
@@ -32,46 +32,33 @@ import (
 // a held connection: listener, epoll fd, wake pipe, stdio, runtime slack.
 const agentHeadroom = 512
 
-// connLadder appends one row per transport and rung to res, then the RSS
-// ratio at the largest rung both transports held to the event-loop row.
+// connLadder appends one row per rung to res, each held against a server
+// configured as the experiment's point.
 func connLadder(e *experiment, res *Result, rungs []int) error {
 	var lim syscall.Rlimit
 	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &lim); err != nil {
 		return fmt.Errorf("getrlimit: %w", err)
 	}
+	// Cur is an int64 on some platforms (FreeBSD), a uint64 on others.
+	nofile := uint64(lim.Cur)
 	exe, err := os.Executable()
 	if err != nil {
 		return err
 	}
-	first := len(res.Rows)
-	for _, p := range e.points {
-		err := withRig(e, p, func(r *rig) error {
-			for _, n := range rungs {
-				m, err := holdRung(r.addr, n, exe, lim.Cur)
-				if err != nil {
-					return fmt.Errorf("%s at %d conns: %w", p.label, n, err)
-				}
-				res.Rows = append(res.Rows, Row{
-					Label:   fmt.Sprintf("%s idle=%d", p.params["transport"], n),
-					Params:  Metrics{"transport": p.params["transport"], "conns": n, "rlimit_nofile": lim.Cur},
-					Metrics: m,
-				})
+	return withRig(e, e.points[0], func(r *rig) error {
+		for _, n := range rungs {
+			m, err := holdRung(r.addr, n, exe, nofile)
+			if err != nil {
+				return fmt.Errorf("at %d conns: %w", n, err)
 			}
-			return nil
-		})
-		if err != nil {
-			return err
+			res.Rows = append(res.Rows, Row{
+				Label:   fmt.Sprintf("idle=%d", n),
+				Params:  Metrics{"conns": n, "rlimit_nofile": nofile},
+				Metrics: m,
+			})
 		}
-	}
-	event, classic := res.Rows[first:first+len(rungs)], res.Rows[first+len(rungs):]
-	for i := len(rungs) - 1; i >= 0; i-- {
-		ev, cl := event[i].Metrics["rss_delta_kb"], classic[i].Metrics["rss_delta_kb"]
-		if ev != nil && cl != nil && cl.(int64) > 0 {
-			event[i].Metrics["rss_vs_goroutine_per_conn"] = float64(ev.(int64)) / float64(cl.(int64))
-			break
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // holdRung has an agent hold n idle connections against addr and measures

@@ -79,16 +79,12 @@ var invariants = map[string]func(t *testing.T, res Result){
 			if num(t, m, "held_conns") != num(t, row.Params, "conns") {
 				t.Errorf("%s: held %v", row.Label, m["held_conns"])
 			}
-			grew := num(t, m, "goroutines_held") - num(t, m, "goroutines_baseline")
-			if row.Params["transport"] == "event-loop" && grew != 0 {
-				t.Errorf("%s: event loop grew %v goroutines", row.Label, grew)
-			}
-			if row.Params["transport"] == "goroutine-per-conn" && grew < num(t, m, "held_conns") {
-				t.Errorf("%s: goroutine-per-conn grew only %v goroutines", row.Label, grew)
+			if grew := num(t, m, "goroutines_held") - num(t, m, "goroutines_baseline"); grew != 0 {
+				t.Errorf("%s: server grew %v goroutines", row.Label, grew)
 			}
 		}
-		if rungs != 6 {
-			t.Errorf("%d idle rungs held, want 3 per transport", rungs)
+		if rungs != 3 {
+			t.Errorf("%d idle rungs held, want 3", rungs)
 		}
 	},
 }

@@ -5,7 +5,7 @@
 // fast-path commits, the hottest conflict label and the heaviest
 // who-aborted-whom edge, plus the transport's queue depths. It needs nothing
 // but the wire protocol, so it works against any build of the server —
-// tracing or the event loop being off just blanks those lines.
+// tracing being off just blanks the conflict lines.
 package mctop
 
 import (
@@ -54,9 +54,7 @@ type Frame struct {
 	HotCount uint64
 	TopEdge  Edge // Count 0 if no edge was recorded
 
-	// Transport telemetry (stats eventloop); HasEL false when the server
-	// runs the classic transport.
-	HasEL       bool
+	// Transport telemetry (stats eventloop).
 	Workers     int
 	Conns       int
 	SharedDepth int
@@ -212,8 +210,6 @@ func Fetch(addr string, timeout time.Duration) (*Frame, error) {
 
 	if err := statsQuery(rw, "eventloop", func(k, v string) {
 		switch k {
-		case "eventloop":
-			f.HasEL = v == "1"
 		case "workers":
 			f.Workers = int(atoiU(v))
 		case "conns":
@@ -284,28 +280,24 @@ func Render(cur, prev *Frame) string {
 		cur.Version, cur.CurrItems,
 		rate(cur.CmdGet, p.CmdGet, dt), rate(cur.CmdSet, p.CmdSet, dt),
 		rate(cur.TMCommits, p.TMCommits, dt), rate(cur.TMAborts, p.TMAborts, dt))
-	if cur.HasEL {
-		fmt.Fprintf(&b, "transport: event-loop  workers=%d conns=%d sharedq=%d overflow=%d spills=%d",
-			cur.Workers, cur.Conns, cur.SharedDepth, cur.OverflowLen, cur.Spills)
-		if len(cur.AffineDepth) > 0 {
-			depths := make([]string, len(cur.AffineDepth))
-			for i, d := range cur.AffineDepth {
-				depths[i] = strconv.Itoa(d)
-			}
-			fmt.Fprintf(&b, " affine=[%s]", strings.Join(depths, " "))
+	fmt.Fprintf(&b, "transport: event-loop  workers=%d conns=%d sharedq=%d overflow=%d spills=%d",
+		cur.Workers, cur.Conns, cur.SharedDepth, cur.OverflowLen, cur.Spills)
+	if len(cur.AffineDepth) > 0 {
+		depths := make([]string, len(cur.AffineDepth))
+		for i, d := range cur.AffineDepth {
+			depths[i] = strconv.Itoa(d)
 		}
-		fmt.Fprintf(&b, "\npoller: wakeups=%d probes=%d synthesized=%d", cur.PollWakeups, cur.PollProbes, cur.PollSynth)
-		if len(cur.WorkerBusy) > 0 {
-			busy := make([]string, len(cur.WorkerBusy))
-			for i, f := range cur.WorkerBusy {
-				busy[i] = fmt.Sprintf("%.0f%%", f*100)
-			}
-			fmt.Fprintf(&b, "  busy=[%s]", strings.Join(busy, " "))
-		}
-		b.WriteByte('\n')
-	} else {
-		b.WriteString("transport: classic (goroutine per connection)\n")
+		fmt.Fprintf(&b, " affine=[%s]", strings.Join(depths, " "))
 	}
+	fmt.Fprintf(&b, "\npoller: wakeups=%d probes=%d synthesized=%d", cur.PollWakeups, cur.PollProbes, cur.PollSynth)
+	if len(cur.WorkerBusy) > 0 {
+		busy := make([]string, len(cur.WorkerBusy))
+		for i, f := range cur.WorkerBusy {
+			busy[i] = fmt.Sprintf("%.0f%%", f*100)
+		}
+		fmt.Fprintf(&b, "  busy=[%s]", strings.Join(busy, " "))
+	}
+	b.WriteByte('\n')
 	if !cur.Tracing {
 		b.WriteString("conflicts: tracing off (start the server with -trace)\n")
 	} else if cur.HotLabel == "" {

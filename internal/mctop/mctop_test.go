@@ -15,9 +15,9 @@ import (
 	"repro/internal/server"
 )
 
-// startServer boots a 4-shard cache with tracing on, served by the
-// event-loop transport — the deployment mctop is built for. A seeded commit
-// delay widens the commit window so that concurrent increments conflict.
+// startServer boots a 4-shard cache with tracing on — the deployment mctop
+// is built for. A seeded commit delay widens the commit window so that
+// concurrent increments conflict.
 func startServer(t *testing.T) (*engine.Cache, *server.Server) {
 	t.Helper()
 	in := fault.New(0x6d63746f70) // fixed seed: deterministic delays
@@ -25,7 +25,7 @@ func startServer(t *testing.T) (*engine.Cache, *server.Server) {
 	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8, Shards: 4, Fault: in})
 	c.Start()
 	c.EnableTracing()
-	s, err := server.ListenConfig(c, server.Config{Addr: "127.0.0.1:0", EventLoop: true})
+	s, err := server.ListenConfig(c, server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		c.Stop()
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestMctopLiveServerSnapshot(t *testing.T) {
 	if e := cur.TopEdge; e.Count == 0 || e.Label == "" {
 		t.Fatalf("no top conflict edge under contention: %+v", e)
 	}
-	if !cur.HasEL || cur.Workers == 0 {
+	if cur.Workers == 0 {
 		t.Fatalf("event-loop telemetry missing: %+v", cur)
 	}
 	if cur.PollWakeups == 0 {
@@ -161,13 +161,14 @@ func TestMctopLiveServerSnapshot(t *testing.T) {
 	}
 }
 
-// TestMctopClassicServer covers the degraded lines: a classic-transport,
-// single-shard server without tracing still yields a frame — its one shard
-// row from the merged stats tm counters — and a renderable screen.
-func TestMctopClassicServer(t *testing.T) {
+// TestMctopSingleShardServer covers the degraded lines: a single-shard
+// server without tracing still yields a frame — its one shard row from the
+// merged stats tm counters, its transport with one affine queue — and a
+// renderable screen.
+func TestMctopSingleShardServer(t *testing.T) {
 	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8, Shards: 1})
 	c.Start()
-	s, err := server.ListenConfig(c, server.Config{Addr: "127.0.0.1:0"})
+	s, err := server.Listen(c, "127.0.0.1:0")
 	if err != nil {
 		c.Stop()
 		t.Fatal(err)
@@ -181,8 +182,8 @@ func TestMctopClassicServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.HasEL {
-		t.Fatal("classic transport reported event-loop telemetry")
+	if f.Workers != 3 || len(f.AffineDepth) != 1 {
+		t.Fatalf("workers = %d, affine queues = %d, want 3 and 1 at one shard", f.Workers, len(f.AffineDepth))
 	}
 	if f.Tracing || f.HotLabel != "" {
 		t.Fatalf("untraced server reported conflicts: %+v", f)
@@ -191,9 +192,9 @@ func TestMctopClassicServer(t *testing.T) {
 		t.Fatalf("single-shard row = %+v, want one row with commits", f.Shards)
 	}
 	out := mctop.Render(f, nil)
-	for _, want := range []string{"transport: classic", "conflicts: tracing off", "\n0    "} {
+	for _, want := range []string{"transport: event-loop  workers=3", "affine=[0]", "conflicts: tracing off", "\n0    "} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("classic render missing %q:\n%s", want, out)
+			t.Fatalf("single-shard render missing %q:\n%s", want, out)
 		}
 	}
 }

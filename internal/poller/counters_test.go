@@ -65,10 +65,6 @@ func runCounterScenario(t *testing.T, name string, mk func(func(Token)) (Poller,
 		t.Fatalf("%s: %v", name, err)
 	}
 	defer p.Close()
-	cs, ok := p.(CounterSource)
-	if !ok {
-		t.Fatalf("%s: %T does not implement CounterSource", name, p)
-	}
 
 	client, server := counterPair(t)
 	defer client.Close()
@@ -98,7 +94,7 @@ func runCounterScenario(t *testing.T, name string, mk func(func(Token)) (Poller,
 		t.Fatal(err)
 	}
 	awaitReady(t, readyCh, name+" phase 1")
-	c := cs.Counters()
+	c := p.Counters()
 	if c.Probes != 1 || c.Synthesized != 1 || c.Wakeups < 1 {
 		t.Fatalf("%s phase 1: %+v, want probes=1 synthesized=1 wakeups≥1", name, c)
 	}
@@ -112,22 +108,22 @@ func runCounterScenario(t *testing.T, name string, mk func(func(Token)) (Poller,
 	if err := p.Arm(tok); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, name+" second probe", func() bool { return cs.Counters().Probes == 2 })
-	if c := cs.Counters(); c.Synthesized != 1 {
+	waitCond(t, name+" second probe", func() bool { return p.Counters().Probes == 2 })
+	if c := p.Counters(); c.Synthesized != 1 {
 		t.Fatalf("%s phase 2 pre-write: %+v, empty-buffer probe must not synthesize", name, c)
 	}
 	if _, err := client.Write([]byte("xy")); err != nil {
 		t.Fatal(err)
 	}
 	awaitReady(t, readyCh, name+" phase 2")
-	c = cs.Counters()
+	c = p.Counters()
 	if c.Probes != 2 || c.Synthesized != 1 || c.Wakeups < 2 {
 		t.Fatalf("%s phase 2: %+v, want probes=2 synthesized=1 wakeups≥2", name, c)
 	}
 
 	// Reset clears all three (stats-reset semantics).
-	cs.ResetCounters()
-	if z := cs.Counters(); z != (Counters{}) {
+	p.ResetCounters()
+	if z := p.Counters(); z != (Counters{}) {
 		t.Fatalf("%s after reset: %+v", name, z)
 	}
 	return c

@@ -70,6 +70,10 @@ type Poller interface {
 	// Close stops event delivery and releases poller resources. It does not
 	// close registered connections; the owner sweeps those itself.
 	Close() error
+	// Counters reports the cumulative delivery statistics.
+	Counters() Counters
+	// ResetCounters zeroes the counters ("stats reset" semantics).
+	ResetCounters()
 }
 
 // New returns the best poller for this platform: epoll on linux, the
@@ -95,15 +99,6 @@ type Counters struct {
 	Wakeups     uint64 `json:"wakeups"`
 	Probes      uint64 `json:"probes"`
 	Synthesized uint64 `json:"synthesized"`
-}
-
-// CounterSource is implemented by pollers that expose delivery counters
-// (both built-in implementations do). The transport type-asserts for it so
-// third-party Poller implementations remain valid without counters.
-type CounterSource interface {
-	Counters() Counters
-	// ResetCounters zeroes the counters ("stats reset" semantics).
-	ResetCounters()
 }
 
 // counters is the shared atomic implementation embedded by both pollers.

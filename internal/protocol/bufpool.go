@@ -10,9 +10,8 @@ import (
 	"repro/internal/engine"
 )
 
-// connBufSize is the pooled per-connection read/write buffer size. It
-// matches the bufio default the classic transport has always used, so the
-// two transports frame identically; only the lifetime differs.
+// connBufSize is the pooled per-connection read/write buffer size, the bufio
+// default.
 const connBufSize = 4096
 
 // maxRetainedScratch bounds each scratch buffer kept between commands: what
@@ -63,11 +62,10 @@ type connBufs struct {
 	scratch
 }
 
-// The pooled transport's buffer economy: a connection owns a buffer set only
-// from the moment a worker picks it up to the moment it parks back in the
-// poller. The steady-state number of live sets is therefore bounded by the
-// worker count, not the connection count — that is where the event-loop
-// transport's RSS win at 100k idle connections comes from.
+// The buffer economy: a server connection owns a buffer set only from the
+// moment a worker picks it up to the moment it parks back in the poller. The
+// steady-state number of live sets is therefore bounded by the worker count,
+// not the connection count — that is what holds an idle connection at ~1 KB.
 var (
 	bufsPool = sync.Pool{New: func() any {
 		return &connBufs{
@@ -92,11 +90,10 @@ func BufferGauges() (inuse, idle int64) {
 	return bufInUse.Load(), bufIdle.Load()
 }
 
-// AttachBuffers equips a pooled connection with a buffer set from the
-// process-wide pool. No-op when buffers are already attached or the
-// connection is not pooled (NewConn buffers are permanent).
+// AttachBuffers equips the connection with a buffer set from the
+// process-wide pool. No-op when buffers are already attached.
 func (c *Conn) AttachBuffers() {
-	if !c.pooled || c.r != nil {
+	if c.r != nil {
 		return
 	}
 	b := bufsPool.Get().(*connBufs)
@@ -118,7 +115,7 @@ func (c *Conn) AttachBuffers() {
 // otherwise. force true is the teardown path: pending bytes are abandoned
 // with the connection.
 func (c *Conn) ReleaseBuffers(force bool) bool {
-	if !c.pooled || c.r == nil {
+	if c.r == nil {
 		return true
 	}
 	if !force && (c.r.Buffered() > 0 || c.w.Buffered() > 0) {

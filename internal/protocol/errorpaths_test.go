@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -142,20 +143,21 @@ func TestTruncatedSetDataBlock(t *testing.T) {
 // TestCommandLineIsBounded: a line longer than the read buffer is gathered in
 // scratch — a get of 100 maximal keys is legitimate — but only up to
 // maxLineLen. Past it the client is told why and the connection dies with a
-// protocol-classified error, however the connection holds its buffers.
+// protocol-classified error. Both ways of driving a Conn are covered:
+// "classic" is Serve, one goroutine owning the connection until it ends;
+// "pooled" is the event loop's cycle, ServeOne bursts that park the
+// connection (flush, give the buffer set back) whenever no request bytes are
+// buffered. Either way the borrowed buffer sets all go back to the pool.
 func TestCommandLineIsBounded(t *testing.T) {
-	for name, newConn := range map[string]func(*engine.Worker, *duplex) *Conn{
-		"classic": func(w *engine.Worker, d *duplex) *Conn { return NewConn(w, d) },
-		"pooled": func(w *engine.Worker, d *duplex) *Conn {
-			pc := NewConnPooled(d)
-			pc.SetWorker(w)
-			return pc
-		},
+	for name, serve := range map[string]func(*Conn) error{
+		"classic": (*Conn).Serve,
+		"pooled":  serveInBursts,
 	} {
 		t.Run(name, func(t *testing.T) {
 			c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8})
 			c.Start()
 			defer c.Stop()
+			inuse0, _ := BufferGauges()
 
 			// 100 keys of 250 bytes: 25 KB on one line, six read buffers.
 			var get strings.Builder
@@ -166,11 +168,9 @@ func TestCommandLineIsBounded(t *testing.T) {
 			last := strings.Repeat("k", MaxKeyLen-3) + "099"
 			script := "set " + last + " 0 0 2\r\nhi\r\n" + get.String() + "\r\nversion\r\n"
 			d := &duplex{in: bytes.NewBufferString(script), out: &bytes.Buffer{}}
-			pc := newConn(c.NewWorker(), d)
-			if err := pc.Serve(); err != nil {
-				t.Fatalf("Serve: %v", err)
+			if err := serve(NewConn(c.NewWorker(), d)); err != nil {
+				t.Fatalf("serve: %v", err)
 			}
-			pc.ReleaseBuffers(true)
 			if out := d.out.String(); !strings.Contains(out, "VALUE "+last+" 0 2\r\nhi\r\nEND\r\n") || !strings.Contains(out, "VERSION") {
 				t.Errorf("100-key get on one long line: %q", out)
 			}
@@ -178,11 +178,9 @@ func TestCommandLineIsBounded(t *testing.T) {
 			// No newline, ever: the server stops reading at the bound.
 			flood := "get " + strings.Repeat("x", 2*maxLineLen)
 			d = &duplex{in: bytes.NewBufferString("version\r\n" + flood), out: &bytes.Buffer{}}
-			pc = newConn(c.NewWorker(), d)
-			err := pc.Serve()
-			pc.ReleaseBuffers(true)
+			err := serve(NewConn(c.NewWorker(), d))
 			if !errors.Is(err, ErrProtocol) {
-				t.Fatalf("Serve = %v, want ErrProtocol", err)
+				t.Fatalf("serve = %v, want ErrProtocol", err)
 			}
 			if out := d.out.String(); !strings.HasSuffix(out, "CLIENT_ERROR line too long\r\n") || !strings.HasPrefix(out, "VERSION") {
 				t.Errorf("over-long line reply = %q", out)
@@ -190,6 +188,38 @@ func TestCommandLineIsBounded(t *testing.T) {
 			if left := d.in.Len(); left < maxLineLen/2 {
 				t.Errorf("%d bytes of the flood left unread: the server kept reading past its bound", left)
 			}
+			if inuse, _ := BufferGauges(); inuse != inuse0 {
+				t.Errorf("conn_buffers_inuse = %d after both connections ended, want %d", inuse, inuse0)
+			}
 		})
 	}
+}
+
+// serveInBursts drives pc the way the server's event loop does: one command
+// at a time, and whenever the userspace buffer is empty the replies are
+// flushed and the buffer set is released, as a parked connection holds none.
+// The next ServeOne attaches a set again. On the way out pending replies are
+// flushed and the set is returned unconditionally, as teardown does.
+func serveInBursts(pc *Conn) error {
+	var err error
+	for {
+		if err = pc.ServeOne(); err != nil {
+			break
+		}
+		if pc.InputBuffered() > 0 {
+			continue
+		}
+		if err = pc.Flush(); err != nil {
+			break
+		}
+		if !pc.ReleaseBuffers(false) {
+			err = errors.New("ReleaseBuffers refused to park a flushed, drained connection")
+			break
+		}
+	}
+	if ferr := pc.Flush(); err == nil || errors.Is(err, io.EOF) {
+		err = ferr
+	}
+	pc.ReleaseBuffers(true)
+	return err
 }

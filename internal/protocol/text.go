@@ -44,7 +44,7 @@ const MaxBodyLen = 8 << 20
 // Control lets the transport owner (the server) interpose on command
 // boundaries: arming idle/read deadlines, tracking busy state for graceful
 // drain, refusing new commands at shutdown. All methods run on the
-// connection's own goroutine.
+// goroutine serving the connection.
 type Control interface {
 	// BeforeCommand runs before blocking for the next command. A non-nil
 	// error stops serving (Serve returns it).
@@ -69,18 +69,15 @@ type Conn struct {
 	w      *bufio.Writer
 	bw     buffersWriter // non-nil when the transport supports gathered writes
 
-	// sc is the request scratch (see bufpool.go). It lives and dies with the
-	// buffers: a classic connection owns one for life, a pooled one borrows
-	// it with its buffer set (bufs), so a parked connection holds neither.
+	// sc is the request scratch (see bufpool.go). It is borrowed with the
+	// buffer set (bufs), so a connection between bursts holds neither.
 	sc   *scratch
 	bufs *connBufs
 
-	// transport and fbr let pooled connections re-attach buffers: the bufio
-	// pair is Reset onto these on every AttachBuffers. Classic (NewConn)
-	// connections keep their buffers for life and never touch them.
+	// transport and fbr are what the borrowed bufio pair is Reset onto on
+	// every AttachBuffers.
 	transport io.ReadWriter
 	fbr       *flushBeforeRead
-	pooled    bool
 
 	// trackShard/affinity record which TM shard the last command routed to
 	// (-1 for multi-shard or shard-agnostic commands). The event-loop
@@ -98,7 +95,14 @@ type Conn struct {
 	tx *txState
 }
 
-// NewConn wraps a transport with a protocol handler bound to a worker.
+// NewConn wraps a transport with a protocol handler bound to a worker (nil
+// when the caller lends one per burst with SetWorker, as the server's event
+// loop does).
+//
+// The read/write buffers and the request scratch come from a process-wide
+// pool: the first command attaches a set (AttachBuffers), ReleaseBuffers
+// returns it, and Serve returns it when it does, so a connection between
+// bursts holds zero buffer bytes.
 //
 // Replies are batched: they accumulate in the write buffer while further
 // pipelined commands are already readable and go to the transport in one
@@ -106,26 +110,6 @@ type Conn struct {
 // fills, or — for large multi-get responses on capable transports — as one
 // gathered writev-style write.
 func NewConn(worker *engine.Worker, rw io.ReadWriter) *Conn {
-	c := newConnBase(worker, rw)
-	c.w = bufio.NewWriter(rw)
-	c.r = bufio.NewReader(c.fbr)
-	c.sc = &scratch{}
-	return c
-}
-
-// NewConnPooled builds a connection whose read/write buffers come from a
-// process-wide sync.Pool and are attached only while the connection is being
-// served (AttachBuffers / ReleaseBuffers). Idle pooled connections hold zero
-// buffer bytes. The worker binding is also deferred: the event-loop
-// transport lends each connection its execution worker's engine handle via
-// SetWorker at the start of every burst.
-func NewConnPooled(rw io.ReadWriter) *Conn {
-	c := newConnBase(nil, rw)
-	c.pooled = true
-	return c
-}
-
-func newConnBase(worker *engine.Worker, rw io.ReadWriter) *Conn {
 	c := &Conn{worker: worker, transport: rw, affinity: -1}
 	if bw, ok := rw.(buffersWriter); ok {
 		c.bw = bw
@@ -208,13 +192,15 @@ func (c *Conn) InputBuffered() int {
 func (c *Conn) Flush() error { return c.flushNow() }
 
 // Serve processes commands until EOF, quit, or a transport error. Any
-// buffered replies are flushed before it returns.
+// buffered replies are flushed and the buffer set is released before it
+// returns.
 func (c *Conn) Serve() error {
 	err := c.serveLoop()
 	c.tx = nil // disconnect is the implicit txabort
 	if ferr := c.flushNow(); err == nil {
 		err = ferr
 	}
+	c.ReleaseBuffers(true)
 	return err
 }
 
@@ -229,13 +215,14 @@ func (c *Conn) serveLoop() error {
 	}
 }
 
-// ServeOne serves exactly one command, including the Control boundary hooks.
-// It returns io.EOF on clean peer close and ErrQuit on a quit command; the
-// caller owns mapping those to a clean shutdown. The event-loop transport
-// calls this in a burst while InputBuffered is non-zero, then parks the
-// connection back in the poller.
+// ServeOne serves exactly one command, including the Control boundary hooks,
+// attaching a buffer set first if the connection holds none. It returns
+// io.EOF on clean peer close and ErrQuit on a quit command; the caller owns
+// mapping those to a clean shutdown. The server's event loop calls this in a
+// burst while InputBuffered is non-zero, then parks the connection back in
+// the poller.
 func (c *Conn) ServeOne() error {
-	if c.pooled && c.r == nil {
+	if c.r == nil {
 		c.AttachBuffers()
 	}
 	if c.ctl != nil {
@@ -1066,9 +1053,9 @@ func (c *Conn) flushIfIdle() error {
 	return c.flushNow()
 }
 
-// flushNow writes any buffered replies to the transport. A pooled
-// connection with buffers released (parked or torn down) has nothing
-// buffered by definition.
+// flushNow writes any buffered replies to the transport. A connection with
+// its buffers released (parked or torn down) has nothing buffered by
+// definition.
 func (c *Conn) flushNow() error {
 	if c.w == nil || c.w.Buffered() == 0 {
 		return nil

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/poller"
@@ -8,10 +9,9 @@ import (
 )
 
 // EventLoopSnapshot is one transport's telemetry at a point in time. The
-// event-loop transport implements TransportStats by filling this in; the
-// classic goroutine-per-connection transport has no queues to report and
-// simply never installs a TransportStats, which `stats eventloop` renders
-// as "eventloop 0".
+// server's event loop implements TransportStats by filling this in; a Conn
+// served without one (an in-process caller) never has a TransportStats
+// installed, which `stats eventloop` renders as "eventloop 0".
 type EventLoopSnapshot struct {
 	Workers int `json:"workers"`
 	Conns   int `json:"conns"`
@@ -30,22 +30,37 @@ type EventLoopSnapshot struct {
 	OverflowSpills uint64 `json:"overflow_spills"`
 
 	// Dispatch is the queued→running latency in nanoseconds; BurstOps is the
-	// commands-served-per-burst distribution (its unit is ops, not ns, though
-	// its snapshot fields are named for nanoseconds).
+	// commands-served-per-burst distribution.
 	Dispatch txobs.HistSnapshot `json:"dispatch_ns"`
-	BurstOps txobs.HistSnapshot `json:"burst_ops"`
+	BurstOps CountSnapshot      `json:"burst_ops"`
 
 	// WorkerBusy is each pool worker's busy fraction (time inside bursts /
 	// wall time) since start or the last reset.
 	WorkerBusy []float64 `json:"worker_busy"`
 
-	// Poller counters, when the poller implements poller.CounterSource.
-	Poller    poller.Counters `json:"poller"`
-	HasPoller bool            `json:"has_poller_counters"`
+	// Poller is the readiness poller's delivery counters.
+	Poller poller.Counters `json:"poller"`
+}
+
+// CountSnapshot is a histogram snapshot whose values are counts, not
+// durations. It marshals as count/mean/p50/p95/p99/max, the field names of
+// its `stats eventloop` line, instead of txobs's *_ns names.
+type CountSnapshot txobs.HistSnapshot
+
+// MarshalJSON implements json.Marshaler.
+func (s CountSnapshot) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Count uint64 `json:"count"`
+		Mean  int64  `json:"mean"`
+		P50   int64  `json:"p50"`
+		P95   int64  `json:"p95"`
+		P99   int64  `json:"p99"`
+		Max   int64  `json:"max"`
+	}{s.Count, int64(s.Mean), int64(s.P50), int64(s.P95), int64(s.P99), int64(s.Max)})
 }
 
 // TransportStats is implemented by transports that expose queue/dispatch
-// telemetry (the event-loop transport). The server installs it per
+// telemetry (the server's event loop). The server installs it per
 // connection via SetTransport; `stats eventloop` reads it and `stats reset`
 // resets its counters (gauges survive).
 type TransportStats interface {
@@ -89,11 +104,9 @@ func (c *Conn) cmdStatsEventLoop() error {
 		fmt.Fprintf(c.w, "STAT worker_%d_busy %.3f\r\n", i, b)
 	}
 	c.histLine("dispatch_ns", "_ns", s.Dispatch)
-	c.histLine("burst_ops", "", s.BurstOps)
-	if s.HasPoller {
-		fmt.Fprintf(c.w, "STAT poller_wakeups %d\r\n", s.Poller.Wakeups)
-		fmt.Fprintf(c.w, "STAT poller_probes %d\r\n", s.Poller.Probes)
-		fmt.Fprintf(c.w, "STAT poller_synthesized %d\r\n", s.Poller.Synthesized)
-	}
+	c.histLine("burst_ops", "", txobs.HistSnapshot(s.BurstOps))
+	fmt.Fprintf(c.w, "STAT poller_wakeups %d\r\n", s.Poller.Wakeups)
+	fmt.Fprintf(c.w, "STAT poller_probes %d\r\n", s.Poller.Probes)
+	fmt.Fprintf(c.w, "STAT poller_synthesized %d\r\n", s.Poller.Synthesized)
 	return c.reply("END\r\n")
 }

@@ -22,23 +22,11 @@ import (
 	"repro/internal/protocol"
 )
 
-// NewDebugHandler builds the debug mux for one cache, with no transport
-// telemetry (see NewDebugHandlerServer).
-func NewDebugHandler(cache *engine.Cache) http.Handler {
-	return NewDebugHandlerServer(cache, nil)
-}
-
-// NewDebugHandlerServer builds the debug mux for one cache; srv, when
-// non-nil, contributes the transport's telemetry (queue depths, dispatch
-// latency, poller counters) to /debug/vars and /metrics.
-func NewDebugHandlerServer(cache *engine.Cache, srv *Server) http.Handler {
+// NewDebugHandler builds the debug mux for one cache; srv, when non-nil,
+// contributes the transport's telemetry (queue depths, dispatch latency,
+// poller counters) to /debug/vars and /metrics.
+func NewDebugHandler(cache *engine.Cache, srv *Server) http.Handler {
 	mux := http.NewServeMux()
-	transport := func() protocol.TransportStats {
-		if srv == nil {
-			return nil
-		}
-		return srv.TransportStats()
-	}
 
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -56,8 +44,8 @@ func NewDebugHandlerServer(cache *engine.Cache, srv *Server) http.Handler {
 		inuse, idle := protocol.BufferGauges()
 		vars["conn_buffers_inuse"] = inuse
 		vars["conn_buffers_idle"] = idle
-		if ts := transport(); ts != nil {
-			vars["eventloop"] = ts.EventLoopSnapshot()
+		if srv != nil {
+			vars["eventloop"] = srv.TransportStats().EventLoopSnapshot()
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -76,8 +64,8 @@ func NewDebugHandlerServer(cache *engine.Cache, srv *Server) http.Handler {
 		if o := cache.Observer(); o != nil {
 			o.Report(32).WritePrometheus(w)
 		}
-		if ts := transport(); ts != nil {
-			es := ts.EventLoopSnapshot()
+		if srv != nil {
+			es := srv.TransportStats().EventLoopSnapshot()
 			fmt.Fprintf(w, "# TYPE event_overflow_spills_total counter\nevent_overflow_spills_total %d\n", es.OverflowSpills)
 			fmt.Fprintf(w, "# TYPE event_overflow_len gauge\nevent_overflow_len %d\n", es.OverflowLen)
 			fmt.Fprintf(w, "# TYPE event_shared_depth gauge\nevent_shared_depth %d\n", es.SharedDepth)
@@ -90,11 +78,9 @@ func NewDebugHandlerServer(cache *engine.Cache, srv *Server) http.Handler {
 				fmt.Fprintf(w, "event_worker_busy{worker=\"%d\"} %.4f\n", i, b)
 			}
 			fmt.Fprintf(w, "# TYPE event_dispatch_p99_ns gauge\nevent_dispatch_p99_ns %d\n", es.Dispatch.P99)
-			if es.HasPoller {
-				fmt.Fprintf(w, "# TYPE poller_wakeups_total counter\npoller_wakeups_total %d\n", es.Poller.Wakeups)
-				fmt.Fprintf(w, "# TYPE poller_probes_total counter\npoller_probes_total %d\n", es.Poller.Probes)
-				fmt.Fprintf(w, "# TYPE poller_synthesized_total counter\npoller_synthesized_total %d\n", es.Poller.Synthesized)
-			}
+			fmt.Fprintf(w, "# TYPE poller_wakeups_total counter\npoller_wakeups_total %d\n", es.Poller.Wakeups)
+			fmt.Fprintf(w, "# TYPE poller_probes_total counter\npoller_probes_total %d\n", es.Poller.Probes)
+			fmt.Fprintf(w, "# TYPE poller_synthesized_total counter\npoller_synthesized_total %d\n", es.Poller.Synthesized)
 		}
 	})
 
@@ -128,20 +114,14 @@ func NewDebugHandlerServer(cache *engine.Cache, srv *Server) http.Handler {
 	return mux
 }
 
-// ListenDebug serves the debug handler on addr. Returns the http.Server
-// (Close to stop) and the bound listener address.
-func ListenDebug(cache *engine.Cache, addr string) (*http.Server, string, error) {
-	return ListenDebugServer(cache, nil, addr)
-}
-
-// ListenDebugServer is ListenDebug with transport telemetry: when srv is
-// non-nil its event-loop snapshot joins /debug/vars and /metrics.
-func ListenDebugServer(cache *engine.Cache, srv *Server, addr string) (*http.Server, string, error) {
+// ListenDebug serves NewDebugHandler(cache, srv) on addr. Returns the
+// http.Server (Close to stop) and the bound listener address.
+func ListenDebug(cache *engine.Cache, srv *Server, addr string) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err
 	}
-	hs := &http.Server{Handler: NewDebugHandlerServer(cache, srv)}
+	hs := &http.Server{Handler: NewDebugHandler(cache, srv)}
 	go hs.Serve(ln)
 	return hs, ln.Addr().String(), nil
 }

@@ -5,19 +5,20 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
 )
 
-// TestDebugEndpoint drives the debug handler against a live cache: expvar
-// JSON, Prometheus text, the pprof index, and the tracing toggle.
+// TestDebugEndpoint drives the debug handler against a live cache and its
+// server: expvar JSON, Prometheus text, the pprof index, and the tracing
+// toggle.
 func TestDebugEndpoint(t *testing.T) {
-	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8})
-	c.Start()
-	defer c.Stop()
-	ts := httptest.NewServer(NewDebugHandler(c))
+	s, c := startServer(t, engine.ITOnCommit)
+	ts := httptest.NewServer(NewDebugHandler(c, s))
 	defer ts.Close()
 
 	get := func(path string) (int, string) {
@@ -49,12 +50,25 @@ func TestDebugEndpoint(t *testing.T) {
 			Enabled bool              `json:"enabled"`
 			Kinds   map[string]uint64 `json:"kinds"`
 		} `json:"tm"`
+		EventLoop struct {
+			BurstOps map[string]json.RawMessage `json:"burst_ops"`
+		} `json:"eventloop"`
 	}
 	if err := json.Unmarshal([]byte(body), &vars); err != nil {
 		t.Fatalf("/debug/vars not JSON: %v\n%s", err, body)
 	}
 	if vars.Branch != "it-oncommit" || !vars.TM.Enabled || vars.TM.Kinds["commit"] == 0 {
 		t.Fatalf("/debug/vars content: %+v\n%s", vars, body)
+	}
+	// Commands per burst is a count: its fields carry no _ns suffix, as on
+	// the `stats eventloop` line.
+	var burstFields []string
+	for k := range vars.EventLoop.BurstOps {
+		burstFields = append(burstFields, k)
+	}
+	sort.Strings(burstFields)
+	if want := []string{"count", "max", "mean", "p50", "p95", "p99"}; !slices.Equal(burstFields, want) {
+		t.Fatalf("eventloop.burst_ops fields = %q, want %q", burstFields, want)
 	}
 
 	code, body = get("/metrics")
@@ -104,7 +118,7 @@ func TestDebugEndpoint(t *testing.T) {
 func TestDebugFingerprintRetired(t *testing.T) {
 	s, c := startShardedEventLoop(t)
 	c.EnableTracing()
-	ts := httptest.NewServer(NewDebugHandlerServer(c, s))
+	ts := httptest.NewServer(NewDebugHandler(c, s))
 	defer ts.Close()
 	roundTrip(t, s.Addr(), "set dbg 0 0 1\r\nv\r\n", "STORED")
 
@@ -166,7 +180,7 @@ func TestDebugVarsGaugesAtOneShard(t *testing.T) {
 	c := engine.New(engine.Config{Branch: engine.ITOnCommit, Shards: 1, HashPower: 8})
 	c.Start()
 	defer c.Stop()
-	ts := httptest.NewServer(NewDebugHandler(c))
+	ts := httptest.NewServer(NewDebugHandler(c, nil))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/debug/vars")
@@ -202,7 +216,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8})
 	c.Start()
 	defer c.Stop()
-	ts := httptest.NewServer(NewDebugHandler(c))
+	ts := httptest.NewServer(NewDebugHandler(c, nil))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/debug/trace")

@@ -28,9 +28,11 @@ import (
 // server's handle per burst). Connections whose last command routed to a
 // single TM shard are queued to the worker bound to that shard, so a
 // transaction's orec table and slab arena stay with one OS thread most of
-// the time (the thread/data-mapping argument from Pasqualin et al.);
-// multi-shard commands (multi-key get, flush_all, stats, wire transactions)
-// ride the shared queue any worker may drain.
+// the time (the thread/data-mapping argument from Pasqualin et al.; with
+// affinity off, the depth-1 benchmark's median latency doubles, see
+// EXPERIMENTS.md "One transport"); multi-shard commands (multi-key get,
+// flush_all, stats, wire transactions) ride the shared queue any worker may
+// drain.
 
 // evConn states. Transitions: idle→queued (poller readiness, CAS-guarded so
 // duplicate events collapse), queued→running (worker pickup), running→idle
@@ -109,17 +111,10 @@ const (
 var newPoller = poller.New
 
 func newEvLoop(s *Server) (*evLoop, error) {
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = s.cache.NumShards() + 2
-	}
-	if workers > evMaxWorkers {
-		workers = evMaxWorkers
-	}
-	affine := workers
-	if n := s.cache.NumShards(); affine > n {
-		affine = n
-	}
+	// One worker per shard queue, plus two that serve only the shared queue
+	// (multi-shard commands, and connections whose shard queue is full).
+	affine := min(s.cache.NumShards(), evMaxWorkers)
+	workers := min(affine+2, evMaxWorkers)
 	ev := &evLoop{
 		s:       s,
 		sharedQ: make(chan *evConn, evSharedQueueCap),
@@ -155,7 +150,7 @@ func newEvLoop(s *Server) (*evLoop, error) {
 // after the connection is registered in s.conns and counted in s.wg.
 func (ev *evLoop) adopt(sc *servConn) {
 	s := ev.s
-	pc := protocol.NewConnPooled(sc)
+	pc := protocol.NewConn(nil, sc)
 	pc.SetControl(sc)
 	pc.SetConnErrors(&s.errs)
 	pc.SetShardTracking(s.cache.NumShards() > 1)
@@ -178,8 +173,7 @@ func (ev *evLoop) adopt(sc *servConn) {
 		err = ev.p.Arm(tok)
 	}
 	if err != nil {
-		// Raced with shutdown, or an exotic transport: tear down; the
-		// classic path is not a fallback because Config chose this one.
+		// Raced with shutdown, or a connection the poller cannot watch.
 		ev.teardown(c, err)
 	}
 }
@@ -375,9 +369,8 @@ func (ev *evLoop) burst(c *evConn, w *engine.Worker) {
 			break
 		}
 		// Replies are flushed; if the next request has already arrived, keep
-		// the burst going instead of paying a park/re-arm/dispatch round trip
-		// — this is what keeps a busy connection near classic-transport
-		// throughput. At the fairness cap, park instead: Arm's probe will
+		// the burst going instead of paying a park/re-arm/dispatch round trip.
+		// At the fairness cap, park instead: Arm's probe will
 		// re-synthesize the event and the connection rejoins the queue tail.
 		if ops >= evBurstMaxOps || !pendingInput(c.fd) {
 			break
@@ -426,10 +419,10 @@ func (ev *evLoop) teardown(c *evConn, err error) {
 		delete(ev.conns, c.tok)
 		ev.mu.Unlock()
 	}
-	// Best-effort flush of batched replies written before the failure (the
-	// classic path's Serve does the same before returning); then dropping
-	// the protocol state drops any open wire transaction — the implicit
-	// txabort on disconnect, same contract as the classic path.
+	// Best-effort flush of batched replies written before the failure (as
+	// protocol.Conn.Serve does before returning); then dropping the protocol
+	// state drops any open wire transaction — the implicit txabort on
+	// disconnect.
 	_ = c.pc.Flush()
 	c.pc.ReleaseBuffers(true)
 	c.sc.Conn.Close()
@@ -447,9 +440,8 @@ func (ev *evLoop) teardown(c *evConn, err error) {
 	s.wg.Done()
 }
 
-// reapLoop enforces IdleTimeout for parked connections. The classic
-// transport reaps by read deadline; a parked connection has no read in
-// flight, so the event loop sweeps instead.
+// reapLoop enforces IdleTimeout for parked connections. A parked connection
+// has no read in flight for a deadline to expire, so the loop sweeps instead.
 func (ev *evLoop) reapLoop() {
 	defer ev.reapWG.Done()
 	idle := ev.s.cfg.IdleTimeout
@@ -479,7 +471,7 @@ func (ev *evLoop) reapLoop() {
 		ev.mu.Unlock()
 		for _, c := range stale {
 			// os.ErrDeadlineExceeded is a net.Error timeout, so countErr
-			// files the reap under conn_errors_timeout like the classic path.
+			// files the reap under conn_errors_timeout.
 			ev.expire(c, os.ErrDeadlineExceeded)
 		}
 	}
@@ -517,8 +509,7 @@ var _ protocol.TransportStats = (*evLoop)(nil)
 
 // EventLoopSnapshot renders the transport's telemetry: queue-depth gauges,
 // the overflow-spill counter, dispatch/burst histograms, per-worker busy
-// fractions over the current reset window, and the poller's counters when
-// its implementation exposes them.
+// fractions over the current reset window, and the poller's counters.
 func (ev *evLoop) EventLoopSnapshot() protocol.EventLoopSnapshot {
 	s := protocol.EventLoopSnapshot{
 		Workers:        len(ev.stats.busyNs),
@@ -527,7 +518,8 @@ func (ev *evLoop) EventLoopSnapshot() protocol.EventLoopSnapshot {
 		SharedCap:      cap(ev.sharedQ),
 		OverflowSpills: ev.stats.spills.Load(),
 		Dispatch:       ev.stats.dispatch.Snapshot(),
-		BurstOps:       ev.stats.burstOps.Snapshot(),
+		BurstOps:       protocol.CountSnapshot(ev.stats.burstOps.Snapshot()),
+		Poller:         ev.p.Counters(),
 	}
 	s.AffineDepth = make([]int, len(ev.affineQ))
 	for i, q := range ev.affineQ {
@@ -552,10 +544,6 @@ func (ev *evLoop) EventLoopSnapshot() protocol.EventLoopSnapshot {
 			s.WorkerBusy[i] = f
 		}
 	}
-	if cs, ok := ev.p.(poller.CounterSource); ok {
-		s.Poller = cs.Counters()
-		s.HasPoller = true
-	}
 	return s
 }
 
@@ -570,9 +558,7 @@ func (ev *evLoop) ResetTransportCounters() {
 		ev.stats.baseNs[i].Store(ev.stats.busyNs[i].Load())
 	}
 	ev.stats.winStart.Store(time.Now().UnixNano())
-	if cs, ok := ev.p.(poller.CounterSource); ok {
-		cs.ResetCounters()
-	}
+	ev.p.ResetCounters()
 }
 
 func (ev *evLoop) snapshot() []*evConn {

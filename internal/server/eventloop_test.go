@@ -33,10 +33,7 @@ func transports(t *testing.T, body func(t *testing.T)) {
 
 func TestEventLoopServesText(t *testing.T) {
 	transports(t, func(t *testing.T) {
-		s := startServerConfig(t, engine.ITOnCommit, Config{EventLoop: true})
-		if !s.EventLoop() {
-			t.Fatal("EventLoop() = false on an event-loop server")
-		}
+		s := startServerConfig(t, engine.ITOnCommit, Config{})
 		roundTrip(t, s.Addr(), "set k 0 0 5\r\nhello\r\n", "STORED")
 		roundTrip(t, s.Addr(), "version\r\n", "VERSION")
 
@@ -65,7 +62,7 @@ func TestEventLoopServesText(t *testing.T) {
 
 func TestEventLoopPipelinedBurst(t *testing.T) {
 	transports(t, func(t *testing.T) {
-		s := startServerConfig(t, engine.ITOnCommit, Config{EventLoop: true, Workers: 2})
+		s := startServerConfig(t, engine.ITOnCommit, Config{})
 		conn, err := net.Dial("tcp", s.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -91,13 +88,13 @@ func TestEventLoopPipelinedBurst(t *testing.T) {
 	})
 }
 
-// startShardedEventLoop boots a 4-shard cache on the event-loop transport
-// with 6 workers (so 4 affine queues) and returns the server plus its cache.
+// startShardedEventLoop boots a 4-shard cache, so the event loop runs 6
+// workers and 4 affine queues, and returns the server plus its cache.
 func startShardedEventLoop(t *testing.T) (*Server, *engine.Cache) {
 	t.Helper()
 	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8, Shards: 4})
 	c.Start()
-	s, err := ListenConfig(c, Config{Addr: "127.0.0.1:0", EventLoop: true, Workers: 6})
+	s, err := ListenConfig(c, Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		c.Stop()
 		t.Fatalf("ListenConfig: %v", err)
@@ -146,7 +143,7 @@ func TestEventLoopShardedConcurrentClients(t *testing.T) {
 
 func TestEventLoopGracefulDrainFinishesInFlightCommand(t *testing.T) {
 	transports(t, func(t *testing.T) {
-		s := startServerConfig(t, engine.ITOnCommit, Config{EventLoop: true, DrainTimeout: 5 * time.Second})
+		s := startServerConfig(t, engine.ITOnCommit, Config{DrainTimeout: 5 * time.Second})
 
 		conn, err := net.Dial("tcp", s.Addr())
 		if err != nil {
@@ -176,7 +173,7 @@ func TestEventLoopGracefulDrainFinishesInFlightCommand(t *testing.T) {
 
 func TestEventLoopIdleConnectionsReaped(t *testing.T) {
 	transports(t, func(t *testing.T) {
-		s := startServerConfig(t, engine.ITOnCommit, Config{EventLoop: true, IdleTimeout: 100 * time.Millisecond})
+		s := startServerConfig(t, engine.ITOnCommit, Config{IdleTimeout: 100 * time.Millisecond})
 		conn, err := net.Dial("tcp", s.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +200,7 @@ func TestEventLoopIdleConnectionsReaped(t *testing.T) {
 }
 
 func TestEventLoopMaxConnsBackpressure(t *testing.T) {
-	s := startServerConfig(t, engine.ITOnCommit, Config{EventLoop: true, MaxConns: 2})
+	s := startServerConfig(t, engine.ITOnCommit, Config{MaxConns: 2})
 	var held []net.Conn
 	for i := 0; i < 2; i++ {
 		conn, err := net.Dial("tcp", s.Addr())
@@ -241,7 +238,7 @@ func TestEventLoopMaxConnsBackpressure(t *testing.T) {
 // parsed — leaves no trace in the cache.
 func TestEventLoopWireTxImplicitAbortOnDisconnect(t *testing.T) {
 	transports(t, func(t *testing.T) {
-		s := startServerConfig(t, engine.ITMax, Config{EventLoop: true})
+		s := startServerConfig(t, engine.ITMax, Config{})
 
 		conn, err := net.Dial("tcp", s.Addr())
 		if err != nil {
@@ -273,7 +270,7 @@ func TestEventLoopWireTxImplicitAbortOnDisconnect(t *testing.T) {
 // in-use buffer gauge returns to its baseline: no burst path may leak a
 // pooled buffer pair, and parked connections must hold none.
 func TestEventLoopBufferPoolLeakGuard(t *testing.T) {
-	s := startServerConfig(t, engine.ITOnCommit, Config{EventLoop: true})
+	s := startServerConfig(t, engine.ITOnCommit, Config{})
 	base, _ := protocol.BufferGauges()
 
 	const conns = 20
@@ -355,7 +352,7 @@ func TestEventLoopAcceptStormConcurrentClose(t *testing.T) {
 		for round := 0; round < 10; round++ {
 			c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8})
 			c.Start()
-			s, err := ListenConfig(c, Config{Addr: "127.0.0.1:0", EventLoop: true, Workers: 3})
+			s, err := ListenConfig(c, Config{Addr: "127.0.0.1:0"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -404,7 +401,13 @@ func TestEventLoopAcceptStormConcurrentClose(t *testing.T) {
 // the overflow list, count each spill, and report the overflow length as a
 // gauge that survives a counter reset.
 func TestEventLoopOverflowSpill(t *testing.T) {
+	p, err := poller.NewFallback(func(poller.Token) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
 	ev := &evLoop{
+		p:       p,
 		sharedQ: make(chan *evConn, 1),
 		conns:   make(map[poller.Token]*evConn),
 	}
@@ -413,7 +416,7 @@ func TestEventLoopOverflowSpill(t *testing.T) {
 	mkConn := func() *evConn {
 		a, b := net.Pipe()
 		t.Cleanup(func() { a.Close(); b.Close() })
-		return &evConn{pc: protocol.NewConnPooled(a), fd: -1}
+		return &evConn{pc: protocol.NewConn(nil, a), fd: -1}
 	}
 	for i := 0; i < 3; i++ {
 		ev.enqueue(mkConn())

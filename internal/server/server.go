@@ -1,9 +1,10 @@
-// Package server provides the TCP front end: it accepts connections, binds
-// each to an engine worker, and speaks the memcached protocols via
-// internal/protocol. Go's goroutine-per-connection model stands in for
-// memcached's libevent worker threads; the synchronization structure under
-// study (worker threads sharing the cache with maintenance threads) is
-// identical.
+// Package server provides the TCP front end: it accepts connections, parks
+// them in a readiness poller (internal/poller: epoll on linux, a portable
+// fallback elsewhere) and serves ready ones in bursts from a bounded pool of
+// workers, each holding one engine worker, speaking the memcached protocols
+// via internal/protocol. The pool stands in for memcached's libevent worker
+// threads; the synchronization structure under study (worker threads sharing
+// the cache with maintenance threads) is identical. See eventloop.go.
 //
 // The front end is hardened against the failure modes the torture harness
 // injects: per-connection read/write deadlines, idle-connection reaping, a
@@ -27,7 +28,8 @@ import (
 	"repro/internal/protocol"
 )
 
-// Config parameterizes a Server. The zero value disables every limit.
+// Config parameterizes a Server. The zero value disables every limit but the
+// ReadTimeout (default 30s) and the DrainTimeout (default 5s).
 type Config struct {
 	// Addr is the listen address, e.g. "127.0.0.1:0".
 	Addr string
@@ -37,7 +39,8 @@ type Config struct {
 	// IdleTimeout reaps connections that sit idle between commands.
 	IdleTimeout time.Duration
 	// ReadTimeout bounds reading the remainder of a command once its first
-	// byte has arrived (defeats slow-client trickling of a command body).
+	// byte has arrived (defeats slow-client trickling of a command body), and
+	// any read a burst makes between commands (default 30s).
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each write of a reply.
 	WriteTimeout time.Duration
@@ -47,25 +50,19 @@ type Config struct {
 	// Fault, when non-nil, injects connection-level faults (drops, short
 	// reads/writes, slow trickling) into every connection's transport.
 	Fault *fault.Injector
-	// EventLoop selects the event-driven transport: idle sockets are parked
-	// in internal/poller (epoll on linux) holding zero buffer bytes and no
-	// goroutine, and ready connections are served in bursts by a bounded
-	// worker pool fed by shard-affine queues. False = the classic
-	// goroutine-per-connection transport.
+
+	// Deprecated: every server runs the event loop; the field is ignored.
 	EventLoop bool
-	// Workers bounds the event-loop execution tier (0 = NumShards+2,
-	// capped at 32). Ignored by the classic transport.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
-	if c.EventLoop && c.ReadTimeout == 0 {
+	if c.ReadTimeout == 0 {
 		// A worker is lent to a connection for the duration of a command; an
 		// unbounded mid-command read would let one trickling client starve
-		// the pool, so the event-loop transport always bounds it.
+		// the pool, so the read is always bounded.
 		c.ReadTimeout = 30 * time.Second
 	}
 	return c
@@ -87,8 +84,6 @@ type Server struct {
 
 	draining atomic.Bool
 
-	// ev is the event-loop transport state; nil when cfg.EventLoop is off
-	// (classic goroutine-per-connection serving).
 	ev *evLoop
 
 	wg sync.WaitGroup
@@ -117,31 +112,18 @@ func ListenConfig(cache *engine.Cache, cfg Config) (*Server, error) {
 	if cfg.MaxConns > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConns)
 	}
-	if cfg.EventLoop {
-		ev, err := newEvLoop(s)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		s.ev = ev
+	if s.ev, err = newEvLoop(s); err != nil {
+		ln.Close()
+		return nil, err
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
 
-// EventLoop reports whether the event-driven transport is active.
-func (s *Server) EventLoop() bool { return s.ev != nil }
-
-// TransportStats exposes the transport's telemetry source (nil for the
-// classic transport, which has no queues to report). The debug endpoint
-// uses this; per-connection wiring happens in adopt.
-func (s *Server) TransportStats() protocol.TransportStats {
-	if s.ev == nil {
-		return nil
-	}
-	return s.ev
-}
+// TransportStats exposes the transport's telemetry source. The debug
+// endpoint uses this; per-connection wiring happens in adopt.
+func (s *Server) TransportStats() protocol.TransportStats { return s.ev }
 
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
@@ -169,7 +151,7 @@ func (s *Server) acceptLoop() {
 			}
 			return // listener closed
 		}
-		sc := &servConn{Conn: conn, srv: s, ev: s.ev != nil}
+		sc := &servConn{Conn: conn, srv: s}
 		s.mu.Lock()
 		if s.closed {
 			// Accepted concurrently with Close after its sweep: tear down
@@ -183,35 +165,13 @@ func (s *Server) acceptLoop() {
 		}
 		// Registration and wg.Add must share one critical section with the
 		// closed check: registering first and Adding after the unlock would
-		// let Close sweep the map and pass wg.Wait before this handler is
-		// counted, leaking the connection past shutdown.
+		// let Close sweep the map and pass wg.Wait before this connection is
+		// counted, leaking it past shutdown.
 		s.conns[sc] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		if s.ev != nil {
-			s.ev.adopt(sc)
-		} else {
-			go s.handle(sc)
-		}
+		s.ev.adopt(sc)
 	}
-}
-
-func (s *Server) handle(sc *servConn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, sc)
-		s.mu.Unlock()
-		sc.Conn.Close()
-		if s.sem != nil {
-			<-s.sem
-		}
-	}()
-	worker := s.cache.NewWorker()
-	pc := protocol.NewConn(worker, sc)
-	pc.SetControl(sc)
-	pc.SetConnErrors(&s.errs)
-	s.countErr(pc.Serve())
 }
 
 // countErr classifies why a connection's Serve returned, instead of
@@ -235,7 +195,7 @@ func (s *Server) countErr(err error) {
 	}
 }
 
-// Close stops accepting and drains: idle connections close immediately,
+// Close stops accepting and drains: parked connections close immediately,
 // connections inside a command get DrainTimeout to finish it (and are then
 // refused further commands). Idempotent — a second Close returns nil without
 // waiting again.
@@ -249,21 +209,16 @@ func (s *Server) Close() error {
 	s.draining.Store(true)
 	close(s.stopCh)
 	err := s.ln.Close()
+	// Idle connections have no blocked read to wake; the transport sweeps
+	// its parked connections in shutdown below.
 	now := time.Now()
 	for sc := range s.conns {
 		if sc.busy.Load() {
 			sc.Conn.SetDeadline(now.Add(s.cfg.DrainTimeout))
-		} else if s.ev == nil {
-			// Wake the blocked read-next-command immediately. Event-loop
-			// connections have no blocked read to wake; the transport sweeps
-			// its parked connections in shutdown below.
-			sc.Conn.SetDeadline(now)
 		}
 	}
 	s.mu.Unlock()
-	if s.ev != nil {
-		s.ev.shutdown()
-	}
+	s.ev.shutdown()
 	s.wg.Wait()
 	return err
 }
@@ -277,13 +232,10 @@ var errDraining = errors.New("server: draining")
 type servConn struct {
 	net.Conn
 	srv  *Server
-	ev   bool        // served by the event-loop transport
 	busy atomic.Bool // inside a command (between CommandStarted and CommandDone)
 
-	// Read-deadline state, owned by the serving goroutine (see
-	// armReadDeadline): whether any deadline is set on the socket, and whether
-	// the current command has had its one.
-	armed    bool
+	// cmdArmed is whether the current command has had its read deadline
+	// (see armReadDeadline); owned by the worker serving the connection.
 	cmdArmed bool
 }
 
@@ -310,46 +262,30 @@ func (sc *servConn) CommandDone() {
 // command: the commands of a pipeline that are already in the read buffer
 // never get here, and they are most of them.
 //
-// Between commands the read waits under the IdleTimeout. Event-loop
-// connections never wait for the next command in a read (the poller owns idle
-// time and a reaper enforces IdleTimeout), so theirs is bounded by the
-// ReadTimeout even if the readiness event was a bare RDHUP. Inside a command
-// the ReadTimeout bounds the rest of it: it is armed at the command's first
-// read and not again, or a client trickling a body byte by byte would extend
-// it forever. The drain deadline Close imposes is left alone.
+// A connection never waits for the next command in a read (the poller owns
+// idle time and a reaper enforces IdleTimeout), so a read between commands is
+// bounded by the ReadTimeout even if the readiness event was a bare RDHUP.
+// Inside a command the ReadTimeout bounds the rest of it: it is armed at the
+// command's first read and not again, or a client trickling a body byte by
+// byte would extend it forever. The drain deadline Close imposes is left
+// alone.
 func (sc *servConn) armReadDeadline() {
 	s := sc.srv
 	if s.draining.Load() {
 		return
 	}
 	busy := sc.busy.Load()
-	t := s.cfg.ReadTimeout
-	switch {
-	case busy && sc.cmdArmed:
-		return
-	case busy:
+	if busy {
+		if sc.cmdArmed {
+			return
+		}
 		sc.cmdArmed = true
-	case !sc.ev:
-		t = s.cfg.IdleTimeout
 	}
-	switch {
-	case t > 0:
-		sc.Conn.SetReadDeadline(time.Now().Add(t))
-		sc.armed = true
-	case sc.armed:
-		sc.Conn.SetReadDeadline(time.Time{})
-		sc.armed = false
-	default:
-		return
-	}
-	if s.draining.Load() {
+	sc.Conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+	if busy && s.draining.Load() {
 		// Close began in between and its deadline may be the one just
 		// overwritten: impose it again.
-		if busy {
-			sc.Conn.SetDeadline(time.Now().Add(s.cfg.DrainTimeout))
-		} else if !sc.ev {
-			sc.Conn.SetDeadline(time.Now())
-		}
+		sc.Conn.SetDeadline(time.Now().Add(s.cfg.DrainTimeout))
 	}
 }
 

@@ -53,6 +53,8 @@ func TestServeTextOverTCP(t *testing.T) {
 	s, _ := startServer(t, engine.Baseline)
 	roundTrip(t, s.Addr(), "set k 0 0 5\r\nhello\r\n", "STORED")
 	roundTrip(t, s.Addr(), "version\r\n", "VERSION")
+	// Listen with no options serves through the event loop.
+	roundTrip(t, s.Addr(), "stats eventloop\r\n", "STAT eventloop 1\r\n")
 }
 
 func TestConnectionsShareTheCache(t *testing.T) {
@@ -152,102 +154,6 @@ func startServerConfig(t *testing.T, b engine.Branch, cfg Config) *Server {
 	return s
 }
 
-func TestMaxConnsBackpressure(t *testing.T) {
-	s := startServerConfig(t, engine.Semaphore, Config{MaxConns: 2})
-
-	// Occupy both slots with live connections.
-	var held []net.Conn
-	for i := 0; i < 2; i++ {
-		conn, err := net.Dial("tcp", s.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		fmt.Fprintf(conn, "version\r\n")
-		if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
-			t.Fatalf("held conn %d not served: %v", i, err)
-		}
-		held = append(held, conn)
-	}
-
-	// A third dial connects at TCP level (kernel backlog) but must not be
-	// served until a slot frees.
-	extra, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer extra.Close()
-	fmt.Fprintf(extra, "version\r\n")
-	extra.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-	if _, err := bufio.NewReader(extra).ReadString('\n'); err == nil {
-		t.Fatal("third connection served while both slots were held")
-	}
-
-	// Free one slot; the queued connection must now be served.
-	held[0].Close()
-	extra.SetReadDeadline(time.Now().Add(5 * time.Second))
-	line, err := bufio.NewReader(extra).ReadString('\n')
-	if err != nil || !strings.HasPrefix(line, "VERSION") {
-		t.Fatalf("queued connection not served after slot freed: %q %v", line, err)
-	}
-}
-
-func TestGracefulDrainFinishesInFlightCommand(t *testing.T) {
-	s := startServerConfig(t, engine.IP, Config{DrainTimeout: 5 * time.Second})
-
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	// Send a command header; hold back the data block so the command is
-	// in flight when Close begins.
-	fmt.Fprintf(conn, "set drained 0 0 5\r\nhel")
-	time.Sleep(50 * time.Millisecond) // let the server start the command
-
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
-
-	time.Sleep(50 * time.Millisecond) // Close is now draining
-	fmt.Fprintf(conn, "lo\r\n")
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil || line != "STORED\r\n" {
-		t.Fatalf("in-flight command not drained: %q %v", line, err)
-	}
-	if err := <-closed; err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
-func TestIdleConnectionsReaped(t *testing.T) {
-	s := startServerConfig(t, engine.Semaphore, Config{IdleTimeout: 100 * time.Millisecond})
-
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// First command succeeds; then sit idle past the timeout.
-	fmt.Fprintf(conn, "version\r\n")
-	r := bufio.NewReader(conn)
-	if _, err := r.ReadString('\n'); err != nil {
-		t.Fatalf("first command: %v", err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := r.ReadString('\n'); err == nil {
-		t.Fatal("idle connection not reaped")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.ConnErrors().Timeout.Load() == 1 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("conn_errors_timeout = %d, want 1", s.ConnErrors().Timeout.Load())
-}
-
 func TestAcceptCloseRace(t *testing.T) {
 	// Hammer the accept/Close interleaving: every dialed connection must be
 	// torn down even when it lands concurrently with Close. Run detects a
@@ -302,8 +208,9 @@ func TestStatsReportsConnErrors(t *testing.T) {
 }
 
 // TestOverlongLineClosesConnection: a client that never sends a newline is
-// told "line too long", cut off and counted as a protocol error, on the
-// classic transport and on the event loop.
+// told "line too long", cut off and counted as a protocol error. The
+// deprecated Config.EventLoop field is a no-op, so both of its values must
+// serve through the event loop and behave alike.
 func TestOverlongLineClosesConnection(t *testing.T) {
 	for _, evloop := range []bool{false, true} {
 		t.Run(fmt.Sprintf("eventloop=%v", evloop), func(t *testing.T) {
@@ -329,6 +236,7 @@ func TestOverlongLineClosesConnection(t *testing.T) {
 			if got := s.ConnErrors().Protocol.Load(); got != 1 {
 				t.Errorf("conn_errors_protocol = %d, want 1", got)
 			}
+			roundTrip(t, s.Addr(), "stats eventloop\r\n", "STAT eventloop 1\r\n")
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/server"
 	"repro/internal/torture"
 )
 
@@ -12,14 +13,15 @@ var tortureShort = flag.Bool("torture.short", false, "run shrunken torture sched
 
 // TestTortureNetwork is the end-to-end acceptance run: the full fault triad
 // (connection drops, slow clients, slab allocation failures) plus the STM and
-// maintenance schedule, driven through the TCP front end. Zero invariant
-// violations and a clean graceful drain are required.
+// maintenance schedule, driven through the TCP front end, where every
+// connection rides the poller and the shard-affine worker pool. Zero
+// invariant violations and a clean graceful drain are required.
 func TestTortureNetwork(t *testing.T) {
 	for _, b := range []engine.Branch{engine.Semaphore, engine.IPOnCommit} {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			t.Parallel()
-			for _, seed := range []uint64{3, 0xFACADE} {
+			for _, seed := range []uint64{3, 7, 0xFACADE} {
 				rep := torture.RunNetwork(torture.Config{
 					Branch: b,
 					Seed:   seed,
@@ -35,20 +37,22 @@ func TestTortureNetwork(t *testing.T) {
 	}
 }
 
-// TestTortureNetworkEventLoop reruns the end-to-end chaos schedule over the
-// event-driven transport: same fault triad, same invariants, but every
-// connection rides the epoll front end and the shard-affine worker pool.
+// TestTortureNetworkEventLoop reruns the chaos schedule with the event loop
+// on the portable fallback poller (poller.NewFallback, what every non-Linux
+// build serves with), bound through the newPoller seam: same fault triad,
+// same invariants, but readiness comes from its probe goroutines instead of
+// epoll.
 func TestTortureNetworkEventLoop(t *testing.T) {
+	t.Cleanup(server.UseFallbackPoller())
 	for _, b := range []engine.Branch{engine.Semaphore, engine.IPOnCommit} {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range []uint64{7, 0xFACADE} {
 				rep := torture.RunNetwork(torture.Config{
-					Branch:    b,
-					Seed:      seed,
-					Short:     *tortureShort,
-					EventLoop: true,
+					Branch: b,
+					Seed:   seed,
+					Short:  *tortureShort,
 				})
 				if rep.Failed() {
 					t.Errorf("%s", rep)
@@ -66,11 +70,10 @@ func TestTortureNetworkEventLoop(t *testing.T) {
 // let two TM domains meet on one ownership record.
 func TestTortureNetworkEventLoopSharded(t *testing.T) {
 	rep := torture.RunNetwork(torture.Config{
-		Branch:    engine.ITOnCommit,
-		Seed:      11,
-		Shards:    4,
-		Short:     *tortureShort,
-		EventLoop: true,
+		Branch: engine.ITOnCommit,
+		Seed:   11,
+		Shards: 4,
+		Short:  *tortureShort,
 	})
 	if rep.Failed() {
 		t.Errorf("%s", rep)

@@ -67,7 +67,6 @@ func RunNetwork(cfg Config) *Report {
 		WriteTimeout: 2 * time.Second,
 		DrainTimeout: 5 * time.Second,
 		Fault:        in,
-		EventLoop:    cfg.EventLoop,
 	})
 	if err != nil {
 		rep.violatef("listen: %v", err)

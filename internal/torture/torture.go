@@ -58,11 +58,6 @@ type Config struct {
 	// sum over shards via ValidateQuiescent.
 	Shards int
 
-	// EventLoop runs the network phases over the event-driven transport
-	// (epoll front end + shard-affine worker pool) instead of goroutine per
-	// connection. Only RunNetwork/RunNetworkTxn consult it.
-	EventLoop bool
-
 	// Short shrinks the run for -race smoke tests (-torture.short).
 	Short bool
 
