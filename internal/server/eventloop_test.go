@@ -482,23 +482,29 @@ func dialStats(t *testing.T, s *Server) (net.Conn, *bufio.Reader) {
 	return conn, bufio.NewReader(conn)
 }
 
-// TestStatsKeySetsPinned pins the wire format the benchmark harness parses:
-// the key sets of `stats` and `stats eventloop` on a 4-shard, 6-worker
-// event-loop server, and the field names of the two histogram lines (it reads
-// burst_ops.mean and dispatch_ns.p99_ns). The values are not pinned. The
-// histograms behind the two lines are txobs.Histogram; they used to be a
-// second log-bucket type whose quantile was the first bucket with
-// cum > ⌊q·n⌋, reported as its inclusive bound 2^b−1. txobs's rule is
-// cum >= max(1, ⌊q·n⌋) with the exclusive bound 2^b, so a quantile may read
-// one bucket rank lower and 1 (ns or op) higher than before; both are capped
-// at the observed max.
+// TestStatsKeySetsPinned pins the wire format of the `stats` groups on a
+// traced 4-shard, 6-worker event-loop server with one seeded conflict: the
+// key sets of `stats`, `stats eventloop`, `stats tm`, `stats conflicts` and
+// `stats latency`, and the field names of every histogram line. The values
+// are not pinned. The benchmark harness parses `stats` and `stats eventloop`
+// (it reads burst_ops.mean and dispatch_ns.p99_ns); every other surface
+// (/metrics, /debug/vars, /debug/tm, mctop, mcbench -profile) is transcoded
+// from these lines. The histograms behind the two eventloop lines are
+// txobs.Histogram; they used to be a second log-bucket type whose quantile
+// was the first bucket with cum > ⌊q·n⌋, reported as its inclusive bound
+// 2^b−1. txobs's rule is cum >= max(1, ⌊q·n⌋) with the exclusive bound 2^b,
+// so a quantile may read one bucket rank lower and 1 (ns or op) higher than
+// before; both are capped at the observed max.
 func TestStatsKeySetsPinned(t *testing.T) {
-	s, _ := startShardedEventLoop(t)
+	s, c := startShardedEventLoop(t)
+	obs := c.EnableTracing()
 	conn, r := dialStats(t, s)
 	fmt.Fprintf(conn, "set pin 0 0 1\r\nx\r\nget pin\r\n")
 	for i := 0; i < 4; i++ { // STORED, VALUE, payload, END
 		r.ReadString('\n')
 	}
+	obs.Record(&txobs.Event{Kind: txobs.KAbort, Orec: 7, Shard: 2, Label: txobs.RegisterLabel("hash_bucket"),
+		Cause: "conflict: location locked", Site: "item_get", Owner: "do_item_link"})
 	shape := func(sub string) []string {
 		var keys []string
 		for k, v := range statsMap(t, conn, r, sub) {
@@ -515,8 +521,12 @@ func TestStatsKeySetsPinned(t *testing.T) {
 		sort.Strings(keys)
 		return keys
 	}
-	want := map[string][]string{
-		"": {"bytes", "cas_badval", "cas_hits", "cas_misses", "cmd_get", "cmd_set", "cmd_touch",
+	hist := "count,mean_ns,p50_ns,p95_ns,p99_ns,max_ns"
+	want := []struct {
+		sub  string
+		keys []string
+	}{
+		{"", []string{"bytes", "cas_badval", "cas_hits", "cas_misses", "cmd_get", "cmd_set", "cmd_touch",
 			"conn_batched_replies", "conn_buffers_idle", "conn_buffers_inuse", "conn_errors_io",
 			"conn_errors_protocol", "conn_errors_timeout", "conn_flushes", "conn_writev_batches",
 			"curr_items", "delete_hits", "delete_misses", "evictions", "expired_unfetched",
@@ -525,17 +535,28 @@ func TestStatsKeySetsPinned(t *testing.T) {
 			"tm_abort_serial", "tm_aborts", "tm_htm_capacity_aborts", "tm_htm_fallbacks",
 			"tm_inflight_switch", "tm_ro_fast_commit", "tm_ro_upgrade", "tm_start_serial",
 			"tm_transactions", "tm_watchdog_backoff", "tm_watchdog_serialize", "total_items",
-			"tx_commits", "tx_conflicts", "tx_serial_fallbacks", "version"},
-		"eventloop": {"affine_0_depth", "affine_1_depth", "affine_2_depth", "affine_3_depth",
+			"tx_commits", "tx_conflicts", "tx_serial_fallbacks", "version"}},
+		{"eventloop", []string{"affine_0_depth", "affine_1_depth", "affine_2_depth", "affine_3_depth",
 			"affine_cap", "burst_ops count,mean,p50,p95,p99,max", "conns",
-			"dispatch_ns count,mean_ns,p50_ns,p95_ns,p99_ns,max_ns", "event_overflow_spills",
+			"dispatch_ns " + hist, "event_overflow_spills",
 			"eventloop", "overflow_len", "poller_probes", "poller_synthesized", "poller_wakeups",
 			"shared_cap", "shared_depth", "worker_0_busy", "worker_1_busy", "worker_2_busy",
-			"worker_3_busy", "worker_4_busy", "worker_5_busy", "workers"},
+			"worker_3_busy", "worker_4_busy", "worker_5_busy", "workers"}},
+		{"tm", []string{"abort_cause_0", "aborts", "commits", "events", "events_abort", "events_begin",
+			"events_commit", "events_ro_fast_commit", "inflight_switch", "ro_fast_commit", "ro_upgrade",
+			"shard_0_aborts", "shard_0_algorithm", "shard_0_commits", "shard_0_ro_fast_commit",
+			"shard_1_aborts", "shard_1_algorithm", "shard_1_commits", "shard_1_ro_fast_commit",
+			"shard_2_aborts", "shard_2_algorithm", "shard_2_commits", "shard_2_ro_fast_commit",
+			"shard_3_aborts", "shard_3_algorithm", "shard_3_commits", "shard_3_ro_fast_commit",
+			"shards", "start_serial", "tracing"}},
+		{"conflicts", []string{"conflict_edge_0", "conflicts_hash_bucket", "conflicts_s2/hash_bucket",
+			"cross_shard_orec_conflicts", "orec_7", "tracing"}},
+		{"latency", []string{"cmd_get " + hist, "cmd_set " + hist, "cmd_stats " + hist,
+			"phase_commit " + hist, "tracing"}},
 	}
-	for sub, w := range want {
-		if got := shape(sub); !slices.Equal(got, w) {
-			t.Errorf("stats %s shape changed:\n got %q\nwant %q", sub, got, w)
+	for _, w := range want {
+		if got := shape(w.sub); !slices.Equal(got, w.keys) {
+			t.Errorf("stats %s shape changed:\n got %q\nwant %q", w.sub, got, w.keys)
 		}
 	}
 }
