@@ -10,10 +10,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint is vet plus staticcheck when the binary is available; the container
-# image does not ship it and nothing may be installed, so its absence is a
-# skip, not a failure.
+# lint is vet, a gofmt check (any file gofmt would rewrite fails it), plus
+# staticcheck when the binary is available; the container image does not ship
+# it and nothing may be installed, so its absence is a skip, not a failure.
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -327,29 +327,33 @@ func (c *Client) Version() (string, error) {
 	return v, nil
 }
 
-// Stats fetches the STAT map.
-func (c *Client) Stats() (map[string]string, error) {
-	if _, err := c.w.WriteString("stats\r\n"); err != nil {
-		return nil, err
+// Stat is one STAT line of a stats reply: its key and the rest of the line.
+type Stat struct{ Key, Value string }
+
+// Stats runs `stats <group>` ("" for the general group; "tm", "conflicts",
+// "latency", "eventloop", "slabs") and returns its STAT lines in the order
+// the server sent them. A group the server does not know answers ERROR,
+// returned as a *ServerReplyError.
+func (c *Client) Stats(group string) ([]Stat, error) {
+	cmd := "stats\r\n"
+	if group != "" {
+		cmd = "stats " + group + "\r\n"
 	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
-	}
-	out := make(map[string]string)
-	for {
-		line, err := c.readLine()
-		if err != nil {
-			return nil, err
-		}
+	line, err := c.roundTrip(cmd)
+	var out []Stat
+	for ; err == nil; line, err = c.readLine() {
 		if line == "END" {
 			return out, nil
 		}
+		if isErrorLine(line) {
+			return nil, &ServerReplyError{Line: line}
+		}
 		if rest, ok := strings.CutPrefix(line, "STAT "); ok {
-			if k, v, found := strings.Cut(rest, " "); found {
-				out[k] = v
-			}
+			k, v, _ := strings.Cut(rest, " ")
+			out = append(out, Stat{Key: k, Value: v})
 		}
 	}
+	return nil, err
 }
 
 // ---------------------------------------------------------------------------

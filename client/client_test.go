@@ -1,11 +1,13 @@
-package client
+package client_test
 
 import (
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/client"
 	"repro/internal/engine"
 	"repro/internal/server"
 )
@@ -26,9 +28,9 @@ func startServer(t *testing.T, branch engine.Branch, shards int) string {
 	return s.Addr()
 }
 
-func dial(t *testing.T, addr string, opts ...Option) *Client {
+func dial(t *testing.T, addr string, opts ...client.Option) *client.Client {
 	t.Helper()
-	c, err := Dial(addr, opts...)
+	c, err := client.Dial(addr, opts...)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -47,8 +49,8 @@ func TestBasicOps(t *testing.T) {
 	if err != nil || !ok || string(v) != "v1" {
 		t.Fatalf("Get = %q, %v, %v", v, ok, err)
 	}
-	if err := c.Add("k", []byte("x")); !errors.Is(err, ErrNotStored) {
-		t.Fatalf("Add on existing = %v, want ErrNotStored", err)
+	if err := c.Add("k", []byte("x")); !errors.Is(err, client.ErrNotStored) {
+		t.Fatalf("Add on existing = %v, want client.ErrNotStored", err)
 	}
 	items, err := c.Gets("k", "missing")
 	if err != nil || len(items) != 1 || items[0].CAS == 0 {
@@ -57,8 +59,8 @@ func TestBasicOps(t *testing.T) {
 	if err := c.CompareAndSwap("k", []byte("v2"), items[0].CAS); err != nil {
 		t.Fatalf("CAS: %v", err)
 	}
-	if err := c.CompareAndSwap("k", []byte("v3"), items[0].CAS); !errors.Is(err, ErrCASConflict) {
-		t.Fatalf("stale CAS = %v, want ErrCASConflict", err)
+	if err := c.CompareAndSwap("k", []byte("v3"), items[0].CAS); !errors.Is(err, client.ErrCASConflict) {
+		t.Fatalf("stale CAS = %v, want client.ErrCASConflict", err)
 	}
 	if err := c.Set("n", []byte("10")); err != nil {
 		t.Fatalf("Set n: %v", err)
@@ -90,7 +92,7 @@ func TestTxCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err := c.Tx(func(tx *Tx) error {
+	err := c.Tx(func(tx *client.Tx) error {
 		v, ok, err := tx.Get("a")
 		if err != nil || !ok {
 			return fmt.Errorf("read a: %q %v %v", v, ok, err)
@@ -117,7 +119,7 @@ func TestTxReadYourWrites(t *testing.T) {
 	if err := c.Set("k", []byte("committed")); err != nil {
 		t.Fatal(err)
 	}
-	err := c.Tx(func(tx *Tx) error {
+	err := c.Tx(func(tx *client.Tx) error {
 		tx.Set("k", []byte("pending"))
 		v, ok, err := tx.Get("k")
 		if err != nil || !ok || string(v) != "pending" {
@@ -145,7 +147,7 @@ func TestTxCallbackErrorAborts(t *testing.T) {
 	addr := startServer(t, engine.ITMax, 2)
 	c := dial(t, addr)
 	boom := errors.New("boom")
-	err := c.Tx(func(tx *Tx) error {
+	err := c.Tx(func(tx *client.Tx) error {
 		tx.Set("never", []byte("x"))
 		return boom
 	})
@@ -172,7 +174,7 @@ func TestTxConflictRetries(t *testing.T) {
 	// First attempt reads, then the interferer moves the key, so commit
 	// conflicts; the retry sees the new value and wins.
 	attempts := 0
-	err := c.Tx(func(tx *Tx) error {
+	err := c.Tx(func(tx *client.Tx) error {
 		attempts++
 		if _, _, err := tx.Get("hot"); err != nil {
 			return err
@@ -198,12 +200,12 @@ func TestTxConflictRetries(t *testing.T) {
 
 func TestTxConflictExhaustsRetries(t *testing.T) {
 	addr := startServer(t, engine.ITMax, 2)
-	c := dial(t, addr, WithMaxTxRetries(2))
+	c := dial(t, addr, client.WithMaxTxRetries(2))
 	interferer := dial(t, addr)
 	if err := c.Set("hot", []byte("0")); err != nil {
 		t.Fatal(err)
 	}
-	err := c.Tx(func(tx *Tx) error {
+	err := c.Tx(func(tx *client.Tx) error {
 		if _, _, err := tx.Get("hot"); err != nil {
 			return err
 		}
@@ -213,10 +215,10 @@ func TestTxConflictExhaustsRetries(t *testing.T) {
 		}
 		return nil
 	})
-	if !errors.Is(err, ErrConflict) {
-		t.Fatalf("Tx = %v, want ErrConflict", err)
+	if !errors.Is(err, client.ErrConflict) {
+		t.Fatalf("Tx = %v, want client.ErrConflict", err)
 	}
-	var ce *ConflictError
+	var ce *client.ConflictError
 	if !errors.As(err, &ce) || ce.Key != "hot" {
 		t.Fatalf("conflict error = %#v", err)
 	}
@@ -225,9 +227,9 @@ func TestTxConflictExhaustsRetries(t *testing.T) {
 func TestTxNotSupported(t *testing.T) {
 	addr := startServer(t, engine.Baseline, 1)
 	c := dial(t, addr)
-	err := c.Tx(func(tx *Tx) error { return nil })
-	if !errors.Is(err, ErrNotSupported) {
-		t.Fatalf("Tx on Baseline = %v, want ErrNotSupported", err)
+	err := c.Tx(func(tx *client.Tx) error { return nil })
+	if !errors.Is(err, client.ErrNotSupported) {
+		t.Fatalf("Tx on Baseline = %v, want client.ErrNotSupported", err)
 	}
 	// Plain commands still work on lock branches.
 	if err := c.Set("k", []byte("v")); err != nil {
@@ -257,7 +259,7 @@ func TestTxConcurrentTransfers(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := Dial(addr, WithMaxTxRetries(50))
+			c, err := client.Dial(addr, client.WithMaxTxRetries(50))
 			if err != nil {
 				errCh <- err
 				return
@@ -269,7 +271,7 @@ func TestTxConcurrentTransfers(t *testing.T) {
 				if from == to {
 					continue
 				}
-				err := c.Tx(func(tx *Tx) error {
+				err := c.Tx(func(tx *client.Tx) error {
 					v, ok, err := tx.Get(from)
 					if err != nil {
 						return err
@@ -281,7 +283,7 @@ func TestTxConcurrentTransfers(t *testing.T) {
 					tx.IncrBy(to, 1)
 					return nil
 				})
-				if err != nil && !errors.Is(err, ErrConflict) {
+				if err != nil && !errors.Is(err, client.ErrConflict) {
 					errCh <- fmt.Errorf("worker %d transfer %d: %w", g, i, err)
 					return
 				}
@@ -307,13 +309,57 @@ func TestTxConcurrentTransfers(t *testing.T) {
 	if total != accounts*perAccount {
 		t.Fatalf("total = %d, want %d", total, accounts*perAccount)
 	}
-	stats, err := seed.Stats()
+	lines, err := seed.Stats("")
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
+	stats := statMap(lines)
 	if stats["tx_commits"] == "0" || stats["tx_commits"] == "" {
 		t.Fatalf("tx_commits = %q", stats["tx_commits"])
 	}
 	t.Logf("tx_commits=%s tx_conflicts=%s tx_serial_fallbacks=%s",
 		stats["tx_commits"], stats["tx_conflicts"], stats["tx_serial_fallbacks"])
+}
+
+func statMap(lines []client.Stat) map[string]string {
+	m := make(map[string]string, len(lines))
+	for _, st := range lines {
+		m[st.Key] = st.Value
+	}
+	return m
+}
+
+// TestStatsGroups: Stats reads a named group in server order, and a group
+// the server does not know returns a *ServerReplyError at once instead of
+// waiting for an END that never comes; the connection stays usable.
+func TestStatsGroups(t *testing.T) {
+	c := dial(t, startServer(t, engine.ITMax, 2))
+	lines, err := c.Stats("tm")
+	if err != nil {
+		t.Fatalf("Stats(tm): %v", err)
+	}
+	if m := statMap(lines); m["shards"] != "2" || m["shard_1_commits"] == "" {
+		t.Fatalf("stats tm = %v", lines)
+	}
+	if lines[0].Key != "branch" || lines[0].Value != "it-max" {
+		t.Fatalf("stats tm starts with %+v, want branch it-max", lines[0])
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Stats("nosuch")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var re *client.ServerReplyError
+		if !errors.As(err, &re) || re.Line != "ERROR" {
+			t.Fatalf("Stats(nosuch) = %v, want *ServerReplyError ERROR", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stats(nosuch) still waiting after 5s")
+	}
+	if v, err := c.Version(); err != nil || v == "" {
+		t.Fatalf("Version after ERROR = %q, %v", v, err)
+	}
 }

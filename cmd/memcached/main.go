@@ -34,7 +34,7 @@ func main() {
 		cmStr     = flag.String("cm", "", "override contention manager (serialize, none, backoff, hourglass)")
 		noLock    = flag.Bool("nolock", false, "override: remove the global serial lock")
 		trace     = flag.Bool("trace", false, "enable transaction observability from startup (stats tm/conflicts/latency, who aborted whom)")
-		debugAddr = flag.String("debug-addr", "", "serve the debug HTTP endpoint (/debug/vars, /metrics, /debug/pprof/) on this address")
+		debugAddr = flag.String("debug-addr", "", "serve the debug HTTP endpoint on this address: /debug/vars and /metrics (the stats groups, transcoded), /debug/tm, /debug/pprof/")
 	)
 	flag.Parse()
 
@@ -85,12 +85,12 @@ func main() {
 	log.Printf("tm-memcached serving on %s (branch %s)", srv.Addr(), b)
 	var dbg interface{ Close() error }
 	if *debugAddr != "" {
-		d, bound, err := server.ListenDebug(cache, srv, *debugAddr)
+		d, bound, err := server.ListenDebug(srv, *debugAddr)
 		if err != nil {
 			log.Fatal(err)
 		}
 		dbg = d
-		log.Printf("debug endpoint on http://%s/debug/vars (also /metrics, /debug/pprof/, /debug/tm)", bound)
+		log.Printf("debug endpoint on http://%s/debug/vars (also /metrics, /debug/tm, /debug/pprof/; each scrape reads the stats groups over one connection to %s)", bound, srv.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -13,11 +13,13 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/memslap"
+	"repro/internal/protocol"
 	"repro/internal/stm"
 )
 
@@ -360,8 +362,9 @@ func RunTable(id int, o Options) (Table, error) {
 
 // RunProfiled runs one branch with transaction observability enabled (the
 // §6 execinfo-style tooling, now the txobs event pipeline) and returns the
-// attribution report: serialization causes, the conflict heat map by named
-// structure, and the phase/command latency histograms.
+// attribution report: the `stats tm`, `stats conflicts` and `stats latency`
+// replies — serialization and abort causes, the conflict heat map by named
+// structure, who aborted whom, and the phase/command latency histograms.
 func RunProfiled(b engine.Branch, threads int, o Options) (string, error) {
 	o = o.withDefaults()
 	c := engine.New(engine.Config{
@@ -371,23 +374,28 @@ func RunProfiled(b engine.Branch, threads int, o Options) (string, error) {
 		HashPower: o.HashPower,
 		Automove:  true,
 	})
-	rt := c.Runtime()
-	if rt == nil {
+	if c.Runtime() == nil {
 		return "", fmt.Errorf("bench: branch %s is lock-based; nothing to profile", b)
 	}
-	obs := c.EnableTracing()
+	c.EnableTracing()
 	c.Start()
+	defer c.Stop()
 	res := memslap.RunDirect(c, memslap.Config{
 		Concurrency:   threads,
 		ExecuteNumber: o.OpsPerThread,
 		KeySpace:      o.KeySpace,
 		ValueSize:     o.ValueSize,
 	})
-	c.Stop()
-	s := rt.Stats()
-	head := fmt.Sprintf("%d ops in %.3fs; transactions=%d in-flight=%d start-serial=%d abort-serial=%d\n",
-		res.Ops, res.Duration.Seconds(), s.Commits, s.InFlightSwitch, s.StartSerial, s.AbortSerial)
-	return head + obs.Report(10).String(), nil
+	var out strings.Builder
+	fmt.Fprintf(&out, "%d ops in %.3fs\n", res.Ops, res.Duration.Seconds())
+	script := strings.NewReader("stats tm\r\nstats conflicts\r\nstats latency\r\n")
+	if err := protocol.NewConn(c.NewWorker(), struct {
+		io.Reader
+		io.Writer
+	}{script, &out}).Serve(); err != nil {
+		return "", fmt.Errorf("bench: reading the stats groups: %w", err)
+	}
+	return out.String(), nil
 }
 
 // RatioRow is one §4 abort-rate quote.

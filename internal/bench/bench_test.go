@@ -132,7 +132,8 @@ func TestRunProfiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(rep, "serialization causes:") || !strings.Contains(rep, "item_get") {
+	if !strings.Contains(rep, "STAT serial_cause_0 ") || !strings.Contains(rep, "item_get") ||
+		!strings.Contains(rep, "STAT phase_commit count=") {
 		t.Errorf("report = %q", rep)
 	}
 	if _, err := RunProfiled(engine.Baseline, 1, Options{OpsPerThread: 10}); err == nil {

@@ -86,7 +86,7 @@ func TestObsSerialAttribution(t *testing.T) {
 	}
 	if float64(named) < 0.9*float64(total) {
 		r := obs.Report(10)
-		t.Fatalf("abort-serial attribution %d/%d < 90%%\nreport:\n%s", named, total, r)
+		t.Fatalf("abort-serial attribution %d/%d < 90%%\nreport:\n%+v", named, total, r)
 	}
 
 	r := obs.Report(10)

@@ -471,6 +471,9 @@ func (w *Worker) Expanding() bool {
 // protocol layer, or nil when tracing was never enabled.
 func (w *Worker) Observer() *txobs.Observer { return w.c.Observer() }
 
+// Branch returns the branch the cache runs under, for stats output.
+func (w *Worker) Branch() Branch { return w.c.Branch() }
+
 // NumShards reports the TM domain count, for stats output.
 func (w *Worker) NumShards() int { return len(w.ws) }
 

@@ -4,17 +4,18 @@
 // renders a terminal dashboard: per-shard commits, aborts and read-only
 // fast-path commits, the hottest conflict label and the heaviest
 // who-aborted-whom edge, plus the transport's queue depths. It needs nothing
-// but the wire protocol, so it works against any build of the server —
-// tracing being off just blanks the conflict lines.
+// but the wire protocol, read through client.Stats, so it works against any
+// build of the server — tracing being off just blanks the conflict lines.
 package mctop
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/client"
 )
 
 // ShardRow is one TM shard's cumulative transaction counters (stats tm).
@@ -44,8 +45,7 @@ type Frame struct {
 	TMAborts  uint64
 	CurrItems uint64
 
-	// Shards has one row per TM domain; a single-shard server reports only
-	// the merged counters, which fill the one row.
+	// Shards has one row per TM domain (stats tm's shard_N_* lines).
 	Shards []ShardRow
 
 	// Conflict attribution (stats conflicts), only while the server traces.
@@ -65,40 +65,6 @@ type Frame struct {
 	PollWakeups uint64
 	PollProbes  uint64
 	PollSynth   uint64
-}
-
-// statsQuery sends one "stats …" command and streams every STAT line into
-// visit until the terminating END.
-func statsQuery(rw *bufio.ReadWriter, sub string, visit func(key, val string)) error {
-	cmd := "stats"
-	if sub != "" {
-		cmd += " " + sub
-	}
-	if _, err := rw.WriteString(cmd + "\r\n"); err != nil {
-		return err
-	}
-	if err := rw.Flush(); err != nil {
-		return err
-	}
-	for {
-		line, err := rw.ReadString('\n')
-		if err != nil {
-			return err
-		}
-		line = strings.TrimRight(line, "\r\n")
-		if line == "END" || strings.HasPrefix(line, "ERROR") {
-			return nil
-		}
-		rest, ok := strings.CutPrefix(line, "STAT ")
-		if !ok {
-			continue
-		}
-		key, val, ok := strings.Cut(rest, " ")
-		if !ok {
-			continue
-		}
-		visit(key, val)
-	}
 }
 
 func atoiU(s string) uint64 {
@@ -137,10 +103,20 @@ func Fetch(addr string, timeout time.Duration) (*Frame, error) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
-	rw := bufio.NewReadWriter(bufio.NewReader(conn), bufio.NewWriter(conn))
+	cl := client.NewFromConn(conn)
 	f := &Frame{When: time.Now()}
+	query := func(group string, visit func(key, val string)) error {
+		stats, err := cl.Stats(group)
+		if err != nil {
+			return fmt.Errorf("stats %s: %w", group, err)
+		}
+		for _, st := range stats {
+			visit(st.Key, st.Value)
+		}
+		return nil
+	}
 
-	if err := statsQuery(rw, "", func(k, v string) {
+	if err := query("", func(k, v string) {
 		switch k {
 		case "version":
 			f.Version = v
@@ -159,16 +135,7 @@ func Fetch(addr string, timeout time.Duration) (*Frame, error) {
 		return nil, err
 	}
 
-	var merged ShardRow
-	if err := statsQuery(rw, "tm", func(k, v string) {
-		switch k {
-		case "commits":
-			merged.Commits = atoiU(v)
-		case "aborts":
-			merged.Aborts = atoiU(v)
-		case "ro_fast_commit":
-			merged.ROFast = atoiU(v)
-		}
+	if err := query("tm", func(k, v string) {
 		i, field, ok := shardField(k)
 		if !ok {
 			return
@@ -187,11 +154,8 @@ func Fetch(addr string, timeout time.Duration) (*Frame, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if len(f.Shards) == 0 {
-		f.Shards = []ShardRow{merged}
-	}
 
-	if err := statsQuery(rw, "conflicts", func(k, v string) {
+	if err := query("conflicts", func(k, v string) {
 		if k == "tracing" {
 			f.Tracing = v == "1"
 		}
@@ -208,7 +172,7 @@ func Fetch(addr string, timeout time.Duration) (*Frame, error) {
 		return nil, err
 	}
 
-	if err := statsQuery(rw, "eventloop", func(k, v string) {
+	if err := query("eventloop", func(k, v string) {
 		switch k {
 		case "workers":
 			f.Workers = int(atoiU(v))

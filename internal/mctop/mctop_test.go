@@ -77,7 +77,7 @@ func contend(t *testing.T, c *engine.Cache) {
 	deadline := time.Now().Add(10 * time.Second)
 	for len(c.Observer().Report(0).ConflictLabels) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no conflict after 10s: %s", c.Observer().Report(0))
+			t.Fatalf("no conflict after 10s: %+v", c.Observer().Report(0))
 		}
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
@@ -162,8 +162,8 @@ func TestMctopLiveServerSnapshot(t *testing.T) {
 }
 
 // TestMctopSingleShardServer covers the degraded lines: a single-shard
-// server without tracing still yields a frame — its one shard row from the
-// merged stats tm counters, its transport with one affine queue — and a
+// server without tracing still yields a frame — its one shard row from stats
+// tm's shard_0_* lines, its transport with one affine queue — and a
 // renderable screen.
 func TestMctopSingleShardServer(t *testing.T) {
 	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8, Shards: 1})

@@ -96,9 +96,9 @@ func New(onReady func(Token)) (Poller, error) {
 //     probe finding input already pending — the events edge-triggered
 //     epoll would otherwise have lost.
 type Counters struct {
-	Wakeups     uint64 `json:"wakeups"`
-	Probes      uint64 `json:"probes"`
-	Synthesized uint64 `json:"synthesized"`
+	Wakeups     uint64
+	Probes      uint64
+	Synthesized uint64
 }
 
 // counters is the shared atomic implementation embedded by both pollers.

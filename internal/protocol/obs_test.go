@@ -6,8 +6,10 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
+	"repro/internal/txobs"
 )
 
 // runTextOn feeds a script through an existing cache (so tests can enable
@@ -134,6 +136,39 @@ func TestStatsTMSubcommands(t *testing.T) {
 	out = runTextOn(t, c, "stats reset\r\nstats latency\r\n")
 	if strings.Contains(out, "STAT cmd_set count=") {
 		t.Fatalf("latency histograms survived stats reset:\n%s", out)
+	}
+}
+
+// TestStatsConflictsAndLatencyLines pins the content of the attribution
+// lines every other surface transcodes: a labelled abort shows up as its
+// structure's conflict count, its orec with the label, its cause, and a
+// who-aborted-whom edge with "-" for the unknown owner; recorded phase and
+// command latencies show up as one histogram line each.
+func TestStatsConflictsAndLatencyLines(t *testing.T) {
+	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8})
+	c.Start()
+	defer c.Stop()
+	o := c.EnableTracing()
+	o.Record(&txobs.Event{Kind: txobs.KAbort, Orec: 2, Label: txobs.RegisterLabel("test_render"),
+		Cause: "conflict: location locked", Site: "item_get"})
+	o.ObservePhase(txobs.PhaseCommit, 3*time.Microsecond)
+	o.ObserveCommand("set", 40*time.Microsecond)
+
+	out := runTextOn(t, c, "stats tm\r\nstats conflicts\r\nstats latency\r\n")
+	for _, want := range []string{
+		"STAT events_abort 1\r\n",
+		"STAT abort_cause_0 1 conflict: location locked\r\n",
+		"STAT conflicts_test_render 1\r\n",
+		"STAT orec_2 1 test_render\r\n",
+		"STAT conflict_edge_0 1 - item_get test_render\r\n",
+		"STAT cmd_set count=1 mean_ns=40000 p50_ns=40000 p95_ns=40000 p99_ns=40000 max_ns=40000\r\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stats reply missing %q:\n%s", want, out)
+		}
+	}
+	if !regexp.MustCompile(`STAT phase_commit count=\d+ mean_ns=\d+ p50_ns=\d+ p95_ns=\d+ p99_ns=\d+ max_ns=\d+\r\n`).MatchString(out) {
+		t.Errorf("stats latency missing the commit phase line:\n%s", out)
 	}
 }
 

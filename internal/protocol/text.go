@@ -787,25 +787,26 @@ func (c *Conn) cmdStatsTM() error {
 	// so "stats tm" answers the read-only fast-path questions (§5 experiment
 	// methodology) even with event tracing off.
 	s := c.worker.Stats().STM
+	fmt.Fprintf(c.w, "STAT branch %s\r\n", c.worker.Branch())
+	fmt.Fprintf(c.w, "STAT starts %d\r\n", s.Starts)
 	fmt.Fprintf(c.w, "STAT commits %d\r\n", s.Commits)
 	fmt.Fprintf(c.w, "STAT aborts %d\r\n", s.Aborts)
 	fmt.Fprintf(c.w, "STAT ro_fast_commit %d\r\n", s.ROFastCommits)
 	fmt.Fprintf(c.w, "STAT ro_upgrade %d\r\n", s.ROUpgrades)
 	fmt.Fprintf(c.w, "STAT start_serial %d\r\n", s.StartSerial)
 	fmt.Fprintf(c.w, "STAT inflight_switch %d\r\n", s.InFlightSwitch)
-	// Per-domain breakdown: each shard owns an independent STM runtime, so
-	// the merged counters above decompose exactly into these lines.
-	if shards := c.worker.ShardStats(); len(shards) > 1 {
-		rts := c.worker.Runtimes()
-		fmt.Fprintf(c.w, "STAT shards %d\r\n", len(shards))
-		for i, ss := range shards {
-			fmt.Fprintf(c.w, "STAT shard_%d_commits %d\r\n", i, ss.Commits)
-			fmt.Fprintf(c.w, "STAT shard_%d_aborts %d\r\n", i, ss.Aborts)
-			fmt.Fprintf(c.w, "STAT shard_%d_ro_fast_commit %d\r\n", i, ss.ROFastCommits)
-			if rts != nil {
-				fmt.Fprintf(c.w, "STAT shard_%d_algorithm %s\r\n", i, rts[i].Config().Algorithm)
-			}
-		}
+	fmt.Fprintf(c.w, "STAT serial_commits %d\r\n", s.SerialCommits)
+	fmt.Fprintf(c.w, "STAT retries %d\r\n", s.Retries)
+	// Per-domain breakdown, at every shard count: each shard owns an
+	// independent STM runtime, so the merged counters above decompose
+	// exactly into these lines. A lock branch has no runtime and no lines.
+	fmt.Fprintf(c.w, "STAT shards %d\r\n", c.worker.NumShards())
+	rts := c.worker.Runtimes()
+	for i, ss := range c.worker.ShardStats() {
+		fmt.Fprintf(c.w, "STAT shard_%d_commits %d\r\n", i, ss.Commits)
+		fmt.Fprintf(c.w, "STAT shard_%d_aborts %d\r\n", i, ss.Aborts)
+		fmt.Fprintf(c.w, "STAT shard_%d_ro_fast_commit %d\r\n", i, ss.ROFastCommits)
+		fmt.Fprintf(c.w, "STAT shard_%d_algorithm %s\r\n", i, rts[i].Config().Algorithm)
 	}
 	r, ok, err := c.obsReport(0)
 	if !ok {
@@ -864,15 +865,12 @@ func (c *Conn) cmdStatsLatency() error {
 		return err
 	}
 	fmt.Fprintf(c.w, "STAT tracing %d\r\n", boolInt(r.Enabled))
-	hist := func(prefix string, m map[string]txobs.HistSnapshot) {
-		for _, k := range sortedKeys(m) {
-			s := m[k]
-			fmt.Fprintf(c.w, "STAT %s_%s count=%d mean_ns=%d p50_ns=%d p95_ns=%d p99_ns=%d max_ns=%d\r\n",
-				prefix, k, s.Count, s.Mean, s.P50, s.P95, s.P99, s.Max)
-		}
+	for _, k := range sortedKeys(r.Phases) {
+		c.histLine("phase_"+k, "_ns", r.Phases[k])
 	}
-	hist("phase", r.Phases)
-	hist("cmd", r.Commands)
+	for _, k := range sortedKeys(r.Commands) {
+		c.histLine("cmd_"+k, "_ns", r.Commands[k])
+	}
 	return c.reply("END\r\n")
 }
 

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/poller"
@@ -13,50 +12,33 @@ import (
 // served without one (an in-process caller) never has a TransportStats
 // installed, which `stats eventloop` renders as "eventloop 0".
 type EventLoopSnapshot struct {
-	Workers int `json:"workers"`
-	Conns   int `json:"conns"`
+	Workers int
+	Conns   int
 
 	// Queue gauges: instantaneous depths, not counters — they survive a
 	// stats reset by construction.
-	AffineDepth []int `json:"affine_depth"`
-	AffineCap   int   `json:"affine_cap"`
-	SharedDepth int   `json:"shared_depth"`
-	SharedCap   int   `json:"shared_cap"`
-	OverflowLen int   `json:"overflow_len"`
+	AffineDepth []int
+	AffineCap   int
+	SharedDepth int
+	SharedCap   int
+	OverflowLen int
 
 	// OverflowSpills counts enqueues that found both the affine and shared
 	// queues full and spilled to the unbounded overflow list — the transport's
 	// saturation signal (previously a silent append).
-	OverflowSpills uint64 `json:"overflow_spills"`
+	OverflowSpills uint64
 
 	// Dispatch is the queued→running latency in nanoseconds; BurstOps is the
-	// commands-served-per-burst distribution.
-	Dispatch txobs.HistSnapshot `json:"dispatch_ns"`
-	BurstOps CountSnapshot      `json:"burst_ops"`
+	// commands-served-per-burst distribution (counts, not durations).
+	Dispatch txobs.HistSnapshot
+	BurstOps txobs.HistSnapshot
 
 	// WorkerBusy is each pool worker's busy fraction (time inside bursts /
 	// wall time) since start or the last reset.
-	WorkerBusy []float64 `json:"worker_busy"`
+	WorkerBusy []float64
 
 	// Poller is the readiness poller's delivery counters.
-	Poller poller.Counters `json:"poller"`
-}
-
-// CountSnapshot is a histogram snapshot whose values are counts, not
-// durations. It marshals as count/mean/p50/p95/p99/max, the field names of
-// its `stats eventloop` line, instead of txobs's *_ns names.
-type CountSnapshot txobs.HistSnapshot
-
-// MarshalJSON implements json.Marshaler.
-func (s CountSnapshot) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Count uint64 `json:"count"`
-		Mean  int64  `json:"mean"`
-		P50   int64  `json:"p50"`
-		P95   int64  `json:"p95"`
-		P99   int64  `json:"p99"`
-		Max   int64  `json:"max"`
-	}{s.Count, int64(s.Mean), int64(s.P50), int64(s.P95), int64(s.P99), int64(s.Max)})
+	Poller poller.Counters
 }
 
 // TransportStats is implemented by transports that expose queue/dispatch
@@ -104,7 +86,7 @@ func (c *Conn) cmdStatsEventLoop() error {
 		fmt.Fprintf(c.w, "STAT worker_%d_busy %.3f\r\n", i, b)
 	}
 	c.histLine("dispatch_ns", "_ns", s.Dispatch)
-	c.histLine("burst_ops", "", txobs.HistSnapshot(s.BurstOps))
+	c.histLine("burst_ops", "", s.BurstOps)
 	fmt.Fprintf(c.w, "STAT poller_wakeups %d\r\n", s.Poller.Wakeups)
 	fmt.Fprintf(c.w, "STAT poller_probes %d\r\n", s.Poller.Probes)
 	fmt.Fprintf(c.w, "STAT poller_synthesized %d\r\n", s.Poller.Synthesized)

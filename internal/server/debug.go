@@ -1,14 +1,20 @@
 // Debug HTTP endpoint: the live introspection surface the `-debug-addr` flag
-// exposes. Four routes, all read-only except the tracing toggle:
+// exposes. It is a client of its own server: every number it shows is a STAT
+// line of one of the memcached `stats` groups, transcoded by one rule, so the
+// wire protocol is the only code that formats a metric. Four routes, all
+// read-only except the tracing toggle:
 //
-//	/debug/vars    expvar-style JSON: the txobs report plus the engine's
-//	               stats snapshot under one object
-//	/metrics       Prometheus text exposition of the same data
+//	/debug/vars    JSON {group: {key: value}}; numbers where the value is one,
+//	               a {field: number} object for a histogram line
+//	/metrics       Prometheus text exposition: mc_<key>{group="…"} per line
 //	/debug/pprof/  net/http/pprof (goroutine/heap/profile/trace), because a
 //	               serialization storm diagnosis usually ends in "where are
 //	               the worker goroutines blocked?"
-//	/debug/tm      GET reports tracing state; POST ?enable=0|1 toggles it;
-//	               POST ?reset=1 zeroes the collected aggregates
+//	/debug/tm      GET prints the tm, conflicts and latency STAT lines;
+//	               POST ?enable=0|1 toggles tracing; POST ?reset=1 zeroes the
+//	               collected aggregates
+//
+// Each scrape is one client connection, visible in `stats eventloop`'s conns.
 package server
 
 import (
@@ -17,92 +23,191 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sort"
+	"strconv"
+	"strings"
+	"time"
 
-	"repro/internal/engine"
-	"repro/internal/protocol"
+	"repro/client"
 )
 
-// NewDebugHandler builds the debug mux for one cache; srv, when non-nil,
-// contributes the transport's telemetry (queue depths, dispatch latency,
-// poller counters) to /debug/vars and /metrics.
-func NewDebugHandler(cache *engine.Cache, srv *Server) http.Handler {
+// statGroups are the `stats` groups /debug/vars and /metrics read. The
+// general group ("") is named "general" on both.
+var statGroups = []string{"", "tm", "conflicts", "latency", "eventloop", "slabs"}
+
+// scrapeTimeout bounds one scrape's dial plus all of its stats queries.
+const scrapeTimeout = 5 * time.Second
+
+// statGroup is one group's reply, in the order the server sent it.
+type statGroup struct {
+	name  string
+	stats []client.Stat
+}
+
+// scrape reads groups from srv over one client connection.
+func scrape(srv *Server, groups []string) ([]statGroup, error) {
+	conn, err := net.DialTimeout("tcp", srv.Addr(), scrapeTimeout)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(scrapeTimeout))
+	cl := client.NewFromConn(conn)
+	out := make([]statGroup, 0, len(groups))
+	for _, g := range groups {
+		stats, err := cl.Stats(g)
+		if err != nil {
+			return nil, fmt.Errorf("stats %s: %w", g, err)
+		}
+		name := g
+		if name == "" {
+			name = "general"
+		}
+		out = append(out, statGroup{name: name, stats: stats})
+	}
+	return out, nil
+}
+
+// sample is one number a STAT line carries. The one transcoding rule:
+//
+//	key N              → key = N
+//	key N text…        → key = N, detail "text…" (a cause, an edge, a label)
+//	key f=v f=v …      → key_f = v per field (a histogram line)
+//	key text           → key = 1, detail "text" (version, branch, algorithm)
+type sample struct{ name, detail, value string }
+
+func samples(st client.Stat) []sample {
+	first, rest, _ := strings.Cut(st.Value, " ")
+	if isHist(st.Value) {
+		var out []sample
+		for _, f := range strings.Fields(st.Value) {
+			k, v, _ := strings.Cut(f, "=")
+			out = append(out, sample{name: st.Key + "_" + k, value: v})
+		}
+		return out
+	}
+	if !isNumber(first) {
+		return []sample{{name: st.Key, value: "1", detail: st.Value}}
+	}
+	return []sample{{name: st.Key, value: first, detail: rest}}
+}
+
+// isHist reports whether a STAT value is a histogram's field=value list.
+func isHist(v string) bool {
+	first, _, _ := strings.Cut(v, " ")
+	return strings.Contains(first, "=")
+}
+
+// isNumber reports whether s is a decimal number, valid in both JSON and the
+// Prometheus text format.
+func isNumber(s string) bool {
+	_, err := strconv.ParseFloat(s, 64)
+	return err == nil && json.Valid([]byte(s))
+}
+
+// promName maps a STAT key to a metric name: characters Prometheus rejects
+// (the "/" of "conflicts_s2/hash_bucket", the ":" of "1:chunk_size") become
+// "_".
+func promName(key string) string {
+	return "mc_" + strings.Map(func(r rune) rune {
+		if r == '_' || '0' <= r && r <= '9' || 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' {
+			return r
+		}
+		return '_'
+	}, key)
+}
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// writeMetrics renders groups as Prometheus text, one untyped sample per
+// line, sorted so that each metric's lines are contiguous.
+func writeMetrics(w http.ResponseWriter, groups []statGroup) {
+	var lines []string
+	for _, g := range groups {
+		for _, st := range g.stats {
+			for _, s := range samples(st) {
+				labels := `group="` + g.name + `"`
+				if s.detail != "" {
+					labels += `,detail="` + labelEscaper.Replace(s.detail) + `"`
+				}
+				lines = append(lines, promName(s.name)+"{"+labels+"} "+s.value+"\n")
+			}
+		}
+	}
+	sort.Strings(lines)
+	for _, l := range lines {
+		fmt.Fprint(w, l)
+	}
+}
+
+// writeVars renders groups as JSON: a number where the value is one, a
+// {field: number} object for a histogram line, the raw value otherwise.
+func writeVars(w http.ResponseWriter, groups []statGroup) {
+	vars := make(map[string]map[string]any, len(groups))
+	for _, g := range groups {
+		m := make(map[string]any, len(g.stats))
+		for _, st := range g.stats {
+			switch {
+			case isNumber(st.Value):
+				m[st.Key] = json.Number(st.Value)
+			case isHist(st.Value):
+				fields := make(map[string]json.Number)
+				for _, f := range strings.Fields(st.Value) {
+					k, v, _ := strings.Cut(f, "=")
+					fields[k] = json.Number(v)
+				}
+				m[st.Key] = fields
+			default:
+				m[st.Key] = st.Value
+			}
+		}
+		vars[g.name] = m
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(vars)
+}
+
+// NewDebugHandler builds the debug mux for srv and its cache.
+func NewDebugHandler(srv *Server) http.Handler {
 	mux := http.NewServeMux()
-
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		vars := map[string]any{
-			"branch": cache.Branch().String(),
-			"shards": cache.NumShards(),
-		}
-		if o := cache.Observer(); o != nil {
-			vars["tm"] = o.Report(32)
-		}
-		vars["stats"] = cache.NewWorker().Stats()
-		// Always present, even at -shards=1: a dashboard scraping shard_stats
-		// must not break when the operator collapses the cache to one domain.
-		vars["shard_stats"] = cache.ShardStats()
-		inuse, idle := protocol.BufferGauges()
-		vars["conn_buffers_inuse"] = inuse
-		vars["conn_buffers_idle"] = idle
-		if srv != nil {
-			vars["eventloop"] = srv.TransportStats().EventLoopSnapshot()
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(vars)
-	})
-
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s := cache.NewWorker().Stats()
-		fmt.Fprintf(w, "# TYPE mc_curr_items gauge\nmc_curr_items %d\n", s.CurrItems)
-		fmt.Fprintf(w, "# TYPE mc_bytes gauge\nmc_bytes %d\n", s.CurrBytes)
-		fmt.Fprintf(w, "# TYPE mc_total_items counter\nmc_total_items %d\n", s.TotalItems)
-		fmt.Fprintf(w, "# TYPE mc_evictions counter\nmc_evictions %d\n", s.Evictions)
-		fmt.Fprintf(w, "# TYPE tm_commits_total counter\ntm_commits_total %d\n", s.STM.Commits)
-		fmt.Fprintf(w, "# TYPE tm_aborts_total counter\ntm_aborts_total %d\n", s.STM.Aborts)
-		if o := cache.Observer(); o != nil {
-			o.Report(32).WritePrometheus(w)
-		}
-		if srv != nil {
-			es := srv.TransportStats().EventLoopSnapshot()
-			fmt.Fprintf(w, "# TYPE event_overflow_spills_total counter\nevent_overflow_spills_total %d\n", es.OverflowSpills)
-			fmt.Fprintf(w, "# TYPE event_overflow_len gauge\nevent_overflow_len %d\n", es.OverflowLen)
-			fmt.Fprintf(w, "# TYPE event_shared_depth gauge\nevent_shared_depth %d\n", es.SharedDepth)
-			fmt.Fprintf(w, "# TYPE event_affine_depth gauge\n")
-			for i, d := range es.AffineDepth {
-				fmt.Fprintf(w, "event_affine_depth{queue=\"%d\"} %d\n", i, d)
+	serve := func(contentType string, groups []string, render func(http.ResponseWriter, []statGroup)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			gs, err := scrape(srv, groups)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
 			}
-			fmt.Fprintf(w, "# TYPE event_worker_busy gauge\n")
-			for i, b := range es.WorkerBusy {
-				fmt.Fprintf(w, "event_worker_busy{worker=\"%d\"} %.4f\n", i, b)
-			}
-			fmt.Fprintf(w, "# TYPE event_dispatch_p99_ns gauge\nevent_dispatch_p99_ns %d\n", es.Dispatch.P99)
-			fmt.Fprintf(w, "# TYPE poller_wakeups_total counter\npoller_wakeups_total %d\n", es.Poller.Wakeups)
-			fmt.Fprintf(w, "# TYPE poller_probes_total counter\npoller_probes_total %d\n", es.Poller.Probes)
-			fmt.Fprintf(w, "# TYPE poller_synthesized_total counter\npoller_synthesized_total %d\n", es.Poller.Synthesized)
+			w.Header().Set("Content-Type", contentType)
+			render(w, gs)
 		}
-	})
+	}
+	mux.HandleFunc("/debug/vars", serve("application/json; charset=utf-8", statGroups, writeVars))
+	mux.HandleFunc("/metrics", serve("text/plain; version=0.0.4; charset=utf-8", statGroups, writeMetrics))
 
+	printTM := serve("text/plain; charset=utf-8", []string{"tm", "conflicts", "latency"},
+		func(w http.ResponseWriter, groups []statGroup) {
+			for _, g := range groups {
+				fmt.Fprintf(w, "stats %s\n", g.name)
+				for _, st := range g.stats {
+					fmt.Fprintf(w, "STAT %s %s\n", st.Key, st.Value)
+				}
+			}
+		})
 	mux.HandleFunc("/debug/tm", func(w http.ResponseWriter, r *http.Request) {
-		o := cache.Observer()
 		if r.Method == http.MethodPost {
+			o := srv.cache.Observer()
 			switch r.URL.Query().Get("enable") {
 			case "1":
-				o = cache.EnableTracing()
+				o = srv.cache.EnableTracing()
 			case "0":
-				cache.DisableTracing()
+				srv.cache.DisableTracing()
 			}
 			if r.URL.Query().Get("reset") == "1" && o != nil {
 				o.Reset()
 			}
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if o == nil {
-			fmt.Fprintln(w, "tracing: never enabled")
-			return
-		}
-		fmt.Fprintf(w, "tracing: enabled=%v\n%s", o.Enabled(), o.Report(16))
+		printTM(w, r)
 	})
 
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -114,14 +219,14 @@ func NewDebugHandler(cache *engine.Cache, srv *Server) http.Handler {
 	return mux
 }
 
-// ListenDebug serves NewDebugHandler(cache, srv) on addr. Returns the
-// http.Server (Close to stop) and the bound listener address.
-func ListenDebug(cache *engine.Cache, srv *Server, addr string) (*http.Server, string, error) {
+// ListenDebug serves NewDebugHandler(srv) on addr. Returns the http.Server
+// (Close to stop) and the bound listener address.
+func ListenDebug(srv *Server, addr string) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err
 	}
-	hs := &http.Server{Handler: NewDebugHandler(cache, srv)}
+	hs := &http.Server{Handler: NewDebugHandler(srv)}
 	go hs.Serve(ln)
 	return hs, ln.Addr().String(), nil
 }

@@ -518,7 +518,7 @@ func (ev *evLoop) EventLoopSnapshot() protocol.EventLoopSnapshot {
 		SharedCap:      cap(ev.sharedQ),
 		OverflowSpills: ev.stats.spills.Load(),
 		Dispatch:       ev.stats.dispatch.Snapshot(),
-		BurstOps:       protocol.CountSnapshot(ev.stats.burstOps.Snapshot()),
+		BurstOps:       ev.stats.burstOps.Snapshot(),
 		Poller:         ev.p.Counters(),
 	}
 	s.AffineDepth = make([]int, len(ev.affineQ))

@@ -542,13 +542,14 @@ func TestStatsKeySetsPinned(t *testing.T) {
 			"eventloop", "overflow_len", "poller_probes", "poller_synthesized", "poller_wakeups",
 			"shared_cap", "shared_depth", "worker_0_busy", "worker_1_busy", "worker_2_busy",
 			"worker_3_busy", "worker_4_busy", "worker_5_busy", "workers"}},
-		{"tm", []string{"abort_cause_0", "aborts", "commits", "events", "events_abort", "events_begin",
-			"events_commit", "events_ro_fast_commit", "inflight_switch", "ro_fast_commit", "ro_upgrade",
+		{"tm", []string{"abort_cause_0", "aborts", "branch", "commits", "events", "events_abort", "events_begin",
+			"events_commit", "events_ro_fast_commit", "inflight_switch", "retries", "ro_fast_commit", "ro_upgrade",
+			"serial_commits",
 			"shard_0_aborts", "shard_0_algorithm", "shard_0_commits", "shard_0_ro_fast_commit",
 			"shard_1_aborts", "shard_1_algorithm", "shard_1_commits", "shard_1_ro_fast_commit",
 			"shard_2_aborts", "shard_2_algorithm", "shard_2_commits", "shard_2_ro_fast_commit",
 			"shard_3_aborts", "shard_3_algorithm", "shard_3_commits", "shard_3_ro_fast_commit",
-			"shards", "start_serial", "tracing"}},
+			"shards", "start_serial", "starts", "tracing"}},
 		{"conflicts", []string{"conflict_edge_0", "conflicts_hash_bucket", "conflicts_s2/hash_bucket",
 			"cross_shard_orec_conflicts", "orec_7", "tracing"}},
 		{"latency", []string{"cmd_get " + hist, "cmd_set " + hist, "cmd_stats " + hist,

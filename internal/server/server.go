@@ -121,10 +121,6 @@ func ListenConfig(cache *engine.Cache, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// TransportStats exposes the transport's telemetry source. The debug
-// endpoint uses this; per-connection wiring happens in adopt.
-func (s *Server) TransportStats() protocol.TransportStats { return s.ev }
-
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 

@@ -105,9 +105,9 @@ func TestProfileStringFormat(t *testing.T) {
 	o := rt.EnableTracing()
 	th := rt.NewThread()
 	_ = th.Run(Props{Kind: Relaxed, Site: "spot"}, func(tx *Tx) { tx.Unsafe("op") })
-	out := o.Report(0).String()
-	if !strings.Contains(out, "serialization causes:") || !strings.Contains(out, "op @ spot") {
-		t.Errorf("profile report = %q", out)
+	causes := o.Report(0).SerialCauses
+	if len(causes) != 1 || causes[0].Cause != "in-flight switch: op @ spot" || causes[0].Count != 1 {
+		t.Errorf("serial causes = %+v, want one \"in-flight switch: op @ spot\"", causes)
 	}
 }
 

@@ -1,7 +1,6 @@
 package txobs
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -68,13 +67,12 @@ func bucketUpper(b int) uint64 {
 
 // HistSnapshot is a point-in-time copy of a histogram with derived quantiles.
 type HistSnapshot struct {
-	Count   uint64              `json:"count"`
-	Mean    time.Duration       `json:"mean_ns"`
-	P50     time.Duration       `json:"p50_ns"`
-	P95     time.Duration       `json:"p95_ns"`
-	P99     time.Duration       `json:"p99_ns"`
-	Max     time.Duration       `json:"max_ns"`
-	Buckets [histBuckets]uint64 `json:"-"`
+	Count uint64
+	Mean  time.Duration
+	P50   time.Duration
+	P95   time.Duration
+	P99   time.Duration
+	Max   time.Duration
 }
 
 // Snapshot copies the histogram and computes p50/p95/p99/max. The copy is not
@@ -87,10 +85,11 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if s.Count > 0 {
 		s.Mean = time.Duration(h.sum.Load() / s.Count)
 	}
+	var buckets [histBuckets]uint64
 	var total uint64
 	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-		total += s.Buckets[i]
+		buckets[i] = h.buckets[i].Load()
+		total += buckets[i]
 	}
 	q := func(p float64) time.Duration {
 		if total == 0 {
@@ -102,7 +101,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		}
 		var cum uint64
 		for b := 0; b < histBuckets; b++ {
-			cum += s.Buckets[b]
+			cum += buckets[b]
 			if cum >= want {
 				up := bucketUpper(b)
 				if m := h.max.Load(); up > m {
@@ -115,12 +114,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 	s.P50, s.P95, s.P99 = q(0.50), q(0.95), q(0.99)
 	return s
-}
-
-// String renders the snapshot as a one-line summary.
-func (s HistSnapshot) String() string {
-	return fmt.Sprintf("n=%d p50=%v p95=%v p99=%v max=%v mean=%v",
-		s.Count, s.P50, s.P95, s.P99, s.Max, s.Mean)
 }
 
 // Phase identifies an STM latency phase.

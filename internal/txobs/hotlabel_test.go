@@ -37,7 +37,7 @@ func TestConflictEdgesNameHotLabel(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for len(obs.Report(0).ConflictEdges) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no conflict edge after 10s: %s", obs.Report(0))
+			t.Fatalf("no conflict edge after 10s: %+v", obs.Report(0))
 		}
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
@@ -55,7 +55,7 @@ func TestConflictEdgesNameHotLabel(t *testing.T) {
 
 	r := obs.Report(0)
 	if top := r.ConflictEdges[0]; top.Label != "cas_counter" {
-		t.Fatalf("heaviest edge %+v does not name the hot label cas_counter:\n%s", top, r)
+		t.Fatalf("heaviest edge %+v does not name the hot label cas_counter:\n%+v", top, r)
 	}
 	var out bytes.Buffer
 	pc := protocol.NewConn(c.NewWorker(), struct {

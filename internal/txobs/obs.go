@@ -2,9 +2,7 @@ package txobs
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -266,24 +264,24 @@ func (o *Observer) Reset() {
 
 // CauseCount is one attributed cause.
 type CauseCount struct {
-	Cause string `json:"cause"`
-	Count uint64 `json:"count"`
+	Cause string
+	Count uint64
 }
 
 // LabelCount is one label's aggregate.
 type LabelCount struct {
-	Label string `json:"label"`
-	Count uint64 `json:"count"`
+	Label string
+	Count uint64
 }
 
 // OrecCount is one hot ownership record.
 type OrecCount struct {
-	Orec      int    `json:"orec"`
-	Count     uint64 `json:"count"`
-	LastLabel string `json:"last_label"`
+	Orec      int
+	Count     uint64
+	LastLabel string
 	// Shard is the TM domain whose conflicts heated this orec (-1 = none
 	// attributed yet). Disjoint per-shard orec bases make this single-valued.
-	Shard int `json:"shard"`
+	Shard int
 }
 
 // ConflictEdge is one who-aborted-whom edge: Count aborts and abort-serial
@@ -291,35 +289,36 @@ type OrecCount struct {
 // a transaction at site Owner last wrote. "" is an unknown site: the owner
 // wrote before tracing was on, or no orec conflicted.
 type ConflictEdge struct {
-	Owner  string `json:"owner"`
-	Victim string `json:"victim"`
-	Label  string `json:"label"`
-	Count  uint64 `json:"count"`
+	Owner  string
+	Victim string
+	Label  string
+	Count  uint64
 }
 
 // Report is a point-in-time structured view of everything the observer has
-// collected; it marshals directly to JSON for the debug endpoint.
+// collected. The `stats tm`, `stats conflicts` and `stats latency` groups
+// render it; every other surface reads those groups.
 type Report struct {
-	Enabled        bool              `json:"enabled"`
-	Events         uint64            `json:"events"`
-	Kinds          map[string]uint64 `json:"kinds"`
-	SerialCauses   []CauseCount      `json:"serial_causes"`
-	AbortCauses    []CauseCount      `json:"abort_causes"`
-	ConflictLabels []LabelCount      `json:"conflict_labels"`
-	SerialLabels   []LabelCount      `json:"serial_labels"`
-	HotOrecs       []OrecCount       `json:"hot_orecs"`
+	Enabled        bool
+	Events         uint64
+	Kinds          map[string]uint64
+	SerialCauses   []CauseCount
+	AbortCauses    []CauseCount
+	ConflictLabels []LabelCount
+	SerialLabels   []LabelCount
+	HotOrecs       []OrecCount
 	// Shards is the TM domain count; ShardConflicts is the conflict heat map
 	// with the shard dimension ("s2/hash_bucket"), only populated when the
 	// observer serves more than one shard. CrossShardOrecConflicts counts
 	// conflicts whose orec heat cell was owned by another shard — zero by
 	// construction when the domains are independent.
-	Shards                  int          `json:"shards,omitempty"`
-	ShardConflicts          []LabelCount `json:"shard_conflicts,omitempty"`
-	CrossShardOrecConflicts uint64       `json:"cross_shard_orec_conflicts"`
+	Shards                  int
+	ShardConflicts          []LabelCount
+	CrossShardOrecConflicts uint64
 	// ConflictEdges answers who aborted whom, heaviest edge first.
-	ConflictEdges []ConflictEdge          `json:"conflict_edges"`
-	Phases        map[string]HistSnapshot `json:"phases"`
-	Commands      map[string]HistSnapshot `json:"commands"`
+	ConflictEdges []ConflictEdge
+	Phases        map[string]HistSnapshot
+	Commands      map[string]HistSnapshot
 }
 
 func sortCauses(cs []CauseCount) {
@@ -436,167 +435,4 @@ func (o *Observer) Report(topOrecs int) Report {
 		return true
 	})
 	return r
-}
-
-// String renders the report as a human-readable summary (mcbench -profile,
-// make profile, /debug/tm).
-func (r Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "tx observability report (%d events):\n", r.Events)
-	if len(r.Kinds) > 0 {
-		keys := make([]string, 0, len(r.Kinds))
-		for k := range r.Kinds {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		b.WriteString("  event counts:\n")
-		for _, k := range keys {
-			fmt.Fprintf(&b, "    %10d  %s\n", r.Kinds[k], k)
-		}
-	}
-	if len(r.SerialCauses) > 0 {
-		b.WriteString("  serialization causes:\n")
-		for _, c := range r.SerialCauses {
-			fmt.Fprintf(&b, "    %10d  %s\n", c.Count, c.Cause)
-		}
-	}
-	if len(r.AbortCauses) > 0 {
-		b.WriteString("  abort causes:\n")
-		for _, c := range r.AbortCauses {
-			fmt.Fprintf(&b, "    %10d  %s\n", c.Count, c.Cause)
-		}
-	}
-	if len(r.ConflictLabels) > 0 {
-		b.WriteString("  conflict heat by structure:\n")
-		for _, l := range r.ConflictLabels {
-			fmt.Fprintf(&b, "    %10d  %s\n", l.Count, l.Label)
-		}
-	}
-	if len(r.SerialLabels) > 0 {
-		b.WriteString("  abort-serial by structure:\n")
-		for _, l := range r.SerialLabels {
-			fmt.Fprintf(&b, "    %10d  %s\n", l.Count, l.Label)
-		}
-	}
-	if r.Shards > 1 {
-		fmt.Fprintf(&b, "  shard domains: %d (cross-shard orec conflicts: %d)\n",
-			r.Shards, r.CrossShardOrecConflicts)
-		if len(r.ShardConflicts) > 0 {
-			b.WriteString("  conflict heat by shard/structure:\n")
-			for _, l := range r.ShardConflicts {
-				fmt.Fprintf(&b, "    %10d  %s\n", l.Count, l.Label)
-			}
-		}
-	}
-	if len(r.ConflictEdges) > 0 {
-		b.WriteString("  who aborted whom (owner -> victim [structure]):\n")
-		for _, e := range r.ConflictEdges {
-			fmt.Fprintf(&b, "    %10d  %s -> %s [%s]\n", e.Count, orDash(e.Owner), orDash(e.Victim), e.Label)
-		}
-	}
-	if len(r.HotOrecs) > 0 {
-		b.WriteString("  hottest orecs:\n")
-		for _, oc := range r.HotOrecs {
-			fmt.Fprintf(&b, "    %10d  orec %-8d (%s)\n", oc.Count, oc.Orec, oc.LastLabel)
-		}
-	}
-	if len(r.Phases) > 0 {
-		b.WriteString("  phase latency:\n")
-		for _, p := range sortedHistKeys(r.Phases) {
-			fmt.Fprintf(&b, "    %-12s %s\n", p, r.Phases[p])
-		}
-	}
-	if len(r.Commands) > 0 {
-		b.WriteString("  command latency:\n")
-		for _, c := range sortedHistKeys(r.Commands) {
-			fmt.Fprintf(&b, "    %-12s %s\n", c, r.Commands[c])
-		}
-	}
-	return b.String()
-}
-
-// orDash writes an unknown site as "-".
-func orDash(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return s
-}
-
-func sortedHistKeys(m map[string]HistSnapshot) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// WritePrometheus renders the report in the Prometheus text exposition
-// format. Every metric is prefixed "tm_".
-func (r Report) WritePrometheus(w io.Writer) {
-	fmt.Fprintf(w, "# TYPE tm_tracing_enabled gauge\ntm_tracing_enabled %d\n", b2i(r.Enabled))
-	fmt.Fprintf(w, "# TYPE tm_events_total counter\n")
-	for _, k := range sortedCountKeys(r.Kinds) {
-		fmt.Fprintf(w, "tm_events_total{kind=%q} %d\n", k, r.Kinds[k])
-	}
-	fmt.Fprintf(w, "# TYPE tm_serializations_total counter\n")
-	for _, c := range r.SerialCauses {
-		fmt.Fprintf(w, "tm_serializations_total{cause=%q} %d\n", c.Cause, c.Count)
-	}
-	fmt.Fprintf(w, "# TYPE tm_conflicts_total counter\n")
-	for _, l := range r.ConflictLabels {
-		fmt.Fprintf(w, "tm_conflicts_total{structure=%q} %d\n", l.Label, l.Count)
-	}
-	fmt.Fprintf(w, "# TYPE tm_abort_serial_total counter\n")
-	for _, l := range r.SerialLabels {
-		fmt.Fprintf(w, "tm_abort_serial_total{structure=%q} %d\n", l.Label, l.Count)
-	}
-	if r.Shards > 1 {
-		fmt.Fprintf(w, "# TYPE tm_shard_conflicts_total counter\n")
-		for _, l := range r.ShardConflicts {
-			if s, structure, ok := strings.Cut(l.Label, "/"); ok {
-				fmt.Fprintf(w, "tm_shard_conflicts_total{shard=%q,structure=%q} %d\n", s, structure, l.Count)
-			}
-		}
-		fmt.Fprintf(w, "# TYPE tm_cross_shard_orec_conflicts gauge\ntm_cross_shard_orec_conflicts %d\n",
-			r.CrossShardOrecConflicts)
-	}
-	writePromHist := func(name, labelKey string, hists map[string]HistSnapshot) {
-		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-		for _, k := range sortedHistKeys(hists) {
-			h := hists[k]
-			var cum uint64
-			for b := 0; b < histBuckets; b++ {
-				if h.Buckets[b] == 0 {
-					continue
-				}
-				cum += h.Buckets[b]
-				fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n",
-					name, labelKey, k, fmt.Sprintf("%g", float64(bucketUpper(b))/1e9), cum)
-			}
-			fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, labelKey, k, h.Count)
-			fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, labelKey, k,
-				float64(h.Mean)*float64(h.Count)/1e9)
-			fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, labelKey, k, h.Count)
-		}
-	}
-	writePromHist("tm_phase_latency_seconds", "phase", r.Phases)
-	writePromHist("tm_command_latency_seconds", "command", r.Commands)
-}
-
-func sortedCountKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -1,9 +1,7 @@
 package txobs
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -169,44 +167,5 @@ func TestHistogramQuantiles(t *testing.T) {
 	h.Observe(-time.Second)
 	if s := h.Snapshot(); s.Count != 101 || s.Max != 100 || s.Mean != 50 || s.P50 != 64 || s.P99 != 100 {
 		t.Fatalf("counts: %+v, want count 101 max 100 mean 50 p50 64 p99 100", s)
-	}
-}
-
-// TestReportRendering checks the JSON and Prometheus surfaces carry the data.
-func TestReportRendering(t *testing.T) {
-	o := New(Options{Orecs: 8})
-	o.Enable()
-	o.Record(&Event{Kind: KAbort, Orec: 2, Label: RegisterLabel("test_render"), Cause: "conflict: location locked", Site: "item_get"})
-	o.ObservePhase(PhaseCommit, 3*time.Microsecond)
-	o.ObserveCommand("set", 40*time.Microsecond)
-
-	r := o.Report(5)
-	js, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"test_render"`, `"commit"`, `"set"`, `"abort"`} {
-		if !strings.Contains(string(js), want) {
-			t.Errorf("JSON report missing %s: %s", want, js)
-		}
-	}
-	var buf strings.Builder
-	r.WritePrometheus(&buf)
-	prom := buf.String()
-	for _, want := range []string{
-		`tm_events_total{kind="abort"} 1`,
-		`tm_conflicts_total{structure="test_render"} 1`,
-		`tm_phase_latency_seconds_count{phase="commit"} 1`,
-		`tm_command_latency_seconds_bucket{command="set",le="+Inf"} 1`,
-	} {
-		if !strings.Contains(prom, want) {
-			t.Errorf("Prometheus output missing %q:\n%s", want, prom)
-		}
-	}
-	if !strings.Contains(r.String(), "test_render") {
-		t.Errorf("text report missing label:\n%s", r)
-	}
-	if !strings.Contains(r.String(), "who aborted whom") || !strings.Contains(r.String(), "- -> item_get [test_render]") {
-		t.Errorf("text report missing the who-aborted-whom block:\n%s", r)
 	}
 }
