@@ -105,9 +105,10 @@ func isNumber(s string) bool {
 	return err == nil && json.Valid([]byte(s))
 }
 
-// promName maps a STAT key to a metric name: characters Prometheus rejects
-// (the "/" of "conflicts_s2/hash_bucket", the ":" of "1:chunk_size") become
-// "_".
+// promName maps a STAT key to a metric name: every character outside
+// [A-Za-z0-9_] becomes "_" — the "/" of "conflicts_s2/hash_bucket", which
+// Prometheus rejects, and the ":" of "1:chunk_size", which it reserves for
+// recording rules.
 func promName(key string) string {
 	return "mc_" + strings.Map(func(r rune) rune {
 		if r == '_' || '0' <= r && r <= '9' || 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' {

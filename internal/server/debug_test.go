@@ -71,7 +71,7 @@ func TestDebugEndpoint(t *testing.T) {
 		}
 	}
 	tm := vars["tm"]
-	if tm["branch"] != "it-oncommit" || tm["tracing"] != 1.0 || tm["events_commit"] == 0.0 ||
+	if commits, _ := tm["events_commit"].(float64); tm["branch"] != "it-oncommit" || tm["tracing"] != 1.0 || commits == 0 ||
 		vars["general"]["curr_items"] != 1.0 || tm["abort_cause_0"] != "1 conflict: location locked" {
 		t.Fatalf("/debug/vars content:\n%s", body)
 	}

@@ -279,9 +279,6 @@ type OrecCount struct {
 	Orec      int
 	Count     uint64
 	LastLabel string
-	// Shard is the TM domain whose conflicts heated this orec (-1 = none
-	// attributed yet). Disjoint per-shard orec bases make this single-valued.
-	Shard int
 }
 
 // ConflictEdge is one who-aborted-whom edge: Count aborts and abort-serial
@@ -395,10 +392,7 @@ func (o *Observer) Report(topOrecs int) Report {
 			if l := o.orecHeat[i].last.Load(); l > 0 {
 				lc = Label(l - 1).String()
 			}
-			r.HotOrecs = append(r.HotOrecs, OrecCount{
-				Orec: i, Count: n, LastLabel: lc,
-				Shard: int(o.orecHeat[i].shard.Load()) - 1,
-			})
+			r.HotOrecs = append(r.HotOrecs, OrecCount{Orec: i, Count: n, LastLabel: lc})
 		}
 	}
 	if len(o.shardHeat) > 0 {
