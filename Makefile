@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test allocs check race stress torture-smoke torture profile bench
+.PHONY: all build vet lint test allocs check race stress mutants torture-smoke torture profile bench
 
 all: check
 
@@ -38,8 +38,9 @@ allocs:
 # clean (go vet's copylocks pass is what keeps items, which embed atomics, from
 # being copied by value), passes its tests, holds its allocation ceilings,
 # passes the tests again under the race detector, survives shrunken fault
-# schedules, and repeats the schedule-sensitive suites on one and two Ps.
-check: build lint test allocs race torture-smoke stress
+# schedules, repeats the schedule-sensitive suites on one and two Ps, and
+# still catches the seeded mutants.
+check: build lint test allocs race torture-smoke stress mutants
 
 # race runs every test except the seeded torture schedules (torture-smoke has
 # those, shrunken) under the race detector.
@@ -51,9 +52,16 @@ race:
 # matches the pattern) and the Retry-driven maintenance threads — five times at
 # GOMAXPROCS 1 and 2: the it-nolock accounting damage of ROADMAP item 1 only
 # ever showed on the second P, and only about one run in ten. The seeded-bug
-# case is apart: go test -run TortureRecycleMutant ./internal/engine -torture.mutant
+# case is apart: make mutants.
 stress:
 	$(GO) test -count=5 -cpu 1,2 -run 'Torture|RetryCondSync' ./internal/engine ./internal/server
+
+# mutants runs the seeded bugs the torture suite must catch, and fails unless
+# every seed catches them: the recycle mutant lets an allocation nested in an
+# open transaction fill a recycled chunk in place. Fused gets take no
+# reference, so this chunk-reuse oracle is what guards their path.
+mutants:
+	$(GO) test -count=1 -run TortureRecycleMutant ./internal/engine -torture.mutant
 
 # torture-smoke runs the seeded fault-injection harness in its shrunken
 # (-torture.short) form. The flag is registered per test package, so only the

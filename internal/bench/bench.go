@@ -138,6 +138,9 @@ func Run(v Variant, threads int, o Options) Measurement {
 			MemLimit:  o.MemLimit,
 			HashPower: o.HashPower,
 			Automove:  true,
+			// The figures and tables measure the paper's structure: one
+			// transaction per memcached critical section on every branch.
+			PaperSections: true,
 		})
 		c.Start()
 		res := memslap.RunDirect(c, memslap.Config{

@@ -83,6 +83,19 @@ func TestTable4OnCommitRowsAreClean(t *testing.T) {
 	}
 }
 
+// TestFiguresRunPaperSections: the figure and table harness measures the
+// paper's one transaction per critical section even on the branches whose
+// commands fuse by default — at least four commits per command on
+// it-oncommit (a fused engine commits about one).
+func TestFiguresRunPaperSections(t *testing.T) {
+	o := small
+	o.Trials = 1
+	m := Run(branch("IT onCommit", engine.ITOnCommit), 1, o)
+	if perOp := float64(m.Stats.Commits) / float64(o.OpsPerThread); perOp < 4 {
+		t.Errorf("it-oncommit: %.2f commits per command, want >= 4 (the paper's sections)", perOp)
+	}
+}
+
 func TestRunRatios(t *testing.T) {
 	rows := RunRatios(Options{
 		Threads:      []int{2},

@@ -60,13 +60,17 @@ type Config struct {
 	// Automove lets eviction wake the slab rebalancer (the sem_post on the
 	// hot path that stage onCommit moves into a handler).
 	Automove bool
-	// TxRefOpt applies the optimization §5 of the paper says transactional
-	// reference counts enable ("it might be possible to replace the
-	// modifications of the reference count with a simple read"): in IT
-	// branches with transactional volatiles, gets skip the refcount
-	// increment/decrement pair entirely — conflict detection already protects
-	// the read, and privatization safety covers the data's lifetime.
-	TxRefOpt bool
+	// PaperSections keeps the paper's transaction structure on the IT
+	// branches at stage onCommit (it-oncommit, it-nolock): one transaction per
+	// memcached critical section, so a get is the two volatile
+	// mini-transactions, the item section with its refcount increment, the
+	// refcount release and a statistics transaction, as in Figures 4-11 and
+	// Tables 1-4. The zero value fuses each command there: its sections
+	// flat-nest in one transaction, so a get is one read-only commit and a set
+	// two (allocation, then the store); see DESIGN.md "Fused commands". Every
+	// other branch has a relaxed section or item locks, and always runs the
+	// paper's structure.
+	PaperSections bool
 	// RetryCondSync replaces the Figure 2 semaphore machinery with the
 	// condition-synchronization primitive §5 says the specification must
 	// provide (stm.Tx.Retry): maintenance threads block on exactly their work
@@ -166,6 +170,13 @@ type shard struct {
 	// forbids, without a switch on the allocation path.
 	allocInTx func(access.Ctx, int) *item.Item
 
+	// fused is set on the IT branches at stage onCommit unless
+	// Config.PaperSections: every section is an atomic transaction there, so
+	// a command's sections flat-nest in one, the item section reads the
+	// volatiles itself, gets take no reference, and the per-thread statistics
+	// block leaves the transaction (see tstat).
+	fused bool
+
 	// afterBatchCommit is a test seam, never set outside tests: it runs between
 	// a multi-get batch's commit and its deferred touch/unlink sections.
 	afterBatchCommit func()
@@ -192,6 +203,7 @@ func newShard(conf Config) *shard {
 		casCounter:  stm.NewTWord(0).Label(lblCasCounter),
 		stopCh:      make(chan struct{}),
 		stripeMask:  uint64(conf.Stripes) - 1,
+		fused:       cfg.itemTx && cfg.profile.OnCommitIO && !conf.PaperSections,
 	}
 	c.lru = item.NewLRU(c.slabs.NumClasses())
 	c.slabs.SetFault(conf.Fault)

@@ -7,82 +7,6 @@ import (
 	"time"
 )
 
-// TestTxRefOptCorrectness runs the §5 transactional-refcount optimization
-// under contention: gets skip the refcount pair, relying on TM conflict
-// detection and privatization safety.
-func TestTxRefOptCorrectness(t *testing.T) {
-	for _, b := range []Branch{ITOnCommit, ITNoLock} {
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
-			c := New(Config{
-				Branch:    b,
-				MemLimit:  2 << 20,
-				HashPower: 8,
-				TxRefOpt:  true,
-				Automove:  true,
-			})
-			c.Start()
-			defer c.Stop()
-
-			var wg sync.WaitGroup
-			for g := 0; g < 4; g++ {
-				g := g
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					w := c.NewWorker()
-					for i := 0; i < 600; i++ {
-						key := []byte(fmt.Sprintf("ro-%d", (g*13+i)%100))
-						if i%8 == 0 {
-							w.Set(key, 1, 0, []byte(fmt.Sprintf("v-%d-%d", g, i)))
-						} else if i%17 == 0 {
-							w.Delete(key)
-						} else if val, _, _, ok := w.Get(key); ok && len(val) < 2 {
-							t.Errorf("suspicious value %q", val)
-						}
-					}
-				}()
-			}
-			wg.Wait()
-
-			// Every linked item must still answer, and refcounts must be
-			// exactly the table's reference (gets took none).
-			w := c.NewWorker()
-			live := 0
-			for i := 0; i < 100; i++ {
-				if _, _, _, ok := w.Get([]byte(fmt.Sprintf("ro-%d", i))); ok {
-					live++
-				}
-			}
-			s := w.Stats()
-			if int(s.CurrItems) != live {
-				t.Errorf("CurrItems = %d, live = %d", s.CurrItems, live)
-			}
-		})
-	}
-}
-
-// TestTxRefOptIgnoredWhereInvalid ensures the flag is a no-op outside
-// IT+transactional-volatile branches (IP gets must keep their refcounts:
-// their data access is privatized, not transactional).
-func TestTxRefOptIgnoredWhereInvalid(t *testing.T) {
-	for _, b := range []Branch{Baseline, IP, IPOnCommit, IT} {
-		c := New(Config{Branch: b, HashPower: 8, TxRefOpt: true})
-		c.Start()
-		w := c.NewWorker()
-		if got := w.txRefOpt(); got {
-			if b != IT { // IT pre-Max has TxVolatiles=false, also invalid
-				t.Errorf("%v: txRefOpt active", b)
-			}
-		}
-		w.Set([]byte("k"), 0, 0, []byte("v"))
-		if _, _, _, ok := w.Get([]byte("k")); !ok {
-			t.Errorf("%v: basic get broken", b)
-		}
-		c.Stop()
-	}
-}
-
 // TestSerializationProfiler exercises the §6 execinfo-style attribution: the
 // observer must name the unsafe operations and the sites that caused
 // serialization.

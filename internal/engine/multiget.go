@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/item"
+	"repro/internal/mcstats"
 )
 
 // GetResult is one key's outcome in a batched multi-get.
@@ -113,8 +114,7 @@ func (w *shardWorker) getMulti(b *GetBuf, keys [][]byte, hvs []uint64, out []Get
 // getBatch runs one bounded group of lookups as a single read-only item
 // transaction and handles the deferred write work afterwards.
 func (w *shardWorker) getBatch(b *GetBuf, keys [][]byte, hvs []uint64, out []GetResult) {
-	now := w.volatileLoad(w.c.CurrentTime)
-	flushAt := w.volatileLoad(w.c.flushBefore)
+	now, flushAt := w.ambientClock()
 
 	b.hits = resize(b.hits, len(keys))
 	b.needTouch = resize(b.needTouch, len(keys))
@@ -132,6 +132,9 @@ func (w *shardWorker) getBatch(b *GetBuf, keys [][]byte, hvs []uint64, out []Get
 		}
 		b.stale = b.stale[:0]
 		b.arena = b.arena[:mark]
+		if w.c.fused {
+			now, flushAt = w.clock(ctx)
+		}
 		for i, k := range keys {
 			it := w.c.tab.Find(ctx, hvs[i], k)
 			if it == nil {
@@ -145,7 +148,7 @@ func (w *shardWorker) getBatch(b *GetBuf, keys [][]byte, hvs []uint64, out []Get
 				continue
 			}
 			// No RefIncr: inside one transaction the refcount round trip is
-			// pure overhead (the §5 TxRefOpt observation) and it would
+			// pure overhead (§5; a fused get drops it too) and it would
 			// upgrade the batch off the read-only fast path. Conflict
 			// detection protects the reads; the deferred touch/unlink
 			// sections below re-check the item's identity before
@@ -181,17 +184,13 @@ func (w *shardWorker) getBatch(b *GetBuf, keys [][]byte, hvs []uint64, out []Get
 	clear(hits)
 	clear(b.stale)
 
-	w.tstat(func(ctx access.Ctx) {
-		ctx.AddWord(w.stats.GetCmds, uint64(len(keys)))
-		var h uint64
-		for i := range out {
-			if out[i].Found {
-				h++
-			}
+	var h uint64
+	for i := range out {
+		if out[i].Found {
+			h++
 		}
-		ctx.AddWord(w.stats.GetHits, h)
-		ctx.AddWord(w.stats.GetMisses, uint64(len(keys))-h)
-	})
+	}
+	w.tstat(mcstats.Aggregated{GetCmds: uint64(len(keys)), GetHits: h, GetMisses: uint64(len(keys)) - h})
 }
 
 // sameEntry reports whether it still holds the linked entry whose CAS id a

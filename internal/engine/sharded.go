@@ -85,10 +85,6 @@ func (c *Cache) shard0() *shard { return c.shards[0] }
 // active (identical on every shard; shard 0 answers).
 func (c *Cache) retryCondSync() bool { return c.shards[0].retryCondSync() }
 
-// txRefOpt reports whether the §5 transactional-refcount optimization is
-// active (identical on every shard).
-func (w *Worker) txRefOpt() bool { return w.ws[0].txRefOpt() }
-
 // shardIndex picks the TM domain for a key hash. The raw hash is FNV-1a,
 // whose prime (0x100000001B3) maps a change in the key's last byte to bits
 // 40+ and 0-8 — bits 32-39 barely move, so routing on any fixed bit range

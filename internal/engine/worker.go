@@ -87,27 +87,64 @@ func (c *shard) newWorker() *shardWorker {
 	return w
 }
 
-// tstat updates this worker's statistics block: a per-thread-lock critical
-// section in lock branches, a small atomic transaction otherwise.
-func (w *shardWorker) tstat(fn func(access.Ctx)) {
-	if !w.c.cfg.tm {
+// tstat adds one command's counts to this worker's statistics block, after
+// the command's item section: a per-thread-lock critical section in lock
+// branches, a small atomic transaction on the paper's transactional
+// structure. On fused branches the block is plain atomics that only this
+// worker increments, so the counts are a direct add — or, when the command
+// ran inside a transaction that stays open (a wire transaction's apply
+// phase), an onCommit handler, so that an aborted attempt counts nothing.
+func (w *shardWorker) tstat(d mcstats.Aggregated) {
+	switch {
+	case !w.c.cfg.tm:
 		w.statsMu.Lock()
-		fn(w.dctx)
+		w.stats.Add(w.dctx, d)
 		w.statsMu.Unlock()
+	case w.c.fused:
+		if tx := w.openTx(); tx != nil {
+			tx.OnCommit(func() { w.stats.Add(w.dctx, d) })
+			return
+		}
+		w.stats.Add(w.dctx, d)
+	default:
+		w.section(domains{}, profile{}, func(ctx access.Ctx) { w.stats.Add(ctx, d) })
+	}
+}
+
+// allBlocks runs fn over the shard's per-thread statistics blocks as a whole
+// (stats reset, the aggregate read): one transaction where the blocks are
+// transactional, direct where they are not (lock branches, fused branches).
+func (w *shardWorker) allBlocks(fn func(ctx access.Ctx, blocks []*mcstats.Thread)) {
+	w.c.mu.Lock()
+	blocks := append([]*mcstats.Thread(nil), w.c.tblocks...)
+	w.c.mu.Unlock()
+	if w.c.fused {
+		fn(w.dctx, blocks)
 		return
 	}
-	w.section(domains{}, profile{}, fn)
+	w.section(domains{}, profile{}, func(ctx access.Ctx) { fn(ctx, blocks) })
 }
 
 // CacheNow reads the volatile clock the way an operation would (a lock incr
 // style read, or a mini-transaction after stage Max).
 func (w *shardWorker) CacheNow() uint64 { return w.volatileLoad(w.c.CurrentTime) }
 
-// txRefOpt reports whether the §5 transactional-refcount optimization is
-// active: only meaningful when item sections are transactions and refcounts
-// are transactional.
-func (w *shardWorker) txRefOpt() bool {
-	return w.c.conf.TxRefOpt && w.c.cfg.itemTx && w.c.cfg.profile.TxVolatiles
+// ambientClock returns current_time and the flush_all watermark as a command
+// reads them before its item section: the two volatile loads of memcached's
+// command path, mini-transactions after stage Max. On fused branches it
+// returns zeros and the item section reads both itself (clock), so they cost
+// no transaction of their own.
+func (w *shardWorker) ambientClock() (now, flushAt uint64) {
+	if w.c.fused {
+		return 0, 0
+	}
+	return w.volatileLoad(w.c.CurrentTime), w.volatileLoad(w.c.flushBefore)
+}
+
+// clock reads current_time and the flush_all watermark through ctx, inside
+// the section that uses them.
+func (w *shardWorker) clock(ctx access.Ctx) (now, flushAt uint64) {
+	return ctx.Volatile(w.c.CurrentTime), ctx.Volatile(w.c.flushBefore)
 }
 
 // expired applies both the item's exptime and the flush_all watermark.
@@ -171,33 +208,46 @@ func (w *shardWorker) unlinkLocked(ctx access.Ctx, it *item.Item) {
 // it to pick this shard, and hashing is the one per-op cost that would
 // otherwise double under sharding. touch makes it the gat command: fetch and
 // update the expiry in one item critical section.
+//
+// On fused branches a get is that one section and nothing else: it reads the
+// clock inside, takes no reference (the copy-out runs in the transaction's
+// snapshot, which commit revalidates), and leaves an expired entry for
+// reclaimStale after the commit, so a plain get commits read-only.
 func (w *shardWorker) get(b *GetBuf, hv uint64, key []byte, touch bool, exptime uint64) (val []byte, flags uint32, cas uint64, found bool) {
-	now := w.volatileLoad(w.c.CurrentTime)
-	flushAt := w.volatileLoad(w.c.flushBefore)
+	fused := w.c.fused
+	now, flushAt := w.ambientClock()
 
 	var hit *item.Item
 	var needTouch bool
+	var stale staleItem
 	mark := len(b.arena)
 
 	body := func(ctx access.Ctx) {
 		// Reset outputs: a transactional context may retry this closure, and
 		// a value an aborted attempt copied out must not stay in the arena.
 		val, flags, cas, found = nil, 0, 0, false
-		hit, needTouch = nil, false
+		hit, needTouch, stale = nil, false, staleItem{}
 		b.arena = b.arena[:mark]
+		if fused {
+			now, flushAt = w.clock(ctx)
+		}
 
 		it := w.c.tab.Find(ctx, hv, key)
 		if it == nil {
 			return
 		}
 		if w.expired(ctx, it, now, flushAt) {
+			if fused {
+				stale = staleItem{it, ctx.Word(&it.CasID)}
+				return
+			}
 			w.section(domains{cache: true}, profile{volatiles: true, libc: true, site: "do_item_unlink"}, func(cctx access.Ctx) {
 				w.unlinkLocked(cctx, it)
 			})
 			w.gstat(func(g access.Ctx) { g.AddWord(w.c.gstats.Expired, 1) })
 			return
 		}
-		if !w.txRefOpt() {
+		if !fused {
 			if w.c.cfg.itemTx {
 				it.RefIncr(ctx)
 			} else {
@@ -226,30 +276,31 @@ func (w *shardWorker) get(b *GetBuf, hv uint64, key []byte, touch bool, exptime 
 		// IT: the item critical section is one transaction (Figure 1b). Its
 		// first operation is a Find, which reads the volatile expansion flag,
 		// and it calls memcmp/memcpy — the unsafe profile pre-Max/pre-Lib.
-		w.section(domains{cache: true}, profile{volatiles: true, volatileFirst: true, libc: true, site: "item_get"}, body)
+		// Fused, a get that does not touch writes nothing.
+		w.section(domains{cache: true}, profile{volatiles: true, volatileFirst: true, libc: true, ro: fused && !touch, site: "item_get"}, body)
 	} else {
 		w.itemLock(hv)
 		body(w.dctx)
 		w.itemUnlock(hv)
 	}
 
+	if stale.it != nil {
+		w.reclaimStale(stale.it, stale.cas)
+	}
 	if hit != nil {
 		if needTouch {
 			w.touchHit(hit, cas, now)
 		}
-		if !w.txRefOpt() {
+		if !fused {
 			w.releaseRef(hit)
 		}
 	}
 
-	w.tstat(func(ctx access.Ctx) {
-		ctx.AddWord(w.stats.GetCmds, 1)
-		if found {
-			ctx.AddWord(w.stats.GetHits, 1)
-		} else {
-			ctx.AddWord(w.stats.GetMisses, 1)
-		}
-	})
+	d := mcstats.Aggregated{GetCmds: 1, GetMisses: 1}
+	if found {
+		d.GetHits, d.GetMisses = 1, 0
+	}
+	w.tstat(d)
 	return val, flags, cas, found
 }
 
@@ -293,18 +344,20 @@ func (w *shardWorker) CAS(key []byte, flags uint32, exptime uint64, value []byte
 // size of what they store only from the old item, so they allocate inside
 // do_store_item, as memcached does.
 func (w *shardWorker) store(mode StoreMode, hv uint64, key []byte, flags uint32, exptime uint64, value []byte, casUnique uint64) StoreResult {
-	now := w.volatileLoad(w.c.CurrentTime)
-	flushAt := w.volatileLoad(w.c.flushBefore)
+	now, flushAt := w.ambientClock()
 	res := NotStored
 	concat := mode == ModeAppend || mode == ModePrepend
 
 	var newIt *item.Item
 	if !concat {
-		newIt, res = w.allocItem(key, hv, flags, exptime, value, flushAt)
+		newIt, res = w.allocItem(key, hv, flags, exptime, value)
 	}
 
 	body := func(ictx access.Ctx) {
 		res = NotStored
+		if w.c.fused {
+			now, flushAt = w.clock(ictx)
+		}
 		old := w.c.tab.Find(ictx, hv, key)
 		if old != nil && w.expired(ictx, old, now, flushAt) {
 			w.section(domains{cache: true}, profile{volatiles: true, libc: true, site: "do_item_unlink"}, func(cctx access.Ctx) {
@@ -322,7 +375,6 @@ func (w *shardWorker) store(mode StoreMode, hv uint64, key []byte, flags uint32,
 			res = NotFound
 		case mode == ModeCAS && ictx.Word(&old.CasID) != casUnique:
 			res = Exists
-			w.tstat(func(ctx access.Ctx) { ctx.AddWord(w.stats.CasBadval, 1) })
 		case concat:
 			// Assemble the new value from the old item's data — the memcpy
 			// from shared memory that needs tm_memcpy (§3.4).
@@ -335,7 +387,7 @@ func (w *shardWorker) store(mode StoreMode, hv uint64, key []byte, flags uint32,
 				copy(buf, value)
 				ictx.MemcpyOut(buf[len(value):], old.Buf(), old.DataOff(), oldN)
 			}
-			if it, res = w.allocItem(key, hv, old.Flags, ictx.Word(&old.Exptime), buf, flushAt); it != nil {
+			if it, res = w.allocItem(key, hv, old.Flags, ictx.Word(&old.Exptime), buf); it != nil {
 				w.linkItem(old, it)
 				res = Stored
 			}
@@ -361,22 +413,24 @@ func (w *shardWorker) store(mode StoreMode, hv uint64, key []byte, flags uint32,
 		}
 	}
 
-	w.tstat(func(ctx access.Ctx) {
-		ctx.AddWord(w.stats.SetCmds, 1)
-		if mode == ModeCAS {
-			switch res {
-			case Stored:
-				ctx.AddWord(w.stats.CasHits, 1)
-			case NotFound:
-				ctx.AddWord(w.stats.CasMiss, 1)
-			}
+	d := mcstats.Aggregated{SetCmds: 1}
+	if mode == ModeCAS {
+		switch res {
+		case Stored:
+			d.CasHits = 1
+		case NotFound:
+			d.CasMiss = 1
+		case Exists:
+			d.CasBadval = 1
 		}
-	})
+	}
+	w.tstat(d)
 	return res
 }
 
 // allocItem is do_item_alloc: the cache+slabs critical section whose first
-// operation reads the volatile current_time and which builds the item suffix
+// operation reads the volatile current_time (and the flush_all watermark,
+// which decides whether an LRU-tail victim is expired) and which builds the item suffix
 // with snprintf — relaxed and start-serial pre-Max, in-flight serial pre-Lib
 // (§3.3). On memory pressure it evicts from the LRU tail. It returns the
 // chunk filled with the entry and holding the creator's reference, or nil
@@ -390,7 +444,7 @@ func (w *shardWorker) store(mode StoreMode, hv uint64, key []byte, flags uint32,
 // (the privatization-safety quiescence of stm, here the grace period of chunk
 // reuse). When the section is nested in a transaction that stays open there
 // is no such point, so it takes a chunk that was never shared (AllocNew).
-func (w *shardWorker) allocItem(key []byte, hv uint64, flags uint32, exptime uint64, val []byte, flushAt uint64) (*item.Item, StoreResult) {
+func (w *shardWorker) allocItem(key []byte, hv uint64, flags uint32, exptime uint64, val []byte) (*item.Item, StoreResult) {
 	cls, err := w.c.slabs.ClassFor(item.SizeFor(len(key), len(val)))
 	if err != nil {
 		return nil, TooLarge
@@ -402,7 +456,7 @@ func (w *shardWorker) allocItem(key []byte, hv uint64, flags uint32, exptime uin
 	var it *item.Item
 	var suffixLen int
 	w.section(domains{cache: true, slabs: true}, profile{volatiles: true, volatileFirst: true, libc: true, io: true, site: "do_item_alloc"}, func(ctx access.Ctx) {
-		allocNow := ctx.Volatile(w.c.CurrentTime)
+		allocNow, flushAt := w.clock(ctx)
 		if it = alloc(ctx, cls); it == nil {
 			if !w.evictOne(ctx, cls, allocNow, flushAt) {
 				return
@@ -492,12 +546,14 @@ func (w *shardWorker) Delete(key []byte) bool {
 }
 
 func (w *shardWorker) del(hv uint64, key []byte) bool {
-	now := w.volatileLoad(w.c.CurrentTime)
-	flushAt := w.volatileLoad(w.c.flushBefore)
+	now, flushAt := w.ambientClock()
 	found := false
 
 	body := func(ictx access.Ctx) {
 		found = false
+		if w.c.fused {
+			now, flushAt = w.clock(ictx)
+		}
 		it := w.c.tab.Find(ictx, hv, key)
 		if it == nil {
 			return
@@ -517,13 +573,11 @@ func (w *shardWorker) del(hv uint64, key []byte) bool {
 		w.itemUnlock(hv)
 	}
 
-	w.tstat(func(ctx access.Ctx) {
-		if found {
-			ctx.AddWord(w.stats.DeleteHits, 1)
-		} else {
-			ctx.AddWord(w.stats.DeleteMiss, 1)
-		}
-	})
+	if found {
+		w.tstat(mcstats.Aggregated{DeleteHits: 1})
+	} else {
+		w.tstat(mcstats.Aggregated{DeleteMiss: 1})
+	}
 	return found
 }
 
@@ -540,13 +594,15 @@ func (w *shardWorker) Decr(key []byte, delta uint64) (uint64, DeltaResult) {
 }
 
 func (w *shardWorker) delta(hv uint64, key []byte, delta uint64, decr bool) (uint64, DeltaResult) {
-	now := w.volatileLoad(w.c.CurrentTime)
-	flushAt := w.volatileLoad(w.c.flushBefore)
+	now, flushAt := w.ambientClock()
 	var out uint64
 	res := DeltaNotFound
 
 	body := func(ictx access.Ctx) {
 		out, res = 0, DeltaNotFound
+		if w.c.fused {
+			now, flushAt = w.clock(ictx)
+		}
 		it := w.c.tab.Find(ictx, hv, key)
 		if it == nil || w.expired(ictx, it, now, flushAt) {
 			return
@@ -577,7 +633,7 @@ func (w *shardWorker) delta(hv uint64, key []byte, delta uint64, decr bool) (uin
 			})
 		} else {
 			var text [20]byte
-			repl, _ := w.allocItem(key, hv, it.Flags, ictx.Word(&it.Exptime), appendUint(text[:0], v), flushAt)
+			repl, _ := w.allocItem(key, hv, it.Flags, ictx.Word(&it.Exptime), appendUint(text[:0], v))
 			if repl == nil {
 				return
 			}
@@ -596,13 +652,11 @@ func (w *shardWorker) delta(hv uint64, key []byte, delta uint64, decr bool) (uin
 		w.itemUnlock(hv)
 	}
 
-	w.tstat(func(ctx access.Ctx) {
-		if res == DeltaOK {
-			ctx.AddWord(w.stats.IncrHits, 1)
-		} else {
-			ctx.AddWord(w.stats.IncrMiss, 1)
-		}
-	})
+	if res == DeltaOK {
+		w.tstat(mcstats.Aggregated{IncrHits: 1})
+	} else {
+		w.tstat(mcstats.Aggregated{IncrMiss: 1})
+	}
 	return out, res
 }
 
@@ -636,11 +690,13 @@ func (w *shardWorker) Touch(key []byte, exptime uint64) bool {
 }
 
 func (w *shardWorker) touch(hv uint64, key []byte, exptime uint64) bool {
-	now := w.volatileLoad(w.c.CurrentTime)
-	flushAt := w.volatileLoad(w.c.flushBefore)
+	now, flushAt := w.ambientClock()
 	found := false
 	body := func(ictx access.Ctx) {
 		found = false
+		if w.c.fused {
+			now, flushAt = w.clock(ictx)
+		}
 		it := w.c.tab.Find(ictx, hv, key)
 		if it == nil || w.expired(ictx, it, now, flushAt) {
 			return
@@ -655,7 +711,7 @@ func (w *shardWorker) touch(hv uint64, key []byte, exptime uint64) bool {
 		body(w.dctx)
 		w.itemUnlock(hv)
 	}
-	w.tstat(func(ctx access.Ctx) { ctx.AddWord(w.stats.TouchCmds, 1) })
+	w.tstat(mcstats.Aggregated{TouchCmds: 1})
 	return found
 }
 
@@ -698,18 +754,9 @@ type Snapshot struct {
 // shard would wipe other shards' post-reset events, and its lifecycle is
 // independent of any one runtime's tracing state).
 func (w *shardWorker) ResetStats() {
-	w.c.mu.Lock()
-	blocks := append([]*mcstats.Thread(nil), w.c.tblocks...)
-	w.c.mu.Unlock()
-	w.section(domains{}, profile{}, func(ctx access.Ctx) {
+	w.allBlocks(func(ctx access.Ctx, blocks []*mcstats.Thread) {
 		for _, b := range blocks {
-			for _, word := range []*stm.TWord{
-				b.GetCmds, b.GetHits, b.GetMisses, b.SetCmds,
-				b.DeleteHits, b.DeleteMiss, b.IncrHits, b.IncrMiss,
-				b.CasHits, b.CasMiss, b.CasBadval, b.TouchCmds, b.Expired,
-			} {
-				ctx.SetWord(word, 0)
-			}
+			b.Reset(ctx)
 		}
 	})
 	w.gstat(func(g access.Ctx) {
@@ -765,15 +812,11 @@ func (w *shardWorker) SlabStats() []SlabClassStat {
 	return out
 }
 
-// Stats aggregates per-thread blocks (taking each per-thread lock, or one
-// transaction) and reads the global counters under the stats lock.
+// Stats aggregates the per-thread blocks (see allBlocks) and reads the global
+// counters under the stats lock.
 func (w *shardWorker) Stats() Snapshot {
 	var s Snapshot
-	w.c.mu.Lock()
-	blocks := append([]*mcstats.Thread(nil), w.c.tblocks...)
-	w.c.mu.Unlock()
-
-	w.section(domains{}, profile{}, func(ctx access.Ctx) {
+	w.allBlocks(func(ctx access.Ctx, blocks []*mcstats.Thread) {
 		s.Aggregated = mcstats.Aggregate(ctx, blocks)
 	})
 	w.section(domains{cache: true, stats: true}, profile{volatiles: true}, func(ctx access.Ctx) {

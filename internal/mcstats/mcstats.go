@@ -103,9 +103,8 @@ func NewThread() *Thread {
 	}
 }
 
-// Aggregate sums the per-thread blocks into a plain snapshot, reading each
-// block under ctx (memcached's threadlocal_stats_aggregate takes every
-// per-thread lock; transactional branches read inside a transaction).
+// Aggregated is the per-thread counters as plain values: the sum Aggregate
+// reads over every block, or one command's counts that Thread.Add applies.
 type Aggregated struct {
 	GetCmds, GetHits, GetMisses uint64
 	SetCmds                     uint64
@@ -115,7 +114,44 @@ type Aggregated struct {
 	TouchCmds, Expired          uint64
 }
 
-// Aggregate folds ts into a snapshot via c.
+// Add adds d's nonzero counts to t via c. A zero count is no access at all,
+// so a transactional update writes exactly the counters the command moved.
+func (t *Thread) Add(c access.Ctx, d Aggregated) {
+	addNonzero(c, t.GetCmds, d.GetCmds)
+	addNonzero(c, t.GetHits, d.GetHits)
+	addNonzero(c, t.GetMisses, d.GetMisses)
+	addNonzero(c, t.SetCmds, d.SetCmds)
+	addNonzero(c, t.DeleteHits, d.DeleteHits)
+	addNonzero(c, t.DeleteMiss, d.DeleteMiss)
+	addNonzero(c, t.IncrHits, d.IncrHits)
+	addNonzero(c, t.IncrMiss, d.IncrMiss)
+	addNonzero(c, t.CasHits, d.CasHits)
+	addNonzero(c, t.CasMiss, d.CasMiss)
+	addNonzero(c, t.CasBadval, d.CasBadval)
+	addNonzero(c, t.TouchCmds, d.TouchCmds)
+	addNonzero(c, t.Expired, d.Expired)
+}
+
+func addNonzero(c access.Ctx, w *stm.TWord, n uint64) {
+	if n != 0 {
+		c.AddWord(w, n)
+	}
+}
+
+// Reset zeroes every counter of t via c ("stats reset").
+func (t *Thread) Reset(c access.Ctx) {
+	for _, w := range [...]*stm.TWord{
+		t.GetCmds, t.GetHits, t.GetMisses, t.SetCmds,
+		t.DeleteHits, t.DeleteMiss, t.IncrHits, t.IncrMiss,
+		t.CasHits, t.CasMiss, t.CasBadval, t.TouchCmds, t.Expired,
+	} {
+		c.SetWord(w, 0)
+	}
+}
+
+// Aggregate sums the per-thread blocks into a plain snapshot, reading each
+// block under c (memcached's threadlocal_stats_aggregate takes every
+// per-thread lock; transactional branches read inside a transaction).
 func Aggregate(c access.Ctx, blocks []*Thread) Aggregated {
 	var a Aggregated
 	for _, t := range blocks {
