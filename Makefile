@@ -51,17 +51,22 @@ race:
 # torture harness (TestTortureRecycle, the chunk-reuse run on all 14 branches,
 # matches the pattern) and the Retry-driven maintenance threads — five times at
 # GOMAXPROCS 1 and 2: the it-nolock accounting damage of ROADMAP item 1 only
-# ever showed on the second P, and only about one run in ten. The seeded-bug
-# case is apart: make mutants.
+# ever showed on the second P, and only about one run in ten — and the stm
+# torn-read test, whose writers and readers race on a multi-stripe buffer. The
+# seeded-bug cases are apart: make mutants.
 stress:
 	$(GO) test -count=5 -cpu 1,2 -run 'Torture|RetryCondSync' ./internal/engine ./internal/server
+	$(GO) test -count=5 -cpu 1,2 -run 'TBytesConcurrentWriters' ./internal/stm
 
-# mutants runs the seeded bugs the torture suite must catch, and fails unless
-# every seed catches them: the recycle mutant lets an allocation nested in an
-# open transaction fill a recycled chunk in place. Fused gets take no
-# reference, so this chunk-reuse oracle is what guards their path.
+# mutants runs the seeded bugs the test suites must catch, and fails unless
+# every seed or run catches them: the recycle mutant lets an allocation nested
+# in an open transaction fill a recycled chunk in place (fused gets take no
+# reference, so this chunk-reuse oracle is what guards their path); the
+# resample mutant keeps a stripe copy although its orec moved during the copy,
+# which the stm torn-read test must see.
 mutants:
 	$(GO) test -count=1 -run TortureRecycleMutant ./internal/engine -torture.mutant
+	$(GO) test -count=1 -run StripeResampleMutant ./internal/stm -stm.mutant
 
 # torture-smoke runs the seeded fault-injection harness in its shrunken
 # (-torture.short) form. The flag is registered per test package, so only the

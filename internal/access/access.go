@@ -68,7 +68,6 @@ type Ctx interface {
 	Memcmp(s *stm.TBytes, off int, local []byte) int
 	MemcpyOut(dst []byte, s *stm.TBytes, off, n int)
 	MemcpyIn(dst *stm.TBytes, off int, src []byte)
-	MemcpyTB(dst *stm.TBytes, doff int, src *stm.TBytes, soff, n int)
 	Strtoull(s *stm.TBytes, off, n int) (uint64, int)
 	FormatSuffix(dst *stm.TBytes, off int, flags uint32, n int) int
 	FormatUint(dst *stm.TBytes, off int, v uint64) int
@@ -179,17 +178,6 @@ func (DirectCtx) MemcpyOut(dst []byte, s *stm.TBytes, off, n int) { s.ReadAtDire
 
 // MemcpyIn copies a private buffer into shared bytes.
 func (DirectCtx) MemcpyIn(dst *stm.TBytes, off int, src []byte) { dst.WriteAtDirect(off, src) }
-
-// MemcpyTB copies between shared buffers, a stack buffer's worth at a time.
-func (c DirectCtx) MemcpyTB(dst *stm.TBytes, doff int, src *stm.TBytes, soff, n int) {
-	var stack [256]byte
-	for n > 0 {
-		buf := stack[:min(n, len(stack))]
-		src.ReadAtDirect(buf, soff)
-		dst.WriteAtDirect(doff, buf)
-		doff, soff, n = doff+len(buf), soff+len(buf), n-len(buf)
-	}
-}
 
 // Strtoull parses an unsigned integer out of shared bytes.
 func (c DirectCtx) Strtoull(s *stm.TBytes, off, n int) (uint64, int) {
@@ -308,12 +296,6 @@ func (c TxCtx) MemcpyOut(dst []byte, s *stm.TBytes, off, n int) {
 func (c TxCtx) MemcpyIn(dst *stm.TBytes, off int, src []byte) {
 	c.libcGate("memcpy")
 	tmlib.MemcpyFromLocal(c.T, dst, off, src)
-}
-
-// MemcpyTB is tm_memcpy between shared buffers.
-func (c TxCtx) MemcpyTB(dst *stm.TBytes, doff int, src *stm.TBytes, soff, n int) {
-	c.libcGate("memcpy")
-	tmlib.Memcpy(c.T, dst, doff, src, soff, n)
 }
 
 // Strtoull is the marshaling-based safe strtoull after stage Lib.

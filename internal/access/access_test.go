@@ -70,11 +70,6 @@ func TestDirectCtxLibc(t *testing.T) {
 	if got := dst.Bytes()[2:5]; !bytes.Equal(got, []byte("abc")) {
 		t.Errorf("MemcpyIn = %q", got)
 	}
-	src := stm.NewTBytesFrom([]byte("0123456789"))
-	c.MemcpyTB(dst, 0, src, 5, 3)
-	if got := dst.Bytes()[:3]; !bytes.Equal(got, []byte("567")) {
-		t.Errorf("MemcpyTB = %q", got)
-	}
 	v, n := c.Strtoull(stm.NewTBytesFrom([]byte("321x")), 0, 4)
 	if v != 321 || n != 3 {
 		t.Errorf("Strtoull = (%d,%d)", v, n)
@@ -202,10 +197,9 @@ func TestTxCtxLibcWriters(t *testing.T) {
 	rt := stm.New(stm.Config{})
 	prof := Profile{TxVolatiles: true, SafeLibc: true, OnCommitIO: true}
 	dst := stm.NewTBytes(32)
-	src := stm.NewTBytesFrom([]byte("abcdefgh"))
 	err := runTx(t, rt, stm.Atomic, prof, func(c TxCtx) {
 		c.MemcpyIn(dst, 0, []byte("XY"))
-		c.MemcpyTB(dst, 2, src, 0, 4)
+		c.MemcpyIn(dst, 2, []byte("abcd"))
 		n := c.FormatUint(dst, 6, 99)
 		if n != 2 {
 			t.Errorf("FormatUint n = %d", n)

@@ -180,3 +180,37 @@ func TestMultiGetTouchesLRU(t *testing.T) {
 		t.Fatalf("Validate after touch: %v", err)
 	}
 }
+
+// BenchmarkGetMulti times one 24-key get of 256-byte values on it-oncommit
+// over 50 000 keys, the command multiget_text sends (EXPERIMENTS.md quotes it
+// against the parent commit). Most of it is the value copies out of the
+// items' buffers, so it prices the TBytes read barrier.
+func BenchmarkGetMulti(b *testing.B) {
+	c := New(Config{Branch: ITOnCommit, MemLimit: 64 << 20})
+	c.Start()
+	defer c.Stop()
+	w := c.NewWorker()
+	const nkeys = 50000
+	keys := make([][]byte, nkeys)
+	val := bytes.Repeat([]byte("v"), 256)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "key:%08d", i)
+		w.Set(keys[i], 0, 0, val)
+	}
+	batch := make([][]byte, 24)
+	x := uint64(0x9E3779B97F4A7C15)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range batch {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			batch[j] = keys[x%nkeys]
+		}
+		for _, r := range w.GetMulti(batch) {
+			if !r.Found {
+				b.Fatal("miss")
+			}
+		}
+	}
+}

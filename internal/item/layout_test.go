@@ -10,9 +10,10 @@ import (
 )
 
 // TestLayout pins what the rest of the system relies on in the flat item:
-// regions at word-aligned offsets (the library calls are word-granular only
-// from an aligned offset), a key/suffix/data round trip through them, and the
-// per-field conflict labels `stats conflicts` has always printed.
+// regions at word-aligned offsets (no two regions share a word, so writing
+// one never rewrites another's bytes), a key/suffix/data round trip through
+// them, and the per-field conflict labels `stats conflicts` has always
+// printed.
 func TestLayout(t *testing.T) {
 	for _, keyLen := range []int{1, 7, 8, 9, 16, 250} {
 		key := make([]byte, keyLen)

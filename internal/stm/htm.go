@@ -13,8 +13,8 @@ import "runtime"
 //
 //   - speculation is free of per-access bookkeeping costs in real hardware;
 //     here it reuses the orec machinery for conflict detection but imposes a
-//     CAPACITY limit (HTMCapacity locations) — exceeding it is a capacity
-//     abort, the defining limitation of real HTM;
+//     CAPACITY limit (HTMCapacity tracked lines, see htmFootprint) —
+//     exceeding it is a capacity abort, the defining limitation of real HTM;
 //   - a hardware transaction does not acquire the serial lock; it SUBSCRIBES
 //     to it: the lock's acquisition sequence number is read at begin and
 //     re-checked at commit, so any serialized transaction in between aborts
@@ -36,9 +36,13 @@ const (
 // the capacity.
 type htmCapacitySignal struct{}
 
-// htmFootprint returns the transaction's current location footprint.
+// htmFootprint returns the transaction's current footprint in tracked lines:
+// one per read-set entry (a word, a pointer cell, or a whole 64-byte TBytes
+// stripe — the cache line RTM tracks) and one per orec written. The undo log
+// is not counted: every entry in it lies on a line an owned orec already
+// covers.
 func (tx *Tx) htmFootprint() int {
-	return len(tx.reads) + len(tx.owned) + len(tx.undoW) + len(tx.undoP)
+	return len(tx.reads) + len(tx.owned)
 }
 
 // htmCheckCapacity aborts with a capacity signal when the footprint exceeds

@@ -180,7 +180,7 @@ type Config struct {
 	NoQuiesce bool
 	// OrecBits sizes the orec table at 1<<OrecBits entries (default 16).
 	OrecBits int
-	// HTMCapacity bounds the location footprint of an emulated hardware
+	// HTMCapacity bounds the footprint (tracked lines) of an emulated hardware
 	// transaction (default 64); exceeding it is a capacity abort.
 	HTMCapacity int
 	// HTMRetries is how many aborts an emulated hardware transaction takes
@@ -296,6 +296,11 @@ type Runtime struct {
 	// approximations; see obs.go.
 	owners      atomic.Pointer[[]atomic.Pointer[string]]
 	serialOwner atomic.Pointer[string]
+
+	// skipResample seeds the mutant of TestStripeResampleMutant: orecLoad
+	// keeps what it copied even when the orec moved during the copy. Only the
+	// package's tests set it.
+	skipResample bool
 
 	watchStop chan struct{}
 	watchWG   sync.WaitGroup

@@ -3,7 +3,9 @@ package stm
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -599,55 +601,139 @@ func TestTBytesByteOpsQuick(t *testing.T) {
 	}
 }
 
-func TestTBytesConcurrentWriters(t *testing.T) {
-	forEachAlg(t, func(t *testing.T, rt *Runtime) {
-		// Each goroutine repeatedly overwrites the whole buffer with its own
-		// fill byte inside one transaction; readers must never observe a mix.
-		tb := NewTBytesFrom(bytes.Repeat([]byte{'z'}, 64))
-		var writers sync.WaitGroup
-		for g := 0; g < 3; g++ {
-			fill := byte('a' + g)
-			writers.Add(1)
-			go func() {
-				defer writers.Done()
-				th := rt.NewThread()
-				buf := bytes.Repeat([]byte{fill}, 64)
-				for i := 0; i < 300; i++ {
-					mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-						tb.WriteAll(tx, buf)
-					})
-				}
-			}()
-		}
-		stop := make(chan struct{})
-		var reader sync.WaitGroup
-		reader.Add(1)
+// tornBufLen spans four stripes, the last one partial.
+const tornBufLen = 3*StripeBytes + 8
+
+// tornReads runs three writers, each overwriting the whole of a multi-stripe
+// buffer with one fill byte in one transaction (a new byte every time),
+// beside a read-only and a read-write reader that copy it out from a word
+// offset inside the first stripe (and from an unaligned byte offset), and
+// returns how many committed reads saw a mix of fills. Each writer commits
+// at least writes transactions and keeps writing until the readers have
+// committed writes copies; with stopOnTorn the run ends at the first torn
+// read instead.
+func tornReads(t *testing.T, rt *Runtime, writes int, stopOnTorn bool) int64 {
+	t.Helper()
+	tb := NewTBytesFrom(bytes.Repeat([]byte{'z'}, tornBufLen))
+	var torn, reads atomic.Int64
+	done := make(chan struct{})
+	var stopOnce sync.Once
+	stop := func() { stopOnce.Do(func() { close(done) }) }
+	var writers sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		writers.Add(1)
 		go func() {
-			defer reader.Done()
+			defer writers.Done()
 			th := rt.NewThread()
-			dst := make([]byte, 64)
-			for {
+			buf := make([]byte, tornBufLen)
+			for i := 0; i < writes || reads.Load() < int64(writes); i++ {
 				select {
-				case <-stop:
+				case <-done:
 					return
 				default:
 				}
+				for j := range buf {
+					buf[j] = byte(g + 3*i) // no two consecutive commits write the same fill
+				}
 				mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-					tb.ReadAll(tx, dst)
+					tb.WriteAll(tx, buf)
 				})
-				first := dst[0]
-				for _, c := range dst {
-					if c != first {
-						t.Errorf("torn read: %q", dst)
-						return
+			}
+		}()
+	}
+	var readers sync.WaitGroup
+	for _, ro := range []bool{true, false} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			th := rt.NewThread()
+			dst := make([]byte, tornBufLen)
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				off := 3 * 8 // word 3: inside stripe 0, not on its boundary
+				if i%2 == 1 {
+					off = 13
+				}
+				got := dst[:tornBufLen-off]
+				mustRun(t, th, Props{Kind: Atomic, ReadOnly: ro}, func(tx *Tx) {
+					tb.ReadAt(tx, got, off)
+				})
+				reads.Add(1)
+				if bytes.Count(got, got[:1]) != len(got) {
+					if torn.Add(1) == 1 {
+						t.Logf("torn read (read-only %v) from offset %d: %q", ro, off, got)
+					}
+					if stopOnTorn {
+						stop()
 					}
 				}
 			}
 		}()
-		writers.Wait()
-		close(stop)
-		reader.Wait()
-	})
+	}
+	writers.Wait()
+	stop()
+	readers.Wait()
+	return torn.Load()
+}
+
+// delayedReads returns a runtime whose read barriers yield to the scheduler
+// half the time; in a stripe barrier that is between the orec's first sample
+// and the copy, the window a writer must hit to tear a read.
+func delayedReads(alg Algorithm, seed uint64) *Runtime {
+	in := fault.New(seed)
+	in.Set(fault.STMReadDelay, 0.5)
+	return New(Config{Algorithm: alg, Fault: in})
+}
+
+// TestTBytesConcurrentWriters: readers of a multi-stripe buffer, read-only
+// and read-write, never commit a copy that mixes two writers' fills, on every
+// algorithm, with and without delays injected into the read barriers.
+func TestTBytesConcurrentWriters(t *testing.T) {
+	for _, alg := range algorithms {
+		runs := []*Runtime{New(Config{Algorithm: alg})}
+		if alg != SerialAlg { // serial readers run alone: nothing to widen
+			runs = append(runs, delayedReads(alg, 1))
+		}
+		for _, rt := range runs {
+			name := alg.String()
+			if rt.cfg.Fault != nil {
+				name += "/delayed"
+			}
+			t.Run(name, func(t *testing.T) {
+				if n := tornReads(t, rt, 300, false); n != 0 {
+					t.Errorf("%d torn reads", n)
+				}
+			})
+		}
+	}
+}
+
+// stmMutant runs the seeded-bug cases, which are expected to FAIL the
+// torn-read check and are therefore skipped by default:
+//
+//	go test -run StripeResampleMutant ./internal/stm -stm.mutant
+var stmMutant = flag.Bool("stm.mutant", false, "run the mutation cases (seeded bugs the stm tests must catch)")
+
+// TestStripeResampleMutant seeds the bug the stripe barrier's second orec
+// sample exists to prevent — a copy kept although a writer moved the orec
+// while it ran — and requires TestTBytesConcurrentWriters' check, with
+// delayed reads, to catch it in every one of several runs, on MLWT (whose
+// read-write readers commit without revalidating what they read).
+func TestStripeResampleMutant(t *testing.T) {
+	if !*stmMutant {
+		t.Skip("mutation case: run with -stm.mutant")
+	}
+	for run := 0; run < 5; run++ {
+		rt := delayedReads(MLWT, uint64(run)+1)
+		rt.skipResample = true
+		if tornReads(t, rt, 1_000_000, true) == 0 {
+			t.Errorf("run %d: copies kept across an orec change went unnoticed", run)
+		}
+	}
 }
 
 func TestStatsSubAndRatios(t *testing.T) {

@@ -47,7 +47,7 @@ func (t *TAny) Label(l txobs.Label) *TAny {
 	return t
 }
 
-// Label tags every word of the buffer for conflict attribution (see
+// Label tags every stripe of the buffer for conflict attribution (see
 // TWord.Label).
 func (t *TBytes) Label(l txobs.Label) *TBytes {
 	t.baseID = labeled(t.baseID, l)
@@ -183,10 +183,26 @@ func (t *TAny) LoadDirect() any { return t.c.LoadDirect().v }
 // StoreDirect writes the value outside any transaction.
 func (t *TAny) StoreDirect(v any) { t.c.StoreDirect(&box{v: v}) }
 
-// TBytes is a transactional byte buffer, stored as 64-bit words so that the
-// word-granular barriers (and the word-vs-byte logging costs the paper
-// discusses for memcpy under buffered-update algorithms) are faithfully
-// reproduced. Length is fixed at creation, like a C allocation. Create with
+// StripeBytes is the width of a TBytes stripe: the bytes that share one
+// location id, and so one orec. It is a cache line, which is also what the
+// emulated HTM counts one footprint entry for.
+const StripeBytes = 64
+
+const stripeWords = StripeBytes / 8
+
+// TBytes is a transactional byte buffer, stored as 64-bit words and
+// barriered in 64-byte stripes. Word i has location id baseID + i/8, so the
+// eight words of a stripe share one orec, as a block of addresses shares one
+// orec in GCC's libitm. The range accessors ReadAt and WriteAt — and through
+// them tm_memcpy and tm_memcmp in tmlib — take one barrier per stripe the
+// range touches, as libitm's ml_wt memtransfer barrier walks the orecs that
+// cover a memcpy once: under MLWT, HTM and read-only Lazy a stripe costs one
+// orec sample before and one after the copy, one read-set entry, and on the
+// write side one orec acquisition (the undo log stays per word). Lazy
+// read-write and NOrec still log every word of the range in their value and
+// redo logs, which is the word-vs-byte logging cost the paper measures for
+// memcpy under buffered-update algorithms; TML checks its sequence lock per
+// word. Length is fixed at creation, like a C allocation. Create with
 // NewTBytes, or embed it by value and call Init.
 type TBytes struct {
 	baseID uint64
@@ -201,8 +217,9 @@ func NewTBytes(n int) *TBytes {
 	return t
 }
 
-// Init makes an embedded buffer usable in place: n zero bytes whose words
-// take the (n+7)/8 ids starting at baseID (see TWord.Init).
+// Init makes an embedded buffer usable in place: n zero bytes drawing on the
+// (n+7)/8 ids starting at baseID — one per word, of which the stripes use the
+// first (n+63)/64 (see TWord.Init).
 func (t *TBytes) Init(baseID uint64, l txobs.Label, n int) {
 	t.baseID = labeled(baseID, l)
 	t.n = n
@@ -218,21 +235,25 @@ func NewTBytesFrom(src []byte) *TBytes {
 	return t
 }
 
-// LabelOf returns the label conflicts on this buffer's words are attributed
-// to.
+// LabelOf returns the label conflicts on this buffer's stripes are
+// attributed to.
 func (t *TBytes) LabelOf() txobs.Label { return labelOf(t.baseID) }
 
 // Len returns the buffer length in bytes.
 func (t *TBytes) Len() int { return t.n }
 
-// LoadWord reads word i (8 bytes) inside tx.
+// stripeID is the location id of the stripe holding byte off.
+func (t *TBytes) stripeID(off int) uint64 { return t.baseID + uint64(off/StripeBytes) }
+
+// LoadWord reads word i (8 bytes) inside tx, through the barrier of its
+// stripe.
 func (t *TBytes) LoadWord(tx *Tx, i int) uint64 {
-	return tx.loadWord(t.baseID+uint64(i), &t.words[i])
+	return tx.loadWord(t.stripeID(8*i), &t.words[i])
 }
 
 // StoreWord writes word i inside tx.
 func (t *TBytes) StoreWord(tx *Tx, i int, v uint64) {
-	tx.storeWord(t.baseID+uint64(i), &t.words[i], v)
+	tx.storeWord(t.stripeID(8*i), &t.words[i], v)
 }
 
 // Words returns the number of 64-bit words backing the buffer.
@@ -258,36 +279,75 @@ func (t *TBytes) SetByteAt(tx *Tx, i int, b byte) {
 	t.StoreWord(tx, i/8, w)
 }
 
+// stripeSpan returns the part of [off, end) that lies in off's stripe, as the
+// byte offset lo of its first word, the end e of the part, and the byte
+// offset hi past its last word.
+func stripeSpan(off, end int) (lo, e, hi int) {
+	e = min(end, off-off%StripeBytes+StripeBytes)
+	return off &^ 7, e, (e + 7) &^ 7
+}
+
+// ReadAt fills dst from byte offset off inside tx, with one barrier per
+// stripe the range touches (see TBytes).
+func (t *TBytes) ReadAt(tx *Tx, dst []byte, off int) {
+	if off < 0 || off+len(dst) > t.n {
+		panic("stm: TBytes.ReadAt: range outside the buffer")
+	}
+	var ws [stripeWords]uint64
+	var line [StripeBytes]byte
+	for end := off + len(dst); off < end; {
+		lo, e, hi := stripeSpan(off, end)
+		k := (hi - lo) / 8
+		tx.loadStripe(t.stripeID(off), t.words[lo/8:hi/8], ws[:k])
+		for j, w := range ws[:k] {
+			binary.LittleEndian.PutUint64(line[8*j:], w)
+		}
+		n := copy(dst, line[off-lo:e-lo])
+		dst, off = dst[n:], e
+	}
+}
+
+// WriteAt copies src to byte offset off inside tx, with one write barrier
+// per stripe the range touches; a ragged first or last word is read through
+// the word barrier first, so the bytes around the range keep their values.
+func (t *TBytes) WriteAt(tx *Tx, off int, src []byte) {
+	if off < 0 || off+len(src) > t.n {
+		panic("stm: TBytes.WriteAt: range outside the buffer")
+	}
+	var ws [stripeWords]uint64
+	var line [StripeBytes]byte
+	for end := off + len(src); off < end; {
+		lo, e, hi := stripeSpan(off, end)
+		k, id := (hi-lo)/8, t.stripeID(off)
+		if lo < off {
+			binary.LittleEndian.PutUint64(line[:], tx.loadWord(id, &t.words[lo/8]))
+		}
+		if e < hi && (lo == off || k > 1) {
+			binary.LittleEndian.PutUint64(line[hi-8-lo:], tx.loadWord(id, &t.words[hi/8-1]))
+		}
+		n := copy(line[off-lo:e-lo], src)
+		for j := range ws[:k] {
+			ws[j] = binary.LittleEndian.Uint64(line[8*j:])
+		}
+		tx.storeStripe(id, t.words[lo/8:hi/8], ws[:k])
+		src, off = src[n:], e
+	}
+}
+
 // ReadAll copies the whole buffer out inside tx.
 func (t *TBytes) ReadAll(tx *Tx, dst []byte) {
 	if len(dst) < t.n {
 		panic("stm: TBytes.ReadAll: destination too short")
 	}
-	for i := 0; i < len(t.words); i++ {
-		w := t.LoadWord(tx, i)
-		for b := 0; b < 8 && i*8+b < t.n; b++ {
-			dst[i*8+b] = byte(w >> (8 * b))
-		}
-	}
+	t.ReadAt(tx, dst[:t.n], 0)
 }
 
-// WriteAll copies src into the buffer inside tx.
+// WriteAll copies src into the start of the buffer inside tx.
 func (t *TBytes) WriteAll(tx *Tx, src []byte) {
 	if len(src) > t.n {
 		panic("stm: TBytes.WriteAll: source too long")
 	}
-	for i := 0; i*8 < len(src); i++ {
-		var w uint64
-		full := i*8+8 <= len(src)
-		if !full {
-			w = t.LoadWord(tx, i)
-		}
-		for b := 0; b < 8 && i*8+b < len(src); b++ {
-			sh := 8 * b
-			w = w&^(0xFF<<sh) | uint64(src[i*8+b])<<sh
-		}
-		t.StoreWord(tx, i, w)
-	}
+	t.WriteAt(tx, 0, src)
 }
 
 // ReadAllDirect copies the buffer out nontransactionally (privatized access).

@@ -718,24 +718,30 @@ func (tx *Tx) faultBarrier(abortP, delayP fault.Point) {
 
 func (tx *Tx) loadWord(id uint64, p *atomic.Uint64) uint64 {
 	tx.faultBarrier(fault.STMReadAbort, fault.STMReadDelay)
-	if tx.serial {
+	switch {
+	case tx.serial:
 		return p.Load()
-	}
-	switch tx.algo {
-	case MLWT:
+	case tx.algo == MLWT || tx.ro:
+		// A read-only attempt (MLWT or Lazy) skips the redo lookup: it never
+		// writes, and the maps may hold stale entries from a previous attempt
+		// (begin leaves them untouched on the fast path).
 		return tx.orecLoad(id, func() uint64 { return p.Load() })
-	case HTM:
+	case tx.algo == HTM:
 		v := tx.orecLoad(id, func() uint64 { return p.Load() })
 		tx.htmCheckCapacity()
 		return v
+	}
+	return tx.loadLogged(id, p)
+}
+
+// loadLogged is the word read of the algorithms that consult or keep a log
+// for every word, stripe member or not: Lazy read-write (redo lookup, then
+// the orec protocol), NOrec (value log) and TML (sequence check).
+func (tx *Tx) loadLogged(id uint64, p *atomic.Uint64) uint64 {
+	switch tx.algo {
 	case LazyAlg:
-		// Read-only attempts skip the redo lookup: they never write, and the
-		// maps may hold stale entries from a previous attempt (begin leaves
-		// them untouched on the fast path).
-		if !tx.ro {
-			if e, ok := tx.redoW[p]; ok {
-				return e.v
-			}
+		if e, ok := tx.redoW[p]; ok {
+			return e.v
 		}
 		return tx.orecLoad(id, func() uint64 { return p.Load() })
 	case NOrec:
@@ -749,6 +755,38 @@ func (tx *Tx) loadWord(id uint64, p *atomic.Uint64) uint64 {
 		return tx.tmlLoad(p.Load)
 	}
 	panic("stm: bad algorithm")
+}
+
+// loadStripe reads words, which all belong to the stripe id, into dst: the
+// memtransfer barrier of libitm's ml_wt (pre_load/post_load over the range).
+// The orec algorithms sample the stripe's orec once, copy every word, and
+// re-sample — one read-set entry, and for HTM one footprint line, per stripe.
+// Lazy read-write, NOrec and TML keep their per-word logs, on the stripe id.
+// The injection points fire once per stripe; on the orec path they fire
+// between the first sample and the copy, so a delay widens exactly the window
+// the second sample guards.
+func (tx *Tx) loadStripe(id uint64, words []atomic.Uint64, dst []uint64) {
+	read := func() uint64 {
+		tx.faultBarrier(fault.STMReadAbort, fault.STMReadDelay)
+		for j := range words {
+			dst[j] = words[j].Load()
+		}
+		return 0
+	}
+	switch {
+	case tx.serial:
+		read()
+	case tx.algo == MLWT || tx.ro:
+		tx.orecLoad(id, read)
+	case tx.algo == HTM:
+		tx.orecLoad(id, read)
+		tx.htmCheckCapacity()
+	default:
+		tx.faultBarrier(fault.STMReadAbort, fault.STMReadDelay)
+		for j := range words {
+			dst[j] = tx.loadLogged(id, &words[j])
+		}
+	}
 }
 
 func (tx *Tx) storeWord(id uint64, p *atomic.Uint64, v uint64) {
@@ -783,6 +821,48 @@ func (tx *Tx) storeWord(id uint64, p *atomic.Uint64, v uint64) {
 		tx.tmlAcquire()
 		tx.undoW = append(tx.undoW, wordSlot{p: p, v: p.Load()})
 		p.Store(v)
+	}
+}
+
+// storeStripe writes src into words, which all belong to the stripe id. The
+// eager algorithms take the stripe's lock once (the orec for MLWT and HTM,
+// the sequence lock for TML) and keep a per-word undo log; Lazy and NOrec
+// buffer every word in the redo log under the stripe id. The injection points
+// fire once per stripe.
+func (tx *Tx) storeStripe(id uint64, words []atomic.Uint64, src []uint64) {
+	tx.faultBarrier(fault.STMWriteAbort, fault.STMWriteDelay)
+	if tx.ro {
+		panic(roUpgradeSignal{})
+	}
+	if tx.serial {
+		for j := range words {
+			if tx.props.Kind == Atomic { // see storeWord
+				tx.undoW = append(tx.undoW, wordSlot{p: &words[j], v: words[j].Load()})
+			}
+			words[j].Store(src[j])
+		}
+		return
+	}
+	switch tx.algo {
+	case LazyAlg, NOrec:
+		for j := range words {
+			tx.redoW[&words[j]] = wordRedo{id: id, v: src[j]}
+		}
+		return
+	case MLWT, HTM:
+		if tx.algo == HTM {
+			tx.htmMarkEager()
+		}
+		tx.orecAcquire(id)
+	case TML:
+		tx.tmlAcquire()
+	}
+	for j := range words {
+		tx.undoW = append(tx.undoW, wordSlot{p: &words[j], v: words[j].Load()})
+		words[j].Store(src[j])
+	}
+	if tx.algo == HTM {
+		tx.htmCheckCapacity()
 	}
 }
 
@@ -855,8 +935,9 @@ func (tx *Tx) storePtr(c ptrCell, v any) {
 	}
 }
 
-// orecLoad performs the orec-validated read protocol shared by MLWT and Lazy.
-// read is invoked to sample the location between the two orec samples.
+// orecLoad performs the orec-validated read protocol shared by MLWT, HTM and
+// Lazy. read is invoked to sample the location — one word, one pointer cell,
+// or every word of a TBytes stripe — between the two orec samples.
 func (tx *Tx) orecLoad(id uint64, read func() uint64) uint64 {
 	o := tx.rt.orecFor(id)
 	for {
@@ -870,7 +951,7 @@ func (tx *Tx) orecLoad(id uint64, read func() uint64) uint64 {
 			panic(abortSignal{})
 		}
 		v := read()
-		if o.v.Load() != w1 {
+		if o.v.Load() != w1 && !tx.rt.skipResample {
 			continue // concurrent update between samples; resample
 		}
 		if orecVersion(w1) > tx.start {

@@ -22,7 +22,7 @@
 package tmlib
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -47,73 +47,34 @@ func Memcmp(tx *stm.Tx, a *stm.TBytes, ao int, b *stm.TBytes, bo, n int) int {
 	return 0
 }
 
-// MemcmpLocal compares n bytes of shared (from off) with the thread-local
-// buffer local, reading the shared side transactionally. Like the GCC
-// instrumentation it replaces, the barriers are word-granular: one
-// transactional load covers eight bytes.
+// MemcmpLocal compares shared bytes from off with the thread-local buffer
+// local, reading the shared side transactionally a stripe at a time: as in
+// libitm's memtransfer barrier, one read barrier covers up to 64 bytes
+// (stm.StripeBytes), and the comparison stops at the first stripe that
+// differs.
 func MemcmpLocal(tx *stm.Tx, shared *stm.TBytes, off int, local []byte) int {
-	if off%8 == 0 {
-		i := 0
-		for ; i+8 <= len(local); i += 8 {
-			w := shared.LoadWord(tx, off/8+i/8)
-			for b := 0; b < 8; b++ {
-				cs := byte(w >> (8 * b))
-				if cs != local[i+b] {
-					if cs < local[i+b] {
-						return -1
-					}
-					return 1
-				}
-			}
+	var line [stm.StripeBytes]byte
+	for len(local) > 0 {
+		n := min(len(local), stm.StripeBytes-off%stm.StripeBytes)
+		shared.ReadAt(tx, line[:n], off)
+		if c := bytes.Compare(line[:n], local[:n]); c != 0 {
+			return c
 		}
-		local = local[i:]
-		off += i
-	}
-	for i := range local {
-		cs := shared.ByteAt(tx, off+i)
-		if cs != local[i] {
-			if cs < local[i] {
-				return -1
-			}
-			return 1
-		}
+		off, local = off+n, local[n:]
 	}
 	return 0
 }
 
-// Memcpy copies n bytes from src (at so) to dst (at do_), both transactional.
-func Memcpy(tx *stm.Tx, dst *stm.TBytes, do_ int, src *stm.TBytes, so, n int) {
-	for i := 0; i < n; i++ {
-		dst.SetByteAt(tx, do_+i, src.ByteAt(tx, so+i))
-	}
-}
-
-// MemcpyFromLocal copies a thread-local buffer into shared memory with
-// word-granular barriers.
+// MemcpyFromLocal copies a thread-local buffer into shared memory from off,
+// one write barrier per stripe (stm.TBytes.WriteAt).
 func MemcpyFromLocal(tx *stm.Tx, dst *stm.TBytes, off int, src []byte) {
-	i := 0
-	if off%8 == 0 {
-		for ; i+8 <= len(src); i += 8 {
-			dst.StoreWord(tx, off/8+i/8, binary.LittleEndian.Uint64(src[i:]))
-		}
-	}
-	for ; i < len(src); i++ {
-		dst.SetByteAt(tx, off+i, src[i])
-	}
+	dst.WriteAt(tx, off, src)
 }
 
-// MemcpyToLocal copies n shared bytes (from off) into a thread-local buffer
-// with word-granular barriers.
+// MemcpyToLocal copies n shared bytes (from off) into a thread-local buffer,
+// one read barrier per stripe (stm.TBytes.ReadAt).
 func MemcpyToLocal(tx *stm.Tx, dst []byte, src *stm.TBytes, off, n int) {
-	i := 0
-	if off%8 == 0 {
-		for ; i+8 <= n; i += 8 {
-			binary.LittleEndian.PutUint64(dst[i:], src.LoadWord(tx, off/8+i/8))
-		}
-	}
-	for ; i < n; i++ {
-		dst[i] = src.ByteAt(tx, off+i)
-	}
+	src.ReadAt(tx, dst[:n], off)
 }
 
 // Strlen returns the length of the NUL-terminated string in s, or s.Len() if

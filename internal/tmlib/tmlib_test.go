@@ -75,9 +75,9 @@ func TestMemcpyVariants(t *testing.T) {
 	run(t, func(tx *stm.Tx) {
 		src := tb("0123456789")
 		dst := tb("aaaaaaaaaa")
-		Memcpy(tx, dst, 2, src, 4, 3)
+		MemcpyFromLocal(tx, dst, 2, src.Bytes()[4:7])
 		if got := string(dst.Bytes()); got != "aa456aaaaa" {
-			t.Errorf("Memcpy result %q", got)
+			t.Errorf("unaligned MemcpyFromLocal result %q", got)
 		}
 		MemcpyFromLocal(tx, dst, 0, []byte("ZZ"))
 		if got := string(dst.Bytes()); got != "ZZ456aaaaa" {
