@@ -63,10 +63,13 @@ stress:
 # in an open transaction fill a recycled chunk in place (fused gets take no
 # reference, so this chunk-reuse oracle is what guards their path); the
 # resample mutant keeps a stripe copy although its orec moved during the copy,
-# which the stm torn-read test must see.
+# which the stm torn-read test must see; the join mutant lets a pipelined get
+# run take the gets behind a set into its snapshot, which the read-your-writes
+# test must see.
 mutants:
 	$(GO) test -count=1 -run TortureRecycleMutant ./internal/engine -torture.mutant
 	$(GO) test -count=1 -run StripeResampleMutant ./internal/stm -stm.mutant
+	$(GO) test -count=1 -run GetRunJoinMutant ./internal/protocol -protocol.mutant
 
 # torture-smoke runs the seeded fault-injection harness in its shrunken
 # (-torture.short) form. The flag is registered per test package, so only the

@@ -293,7 +293,9 @@ func (c *shard) SetTime(unix uint64) { c.CurrentTime.StoreDirect(unix) }
 func (c *shard) Now() uint64 { return c.CurrentTime.LoadDirect() }
 
 // clockThread is memcached's clock handler: a dedicated updater of the
-// volatile current_time, at 1 Hz (we tick faster so short runs see motion).
+// volatile current_time, which holds whole seconds. memcached ticks once a
+// second; this one samples five times a second, so the value it stores is
+// never more than 200 ms behind the wall clock.
 func (c *shard) clockThread() {
 	defer c.wg.Done()
 	t := time.NewTicker(200 * time.Millisecond)

@@ -19,7 +19,9 @@ type GetResult struct {
 // MultiGetBatch bounds how many keys share one read-only batch transaction.
 // Larger batches amortize begin/validate/commit further but lengthen the
 // window a concurrent writer can invalidate; 16 keeps the read set around the
-// size of one text-protocol pipeline line.
+// size of one text-protocol pipeline line. The protocol's pipelined get runs
+// stop at this many keys per shard, so each shard answers a run with one
+// batch.
 const MultiGetBatch = 16
 
 // maxRetainedArena bounds the value arena a GetBuf keeps between calls, so one

@@ -6,6 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/access"
+	"repro/internal/item"
 )
 
 // TestMultiGetRoundTrip: present, missing and expired keys come back in
@@ -162,22 +165,46 @@ func TestMultiGetSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestMultiGetTouchesLRU: hits older than the touch interval still get their
-// LRU bump, just outside the read-only batch.
+// TestMultiGetTouchesLRU: a hit bumps its item to the head of the LRU only
+// once the last bump is touchInterval old, on the single-get path and on the
+// batch path, where the bump runs outside the read-only batch. The cache is
+// never started, so only SetTime moves the clock.
 func TestMultiGetTouchesLRU(t *testing.T) {
-	c := newTestCache(t, ITOnCommit)
-	c.Start()
-	defer c.Stop()
-	w := c.NewWorker()
-	now := c.Now()
-	w.Set([]byte("old"), 0, 0, []byte("v"))
-	c.SetTime(now + 100) // far past the touch interval
-	res := w.GetMulti([][]byte{[]byte("old")})
-	if !res[0].Found {
-		t.Fatal("old key missed")
+	paths := []struct {
+		name string
+		get  func(w *Worker, key []byte) bool
+	}{
+		{"get", func(w *Worker, key []byte) bool { _, _, _, ok := w.Get(key); return ok }},
+		{"batch", func(w *Worker, key []byte) bool { return w.GetMulti([][]byte{key, []byte("absent")})[0].Found }},
 	}
-	if err := c.Validate(); err != nil {
-		t.Fatalf("Validate after touch: %v", err)
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			c := newTestCache(t, ITOnCommit)
+			w := c.NewWorker()
+			now := c.Now()
+			w.Set([]byte("old"), 0, 0, []byte("v"))
+			w.Set([]byte("new"), 0, 0, []byte("v")) // same class, linked last
+			cls := chunkOf(t, c, "old").Class
+			head := func() *item.Item { return c.shard0().lru.Head(access.DirectCtx{}, cls) }
+
+			c.SetTime(now + touchInterval - 1)
+			if !p.get(w, []byte("old")) {
+				t.Fatal("old key missed")
+			}
+			if head() != chunkOf(t, c, "new") {
+				t.Errorf("a hit %d s after the last bump moved the item to the LRU head", touchInterval-1)
+			}
+			c.SetTime(now + touchInterval)
+			if !p.get(w, []byte("old")) {
+				t.Fatal("old key missed")
+			}
+			if head() != chunkOf(t, c, "old") {
+				t.Errorf("a hit %d s after the last bump left the item off the LRU head", touchInterval)
+			}
+			if err := c.Validate(); err != nil {
+				t.Fatalf("Validate after touch: %v", err)
+			}
+		})
 	}
 }
 

@@ -62,9 +62,11 @@ const (
 	DeltaNonNumeric
 )
 
-// touchInterval is the LRU-bump threshold in seconds (memcached uses 60; we
-// use 1 so second-scale runs exercise the cache-lock path occasionally).
-const touchInterval = 1
+// touchInterval is the LRU-bump threshold in seconds: a hit moves its item to
+// the head of the LRU only when the last bump is at least this old. It is
+// memcached 1.4.15's ITEM_UPDATE_INTERVAL. Tests reach the bump path by
+// moving the clock with SetTime.
+const touchInterval = 60
 
 // Worker is one worker thread's handle on the cache: it owns a TM context, a
 // per-thread statistics block, and the per-thread stats lock.

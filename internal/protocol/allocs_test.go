@@ -45,7 +45,8 @@ func (m *replayRW) WriteBuffers(bufs net.Buffers) (int64, error) {
 
 // TestAllocsRequestPath holds the request path to its allocation ceilings on
 // both protocols: after a warm-up that grows the scratch, a get allocates
-// nothing, and neither does a set: its chunk is a recycled one.
+// nothing, nor does a pipelined run of gets, and neither does a set: its chunk
+// is a recycled one.
 func TestAllocsRequestPath(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -66,19 +67,23 @@ func TestAllocsRequestPath(t *testing.T) {
 		t.Fatalf("setup replies: %q", out)
 	}
 
+	quiet := append(binFrame(OpGetKQ, nil, []byte("k"), nil, 0), binFrame(OpGetQ, nil, []byte("multi-00"), nil, 0)...)
 	for _, tc := range []struct {
 		name    string
 		req     []byte
+		cmds    int    // ServeOne calls the request takes, when more than one
 		want    string // the reply's prefix
 		ceiling float64
 	}{
-		{"text get", []byte("get k\r\n"), "VALUE k 5 64\r\n", 0},
-		{"text get of 24 keys", []byte(multi.String()), "VALUE multi-00 0 256\r\n", 0},
-		{"text set", []byte("set k 5 0 64\r\n" + strings.Repeat("v", 64) + "\r\n"), "STORED\r\n", 0},
-		{"text incr", []byte("incr n 1\r\n"), "", 0},
-		{"text unknown command", []byte("frobnicate k\r\n"), "ERROR\r\n", 0},
-		{"binary get", binFrame(OpGet, nil, []byte("k"), nil, 0), "\x81\x00", 0},
-		{"binary set", binFrame(OpSet, make([]byte, 8), []byte("k"), bytes.Repeat([]byte("v"), 64), 0), "\x81\x01", 0},
+		{"text get", []byte("get k\r\n"), 0, "VALUE k 5 64\r\n", 0},
+		{"text get of 24 keys", []byte(multi.String()), 0, "VALUE multi-00 0 256\r\n", 0},
+		{"text get run", []byte("get k\r\ngets k\r\nget multi-00 multi-01\r\nget k\r\n"), 4, "VALUE k 5 64\r\n", 0},
+		{"binary quiet get run", quiet, 2, "\x81\x0d", 0},
+		{"text set", []byte("set k 5 0 64\r\n" + strings.Repeat("v", 64) + "\r\n"), 0, "STORED\r\n", 0},
+		{"text incr", []byte("incr n 1\r\n"), 0, "", 0},
+		{"text unknown command", []byte("frobnicate k\r\n"), 0, "ERROR\r\n", 0},
+		{"binary get", binFrame(OpGet, nil, []byte("k"), nil, 0), 0, "\x81\x00", 0},
+		{"binary set", binFrame(OpSet, make([]byte, 8), []byte("k"), bytes.Repeat([]byte("v"), 64), 0), 0, "\x81\x01", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runTextOn(t, c, "set n 0 0 1\r\n0\r\n")
@@ -86,8 +91,10 @@ func TestAllocsRequestPath(t *testing.T) {
 			pc := NewConn(c.NewWorker(), rw)
 			serve := func() {
 				rw.rewind()
-				if err := pc.ServeOne(); err != nil {
-					t.Fatalf("ServeOne: %v", err)
+				for i := 0; i < max(tc.cmds, 1); i++ {
+					if err := pc.ServeOne(); err != nil {
+						t.Fatalf("ServeOne: %v", err)
+					}
 				}
 				if err := pc.Flush(); err != nil {
 					t.Fatalf("Flush: %v", err)

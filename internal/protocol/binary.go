@@ -188,7 +188,7 @@ func binOpName(op byte) string {
 
 // dispatchBinary routes one parsed binary frame. Affinity defaults to
 // shared (-1); the single-key arms note the key's shard once validated.
-// Quiet-get runs stay shared: they batch many keys across shards.
+// Quiet gets stay shared: their runs batch many keys across shards.
 func (c *Conn) dispatchBinary(req binHeader, extras, key, value []byte) error {
 	c.noteShared()
 	switch req.opcode {
@@ -206,11 +206,16 @@ func (c *Conn) dispatchBinary(req binHeader, extras, key, value []byte) error {
 	case OpGetQ, OpGetKQ:
 		if len(extras) != 0 {
 			// Get carries no extras; enforcing this here keeps the main
-			// path's acceptance aligned with the run-extension filter in
-			// takeBufferedQuietGet, which skips such frames.
+			// path's acceptance aligned with readAheadQuietGets, which ends
+			// a run at such a frame.
 			return c.binError(req, StatusInvalidArgs, "Get takes no extras")
 		}
-		return c.serveQuietGetRun(req, key)
+		// The quiet gets pipelined behind this one join its lookup as a run
+		// (see run.go): the idiomatic multiget, GETKQ ... GETKQ NOOP, is
+		// one read-only batch per shard.
+		c.sc.keys = append(c.sc.keys[:0], key)
+		c.readAheadQuietGets()
+		return c.replyQuietGet(req, key, &c.lookUpRun()[0])
 
 	case OpGet, OpGetK:
 		if len(extras) != 0 {
@@ -375,88 +380,20 @@ func (c *Conn) dispatchBinary(req binHeader, extras, key, value []byte) error {
 	}
 }
 
-// quietGet is one frame of a pipelined quiet-get run.
-type quietGet struct {
-	req binHeader
-	key []byte
-}
-
-// serveQuietGetRun handles a GetQ/GetKQ frame plus any directly following
-// quiet-get frames already sitting in the read buffer as ONE batched
-// read-only multi-get: the idiomatic pipelined multiget (GETKQ ... GETKQ,
-// NOOP) becomes one engine transaction per bounded group instead of one
-// transaction per key. Only fully buffered frames join the run — extension
-// never blocks on the transport — so the terminating NOOP (or any non-quiet
-// opcode, or a frame still in flight) is simply left for the main loop.
-func (c *Conn) serveQuietGetRun(first binHeader, firstKey []byte) error {
-	sc := c.sc
-	// The run's keys are read past the first frame's body, into their own
-	// scratch; sized for a full run up front, it never moves under them.
-	sc.runKey = slices.Grow(sc.runKey[:0], engine.MultiGetBatch*MaxKeyLen)
-	sc.run = append(sc.run[:0], quietGet{req: first, key: firstKey})
-	for len(sc.run) < engine.MultiGetBatch {
-		req, key, ok := c.takeBufferedQuietGet()
-		if !ok {
-			break
-		}
-		sc.run = append(sc.run, quietGet{req: req, key: key})
-	}
-	sc.keys = sc.keys[:0]
-	for i := range sc.run {
-		sc.keys = append(sc.keys, sc.run[i].key)
-	}
-	results := c.worker.GetMultiInto(&sc.get, sc.keys)
-	for i := range sc.run {
-		r := &results[i]
-		if !r.Found {
-			continue // quiet miss: no reply at all
-		}
+// replyQuietGet answers a GETQ or GETKQ: a hit's frame, nothing for a miss.
+func (c *Conn) replyQuietGet(req binHeader, key []byte, r *engine.GetResult) error {
+	if r.Found {
 		var fx [4]byte
 		binary.BigEndian.PutUint32(fx[:], r.Flags)
 		replyKey := []byte(nil)
-		if sc.run[i].req.opcode == OpGetKQ {
-			replyKey = sc.run[i].key
+		if req.opcode == OpGetKQ {
+			replyKey = key
 		}
-		if err := c.binReplyNoFlush(sc.run[i].req, StatusOK, fx[:], replyKey, r.Value, r.CAS); err != nil {
+		if err := c.binReplyNoFlush(req, StatusOK, fx[:], replyKey, r.Value, r.CAS); err != nil {
 			return err
 		}
 	}
 	return c.flushIfIdle()
-}
-
-// takeBufferedQuietGet consumes and returns the next request frame iff it is
-// a complete, well-formed quiet get already held in the read buffer. Any
-// other frame — including a malformed quiet get, which the main loop's
-// validation must refuse with a proper error reply — is left untouched.
-func (c *Conn) takeBufferedQuietGet() (binHeader, []byte, bool) {
-	if c.r.Buffered() < 24 {
-		return binHeader{}, nil, false
-	}
-	hdr, err := c.r.Peek(24)
-	if err != nil || hdr[0] != binMagicReq || (hdr[1] != OpGetQ && hdr[1] != OpGetKQ) {
-		return binHeader{}, nil, false
-	}
-	keyLen := binary.BigEndian.Uint16(hdr[2:4])
-	extraLen := hdr[4]
-	bodyLen := binary.BigEndian.Uint32(hdr[8:12])
-	if extraLen != 0 || keyLen == 0 || keyLen > MaxKeyLen || uint32(keyLen) != bodyLen {
-		return binHeader{}, nil, false
-	}
-	if c.r.Buffered() < 24+int(bodyLen) {
-		return binHeader{}, nil, false // body not fully pipelined yet: don't block
-	}
-	frame, _ := c.r.Peek(24 + int(bodyLen)) // fully buffered: cannot fail or block
-	req := binHeader{
-		opcode:  hdr[1],
-		keyLen:  keyLen,
-		bodyLen: bodyLen,
-		opaque:  binary.BigEndian.Uint32(hdr[12:16]),
-		cas:     binary.BigEndian.Uint64(hdr[16:24]),
-	}
-	at := len(c.sc.runKey)
-	c.sc.runKey = append(c.sc.runKey, frame[24:]...)
-	c.r.Discard(len(frame))
-	return req, c.sc.runKey[at:], true
 }
 
 func appendUintBin(dst []byte, v uint64) []byte {

@@ -30,17 +30,26 @@ type scratch struct {
 	key    []byte        // a storage command's key, saved before its body is read
 	body   []byte        // a set's data block, or a binary frame's body
 	get    engine.GetBuf // results and the value arena
-	run    []quietGet    // a pipelined quiet-get run, its keys ...
-	keys   [][]byte      // ... as GetMulti takes them ...
-	runKey []byte        // ... and their bytes
 	bufs   net.Buffers   // a gathered reply
 	hdrs   []byte        // its VALUE headers
+
+	// A get run (see run.go). Unlike the rest, it lives until the run's last
+	// command has replied.
+	keys     [][]byte           // every key of the run, as GetMultiInto takes them
+	ahead    []byte             // the bytes of the keys read ahead
+	snap     []engine.GetResult // the snapshot: a result per key, values in get
+	stash    []stashed          // the commands after the first, in order ...
+	next     int                // ... of which stash[next] is the next to reply
+	perShard []int              // keys per shard, against the run's cap
 }
 
 // trim drops what one oversized command grew (see maxRetainedScratch).
 func (s *scratch) trim() {
 	if cap(s.fields) > maxRetainedScratch/64 { // entries, not bytes
 		s.fields = nil
+	}
+	if cap(s.keys) > maxRetainedScratch/64 && s.next == len(s.stash) {
+		s.keys = nil
 	}
 	if cap(s.line) > maxRetainedScratch {
 		s.line = nil
@@ -100,6 +109,7 @@ func (c *Conn) AttachBuffers() {
 	b.r.Reset(c.fbr)
 	b.w.Reset(c.transport)
 	c.bufs, c.r, c.w, c.sc = b, b.r, b.w, &b.scratch
+	c.sc.dropRun()
 	bufInUse.Add(1)
 	for {
 		n := bufIdle.Load()
@@ -123,6 +133,7 @@ func (c *Conn) ReleaseBuffers(force bool) bool {
 	}
 	c.r.Reset(eofReader{})
 	c.w.Reset(io.Discard)
+	c.sc.dropRun()
 	c.sc.trim()
 	bufsPool.Put(c.bufs)
 	c.bufs, c.r, c.w, c.sc = nil, nil, nil, nil

@@ -93,6 +93,11 @@ type Conn struct {
 	// txcommit). It lives entirely in this struct — no engine resource is
 	// held — so dropping the connection drops the transaction.
 	tx *txState
+
+	// joinAcrossLines seeds the mutant of TestGetRunJoinMutant: a text get
+	// run skips the lines it should end at and takes the gets after them.
+	// Only the package's tests set it.
+	joinAcrossLines bool
 }
 
 // NewConn wraps a transport with a protocol handler bound to a worker (nil
@@ -237,7 +242,9 @@ func (c *Conn) ServeOne() error {
 	if c.ctl != nil {
 		c.ctl.CommandStarted()
 	}
-	if first[0] >= binMagicReq {
+	if s := c.nextStashed(); s != nil {
+		err = c.serveStashed(s)
+	} else if first[0] >= binMagicReq {
 		// Any high first byte is framed as binary; serveBinaryOne rejects
 		// wrong magic with a status reply rather than misparsing the
 		// frame as a text command line.
@@ -423,7 +430,7 @@ func (c *Conn) cmdGat(args [][]byte, withCAS bool) error {
 		return c.clientError("invalid exptime argument")
 	}
 	keys := args[1:]
-	if err := c.checkKeys(keys); err != nil {
+	if refused, err := c.refuseKeys(keys); refused {
 		return err
 	}
 	// gat updates expiries — a writing command — so it keeps the per-key item
@@ -438,17 +445,26 @@ func (c *Conn) cmdGat(args [][]byte, withCAS bool) error {
 	return c.reply("END\r\n")
 }
 
-// checkKeys refuses a get whose keys the protocol does not allow.
-func (c *Conn) checkKeys(keys [][]byte) error {
+// refuseKeys answers a get whose keys the protocol does not allow with a
+// CLIENT_ERROR line, which is then the get's whole reply.
+func (c *Conn) refuseKeys(keys [][]byte) (refused bool, err error) {
+	if msg := keysError(keys); msg != "" {
+		return true, c.clientError(msg)
+	}
+	return false, nil
+}
+
+// keysError says what is wrong with a get's keys, or "" when nothing is.
+func keysError(keys [][]byte) string {
 	if len(keys) == 0 {
-		return c.clientError("get requires a key")
+		return "get requires a key"
 	}
 	for _, key := range keys {
 		if len(key) > MaxKeyLen {
-			return c.clientError("key too long")
+			return "key too long"
 		}
 	}
-	return nil
+	return ""
 }
 
 var (
@@ -496,7 +512,7 @@ func (c *Conn) writeValue(key []byte, flags uint32, val []byte, cas uint64, with
 }
 
 func (c *Conn) cmdGet(args [][]byte, withCAS bool) error {
-	if err := c.checkKeys(args); err != nil {
+	if refused, err := c.refuseKeys(args); refused {
 		return err
 	}
 	if len(args) == 1 {
@@ -504,8 +520,15 @@ func (c *Conn) cmdGet(args [][]byte, withCAS bool) error {
 	}
 	// get k1 k2 ...: one batched read-only transaction per bounded key group
 	// (engine.MultiGetBatch) instead of one transaction per key, and one
-	// gathered response instead of one write per VALUE line.
-	results := c.worker.GetMultiInto(&c.sc.get, args)
+	// gathered response instead of one write per VALUE line. The gets
+	// pipelined behind this one join its lookup as a run (see run.go).
+	c.sc.keys = append(c.sc.keys[:0], args...)
+	c.readAheadGets()
+	return c.writeGetReply(args, c.lookUpRun()[:len(args)], withCAS)
+}
+
+// writeGetReply writes a get's VALUE blocks and END.
+func (c *Conn) writeGetReply(args [][]byte, results []engine.GetResult, withCAS bool) error {
 	if c.bw != nil {
 		payload := 0
 		for i := range results {
@@ -972,22 +995,29 @@ func (c *Conn) readLongLine(head []byte) ([]byte, error) {
 func splitFields(dst [][]byte, line []byte) [][]byte {
 	start := -1
 	for i, b := range line {
-		switch b {
-		case ' ', '\t', '\n', '\v', '\f', '\r':
+		switch {
+		case isSpace(b):
 			if start >= 0 {
 				dst = append(dst, line[start:i:i])
 				start = -1
 			}
-		default:
-			if start < 0 {
-				start = i
-			}
+		case start < 0:
+			start = i
 		}
 	}
 	if start >= 0 {
 		dst = append(dst, line[start:])
 	}
 	return dst
+}
+
+// isSpace reports whether b separates the fields of a command line.
+func isSpace(b byte) bool {
+	switch b {
+	case ' ', '\t', '\n', '\v', '\f', '\r':
+		return true
+	}
+	return false
 }
 
 // parseUint parses an unsigned decimal of at most the given bit size, as

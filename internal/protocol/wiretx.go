@@ -214,7 +214,7 @@ func (c *Conn) dispatchTextInTx(cmd textCmd, args [][]byte) error {
 }
 
 func (c *Conn) cmdTxGet(args [][]byte, withCAS bool) error {
-	if err := c.checkKeys(args); err != nil {
+	if refused, err := c.refuseKeys(args); refused {
 		return err
 	}
 	results := c.worker.GetMultiInto(&c.sc.get, args)
