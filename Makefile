@@ -28,11 +28,12 @@ test:
 
 # allocs runs the allocation ceilings of the request path (a chunk is two heap
 # objects made once; a get allocates nothing, nor does a set that replaces or
-# evicts) and the item layout test by name. They are
-# ordinary tier-1 tests, so `make test` runs them too; this target is what to
-# run after touching stm, item, assoc, engine or protocol.
+# evicts; the epoll wait loop's wakeup round allocates nothing) and the item
+# layout test by name. They are ordinary tier-1 tests, so `make test` runs
+# them too; this target is what to run after touching stm, item, assoc,
+# engine, protocol or poller.
 allocs:
-	$(GO) test -count=1 -run 'Allocs|Layout' ./internal/item ./internal/assoc ./internal/engine ./internal/protocol
+	$(GO) test -count=1 -run 'Allocs|Layout' ./internal/item ./internal/assoc ./internal/engine ./internal/protocol ./internal/poller
 
 # check is the tier-1 gate plus the robustness smoke: everything builds, lints
 # clean (go vet's copylocks pass is what keeps items, which embed atomics, from
@@ -51,12 +52,13 @@ race:
 # torture harness (TestTortureRecycle, the chunk-reuse run on all 14 branches,
 # matches the pattern) and the Retry-driven maintenance threads — five times at
 # GOMAXPROCS 1 and 2: the it-nolock accounting damage of ROADMAP item 1 only
-# ever showed on the second P, and only about one run in ten — and the stm
-# torn-read test, whose writers and readers race on a multi-stripe buffer. The
-# seeded-bug cases are apart: make mutants.
+# ever showed on the second P, and only about one run in ten — the stm
+# torn-read test, whose writers and readers race on a multi-stripe buffer, and
+# the stm Treiber-stack queue, whose NOrec and Lazy pointer-cell conflict paths
+# only show up on the second P. The seeded-bug cases are apart: make mutants.
 stress:
 	$(GO) test -count=5 -cpu 1,2 -run 'Torture|RetryCondSync' ./internal/engine ./internal/server
-	$(GO) test -count=5 -cpu 1,2 -run 'TBytesConcurrentWriters' ./internal/stm
+	$(GO) test -count=5 -cpu 1,2 -run 'TBytesConcurrentWriters|RetryBlockingQueue' ./internal/stm
 
 # mutants runs the seeded bugs the test suites must catch, and fails unless
 # every seed or run catches them: the recycle mutant lets an allocation nested

@@ -16,7 +16,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/memslap"
 	"repro/internal/stm"
-	"repro/internal/tmds"
 	"repro/internal/tmlib"
 )
 
@@ -316,56 +315,6 @@ func BenchmarkAblationCondSync(b *testing.B) {
 				res := memslap.RunDirect(c, memslap.Config{Concurrency: 4, ExecuteNumber: 2000, KeySpace: 2048, ValueSize: 512})
 				c.Stop()
 				b.ReportMetric(res.OpsPerSec(), "ops/s")
-			}
-		})
-	}
-}
-
-// Transactional data-structure microbenchmarks (internal/tmds): the classic
-// STM workloads, per algorithm.
-
-func BenchmarkTmdsListLookup(b *testing.B) {
-	for _, alg := range []stm.Algorithm{stm.MLWT, stm.LazyAlg, stm.NOrec} {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
-			rt := stm.New(stm.Config{Algorithm: alg})
-			th := rt.NewThread()
-			l := tmds.NewList()
-			_ = th.Run(stm.Props{Kind: stm.Atomic}, func(tx *stm.Tx) {
-				for k := uint64(0); k < 128; k++ {
-					l.Insert(tx, k*2, nil)
-				}
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = th.Run(stm.Props{Kind: stm.Atomic}, func(tx *stm.Tx) {
-					l.Contains(tx, uint64(i%256))
-				})
-			}
-		})
-	}
-}
-
-func BenchmarkTmdsTreapMixed(b *testing.B) {
-	for _, alg := range []stm.Algorithm{stm.MLWT, stm.LazyAlg, stm.NOrec} {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
-			rt := stm.New(stm.Config{Algorithm: alg})
-			th := rt.NewThread()
-			tr := tmds.NewTreap()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := uint64(i*2654435761) % 4096
-				_ = th.Run(stm.Props{Kind: stm.Atomic}, func(tx *stm.Tx) {
-					switch i % 10 {
-					case 0:
-						tr.Remove(tx, k)
-					case 1, 2:
-						tr.Insert(tx, k, nil)
-					default:
-						tr.Contains(tx, k)
-					}
-				})
 			}
 		})
 	}

@@ -55,8 +55,6 @@ type Ctx interface {
 	Word(w *stm.TWord) uint64
 	SetWord(w *stm.TWord, v uint64)
 	AddWord(w *stm.TWord, delta uint64) uint64
-	Any(a *stm.TAny) any
-	SetAny(a *stm.TAny, v any)
 
 	// Volatile / C++11-atomic access (current_time, reference counts,
 	// maintenance flags). Unsafe inside transactions until stage Max.
@@ -124,12 +122,6 @@ func (DirectCtx) SetWord(w *stm.TWord, v uint64) { w.StoreDirect(v) }
 
 // AddWord adds to w directly.
 func (DirectCtx) AddWord(w *stm.TWord, delta uint64) uint64 { return w.AddDirect(delta) }
-
-// Any reads a directly.
-func (DirectCtx) Any(a *stm.TAny) any { return a.LoadDirect() }
-
-// SetAny writes a directly.
-func (DirectCtx) SetAny(a *stm.TAny, v any) { a.StoreDirect(v) }
 
 // Volatile reads w with a plain atomic load.
 func (DirectCtx) Volatile(w *stm.TWord) uint64 { return w.LoadDirect() }
@@ -237,12 +229,6 @@ func (c TxCtx) SetWord(w *stm.TWord, v uint64) { w.Store(c.T, v) }
 
 // AddWord adds to w through the transaction.
 func (c TxCtx) AddWord(w *stm.TWord, delta uint64) uint64 { return w.Add(c.T, delta) }
-
-// Any reads a through the transaction.
-func (c TxCtx) Any(a *stm.TAny) any { return a.Load(c.T) }
-
-// SetAny writes a through the transaction.
-func (c TxCtx) SetAny(a *stm.TAny, v any) { a.Store(c.T, v) }
 
 // Volatile reads a volatile variable. Before stage Max this is unsafe: the
 // transaction serializes first (in-flight switch), then reads directly.

@@ -7,7 +7,14 @@ import (
 
 	"repro/internal/sem"
 	"repro/internal/stm"
+	"repro/internal/txobs"
 )
+
+func newPtr(v *int) *stm.TPtr[int] {
+	p := &stm.TPtr[int]{}
+	p.Init(stm.ReserveIDs(1), txobs.NoLabel, v)
+	return p
+}
 
 func runTx(t *testing.T, rt *stm.Runtime, kind stm.Kind, p Profile, fn func(TxCtx)) error {
 	t.Helper()
@@ -27,10 +34,11 @@ func TestDirectCtxBasics(t *testing.T) {
 	if c.AddWord(w, 2) != 8 {
 		t.Error("AddWord")
 	}
-	a := stm.NewTAny("x")
-	c.SetAny(a, "y")
-	if c.Any(a) != "y" {
-		t.Error("Any")
+	y := 1
+	a := newPtr(nil)
+	SetPtr(c, a, &y)
+	if Ptr(c, a) != &y {
+		t.Error("Ptr")
 	}
 	if c.InTx() || c.Tx() != nil {
 		t.Error("DirectCtx claims to be transactional")
@@ -103,7 +111,8 @@ func TestDirectCtxIO(t *testing.T) {
 func TestTxCtxInstrumentedAccess(t *testing.T) {
 	rt := stm.New(stm.Config{})
 	w := stm.NewTWord(1)
-	a := stm.NewTAny(10)
+	ten, twenty := 10, 20
+	a := newPtr(&ten)
 	err := runTx(t, rt, stm.Atomic, Profile{TxVolatiles: true, SafeLibc: true, OnCommitIO: true}, func(c TxCtx) {
 		if !c.InTx() || c.Tx() == nil {
 			t.Error("TxCtx not transactional")
@@ -112,7 +121,9 @@ func TestTxCtxInstrumentedAccess(t *testing.T) {
 		if c.AddWord(w, 3) != 5 {
 			t.Error("AddWord")
 		}
-		c.SetAny(a, c.Any(a).(int)*2)
+		if *Ptr(c, a) == 10 {
+			SetPtr(c, a, &twenty)
+		}
 		if c.Volatile(w) != 5 {
 			t.Error("Volatile (transactional)")
 		}
@@ -124,7 +135,7 @@ func TestTxCtxInstrumentedAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.LoadDirect() != 8 || a.LoadDirect() != 20 {
+	if w.LoadDirect() != 8 || a.LoadDirect() != &twenty {
 		t.Errorf("after commit: w=%d a=%v", w.LoadDirect(), a.LoadDirect())
 	}
 }

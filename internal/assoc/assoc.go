@@ -54,8 +54,8 @@ func (b *buckets) mask() uint64 { return uint64(len(b.arr)) - 1 }
 
 // Table is the hash table.
 type Table struct {
-	primary *stm.TAny // *buckets
-	old     *stm.TAny // *buckets while expanding, else nil
+	primary stm.TPtr[buckets]
+	old     stm.TPtr[buckets] // non-nil while expanding
 
 	// Expanding is the "volatile" expansion flag; ExpandBucket is the next
 	// old-table bucket to migrate.
@@ -68,13 +68,15 @@ type Table struct {
 
 // New creates a table with 2^power buckets.
 func New(power uint) *Table {
-	return &Table{
-		primary:      stm.NewTAny(newBuckets(power)).Label(lblHashState),
-		old:          stm.NewTAny(nil).Label(lblHashState),
+	t := &Table{
 		Expanding:    stm.NewTWord(0).Label(lblHashState),
 		ExpandBucket: stm.NewTWord(0).Label(lblHashState),
 		Count:        stm.NewTWord(0).Label(lblHashItems),
 	}
+	id := stm.ReserveIDs(2)
+	t.primary.Init(id, lblHashState, newBuckets(power))
+	t.old.Init(id+1, lblHashState, nil)
+	return t
 }
 
 // Hash is the hash function used for keys (FNV-1a 64, standing in for
@@ -99,9 +101,9 @@ func Hash(key []byte) uint64 {
 // primary table only after Expanding is visible, so a reader that still sees
 // Expanding==0 also still sees the pre-expansion primary.
 func (t *Table) bucketFor(c access.Ctx, hv uint64) *stm.TPtr[item.Item] {
-	p := c.Any(t.primary).(*buckets)
+	p := access.Ptr(c, &t.primary)
 	if c.Word(t.Expanding) != 0 {
-		if o, ok := c.Any(t.old).(*buckets); ok {
+		if o := access.Ptr(c, &t.old); o != nil {
 			ob := hv & o.mask()
 			if ob >= c.Word(t.ExpandBucket) {
 				return &o.arr[ob]
@@ -182,7 +184,7 @@ func (t *Table) unchain(c access.Ctx, b *stm.TPtr[item.Item], prev, it *item.Ite
 
 // Size returns the number of buckets in the primary table.
 func (t *Table) Size(c access.Ctx) uint64 {
-	return uint64(len(c.Any(t.primary).(*buckets).arr))
+	return uint64(len(access.Ptr(c, &t.primary).arr))
 }
 
 // Items returns hash_items.
@@ -194,7 +196,7 @@ func (t *Table) NeedExpand(c access.Ctx) bool {
 	if c.Word(t.Expanding) != 0 {
 		return false
 	}
-	p := c.Any(t.primary).(*buckets)
+	p := access.Ptr(c, &t.primary)
 	return c.Word(t.Count) > uint64(len(p.arr))*3/2
 }
 
@@ -204,15 +206,15 @@ func (t *Table) StartExpand(c access.Ctx) {
 	if c.Word(t.Expanding) != 0 {
 		return
 	}
-	p := c.Any(t.primary).(*buckets)
+	p := access.Ptr(c, &t.primary)
 	// Publication order matters for item-lock-only readers: old and the
 	// cursor first, then the flag, and the new primary strictly last — a
 	// reader observing Expanding==0 must still find the pre-expansion table
 	// in primary, and one observing Expanding==1 routes through old.
-	c.SetAny(t.old, p)
+	access.SetPtr(c, &t.old, p)
 	c.SetWord(t.ExpandBucket, 0)
 	c.SetWord(t.Expanding, 1)
-	c.SetAny(t.primary, newBuckets(p.power+1))
+	access.SetPtr(c, &t.primary, newBuckets(p.power+1))
 }
 
 // Expanding reports whether a migration is in flight.
@@ -245,8 +247,8 @@ func (t *Table) ExpandStepLocked(c access.Ctx, n int, tryLock func(hv uint64) (f
 	if c.Word(t.Expanding) == 0 {
 		return false
 	}
-	o := c.Any(t.old).(*buckets)
-	p := c.Any(t.primary).(*buckets)
+	o := access.Ptr(c, &t.old)
+	p := access.Ptr(c, &t.primary)
 	eb := c.Word(t.ExpandBucket)
 	for i := 0; i < n && eb < uint64(len(o.arr)); i++ {
 		it := access.Ptr(c, &o.arr[eb])
@@ -271,7 +273,7 @@ func (t *Table) ExpandStepLocked(c access.Ctx, n int, tryLock func(hv uint64) (f
 	}
 	if eb >= uint64(len(o.arr)) {
 		c.SetWord(t.Expanding, 0)
-		c.SetAny(t.old, nil)
+		access.SetPtr(c, &t.old, nil)
 		return false
 	}
 	return true

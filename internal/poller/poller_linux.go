@@ -261,21 +261,24 @@ func (p *epollPoller) Close() error {
 func (p *epollPoller) waitLoop() {
 	defer close(p.loopDone)
 	events := make([]syscall.EpollEvent, 128)
+	// Zero-timeout drain inside the RawConn.Read callback: returning false
+	// parks this goroutine in the runtime netpoller until the epoll fd reports
+	// readiness. The runtime resets fd readiness before waiting, so the
+	// callback must always attempt the drain first. The callback and its
+	// results are made once: built inside the loop they would be three heap
+	// objects per wakeup.
+	var n int
+	var werr error
+	drain := func(fd uintptr) bool {
+		n, werr = syscall.EpollWait(int(fd), events, 0)
+		if werr == syscall.EINTR {
+			werr = nil
+			return false
+		}
+		return n > 0 || werr != nil
+	}
 	for {
-		var n int
-		var werr error
-		// Zero-timeout drain inside the RawConn.Read callback: returning
-		// false parks this goroutine in the runtime netpoller until the epoll
-		// fd reports readiness. The runtime resets fd readiness before
-		// waiting, so the callback must always attempt the drain first.
-		rerr := p.epRC.Read(func(fd uintptr) bool {
-			n, werr = syscall.EpollWait(int(fd), events, 0)
-			if werr == syscall.EINTR {
-				werr = nil
-				return false
-			}
-			return n > 0 || werr != nil
-		})
+		rerr := p.epRC.Read(drain)
 		if rerr != nil || werr != nil {
 			// The epoll fd was closed under us (Close won a race) or broke;
 			// either way delivery is over.

@@ -51,10 +51,11 @@ func TestDirectAccessors(t *testing.T) {
 	if w.LoadDirect() != 5 {
 		t.Error("TWord StoreDirect")
 	}
-	a := NewTAny("x")
-	a.StoreDirect("y")
-	if a.LoadDirect() != "y" {
-		t.Error("TAny StoreDirect")
+	y := "y"
+	a := newTPtr[string](nil)
+	a.StoreDirect(&y)
+	if a.LoadDirect() != &y {
+		t.Error("TPtr StoreDirect")
 	}
 	tb := NewTBytes(16)
 	tb.SetWordDirect(1, 0xDEADBEEF)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // TestReadOwnWritesAcrossAlgorithms: buffered algorithms must satisfy reads
@@ -14,22 +13,23 @@ func TestReadOwnWritesAcrossAlgorithms(t *testing.T) {
 	forEachAlg(t, func(t *testing.T, rt *Runtime) {
 		th := rt.NewThread()
 		w := NewTWord(1)
-		a := NewTAny("one")
+		one, two := "one", "two"
+		a := newTPtr(&one)
 		mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
 			w.Store(tx, 2)
-			a.Store(tx, "two")
+			a.Store(tx, &two)
 			if w.Load(tx) != 2 {
 				t.Error("word read-own-write failed")
 			}
-			if a.Load(tx) != "two" {
-				t.Error("any read-own-write failed")
+			if a.Load(tx) != &two {
+				t.Error("pointer read-own-write failed")
 			}
 			w.Store(tx, 3)
 			if w.Load(tx) != 3 {
 				t.Error("second word overwrite not visible")
 			}
 		})
-		if w.LoadDirect() != 3 || a.LoadDirect() != "two" {
+		if w.LoadDirect() != 3 || a.LoadDirect() != &two {
 			t.Error("commit lost buffered writes")
 		}
 	})
@@ -309,103 +309,5 @@ func TestQuiesceNoDeadlock(t *testing.T) {
 	}
 	if sum != 8*2000 {
 		t.Errorf("sum = %d", sum)
-	}
-}
-
-// TML coverage: the minimal global-seqlock STM must pass the same semantic
-// suite as the orec-based algorithms.
-func TestTMLSemantics(t *testing.T) {
-	rt := New(Config{Algorithm: TML})
-	th := rt.NewThread()
-	w := NewTWord(1)
-	a := NewTAny("x")
-	mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-		if w.Load(tx) != 1 {
-			t.Error("initial load")
-		}
-		w.Store(tx, 2)
-		a.Store(tx, "y")
-		if w.Load(tx) != 2 || a.Load(tx) != "y" {
-			t.Error("read-own-write")
-		}
-	})
-	if w.LoadDirect() != 2 || a.LoadDirect() != "y" {
-		t.Error("commit lost")
-	}
-	// Cancel rolls back and releases the writer lock.
-	err := th.Run(Props{Kind: Atomic}, func(tx *Tx) {
-		w.Store(tx, 99)
-		tx.Cancel()
-	})
-	if err == nil || w.LoadDirect() != 2 {
-		t.Errorf("cancel: err=%v w=%d", err, w.LoadDirect())
-	}
-	// The lock must be free again.
-	mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) { w.Store(tx, 3) })
-	if w.LoadDirect() != 3 {
-		t.Error("post-cancel store lost")
-	}
-}
-
-func TestTMLConcurrent(t *testing.T) {
-	rt := New(Config{Algorithm: TML})
-	ctr := NewTWord(0)
-	accts := make([]*TWord, 8)
-	for i := range accts {
-		accts[i] = NewTWord(100)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := rt.NewThread()
-			for i := 0; i < 1500; i++ {
-				from, to := (g+i)%8, (g*3+i*5+1)%8
-				if from == to {
-					continue
-				}
-				mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-					ctr.Store(tx, ctr.Load(tx)+1)
-					f := accts[from].Load(tx)
-					if f == 0 {
-						return
-					}
-					accts[from].Store(tx, f-1)
-					accts[to].Store(tx, accts[to].Load(tx)+1)
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	var sum uint64
-	for _, a := range accts {
-		sum += a.LoadDirect()
-	}
-	if sum != 800 {
-		t.Errorf("sum = %d, want 800", sum)
-	}
-}
-
-func TestTMLRetry(t *testing.T) {
-	rt := New(Config{Algorithm: TML})
-	flag := NewTWord(0)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		th := rt.NewThread()
-		mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-			if flag.Load(tx) == 0 {
-				tx.Retry()
-			}
-		})
-	}()
-	th := rt.NewThread()
-	mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) { flag.Store(tx, 1) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("TML Retry never woke")
 	}
 }

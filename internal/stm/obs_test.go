@@ -149,9 +149,10 @@ func TestLabelEncoding(t *testing.T) {
 			t.Fatalf("word %d lost label", i)
 		}
 	}
-	a := NewTAny("x").Label(l)
-	if labelOf(a.c.id) != l {
-		t.Fatalf("TAny label = %v", labelOf(a.c.id))
+	var p TPtr[int]
+	p.Init(ReserveIDs(1), l, nil)
+	if p.LabelOf() != l {
+		t.Fatalf("TPtr label = %v", p.LabelOf())
 	}
 	if NewTWord(0).id>>labelShift != 0 {
 		t.Fatal("unlabeled word has label bits set")

@@ -55,7 +55,7 @@ func TestReadOnlyFastCommit(t *testing.T) {
 // TestReadOnlyHintIgnoredElsewhere: algorithms without orecs (or without
 // speculation at all) run a ReadOnly transaction on their normal path.
 func TestReadOnlyHintIgnoredElsewhere(t *testing.T) {
-	for _, alg := range []Algorithm{NOrec, SerialAlg, HTM, TML} {
+	for _, alg := range []Algorithm{NOrec, SerialAlg, HTM} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			rt := New(Config{Algorithm: alg})

@@ -39,12 +39,12 @@ type retrySignal struct{}
 // In serial-irrevocable mode the wait degrades to yield-and-re-run, since an
 // irrevocable transaction has no tracked read set.
 func (tx *Tx) Retry() {
-	if !tx.serial && tx.algo != TML &&
+	if !tx.serial &&
 		len(tx.reads) == 0 && len(tx.nReadsW) == 0 && len(tx.nReadsP) == 0 {
 		panic("stm: Retry with an empty read set would never wake")
 	}
 	// A serial-irrevocable commit stores in place without touching an orec or
-	// the NOrec/TML sequence, so the read-set watch below cannot see it; the
+	// the NOrec sequence, so the read-set watch below cannot see it; the
 	// serial lock's acquisition count can. Record the count this attempt's
 	// reads are known to be current for: the one it subscribed to, or — for
 	// an attempt holding the read side, which excludes serial writers — the
@@ -69,20 +69,6 @@ func (tx *Tx) Retry() {
 func (tx *Tx) waitReadSetChange() {
 	if tx.serial {
 		runtime.Gosched()
-		return
-	}
-	if tx.algo == TML {
-		// Invisible readers keep no read set; wait for any global commit.
-		seq := tx.rt.nseq.Load()
-		spins := 0
-		for tx.rt.nseq.Load() == seq && tx.rt.serial.seq.Load() == tx.retrySeq {
-			spins++
-			if spins < 64 {
-				runtime.Gosched()
-			} else {
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
 		return
 	}
 	spins := 0

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 func TestRetryWakesOnWrite(t *testing.T) {
@@ -64,14 +66,29 @@ func TestRetryEmptyReadSetPanics(t *testing.T) {
 }
 
 // TestRetryBlockingQueue implements the classic blocking pop with Retry: no
-// lost wake-ups even with many producers and consumers.
+// lost wake-ups even with many producers and consumers. The stack is a
+// Treiber stack of pointer cells, so under NOrec and Lazy the contended pops
+// exercise the pointer cell's revalidation and commit-time conflict paths.
 func TestRetryBlockingQueue(t *testing.T) {
-	rt := New(Config{})
-	head := NewTAny(nil) // simple Treiber-style transactional stack
-	type node struct {
-		v    int
-		next any
+	for _, alg := range []Algorithm{MLWT, LazyAlg, NOrec} {
+		t.Run(alg.String(), func(t *testing.T) { testRetryBlockingQueue(t, alg) })
 	}
+}
+
+type stackNode struct {
+	v    int
+	next *stackNode
+}
+
+func testRetryBlockingQueue(t *testing.T, alg Algorithm) {
+	// Yielding in some read barriers and commits lets other commits land
+	// between a transaction's loads and before its commit, which is when NOrec
+	// revalidates. Two Lazy committers meet on the head's orec only on two Ps.
+	in := fault.New(1)
+	in.Set(fault.STMReadDelay, 0.2)
+	in.Set(fault.STMCommitDelay, 0.2)
+	rt := New(Config{Algorithm: alg, Fault: in})
+	head := newTPtr[stackNode](nil)
 	const producers, perP, consumers = 3, 200, 3
 	total := producers * perP
 
@@ -100,10 +117,9 @@ func TestRetryBlockingQueue(t *testing.T) {
 					if h == nil {
 						tx.Retry() // blocking pop
 					}
-					n := h.(*node)
-					head.Store(tx, n.next)
+					head.Store(tx, h.next)
 					remaining.Store(tx, left-1)
-					v = n.v
+					v = h.v
 				})
 				if done {
 					return
@@ -121,7 +137,7 @@ func TestRetryBlockingQueue(t *testing.T) {
 			for i := 0; i < perP; i++ {
 				v := p*perP + i
 				mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-					head.Store(tx, &node{v: v, next: head.Load(tx)})
+					head.Store(tx, &stackNode{v: v, next: head.Load(tx)})
 				})
 			}
 		}()
@@ -224,7 +240,7 @@ func TestOnAbortAsBackoff(t *testing.T) {
 // lock — otherwise a maintainer waiting on "work exists" sleeps through every
 // update made by a branch whose stores still serialize (it-max).
 func TestRetryWokenBySerialCommit(t *testing.T) {
-	for _, alg := range []Algorithm{MLWT, LazyAlg, NOrec, TML, HTM} {
+	for _, alg := range []Algorithm{MLWT, LazyAlg, NOrec, HTM} {
 		t.Run(alg.String(), func(t *testing.T) {
 			rt := New(Config{Algorithm: alg})
 			flag := NewTWord(0)

@@ -50,7 +50,7 @@ func TestNOrecSnapshotConsistency(t *testing.T) {
 // TestTBytesWriteReadQuick: WriteAll/ReadAll round-trip for arbitrary
 // contents and lengths, under every algorithm.
 func TestTBytesWriteReadQuick(t *testing.T) {
-	for _, alg := range []Algorithm{MLWT, LazyAlg, NOrec, TML} {
+	for _, alg := range []Algorithm{MLWT, LazyAlg, NOrec} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			rt := New(Config{Algorithm: alg})
@@ -90,33 +90,6 @@ func TestPartialWordWriteAll(t *testing.T) {
 	})
 	if got := string(tb.Bytes()); got != "xyzDEFGHIJKLMNOP" {
 		t.Errorf("partial WriteAll = %q", got)
-	}
-}
-
-// TestTAnyNilAndTypes: TAny must carry nil and distinct types faithfully.
-func TestTAnyNilAndTypes(t *testing.T) {
-	rt := New(Config{})
-	th := rt.NewThread()
-	a := NewTAny(nil)
-	if a.LoadDirect() != nil {
-		t.Error("initial nil lost")
-	}
-	type payload struct{ n int }
-	p := &payload{n: 7}
-	mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-		if a.Load(tx) != nil {
-			t.Error("nil load in tx")
-		}
-		a.Store(tx, p)
-	})
-	if got := a.LoadDirect(); got != p {
-		t.Errorf("pointer identity lost: %v", got)
-	}
-	mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-		a.Store(tx, "now a string")
-	})
-	if a.LoadDirect() != "now a string" {
-		t.Error("type change lost")
 	}
 }
 

@@ -3,7 +3,7 @@
 // Legacy Code" (ASPLOS 2014) studies and modifies.
 //
 // Because Go has no compiler instrumentation, shared locations are explicit
-// transactional cells (TWord, TPtr, TAny, TBytes) and the read/write barriers
+// transactional cells (TWord, TPtr, TBytes) and the read/write barriers
 // that GCC would emit are method calls on a transaction descriptor (Tx). The
 // runtime-level protocol is otherwise structurally faithful to libitm:
 //
@@ -65,9 +65,6 @@ const (
 	// serial-lock subscription, and lock fallback after HTMRetries aborts
 	// (the GCC RTM path §5 discusses). See htm.go.
 	HTM
-	// TML is the Transactional Mutex Lock: a single global sequence lock,
-	// invisible readers, fully serialized writers. See tml.go.
-	TML
 )
 
 func (a Algorithm) String() string {
@@ -82,8 +79,6 @@ func (a Algorithm) String() string {
 		return "serial"
 	case HTM:
 		return "htm"
-	case TML:
-		return "tml"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -101,8 +96,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		return SerialAlg, nil
 	case "htm", "rtm":
 		return HTM, nil
-	case "tml":
-		return TML, nil
 	}
 	return 0, fmt.Errorf("stm: unknown algorithm %q", s)
 }

@@ -11,9 +11,18 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/txobs"
 )
 
-var algorithms = []Algorithm{MLWT, LazyAlg, NOrec, SerialAlg, HTM, TML}
+var algorithms = []Algorithm{MLWT, LazyAlg, NOrec, SerialAlg, HTM}
+
+// newTPtr makes a pointer cell holding v, as an embedding structure's Init
+// would.
+func newTPtr[T any](v *T) *TPtr[T] {
+	t := &TPtr[T]{}
+	t.Init(nextID(), txobs.NoLabel, v)
+	return t
+}
 
 func forEachAlg(t *testing.T, fn func(t *testing.T, rt *Runtime)) {
 	t.Helper()
@@ -52,21 +61,26 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	})
 }
 
-func TestTAnyRoundTrip(t *testing.T) {
+func TestTPtrRoundTrip(t *testing.T) {
 	forEachAlg(t, func(t *testing.T, rt *Runtime) {
 		th := rt.NewThread()
-		v := NewTAny("hello")
+		hello, bye := "hello", "bye"
+		v := newTPtr(&hello)
 		mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-			if got := v.Load(tx); got != "hello" {
+			if got := v.Load(tx); got != &hello {
 				t.Errorf("Load = %v", got)
 			}
-			v.Store(tx, 99)
-			if got := v.Load(tx); got != 99 {
+			v.Store(tx, &bye)
+			if got := v.Load(tx); got != &bye {
 				t.Errorf("read-own-write = %v", got)
 			}
 		})
-		if got := v.LoadDirect(); got != 99 {
+		if got := v.LoadDirect(); got != &bye {
 			t.Errorf("after commit = %v", got)
+		}
+		mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) { v.Store(tx, nil) })
+		if v.LoadDirect() != nil {
+			t.Error("nil store lost")
 		}
 	})
 }
@@ -749,13 +763,15 @@ func TestStatsSubAndRatios(t *testing.T) {
 }
 
 func TestParseHelpers(t *testing.T) {
-	for _, s := range []string{"mlwt", "lazy", "norec", "serial"} {
+	for _, s := range []string{"mlwt", "gcc", "eager", "lazy", "norec", "serial", "htm", "rtm"} {
 		if _, err := ParseAlgorithm(s); err != nil {
 			t.Errorf("ParseAlgorithm(%q): %v", s, err)
 		}
 	}
-	if _, err := ParseAlgorithm("nope"); err == nil {
-		t.Error("ParseAlgorithm accepted garbage")
+	for _, s := range []string{"nope", "tml"} {
+		if _, err := ParseAlgorithm(s); err == nil {
+			t.Errorf("ParseAlgorithm accepted %q", s)
+		}
 	}
 	for _, s := range []string{"serialize", "none", "backoff", "hourglass"} {
 		if _, err := ParseCM(s); err != nil {

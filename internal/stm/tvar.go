@@ -41,12 +41,6 @@ func (t *TWord) Label(l txobs.Label) *TWord {
 	return t
 }
 
-// Label tags the location for conflict attribution (see TWord.Label).
-func (t *TAny) Label(l txobs.Label) *TAny {
-	t.c.id = labeled(t.c.id, l)
-	return t
-}
-
 // Label tags every stripe of the buffer for conflict attribution (see
 // TWord.Label).
 func (t *TBytes) Label(l txobs.Label) *TBytes {
@@ -122,8 +116,8 @@ type ptrCell interface {
 }
 
 // TPtr is a transactional location holding a *T (item links, chain heads,
-// LRU heads and tails). Unlike TAny it needs no box: the pointer itself is
-// the atomically replaced word, so a store allocates nothing. The zero value
+// LRU heads and tails, hash-table bucket arrays). The pointer itself is the
+// atomically replaced word, so a store allocates nothing. The zero value
 // is not usable; embed it by value and call Init.
 type TPtr[T any] struct {
 	id uint64
@@ -155,34 +149,6 @@ func (t *TPtr[T]) LoadDirect() *T { return t.p.Load() }
 // StoreDirect writes the pointer outside any transaction.
 func (t *TPtr[T]) StoreDirect(v *T) { t.p.Store(v) }
 
-// box wraps an arbitrary value so TAny can be read and written atomically.
-type box struct{ v any }
-
-// TAny is a transactional location holding an arbitrary value: a pointer
-// cell whose target is a freshly allocated box per store. Locations that only
-// ever hold one pointer type should be a TPtr instead. The zero value is not
-// usable; create with NewTAny.
-type TAny struct{ c TPtr[box] }
-
-// NewTAny creates a location holding v.
-func NewTAny(v any) *TAny {
-	t := &TAny{}
-	t.c.Init(nextID(), txobs.NoLabel, &box{v: v})
-	return t
-}
-
-// Load reads the value inside tx.
-func (t *TAny) Load(tx *Tx) any { return t.c.Load(tx).v }
-
-// Store writes the value inside tx.
-func (t *TAny) Store(tx *Tx, v any) { t.c.Store(tx, &box{v: v}) }
-
-// LoadDirect reads the value outside any transaction (privatized access).
-func (t *TAny) LoadDirect() any { return t.c.LoadDirect().v }
-
-// StoreDirect writes the value outside any transaction.
-func (t *TAny) StoreDirect(v any) { t.c.StoreDirect(&box{v: v}) }
-
 // StripeBytes is the width of a TBytes stripe: the bytes that share one
 // location id, and so one orec. It is a cache line, which is also what the
 // emulated HTM counts one footprint entry for.
@@ -201,8 +167,7 @@ const stripeWords = StripeBytes / 8
 // write side one orec acquisition (the undo log stays per word). Lazy
 // read-write and NOrec still log every word of the range in their value and
 // redo logs, which is the word-vs-byte logging cost the paper measures for
-// memcpy under buffered-update algorithms; TML checks its sequence lock per
-// word. Length is fixed at creation, like a C allocation. Create with
+// memcpy under buffered-update algorithms. Length is fixed at creation, like a C allocation. Create with
 // NewTBytes, or embed it by value and call Init.
 type TBytes struct {
 	baseID uint64

@@ -191,15 +191,14 @@ type Tx struct {
 	rt    *Runtime
 	props Props
 
-	serial    bool
-	ro        bool      // read-only fast path attempt (orec algorithms only)
-	algo      Algorithm // the runtime's algorithm, copied at begin
-	lockWord  uint64    // odd; unique per attempt
-	start     uint64    // clock snapshot (MLWT/Lazy) or sequence snapshot (NOrec/TML)
-	htmSeq    uint64    // serial-lock subscription sequence (HTM)
-	roSeq     uint64    // serial-lock subscription sequence (read-only fast path)
-	retrySeq  uint64    // serial-lock sequence a Retry-ing attempt ran under (see retry.go)
-	tmlWriter bool      // TML: holding the global sequence lock
+	serial   bool
+	ro       bool      // read-only fast path attempt (orec algorithms only)
+	algo     Algorithm // the runtime's algorithm, copied at begin
+	lockWord uint64    // odd; unique per attempt
+	start    uint64    // clock snapshot (MLWT/Lazy) or sequence snapshot (NOrec)
+	htmSeq   uint64    // serial-lock subscription sequence (HTM)
+	roSeq    uint64    // serial-lock subscription sequence (read-only fast path)
+	retrySeq uint64    // serial-lock sequence a Retry-ing attempt ran under (see retry.go)
 
 	reads []orecRead
 	owned []ownedOrec
@@ -328,7 +327,7 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 	// The read-only fast path exists for the orec-based algorithms, where a
 	// reader otherwise pays serial-lock read acquisition and release on every
 	// attempt. NOrec's read-only commit is already free, HTM already
-	// subscribes, and TML/serial have nothing to skip; begin applies the hint
+	// subscribes, and serial has nothing to skip; begin applies the hint
 	// against the runtime's algorithm.
 	wantRO := props.ReadOnly
 	if props.StartSerial {
@@ -569,8 +568,6 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 			tx.start = rt.clock.Load()
 		case NOrec:
 			tx.start = rt.norecBegin()
-		case TML:
-			tx.tmlBegin()
 		}
 		// A read-only attempt never populates its redo maps (the first write
 		// barrier upgrades before touching them), so skip the map setup.
@@ -736,7 +733,7 @@ func (tx *Tx) loadWord(id uint64, p *atomic.Uint64) uint64 {
 
 // loadLogged is the word read of the algorithms that consult or keep a log
 // for every word, stripe member or not: Lazy read-write (redo lookup, then
-// the orec protocol), NOrec (value log) and TML (sequence check).
+// the orec protocol) and NOrec (value log).
 func (tx *Tx) loadLogged(id uint64, p *atomic.Uint64) uint64 {
 	switch tx.algo {
 	case LazyAlg:
@@ -751,8 +748,6 @@ func (tx *Tx) loadLogged(id uint64, p *atomic.Uint64) uint64 {
 		v := tx.norecLoadWord(p)
 		tx.nReadsW = append(tx.nReadsW, wordSlot{p: p, v: v})
 		return v
-	case TML:
-		return tx.tmlLoad(p.Load)
 	}
 	panic("stm: bad algorithm")
 }
@@ -761,7 +756,7 @@ func (tx *Tx) loadLogged(id uint64, p *atomic.Uint64) uint64 {
 // memtransfer barrier of libitm's ml_wt (pre_load/post_load over the range).
 // The orec algorithms sample the stripe's orec once, copy every word, and
 // re-sample — one read-set entry, and for HTM one footprint line, per stripe.
-// Lazy read-write, NOrec and TML keep their per-word logs, on the stripe id.
+// Lazy read-write and NOrec keep their per-word logs, on the stripe id.
 // The injection points fire once per stripe; on the orec path they fire
 // between the first sample and the copy, so a delay widens exactly the window
 // the second sample guards.
@@ -817,18 +812,13 @@ func (tx *Tx) storeWord(id uint64, p *atomic.Uint64, v uint64) {
 		}
 	case LazyAlg, NOrec:
 		tx.redoW[p] = wordRedo{id: id, v: v}
-	case TML:
-		tx.tmlAcquire()
-		tx.undoW = append(tx.undoW, wordSlot{p: p, v: p.Load()})
-		p.Store(v)
 	}
 }
 
 // storeStripe writes src into words, which all belong to the stripe id. The
-// eager algorithms take the stripe's lock once (the orec for MLWT and HTM,
-// the sequence lock for TML) and keep a per-word undo log; Lazy and NOrec
-// buffer every word in the redo log under the stripe id. The injection points
-// fire once per stripe.
+// eager algorithms (MLWT and HTM) take the stripe's orec once and keep a
+// per-word undo log; Lazy and NOrec buffer every word in the redo log under
+// the stripe id. The injection points fire once per stripe.
 func (tx *Tx) storeStripe(id uint64, words []atomic.Uint64, src []uint64) {
 	tx.faultBarrier(fault.STMWriteAbort, fault.STMWriteDelay)
 	if tx.ro {
@@ -854,8 +844,6 @@ func (tx *Tx) storeStripe(id uint64, words []atomic.Uint64, src []uint64) {
 			tx.htmMarkEager()
 		}
 		tx.orecAcquire(id)
-	case TML:
-		tx.tmlAcquire()
 	}
 	for j := range words {
 		tx.undoW = append(tx.undoW, wordSlot{p: &words[j], v: words[j].Load()})
@@ -895,10 +883,6 @@ func (tx *Tx) loadPtr(c ptrCell) any {
 		v := tx.norecLoadPtr(c)
 		tx.nReadsP = append(tx.nReadsP, ptrSlot{c: c, v: v})
 		return v
-	case TML:
-		var v any
-		tx.tmlLoad(func() uint64 { v = c.loadRaw(); return 0 })
-		return v
 	}
 	panic("stm: bad algorithm")
 }
@@ -928,10 +912,6 @@ func (tx *Tx) storePtr(c ptrCell, v any) {
 		}
 	case LazyAlg, NOrec:
 		tx.redoP[c] = v
-	case TML:
-		tx.tmlAcquire()
-		tx.undoP = append(tx.undoP, ptrSlot{c: c, v: c.loadRaw()})
-		c.storeRaw(v)
 	}
 }
 
@@ -1233,13 +1213,6 @@ func (tx *Tx) commitProtocol() bool {
 		rt.serial.RUnlock()
 		tx.endSpeculation(true)
 		return true
-	case TML:
-		wrote := tx.tmlWriter
-		tx.tmlCommit()
-		tx.tmlWriter = false
-		rt.serial.RUnlock()
-		tx.endSpeculation(wrote)
-		return true
 	}
 	panic("stm: bad algorithm")
 }
@@ -1336,12 +1309,6 @@ func (tx *Tx) rollback() {
 			tx.undoP[i].c.storeRaw(tx.undoP[i].v)
 		}
 		rt.serial.Unlock()
-		return
-	}
-	if tx.algo == TML {
-		tx.tmlRollback()
-		rt.serial.RUnlock()
-		tx.th.activeSince.Store(0)
 		return
 	}
 	for i := len(tx.undoW) - 1; i >= 0; i-- {

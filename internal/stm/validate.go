@@ -30,7 +30,7 @@ func (e *ConfigError) Is(target error) bool { return target == ErrInvalidConfig 
 // combinations. Zero values are legal (New applies defaults); Validate only
 // rejects settings that cannot mean what the user asked for.
 func (c Config) Validate() error {
-	if c.Algorithm < MLWT || c.Algorithm > TML {
+	if c.Algorithm < MLWT || c.Algorithm > HTM {
 		return &ConfigError{"Algorithm", fmt.Sprintf("unknown algorithm %d", int(c.Algorithm))}
 	}
 	if c.CM < CMSerialize || c.CM > CMHourglass {

@@ -2,7 +2,7 @@
 //
 // Historically every layer grew its own run helper: core.Ctx.Atomic,
 // core.Ctx.Relaxed, core.Ctx.RelaxedStartSerial, and raw stm.Thread.Run calls
-// with hand-built Props scattered through engine, tmds and the tests. This
+// with hand-built Props scattered through engine and the tests. This
 // package replaces them with two functions and a functional-options struct:
 //
 //	err := tm.Atomic(th, tm.With(tm.Label("item_get"), tm.ReadOnly()), func(tx *stm.Tx) { ... })
