@@ -93,6 +93,33 @@ func TestPartialWordWriteAll(t *testing.T) {
 	}
 }
 
+// TestTPtrNilAndIdentity: TPtr must carry nil and pointer identity faithfully.
+func TestTPtrNilAndIdentity(t *testing.T) {
+	rt := New(Config{})
+	th := rt.NewThread()
+	type payload struct{ n int }
+	a := newTPtr[payload](nil)
+	if a.LoadDirect() != nil {
+		t.Error("initial nil lost")
+	}
+	p, q := &payload{n: 7}, &payload{n: 7}
+	mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
+		if a.Load(tx) != nil {
+			t.Error("nil load in tx")
+		}
+		a.Store(tx, p)
+	})
+	if got := a.LoadDirect(); got != p {
+		t.Errorf("pointer identity lost: %p, want %p", got, p)
+	}
+	mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
+		a.Store(tx, q)
+	})
+	if got := a.LoadDirect(); got != q {
+		t.Errorf("equal-valued pointer not distinguished: %p, want %p", got, q)
+	}
+}
+
 // TestSnapshotStatsFields: the snapshot carries every counter.
 func TestSnapshotStatsFields(t *testing.T) {
 	rt := New(Config{Algorithm: HTM, HTMCapacity: 4, HTMRetries: 1})
