@@ -200,7 +200,9 @@ func BenchmarkAblationMarshalVsReimpl(b *testing.B) {
 	b.Run("marshal+pure", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = th.Run(stm.Props{Kind: stm.Atomic}, func(tx *stm.Tx) {
-				tmlib.PureStrtoull(tmlib.MarshalIn(tx, buf, 0, buf.Len()))
+				var stack [20]byte
+				tmlib.MarshalInto(tx, stack[:], buf, 0)
+				tmlib.PureStrtoull(stack[:])
 			})
 		}
 	})
@@ -210,7 +212,7 @@ func BenchmarkAblationMarshalVsReimpl(b *testing.B) {
 				// Fully instrumented digit-by-digit parse.
 				var v uint64
 				for j := 0; j < buf.Len(); j++ {
-					c := buf.ByteAt(tx, j)
+					c := byte(buf.LoadWord(tx, j/8) >> (8 * (j % 8)))
 					if c < '0' || c > '9' {
 						break
 					}

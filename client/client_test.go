@@ -317,8 +317,7 @@ func TestTxConcurrentTransfers(t *testing.T) {
 	if stats["tx_commits"] == "0" || stats["tx_commits"] == "" {
 		t.Fatalf("tx_commits = %q", stats["tx_commits"])
 	}
-	t.Logf("tx_commits=%s tx_conflicts=%s tx_serial_fallbacks=%s",
-		stats["tx_commits"], stats["tx_conflicts"], stats["tx_serial_fallbacks"])
+	t.Logf("tx_commits=%s tx_conflicts=%s", stats["tx_commits"], stats["tx_conflicts"])
 }
 
 func statMap(lines []client.Stat) map[string]string {

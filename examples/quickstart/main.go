@@ -36,7 +36,7 @@ func main() {
 	// A transaction expression: evaluate a condition transactionally. The
 	// ReadOnly hint lets it commit without acquiring anything.
 	var total uint64
-	_ = tm.Atomic(th, tm.With(tm.ReadOnly()), func(tx *stm.Tx) {
+	_ = tm.Atomic(th, tm.Options{ReadOnly: true}, func(tx *stm.Tx) {
 		total = checking.Load(tx) + savings.Load(tx)
 	})
 	fmt.Printf("after transfer: checking=%d savings=%d total=%d\n",

@@ -192,7 +192,7 @@ func traceOverhead(sz sizer) experiment {
 func wireTxn(sz sizer) experiment {
 	e := experiment{
 		name:    "txn",
-		claim:   "a wire transaction commits as one optimistic server-side transaction: cross-shard costs about what same-shard does, conflicts rise as the key pool shrinks, serial fallbacks stay rare, and no unit of balance is ever lost",
+		claim:   "a wire transaction commits as one server-side transaction, optimistic on one shard and one blocking ordered serial pass across shards: cross-shard costs about what same-shard does, conflicts rise as the key pool shrinks, and no unit of balance is ever lost",
 		threads: 4, ops: sz(20000, 100), trials: sz(5, 1),
 	}
 	add := func(label string, perShard int, yield bool) {

@@ -191,16 +191,15 @@ func measure(e *experiment, p point) (sample, error) {
 		d := after.STM.Sub(before.STM)
 		s.rate = float64(s.ops) / elapsed.Seconds()
 		m := Metrics{
-			"seconds":             elapsed.Seconds(),
-			"ops_per_sec":         s.rate,
-			"commits":             d.Commits,
-			"aborts":              d.Aborts,
-			"start_serial":        d.StartSerial,
-			"serial_commits":      d.SerialCommits,
-			"ro_fast_commits":     d.ROFastCommits,
-			"tx_commits":          after.TxCommits - before.TxCommits,
-			"tx_conflicts":        after.TxConflicts - before.TxConflicts,
-			"tx_serial_fallbacks": after.TxSerialFallbacks - before.TxSerialFallbacks,
+			"seconds":         elapsed.Seconds(),
+			"ops_per_sec":     s.rate,
+			"commits":         d.Commits,
+			"aborts":          d.Aborts,
+			"start_serial":    d.StartSerial,
+			"serial_commits":  d.SerialCommits,
+			"ro_fast_commits": d.ROFastCommits,
+			"tx_commits":      after.TxCommits - before.TxCommits,
+			"tx_conflicts":    after.TxConflicts - before.TxConflicts,
 		}
 		var commits, aborts []uint64
 		for i, ss := range r.c.ShardStats() {
@@ -407,7 +406,7 @@ func (r Result) String() string {
 var runnerMetrics = map[string]bool{
 	"seconds": true, "ops_per_sec": true, "vs_ref": true, "trial_spread": true,
 	"commits": true, "aborts": true, "start_serial": true, "serial_commits": true, "ro_fast_commits": true,
-	"tx_commits": true, "tx_conflicts": true, "tx_serial_fallbacks": true,
+	"tx_commits": true, "tx_conflicts": true,
 	"shard_commits": true, "shard_aborts": true, "shard_balance": true,
 }
 

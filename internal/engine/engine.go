@@ -154,9 +154,8 @@ type shard struct {
 	// known, outside any transaction, so a retried attempt cannot double
 	// count. A cross-shard transaction is attributed to its lowest touched
 	// shard.
-	txCommits         atomic.Uint64
-	txConflicts       atomic.Uint64
-	txSerialFallbacks atomic.Uint64
+	txCommits   atomic.Uint64
+	txConflicts atomic.Uint64
 
 	mu      sync.Mutex // registration of worker stat blocks
 	tblocks []*mcstats.Thread

@@ -501,7 +501,6 @@ func (w *Worker) Stats() Snapshot {
 		s.SlabBytes += ss.SlabBytes
 		s.TxCommits += ss.TxCommits
 		s.TxConflicts += ss.TxConflicts
-		s.TxSerialFallbacks += ss.TxSerialFallbacks
 		s.STM = s.STM.Add(ss.STM)
 	}
 	return s

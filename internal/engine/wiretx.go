@@ -16,16 +16,14 @@ import (
 // Keys may hash to different shards, and the shards are fully independent TM
 // domains (disjoint orec tables, clocks, serial locks), so a cross-shard
 // commit cannot ride a single speculative transaction. Instead it is the
-// first N-domain commit path: the touched shards' serial write locks are
-// acquired in ascending shard-index order by opening a serial-irrevocable
-// transaction on each shard's worker thread, innermost-first work runs with
-// all domains held, and the nested commits release in descending order. The
-// ascending-order rule makes the blocking protocol deadlock-free; the first
-// pass additionally bounds every acquisition after the first (stm's TrySerial
-// hook) so a committer that loses the race unwinds — serial transactions that
-// ran nothing commit empty — and retries under the global fallback: every
-// domain, ascending, blocking. Single-shard transactions skip all of this and
-// run as one speculative relaxed transaction; if the op mix reaches an unsafe
+// N-domain commit path: the touched shards' serial write locks are acquired
+// in ascending shard-index order, each acquisition blocking, by opening a
+// serial-irrevocable transaction on each shard's worker thread; the work runs
+// with all touched domains held, and the nested commits release in
+// descending order. Every committer acquires in the same global order, so no
+// two can wait on each other in a cycle; shards the transaction does not
+// touch are never locked. Single-shard transactions skip all of this and run
+// as one speculative relaxed transaction; if the op mix reaches an unsafe
 // operation under the branch's profile, the runtime's in-flight switch
 // escalates it to serial exactly as it does any other section.
 
@@ -92,9 +90,6 @@ type TxOutcome struct {
 	Committed   bool
 	ConflictKey []byte
 	Results     []TxOpResult
-	// SerialFallback reports that the ordered first pass lost its bounded
-	// acquisition race and the commit re-ran under the global serial section.
-	SerialFallback bool
 	// Shards is the number of distinct TM domains the transaction touched.
 	Shards int
 }
@@ -194,24 +189,10 @@ func (w *Worker) CommitTx(reads []TxRead, ops []TxOp) TxOutcome {
 		_ = tm.Relaxed(sw.tctx, tm.Options{Site: "wiretx_commit"}, func(*stm.Tx) { body() })
 	default:
 		low = order[0]
-		if !w.orderedCommit(order, 0, body, true) {
-			// A later domain was busy: every serial transaction opened so far
-			// committed empty (descending release), so nothing happened.
-			// Re-run under the global serial section — every domain, still
-			// ascending, all blocking — which cannot lose a race.
-			out.SerialFallback = true
-			all := make([]int, len(w.ws))
-			for i := range all {
-				all[i] = i
-			}
-			w.orderedCommit(all, 0, body, false)
-		}
+		w.orderedCommit(order, body)
 	}
 
 	sh := w.ws[low].c
-	if out.SerialFallback {
-		sh.txSerialFallbacks.Add(1)
-	}
 	if out.Committed {
 		sh.txCommits.Add(1)
 	} else {
@@ -221,29 +202,19 @@ func (w *Worker) CommitTx(reads []TxRead, ops []TxOp) TxOutcome {
 }
 
 // orderedCommit opens a serial-irrevocable transaction on each listed shard's
-// worker thread in ascending index order — each nested inside the previous,
-// so releases unwind in descending order — and runs body with all of them
-// held. When try is set, every acquisition after the first is bounded
-// (TrySerial); a busy domain returns false with nothing run. The threads are
+// worker thread in ascending index order, blocking until each domain's serial
+// lock is free, each nested inside the previous so releases unwind in
+// descending order, and runs body with all of them held. The threads are
 // distinct per shard, so the nesting never flattens here; the operations body
 // issues DO flatten, each into its own shard's open serial transaction.
-func (w *Worker) orderedCommit(order []int, k int, body func(), try bool) bool {
-	if k == len(order) {
+func (w *Worker) orderedCommit(order []int, body func()) {
+	if len(order) == 0 {
 		body()
-		return true
+		return
 	}
-	o := tm.Options{StartSerial: true, Site: "wiretx_commit"}
-	if try && k > 0 {
-		o.TrySerial = true
-	}
-	ok := true
-	err := tm.Relaxed(w.ws[order[k]].tctx, o, func(*stm.Tx) {
-		ok = w.orderedCommit(order, k+1, body, try)
+	_ = tm.Relaxed(w.ws[order[0]].tctx, tm.Options{StartSerial: true, Site: "wiretx_commit"}, func(*stm.Tx) {
+		w.orderedCommit(order[1:], body)
 	})
-	if err != nil {
-		return false // stm.ErrSerialBusy: this domain never opened
-	}
-	return ok
 }
 
 // casOf reads the current CAS id of key on this shard (0 = absent or

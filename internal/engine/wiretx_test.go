@@ -82,8 +82,8 @@ func TestWireTxSingleShardCommit(t *testing.T) {
 	if !out.Committed {
 		t.Fatalf("commit failed: conflict on %q", out.ConflictKey)
 	}
-	if out.Shards != 1 || out.SerialFallback {
-		t.Fatalf("outcome = %+v, want single-shard no-fallback", out)
+	if out.Shards != 1 {
+		t.Fatalf("outcome = %+v, want single-shard", out)
 	}
 	if out.Results[0].Kind != TxIncr || out.Results[0].Delta != DeltaOK || out.Results[0].NewValue != 12 {
 		t.Fatalf("incr result = %+v", out.Results[0])
@@ -95,8 +95,8 @@ func TestWireTxSingleShardCommit(t *testing.T) {
 		t.Fatalf("b = %q, %v", v, ok)
 	}
 	s := w.Stats()
-	if s.TxCommits != 1 || s.TxConflicts != 0 || s.TxSerialFallbacks != 0 {
-		t.Fatalf("tx counters = %d/%d/%d, want 1/0/0", s.TxCommits, s.TxConflicts, s.TxSerialFallbacks)
+	if s.TxCommits != 1 || s.TxConflicts != 0 {
+		t.Fatalf("tx counters = %d/%d, want 1/0", s.TxCommits, s.TxConflicts)
 	}
 }
 
@@ -177,11 +177,12 @@ func TestWireTxCrossShardTransfer(t *testing.T) {
 	}
 }
 
-// TestWireTxSerialFallback forces the bounded second-domain acquisition to
-// fail by parking a serial transaction on the higher shard's runtime, and
-// checks the commit retries under the global serial section and still
-// applies atomically once the lock frees.
-func TestWireTxSerialFallback(t *testing.T) {
+// TestWireTxWaitsForBusyDomain parks a serial transaction on the higher of a
+// cross-shard commit's two shards. The commit must wait for it, not give up
+// or widen its hold: it returns only after the parked transaction ends, then
+// applies atomically, and the shards it does not touch run no serial
+// transaction on its behalf.
+func TestWireTxWaitsForBusyDomain(t *testing.T) {
 	c, w := newWireTxCache(t, IT, 4)
 	keys := keysOnShards(t, c.NumShards(), 2)
 	a, b := keys[0], keys[1]
@@ -189,22 +190,26 @@ func TestWireTxSerialFallback(t *testing.T) {
 		t.Fatal("seed sets failed")
 	}
 
-	// Park a serial transaction on shard 1 (the commit's second, bounded
-	// domain — its first domain is blocking, so holding shard 0 would just
-	// make the commit wait, not fall back).
+	// Park a serial transaction on shard 1, the commit's second domain: the
+	// commit has already taken shard 0 when it reaches it.
 	hold := c.shards[1].rt.NewThread()
 	held := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = tm.Relaxed(hold, tm.With(tm.StartSerial()), func(tx *stm.Tx) {
+		_ = tm.Relaxed(hold, tm.Options{StartSerial: true}, func(tx *stm.Tx) {
 			close(held)
 			<-release
 		})
 	}()
 	<-held
 
+	untouched := []int{2, 3}
+	before := make([]stm.Snapshot, len(untouched))
+	for i, s := range untouched {
+		before[i] = c.shards[s].rt.Stats()
+	}
 	var out TxOutcome
 	commitDone := make(chan struct{})
 	go func() {
@@ -214,21 +219,28 @@ func TestWireTxSerialFallback(t *testing.T) {
 			{Kind: TxIncr, Key: b, Delta: 3},
 		})
 	}()
-	// Give the commit time to lose its bounded acquisition and enter the
-	// blocking fallback, then free the parked transaction.
-	time.Sleep(100 * time.Millisecond)
+	returnedEarly := false
+	select {
+	case <-commitDone:
+		returnedEarly = true
+	case <-time.After(100 * time.Millisecond):
+	}
 	close(release)
 	<-done
 	<-commitDone
+	if returnedEarly {
+		t.Error("commit returned while its second domain was held")
+	}
 
-	if !out.Committed {
-		t.Fatalf("fallback commit failed: %+v", out)
+	if !out.Committed || out.Shards != 2 {
+		t.Fatalf("outcome = %+v, want a committed 2-shard transaction", out)
 	}
-	if !out.SerialFallback {
-		t.Fatal("commit did not take the serial fallback (parked lock not hit?)")
-	}
-	if s := w.Stats(); s.TxSerialFallbacks != 1 {
-		t.Fatalf("TxSerialFallbacks = %d, want 1", s.TxSerialFallbacks)
+	for i, s := range untouched {
+		d := c.shards[s].rt.Stats().Sub(before[i])
+		if d.StartSerial != 0 || d.SerialCommits != 0 {
+			t.Errorf("untouched shard %d: StartSerial +%d, SerialCommits +%d during the commit, want 0",
+				s, d.StartSerial, d.SerialCommits)
+		}
 	}
 	va, _, _, _ := w.Get(a)
 	vb, _, _, _ := w.Get(b)
@@ -314,7 +326,7 @@ func TestWireTxConcurrentTransfersConserve(t *testing.T) {
 	if s.TxCommits == 0 {
 		t.Fatal("no transactions committed")
 	}
-	t.Logf("tx: %d commits, %d conflicts, %d fallbacks", s.TxCommits, s.TxConflicts, s.TxSerialFallbacks)
+	t.Logf("tx: %d commits, %d conflicts", s.TxCommits, s.TxConflicts)
 }
 
 // TestWireTxStatsReset pins the exactly-once reset of the tx counters.
@@ -325,7 +337,7 @@ func TestWireTxStatsReset(t *testing.T) {
 		t.Fatalf("TxCommits = %d, want 1", s.TxCommits)
 	}
 	w.ResetStats()
-	if s := w.Stats(); s.TxCommits != 0 || s.TxConflicts != 0 || s.TxSerialFallbacks != 0 {
-		t.Fatalf("counters after reset = %d/%d/%d, want zeros", s.TxCommits, s.TxConflicts, s.TxSerialFallbacks)
+	if s := w.Stats(); s.TxCommits != 0 || s.TxConflicts != 0 {
+		t.Fatalf("counters after reset = %d/%d, want zeros", s.TxCommits, s.TxConflicts)
 	}
 }

@@ -740,13 +740,11 @@ type Snapshot struct {
 	HashItems   uint64
 	HashBuckets uint64
 	SlabBytes   uint64
-	// Wire-transaction counters (tx_commits / tx_conflicts /
-	// tx_serial_fallbacks in the stats surface), attributed to the lowest
-	// shard a transaction touched.
-	TxCommits         uint64
-	TxConflicts       uint64
-	TxSerialFallbacks uint64
-	STM               stm.Snapshot
+	// Wire-transaction counters (tx_commits / tx_conflicts in the stats
+	// surface), attributed to the lowest shard a transaction touched.
+	TxCommits   uint64
+	TxConflicts uint64
+	STM         stm.Snapshot
 }
 
 // ResetStats zeroes this shard's command counters: every per-thread block
@@ -774,7 +772,6 @@ func (w *shardWorker) ResetStats() {
 	// each exactly once).
 	w.c.txCommits.Store(0)
 	w.c.txConflicts.Store(0)
-	w.c.txSerialFallbacks.Store(0)
 	if w.c.rt != nil {
 		w.c.rt.ResetStats()
 	}
@@ -837,7 +834,6 @@ func (w *shardWorker) Stats() Snapshot {
 	})
 	s.TxCommits = w.c.txCommits.Load()
 	s.TxConflicts = w.c.txConflicts.Load()
-	s.TxSerialFallbacks = w.c.txSerialFallbacks.Load()
 	if w.c.rt != nil {
 		s.STM = w.c.rt.Stats()
 	}

@@ -776,7 +776,6 @@ func (c *Conn) cmdStats() error {
 	stat("tm_ro_upgrade", s.STM.ROUpgrades)
 	stat("tx_commits", s.TxCommits)
 	stat("tx_conflicts", s.TxConflicts)
-	stat("tx_serial_fallbacks", s.TxSerialFallbacks)
 	if c.connErrs != nil {
 		stat("conn_errors_io", c.connErrs.IO.Load())
 		stat("conn_errors_protocol", c.connErrs.Protocol.Load())

@@ -327,8 +327,7 @@ func TestTxStatsLinesAndReset(t *testing.T) {
 		t.Errorf("missing tx_commits 1 before reset:\n%s", first)
 	}
 	if !strings.Contains(rest, "STAT tx_commits 0\r\n") ||
-		!strings.Contains(rest, "STAT tx_conflicts 0\r\n") ||
-		!strings.Contains(rest, "STAT tx_serial_fallbacks 0\r\n") {
+		!strings.Contains(rest, "STAT tx_conflicts 0\r\n") {
 		t.Errorf("tx counters not reset:\n%s", rest)
 	}
 }

@@ -535,7 +535,7 @@ func TestStatsKeySetsPinned(t *testing.T) {
 			"tm_abort_serial", "tm_aborts", "tm_htm_capacity_aborts", "tm_htm_fallbacks",
 			"tm_inflight_switch", "tm_ro_fast_commit", "tm_ro_upgrade", "tm_start_serial",
 			"tm_transactions", "tm_watchdog_backoff", "tm_watchdog_serialize", "total_items",
-			"tx_commits", "tx_conflicts", "tx_serial_fallbacks", "version"}},
+			"tx_commits", "tx_conflicts", "version"}},
 		{"eventloop", []string{"affine_0_depth", "affine_1_depth", "affine_2_depth", "affine_3_depth",
 			"affine_cap", "burst_ops count,mean,p50,p95,p99,max", "conns",
 			"dispatch_ns " + hist, "event_overflow_spills",

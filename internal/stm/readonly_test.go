@@ -1,11 +1,8 @@
 package stm
 
 import (
-	"errors"
 	"sync"
 	"testing"
-
-	"repro/internal/fault"
 )
 
 // roAlgorithms are the orec-based algorithms with a read-only fast path.
@@ -162,27 +159,5 @@ func TestReadOnlySnapshotUnderWriters(t *testing.T) {
 				t.Error("no read-only fast commits recorded under contention")
 			}
 		})
-	}
-}
-
-// TestMaxRetries: a transaction that aborts every attempt returns
-// ErrRetryLimit once Props.MaxRetries consecutive aborts accumulate, instead
-// of escalating to serial execution.
-func TestMaxRetries(t *testing.T) {
-	in := fault.New(1)
-	in.Set(fault.STMReadAbort, 1) // every speculative read barrier aborts
-	rt := New(Config{Algorithm: MLWT, Fault: in})
-	th := rt.NewThread()
-	v := NewTWord(0)
-	err := th.Run(Props{Kind: Atomic, MaxRetries: 5}, func(tx *Tx) { v.Load(tx) })
-	if !errors.Is(err, ErrRetryLimit) {
-		t.Fatalf("Run = %v, want ErrRetryLimit", err)
-	}
-	if got := rt.stats.Aborts.Load(); got != 5 {
-		t.Errorf("Aborts = %d, want 5", got)
-	}
-	// Without the bound the same transaction escalates to serial and commits.
-	if err := th.Run(Props{Kind: Relaxed}, func(tx *Tx) { v.Load(tx) }); err != nil {
-		t.Fatalf("unbounded Run = %v, want nil (serial escalation)", err)
 	}
 }

@@ -84,47 +84,6 @@ func (l *serialLock) Lock() {
 	l.seq.Add(1)
 }
 
-// TryLock attempts a bounded write-mode acquisition: it spins at most the
-// given number of iterations first for the writer bit and then again for the
-// reader drain. On failure it leaves the lock exactly as it found it —
-// including clearing a writer bit it had already claimed — and does NOT bump
-// the subscription sequence, so emulated hardware transactions in flight are
-// not doomed by an acquisition that never happened. The multi-domain commit
-// path uses it to take later shard domains without risking a convoy behind a
-// long-running serial transaction.
-func (l *serialLock) TryLock(spins int) bool {
-	if l.disabled {
-		if !l.fallback.TryLock() {
-			return false
-		}
-		l.seq.Add(1)
-		return true
-	}
-	claimed := false
-	for i := 0; i < spins; i++ {
-		s := l.state.Load()
-		if s&writerBit == 0 && l.state.CompareAndSwap(s, s|writerBit) {
-			claimed = true
-			break
-		}
-	}
-	if !claimed {
-		return false
-	}
-	for i := 0; i < spins; i++ {
-		if l.state.Load() == writerBit {
-			l.seq.Add(1)
-			return true
-		}
-		if i > 64 {
-			runtime.Gosched()
-		}
-	}
-	// Reader drain timed out: retract the claim so blocked readers proceed.
-	l.state.Add(-writerBit)
-	return false
-}
-
 // trySubscribe returns the current acquisition sequence if no writer is
 // active, without waiting. Callers that publish state before subscribing
 // (beginSpeculative) use it so the publish/subscribe order is visible: a

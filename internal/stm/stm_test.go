@@ -582,8 +582,8 @@ func TestTBytesRoundTrip(t *testing.T) {
 func TestTBytesByteOpsQuick(t *testing.T) {
 	rt := New(Config{})
 	th := rt.NewThread()
-	// Property: SetByteAt then ByteAt observes the byte; other bytes keep
-	// their values.
+	// Property: a one-byte WriteAt then ReadAt observes the byte; the other
+	// bytes, including the rest of its word and stripe, keep their values.
 	f := func(data []byte, idx uint16, b byte) bool {
 		if len(data) == 0 {
 			return true
@@ -592,8 +592,10 @@ func TestTBytesByteOpsQuick(t *testing.T) {
 		tb := NewTBytesFrom(data)
 		var got byte
 		mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-			tb.SetByteAt(tx, i, b)
-			got = tb.ByteAt(tx, i)
+			tb.WriteAt(tx, i, []byte{b})
+			var one [1]byte
+			tb.ReadAt(tx, one[:], i)
+			got = one[0]
 		})
 		if got != b {
 			return false

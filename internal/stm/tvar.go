@@ -230,20 +230,6 @@ func (t *TBytes) WordDirect(i int) uint64 { return t.words[i].Load() }
 // SetWordDirect writes word i outside any transaction.
 func (t *TBytes) SetWordDirect(i int, v uint64) { t.words[i].Store(v) }
 
-// ByteAt reads byte i inside tx (a word-granular read, as instrumented code
-// would issue).
-func (t *TBytes) ByteAt(tx *Tx, i int) byte {
-	return byte(t.LoadWord(tx, i/8) >> (8 * (i % 8)))
-}
-
-// SetByteAt writes byte i inside tx via a word read-modify-write.
-func (t *TBytes) SetByteAt(tx *Tx, i int, b byte) {
-	w := t.LoadWord(tx, i/8)
-	sh := 8 * (i % 8)
-	w = w&^(0xFF<<sh) | uint64(b)<<sh
-	t.StoreWord(tx, i/8, w)
-}
-
 // stripeSpan returns the part of [off, end) that lies in off's stripe, as the
 // byte offset lo of its first word, the end e of the part, and the byte
 // offset hi past its last word.

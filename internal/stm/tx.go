@@ -53,18 +53,6 @@ type Props struct {
 	// and the body restarts on the normal path. The flag is a hint, never a
 	// contract — other algorithms and serial execution simply ignore it.
 	ReadOnly bool
-	// TrySerial, together with StartSerial, makes the serial write-lock
-	// acquisition bounded: if the lock cannot be taken after a short spin, Run
-	// returns ErrSerialBusy instead of blocking. The cross-shard commit path
-	// uses it for every domain after the first so that two committers
-	// acquiring overlapping shard sets in different orders cannot deadlock —
-	// the loser unwinds and retries under the blocking (ordered) protocol.
-	TrySerial bool
-	// MaxRetries, when positive, bounds the consecutive speculative aborts of
-	// this source-level transaction: once the bound is reached Run gives up and
-	// returns ErrRetryLimit instead of escalating further. Zero means retry
-	// forever (the libitm behaviour).
-	MaxRetries int
 }
 
 // ErrUnsafeInAtomic reports an unsafe operation attempted inside an atomic
@@ -78,14 +66,6 @@ var ErrCanceled = errors.New("stm: transaction canceled")
 // ErrCancelRelaxed reports transaction_cancel attempted in a relaxed
 // transaction, which the specification forbids.
 var ErrCancelRelaxed = errors.New("stm: cancel inside relaxed transaction")
-
-// ErrRetryLimit is returned by Run when Props.MaxRetries consecutive
-// speculative aborts have been consumed without a commit.
-var ErrRetryLimit = errors.New("stm: consecutive-abort retry limit exceeded")
-
-// ErrSerialBusy is returned by Run for a Props.TrySerial transaction whose
-// bounded serial-lock acquisition failed. No effects occurred.
-var ErrSerialBusy = errors.New("stm: serial lock busy")
 
 // control-flow signals thrown by barrier code and recovered by the run loop.
 type abortSignal struct{}
@@ -316,9 +296,6 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 	if props.StartSerial && props.Kind == Atomic {
 		panic("stm: StartSerial is only meaningful for relaxed transactions")
 	}
-	if props.TrySerial && !props.StartSerial {
-		panic("stm: TrySerial requires StartSerial")
-	}
 
 	// serial is sticky across attempts once escalation (in-flight switch,
 	// abort-serial, watchdog) demands it; under SerialAlg begin makes every
@@ -366,9 +343,6 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 			th.gateWait()
 		}
 		tx := th.begin(props, serial, wantRO && !serial)
-		if tx == nil {
-			return ErrSerialBusy
-		}
 		res := tx.execute(fn)
 		switch res {
 		case resCommit:
@@ -434,9 +408,6 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 				}
 			}
 			th.finish(tx, false)
-			if props.MaxRetries > 0 && consec >= props.MaxRetries {
-				return ErrRetryLimit
-			}
 			if cfg.Algorithm == HTM && consec >= cfg.HTMRetries {
 				// Lock-elision fallback: take the global lock for real.
 				rt.stats.HTMFallbacks.Add(1)
@@ -496,19 +467,8 @@ const (
 	resROUpgrade
 )
 
-// trySerialSpins bounds the writer-bit spin and the reader drain of a
-// Props.TrySerial acquisition. Long enough to ride out a reader finishing its
-// commit, far too short to wait out another serial transaction's body.
-const trySerialSpins = 256
-
 func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 	rt := th.rt
-	if serial && props.TrySerial && !rt.serial.TryLock(trySerialSpins) {
-		// Bounded acquisition failed. Nothing was published — no stats, no
-		// observer event, no th.cur — so the caller sees ErrSerialBusy as if
-		// the transaction never started.
-		return nil
-	}
 	tx := &th.tx
 	redoW, redoP := tx.redoW, tx.redoP
 	*tx = Tx{
@@ -542,9 +502,7 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 			// privatization races live.
 			runtime.Gosched()
 		}
-		if props.TrySerial {
-			// Already acquired by the bounded TryLock at the top of begin.
-		} else if o != nil {
+		if o != nil {
 			t0 := time.Now()
 			rt.serial.Lock()
 			o.ObservePhase(txobs.PhaseSerialWait, time.Since(t0))

@@ -3,22 +3,21 @@
 // Historically every layer grew its own run helper: core.Ctx.Atomic,
 // core.Ctx.Relaxed, core.Ctx.RelaxedStartSerial, and raw stm.Thread.Run calls
 // with hand-built Props scattered through engine and the tests. This
-// package replaces them with two functions and a functional-options struct:
+// package replaces them with two functions and a plain options struct:
 //
-//	err := tm.Atomic(th, tm.With(tm.Label("item_get"), tm.ReadOnly()), func(tx *stm.Tx) { ... })
+//	err := tm.Atomic(th, tm.Options{Site: "item_get", ReadOnly: true}, func(tx *stm.Tx) { ... })
 //	err := tm.Relaxed(th, tm.Options{}, func(tx *stm.Tx) { ... })
 //
-// Options are plain data, so hot call sites may build them once (or use the
-// zero value) and skip the closure allocations of the variadic form. The old
-// core.Ctx wrappers have been deleted; this package is the one blessed
-// transaction API.
+// Options are plain data, so hot call sites build them once (or use the zero
+// value) and allocate nothing per call. The old core.Ctx wrappers have been
+// deleted; this package is the one blessed transaction API.
 package tm
 
 import (
 	"repro/internal/stm"
 )
 
-// Options is the resolved option set for one transaction run. The zero value
+// Options is the option set for one transaction run. The zero value
 // is a plain speculative transaction with no label.
 type Options struct {
 	// ReadOnly declares the body is not expected to write; orec-based
@@ -30,67 +29,25 @@ type Options struct {
 	// instead of paying for instrumented execution up to the switch point.
 	// Meaningless (and rejected by the runtime) for atomic transactions.
 	StartSerial bool
-	// TrySerial, with StartSerial, bounds the serial write-lock acquisition:
-	// if the lock stays busy past a short spin the run returns
-	// stm.ErrSerialBusy with no effects. The cross-shard commit path sets it
-	// on every domain after the first so overlapping committers cannot
-	// deadlock — the loser unwinds and retries in ascending shard order.
-	TrySerial bool
 	// Site labels the source-level transaction for conflict attribution and
 	// serialization-cause profiling.
 	Site string
-	// MaxRetries bounds consecutive speculative aborts; past it the run
-	// returns stm.ErrRetryLimit instead of escalating further. 0 = retry
-	// forever (the libitm behaviour).
-	MaxRetries int
 }
-
-// Option mutates an Options under construction.
-type Option func(*Options)
-
-// With builds an Options from opts.
-func With(opts ...Option) Options {
-	var o Options
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
-}
-
-// ReadOnly declares the transaction read-only (see Options.ReadOnly).
-func ReadOnly() Option { return func(o *Options) { o.ReadOnly = true } }
-
-// StartSerial makes a relaxed transaction begin serial (see
-// Options.StartSerial).
-func StartSerial() Option { return func(o *Options) { o.StartSerial = true } }
-
-// TrySerial bounds the serial-lock acquisition of a StartSerial transaction
-// (see Options.TrySerial).
-func TrySerial() Option { return func(o *Options) { o.TrySerial = true } }
-
-// Label names the transaction site (see Options.Site).
-func Label(site string) Option { return func(o *Options) { o.Site = site } }
-
-// MaxRetries bounds consecutive aborts (see Options.MaxRetries).
-func MaxRetries(n int) Option { return func(o *Options) { o.MaxRetries = n } }
 
 func (o Options) props(kind stm.Kind) stm.Props {
 	return stm.Props{
 		Kind:        kind,
 		StartSerial: o.StartSerial,
-		TrySerial:   o.TrySerial,
 		Site:        o.Site,
 		ReadOnly:    o.ReadOnly,
-		MaxRetries:  o.MaxRetries,
 	}
 }
 
 // Atomic runs fn as an atomic transaction on th: unsafe operations are
 // forbidden (they panic with stm.ErrUnsafeInAtomic) and the transaction never
 // serializes except for contention-management progress. Returns nil on
-// commit, stm.ErrCanceled if fn canceled, stm.ErrRetryLimit if
-// Options.MaxRetries was exhausted. Nested calls flatten into the enclosing
-// transaction, as in GCC.
+// commit, stm.ErrCanceled if fn canceled. Nested calls flatten into the
+// enclosing transaction, as in GCC.
 func Atomic(th *stm.Thread, o Options, fn func(*stm.Tx)) error {
 	return th.Run(o.props(stm.Atomic), fn)
 }

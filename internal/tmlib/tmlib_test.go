@@ -1,7 +1,6 @@
 package tmlib
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -23,16 +22,6 @@ func run(t *testing.T, fn func(tx *stm.Tx)) {
 
 func tb(s string) *stm.TBytes { return stm.NewTBytesFrom([]byte(s)) }
 
-// cstr builds a NUL-terminated transactional string with extra capacity.
-func cstr(s string, cap_ int) *stm.TBytes {
-	if cap_ < len(s)+1 {
-		cap_ = len(s) + 1
-	}
-	buf := make([]byte, cap_)
-	copy(buf, s)
-	return stm.NewTBytesFrom(buf)
-}
-
 func TestMemcmp(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -42,12 +31,13 @@ func TestMemcmp(t *testing.T) {
 		{"abc", "abd", -1},
 		{"abd", "abc", 1},
 		{"", "", 0},
+		// A difference in the second stripe: MemcmpLocal's first stripe
+		// compares equal and the loop must go on to the next one.
+		{strings.Repeat("k", 70) + "a", strings.Repeat("k", 70) + "b", -1},
+		{strings.Repeat("k", 70) + "b", strings.Repeat("k", 70) + "a", 1},
 	}
 	for _, c := range cases {
 		run(t, func(tx *stm.Tx) {
-			if got := Memcmp(tx, tb(c.a), 0, tb(c.b), 0, len(c.a)); got != c.want {
-				t.Errorf("Memcmp(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-			}
 			if got := MemcmpLocal(tx, tb(c.a), 0, []byte(c.b)); got != c.want {
 				t.Errorf("MemcmpLocal(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 			}
@@ -59,14 +49,26 @@ func TestMemcmp(t *testing.T) {
 }
 
 func TestMemcmpOffsets(t *testing.T) {
+	// "hello" at offset 60 straddles the first stripe boundary, and at 2 it
+	// starts mid-word.
+	shared := tb("xxhello" + strings.Repeat(".", 53) + "hello")
 	run(t, func(tx *stm.Tx) {
-		a := tb("xxhello")
-		b := tb("hello")
-		if got := Memcmp(tx, a, 2, b, 0, 5); got != 0 {
-			t.Errorf("offset Memcmp = %d, want 0", got)
-		}
-		if got := MemcmpLocal(tx, a, 2, []byte("hello")); got != 0 {
-			t.Errorf("offset MemcmpLocal = %d, want 0", got)
+		for _, c := range []struct {
+			off   int
+			local string
+			want  int
+		}{
+			{2, "hello", 0},
+			{60, "hello", 0},
+			{60, "help!", -1},
+			{2, "hella", 1},
+		} {
+			if got := MemcmpLocal(tx, shared, c.off, []byte(c.local)); got != c.want {
+				t.Errorf("MemcmpLocal(off %d, %q) = %d, want %d", c.off, c.local, got, c.want)
+			}
+			if got := MemcmpDirect(shared, c.off, []byte(c.local)); got != c.want {
+				t.Errorf("MemcmpDirect(off %d, %q) = %d, want %d", c.off, c.local, got, c.want)
+			}
 		}
 	})
 }
@@ -91,90 +93,13 @@ func TestMemcpyVariants(t *testing.T) {
 	})
 }
 
-func TestStrlen(t *testing.T) {
-	run(t, func(tx *stm.Tx) {
-		if got := Strlen(tx, cstr("hello", 16)); got != 5 {
-			t.Errorf("Strlen = %d, want 5", got)
-		}
-		if got := Strlen(tx, tb("nonul")); got != 5 {
-			t.Errorf("Strlen without NUL = %d, want 5", got)
-		}
-		if got := StrlenDirect(cstr("hello", 16)); got != 5 {
-			t.Errorf("StrlenDirect = %d, want 5", got)
-		}
-	})
-}
-
-func TestStrncmp(t *testing.T) {
-	run(t, func(tx *stm.Tx) {
-		cases := []struct {
-			a, b string
-			n    int
-			want int
-		}{
-			{"get", "get", 3, 0},
-			{"get", "gets", 3, 0},
-			{"get", "gets", 4, -1},
-			{"set", "get", 3, 1},
-			{"a", "ab", 5, -1},
-		}
-		for _, c := range cases {
-			if got := Strncmp(tx, cstr(c.a, 8), cstr(c.b, 8), c.n); got != c.want {
-				t.Errorf("Strncmp(%q,%q,%d) = %d, want %d", c.a, c.b, c.n, got, c.want)
-			}
-		}
-	})
-}
-
-func TestStrncpyPads(t *testing.T) {
-	run(t, func(tx *stm.Tx) {
-		dst := tb("XXXXXXXX")
-		Strncpy(tx, dst, cstr("ab", 8), 6)
-		want := []byte{'a', 'b', 0, 0, 0, 0, 'X', 'X'}
-		if !bytes.Equal(dst.Bytes(), want) {
-			t.Errorf("Strncpy = %v, want %v", dst.Bytes(), want)
-		}
-	})
-}
-
-func TestStrchr(t *testing.T) {
-	run(t, func(tx *stm.Tx) {
-		s := cstr("hello world", 16)
-		if got := Strchr(tx, s, 'o'); got != 4 {
-			t.Errorf("Strchr('o') = %d, want 4", got)
-		}
-		if got := Strchr(tx, s, 'z'); got != -1 {
-			t.Errorf("Strchr('z') = %d, want -1", got)
-		}
-		if got := Strchr(tx, s, 0); got != 11 {
-			t.Errorf("Strchr(0) = %d, want 11", got)
-		}
-	})
-}
-
-func TestRealloc(t *testing.T) {
-	run(t, func(tx *stm.Tx) {
-		old := tb("hello")
-		grown := Realloc(tx, old, 10)
-		if grown.Len() != 10 {
-			t.Fatalf("Len = %d", grown.Len())
-		}
-		if got := string(grown.Bytes()[:5]); got != "hello" {
-			t.Errorf("content %q", got)
-		}
-		shrunk := Realloc(tx, old, 3)
-		if got := string(shrunk.Bytes()); got != "hel" {
-			t.Errorf("shrunk %q", got)
-		}
-	})
-}
-
 func TestMarshalInOut(t *testing.T) {
 	run(t, func(tx *stm.Tx) {
 		s := tb("shared-data!")
-		priv := MarshalIn(tx, s, 7, 4)
-		if string(priv) != "data" {
-			t.Fatalf("MarshalIn = %q", priv)
+		var priv [4]byte
+		MarshalInto(tx, priv[:], s, 7)
+		if string(priv[:]) != "data" {
+			t.Fatalf("MarshalInto = %q", priv)
 		}
 		MarshalOut(tx, s, 0, []byte("SHARED"))
 		if got := string(s.Bytes()); got != "SHARED-data!" {
@@ -184,17 +109,9 @@ func TestMarshalInOut(t *testing.T) {
 }
 
 func TestPureParsersMatchStrconv(t *testing.T) {
-	f := func(v int64) bool {
-		s := strconv.FormatInt(v, 10)
-		got, n := PureStrtol([]byte(s + "xyz"))
-		return got == v && n == len(s)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 	g := func(v uint64) bool {
 		s := strconv.FormatUint(v, 10)
-		got, n := PureStrtoull([]byte("  " + s))
+		got, n := PureStrtoull([]byte("  " + s + "xyz"))
 		return got == v && n == len(s)
 	}
 	if err := quick.Check(g, nil); err != nil {
@@ -202,23 +119,24 @@ func TestPureParsersMatchStrconv(t *testing.T) {
 	}
 }
 
-func TestPureStrtolEdgeCases(t *testing.T) {
+func TestPureStrtoullEdgeCases(t *testing.T) {
 	cases := []struct {
 		in   string
-		want int64
+		want uint64
 		n    int
 	}{
 		{"", 0, 0},
 		{"abc", 0, 0},
-		{"-", 0, 0},
-		{"-42", -42, 3},
-		{"+7 ", 7, 2},
-		{"  19db", 19, 4},
+		{"   ", 0, 0},
+		{"-42", 0, 0}, // no sign: incr/decr values are unsigned
+		{"7 ", 7, 1},
+		{"  19db", 19, 2},
+		{"\t\r\n5", 5, 1},
 	}
 	for _, c := range cases {
-		v, n := PureStrtol([]byte(c.in))
+		v, n := PureStrtoull([]byte(c.in))
 		if v != c.want || n != c.n {
-			t.Errorf("PureStrtol(%q) = (%d,%d), want (%d,%d)", c.in, v, n, c.want, c.n)
+			t.Errorf("PureStrtoull(%q) = (%d,%d), want (%d,%d)", c.in, v, n, c.want, c.n)
 		}
 	}
 }
@@ -229,68 +147,6 @@ func TestIsspace(t *testing.T) {
 			t.Errorf("PureIsspace(%q) = %v", c, got)
 		}
 	}
-	run(t, func(tx *stm.Tx) {
-		s := tb("a b")
-		if Isspace(tx, s, 0) || !Isspace(tx, s, 1) {
-			t.Error("transactional Isspace misclassified")
-		}
-	})
-}
-
-func TestAtoiStrtoullTransactional(t *testing.T) {
-	run(t, func(tx *stm.Tx) {
-		if got := Atoi(tx, cstr("-123", 8)); got != -123 {
-			t.Errorf("Atoi = %d", got)
-		}
-		v, n := Strtoull(tx, cstr("987 rest", 16))
-		if v != 987 || n != 3 {
-			t.Errorf("Strtoull = (%d,%d)", v, n)
-		}
-	})
-}
-
-func TestHtons(t *testing.T) {
-	if got := Htons(0x1234); got != 0x3412 {
-		t.Errorf("Htons = %#x", got)
-	}
-	if got := Htons(Htons(0xBEEF)); got != 0xBEEF {
-		t.Error("Htons not an involution")
-	}
-}
-
-func TestSnprintfClones(t *testing.T) {
-	run(t, func(tx *stm.Tx) {
-		dst := stm.NewTBytes(64)
-		n := SnprintfStatUint(tx, dst, 0, []byte("curr_items"), 42)
-		want := "STAT curr_items 42\r\n"
-		if got := string(dst.Bytes()[:n]); got != want {
-			t.Errorf("SnprintfStatUint = %q, want %q", got, want)
-		}
-
-		n = SnprintfValueHeader(tx, dst, 0, []byte("k1"), 7, 100)
-		want = "VALUE k1 7 100\r\n"
-		if got := string(dst.Bytes()[:n]); got != want {
-			t.Errorf("SnprintfValueHeader = %q, want %q", got, want)
-		}
-
-		n = SnprintfUint(tx, dst, 3, 65535)
-		if got := string(dst.Bytes()[3 : 3+n]); got != "65535" {
-			t.Errorf("SnprintfUint = %q", got)
-		}
-	})
-}
-
-func TestSnprintfTruncates(t *testing.T) {
-	run(t, func(tx *stm.Tx) {
-		dst := stm.NewTBytes(8)
-		n := SnprintfStatUint(tx, dst, 0, []byte("a_very_long_stat_name"), 1)
-		if n != 8 {
-			t.Errorf("truncated n = %d, want 8", n)
-		}
-		if got := string(dst.Bytes()); got != "STAT a_v" {
-			t.Errorf("truncated content %q", got)
-		}
-	})
 }
 
 // TestMarshalingAtomicityCaveat demonstrates (as a regression-pinned behavior,

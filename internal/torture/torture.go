@@ -159,9 +159,8 @@ type Report struct {
 	Elapsed     time.Duration
 
 	// Wire-transaction counters, populated by RunTxn only.
-	TxCommits         uint64
-	TxConflicts       uint64
-	TxSerialFallbacks uint64
+	TxCommits   uint64
+	TxConflicts uint64
 }
 
 // Failed reports whether any invariant was violated.
@@ -171,8 +170,7 @@ func (r *Report) String() string {
 	if !r.Failed() {
 		tx := ""
 		if r.TxCommits > 0 {
-			tx = fmt.Sprintf(", %d tx commits (%d conflicts, %d serial fallbacks)",
-				r.TxCommits, r.TxConflicts, r.TxSerialFallbacks)
+			tx = fmt.Sprintf(", %d tx commits (%d conflicts)", r.TxCommits, r.TxConflicts)
 		}
 		return fmt.Sprintf("torture %s seed=%d: ok (%d faults fired, %d hash expansions%s, %v)",
 			r.Branch, r.Seed, r.FaultsFired, r.HashExpands, tx, r.Elapsed.Round(time.Millisecond))

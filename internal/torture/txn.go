@@ -122,7 +122,6 @@ func RunTxn(cfg Config) *Report {
 	s := wk.Stats()
 	rep.TxCommits = s.TxCommits
 	rep.TxConflicts = s.TxConflicts
-	rep.TxSerialFallbacks = s.TxSerialFallbacks
 	if s.TxCommits == 0 {
 		rep.violatef("no wire transaction committed; run tested nothing")
 	}
