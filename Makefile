@@ -55,13 +55,15 @@ race:
 # ever showed on the second P, and only about one run in ten — the stm
 # torn-read test, whose writers and readers race on a multi-stripe buffer, and
 # the stm Treiber-stack queue, whose NOrec and Lazy pointer-cell conflict paths
-# only show up on the second P — and the engine's wire-transaction tests, so
+# only show up on the second P, the stm read-only snapshot test, whose
+# serial-writer cases guard the serial-lock subscription's load order — and
+# the engine's wire-transaction tests, so
 # the blocking ordered cross-shard commit and the concurrent-transfer ledger
 # run with committers on two Ps. The seeded-bug cases are apart: make mutants.
 stress:
 	$(GO) test -count=5 -cpu 1,2 -run 'Torture|RetryCondSync' ./internal/engine ./internal/server
 	$(GO) test -count=5 -cpu 1,2 -run 'WireTx' ./internal/engine
-	$(GO) test -count=5 -cpu 1,2 -run 'TBytesConcurrentWriters|RetryBlockingQueue' ./internal/stm
+	$(GO) test -count=5 -cpu 1,2 -run 'TBytesConcurrentWriters|RetryBlockingQueue|ReadOnlySnapshotUnderWriters' ./internal/stm
 
 # mutants runs the seeded bugs the test suites must catch, and fails unless
 # every seed or run catches them: the recycle mutant lets an allocation nested

@@ -256,37 +256,6 @@ func BenchmarkAblationQuiescence(b *testing.B) {
 	}
 }
 
-// Ablation 7: emulated hardware TM on the memcached workload — §5's claim
-// that "hardware TM will not achieve its full potential as long as serialized
-// transactions are the common case". The onCommit branch (no mandatory
-// serialization) lets hardware transactions run; the pre-Max Callable branch
-// serializes constantly, so hardware transactions keep aborting on the lock
-// subscription and falling back.
-
-func BenchmarkAblationHTMSerialization(b *testing.B) {
-	htm := stm.Config{Algorithm: stm.HTM, CM: stm.CMSerialize, HTMCapacity: 512}
-	for _, br := range []engine.Branch{engine.IPOnCommit, engine.IPCallable} {
-		br := br
-		b.Run(br.String(), func(b *testing.B) {
-			var fallbacks, serial, commits uint64
-			for i := 0; i < b.N; i++ {
-				cfg := htm
-				c := engine.New(engine.Config{Branch: br, STM: &cfg, MemLimit: 4 << 20, HashPower: 10})
-				c.Start()
-				res := memslap.RunDirect(c, memslap.Config{Concurrency: 4, ExecuteNumber: 1500, KeySpace: 1024, ValueSize: 256})
-				s := c.Runtime().Stats()
-				fallbacks, serial, commits = s.HTMFallbacks, s.SerialCommits, s.Commits
-				c.Stop()
-				_ = res
-			}
-			b.ReportMetric(float64(fallbacks), "htm-fallbacks")
-			if commits > 0 {
-				b.ReportMetric(100*float64(serial)/float64(commits), "serial-%")
-			}
-		})
-	}
-}
-
 // Ablation 8: the three condition-synchronization regimes on the onCommit
 // code base — semaphores with the post inline (pre-onCommit shape), posts
 // deferred to onCommit handlers (the paper's solution), and the Retry

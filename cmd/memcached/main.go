@@ -30,7 +30,7 @@ func main() {
 		hashPower = flag.Uint("hashpower", 16, "initial hash table power (per shard)")
 		shards    = flag.Int("shards", 0, "independent TM domains to partition the cache into (0 = GOMAXPROCS)")
 		verbose   = flag.Bool("v", false, "verbose event logging to stderr")
-		stmAlg    = flag.String("stm", "", "override STM algorithm (mlwt|gcc|eager, lazy, norec, serial, htm|rtm)")
+		stmAlg    = flag.String("stm", "", "override STM algorithm (mlwt|gcc|eager, lazy, norec, serial)")
 		cmStr     = flag.String("cm", "", "override contention manager (serialize, none, backoff, hourglass)")
 		noLock    = flag.Bool("nolock", false, "override: remove the global serial lock")
 		trace     = flag.Bool("trace", false, "enable transaction observability from startup (stats tm/conflicts/latency, who aborted whom)")

@@ -374,17 +374,21 @@ func RunExperiments(names []string, path string) error {
 }
 
 // String renders the result for the terminal: throughput rows as a table,
-// every other row as its metrics.
+// every other row as its metrics. A throughput row after the reference is
+// read by EXPERIMENTS.md's reading rule (see verdict).
 func (r Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s\n  %d CPUs, GOMAXPROCS %d, %s, commit %s; noise floor %.1f%%\n",
 		r.Experiment, r.Claim, r.Env.NumCPU, r.Env.GOMAXPROCS, r.Env.GoVersion, r.Env.Commit, 100*r.NoiseFloor)
-	for _, row := range r.Rows {
+	for i, row := range r.Rows {
 		m := row.Metrics
 		fmt.Fprintf(&b, "  %-26s", row.Label)
 		if rate, ok := m["ops_per_sec"]; ok {
 			fmt.Fprintf(&b, " %10.0f ops/s %5.2fx of ref (trials spread %.1f%%)",
 				rate, m["vs_ref"], 100*m["trial_spread"].(float64))
+			if v := r.verdict(m); i > 0 && v != "" {
+				b.WriteString(" " + v)
+			}
 		}
 		keys := make([]string, 0, len(m))
 		for k := range m {
@@ -399,6 +403,25 @@ func (r Result) String() string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// verdict applies EXPERIMENTS.md's reading rule to a throughput row: a
+// vs_ref within the noise floor of 1 is "noise"; one that clears the floor
+// but not the wider of its own trial spread and the reference row's is
+// "unresolved"; anything else is an effect, and gets no word.
+func (r Result) verdict(m Metrics) string {
+	d := math.Abs(m["vs_ref"].(float64) - 1)
+	if d <= r.NoiseFloor {
+		return "noise"
+	}
+	spread := m["trial_spread"].(float64)
+	if s, ok := r.Rows[0].Metrics["trial_spread"].(float64); ok {
+		spread = max(spread, s)
+	}
+	if d <= spread {
+		return "unresolved"
+	}
+	return ""
 }
 
 // runnerMetrics are the metrics measure and run put on every throughput row;

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -182,5 +183,43 @@ func TestInterleavedMedian(t *testing.T) {
 	_, err = interleaved(2, 1, func(i int) (int, error) { return 0, fmt.Errorf("boom") })
 	if err == nil {
 		t.Error("error from a trial swallowed")
+	}
+}
+
+// TestResultStringReadingRule: String marks each throughput row after the
+// reference by the reading rule — "noise" inside the floor, "unresolved"
+// past the floor but inside the wider of its own and the reference row's
+// trial spread, nothing when the effect clears both.
+func TestResultStringReadingRule(t *testing.T) {
+	row := func(label string, vsRef, spread float64) Row {
+		return Row{Label: label, Metrics: Metrics{"ops_per_sec": 1000 * vsRef, "vs_ref": vsRef, "trial_spread": spread}}
+	}
+	for _, c := range []struct {
+		name        string
+		floor       float64
+		ref, row    Row
+		wantVerdict string
+	}{
+		{"inside the floor", 0.05, row("ref", 1, 0.02), row("b", 1.04, 0.01), "noise"},
+		{"on the floor", 0.25, row("ref", 1, 0.02), row("b", 0.75, 0.01), "noise"},
+		{"inside its own spread", 0.05, row("ref", 1, 0.02), row("b", 1.2, 0.3), "unresolved"},
+		{"inside the reference's spread", 0.05, row("ref", 1, 0.3), row("b", 0.8, 0.02), "unresolved"},
+		{"clears floor and spreads", 0.05, row("ref", 1, 0.1), row("b", 1.5, 0.2), ""},
+		{"slower, clears both", 0.01, row("ref", 1, 0.05), row("b", 0.5, 0.05), ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := Result{Experiment: "x", NoiseFloor: c.floor, Rows: []Row{c.ref, c.row}}
+			lines := strings.Split(strings.TrimSuffix(r.String(), "\n"), "\n")
+			if len(lines) != 4 {
+				t.Fatalf("String() has %d lines, want 4:\n%s", len(lines), r)
+			}
+			if strings.HasSuffix(lines[2], "noise") || strings.HasSuffix(lines[2], "unresolved") {
+				t.Errorf("reference row carries a verdict: %q", lines[2])
+			}
+			got := strings.TrimSpace(lines[3][strings.LastIndex(lines[3], ")")+1:])
+			if got != c.wantVerdict {
+				t.Errorf("row %q: verdict %q, want %q", lines[3], got, c.wantVerdict)
+			}
+		})
 	}
 }

@@ -63,9 +63,6 @@ func (c Config) Validate() error {
 	if c.Stripes < 0 || (c.Stripes > 0 && bits.OnesCount(uint(c.Stripes)) != 1) {
 		return &ConfigError{Field: "Stripes", Reason: "must be a power of two (0 = default)"}
 	}
-	if c.GrowthFactor != 0 && c.GrowthFactor <= 1 {
-		return &ConfigError{Field: "GrowthFactor", Reason: "must be > 1 (0 = default)"}
-	}
 	if c.Watchdog < 0 {
 		return &ConfigError{Field: "Watchdog", Reason: "must be >= 0 (0 = disabled)"}
 	}

@@ -11,7 +11,7 @@ func TestEngineConfigValidate(t *testing.T) {
 	ok := []Config{
 		{},
 		{Branch: ITOnCommit, STM: &stm.Config{Algorithm: stm.NOrec}},
-		{Branch: Baseline, Stripes: 256, HashPower: 20, GrowthFactor: 1.5},
+		{Branch: Baseline, Stripes: 256, HashPower: 20},
 	}
 	for _, c := range ok {
 		if err := c.Validate(); err != nil {
@@ -30,7 +30,6 @@ func TestEngineConfigValidate(t *testing.T) {
 		{Config{HashPower: 31}, "HashPower"},
 		{Config{Stripes: 3}, "Stripes"},
 		{Config{Stripes: -8}, "Stripes"},
-		{Config{GrowthFactor: 0.9}, "GrowthFactor"},
 		{Config{Watchdog: -1}, "Watchdog"},
 	}
 	for _, tc := range bad {

@@ -51,8 +51,6 @@ type Config struct {
 	HashPower uint
 	// Stripes is the item-lock stripe count, a power of two (default 1024).
 	Stripes int
-	// GrowthFactor is the slab growth factor (default 1.25).
-	GrowthFactor float64
 	// Verbose turns on event logging (the fprintf-to-stderr path).
 	Verbose bool
 	// LogSink receives verbose log lines; nil discards them.
@@ -104,9 +102,6 @@ func (c Config) withDefaults() Config {
 	// map to the same item lock), which holds whenever stripes <= buckets.
 	for c.Stripes > 1<<c.HashPower {
 		c.Stripes /= 2
-	}
-	if c.GrowthFactor == 0 {
-		c.GrowthFactor = slab.DefaultGrowthFactor
 	}
 	return c
 }
@@ -191,7 +186,7 @@ func newShard(conf Config) *shard {
 		cfg:         cfg,
 		tab:         assoc.New(conf.HashPower),
 		gstats:      mcstats.NewGlobal(),
-		slabs:       slab.New(conf.MemLimit, conf.GrowthFactor, 0),
+		slabs:       slab.New(conf.MemLimit, slab.DefaultGrowthFactor, 0),
 		hashSem:     sem.New(0),
 		slabSem:     sem.New(0),
 		CurrentTime: stm.NewTWord(uint64(time.Now().Unix())).Label(lblCurrentTime),

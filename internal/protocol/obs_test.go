@@ -67,14 +67,11 @@ func TestStatsResetContract(t *testing.T) {
 	}
 }
 
-// TestStatsHTMAndWatchdogLines checks the plain `stats` reply carries the
-// watchdog and HTM emulation counters next to the conn-error lines.
-func TestStatsHTMAndWatchdogLines(t *testing.T) {
+// TestStatsWatchdogLines checks the plain `stats` reply carries the
+// watchdog counters next to the conn-error lines.
+func TestStatsWatchdogLines(t *testing.T) {
 	out := runText(t, "stats\r\n")
-	for _, key := range []string{
-		"tm_watchdog_backoff", "tm_watchdog_serialize",
-		"tm_htm_capacity_aborts", "tm_htm_fallbacks",
-	} {
+	for _, key := range []string{"tm_watchdog_backoff", "tm_watchdog_serialize"} {
 		if statValue(out, key) == "" {
 			t.Errorf("stats reply missing %s:\n%s", key, out)
 		}

@@ -770,8 +770,6 @@ func (c *Conn) cmdStats() error {
 	stat("tm_abort_serial", s.STM.AbortSerial)
 	stat("tm_watchdog_backoff", s.STM.WatchdogBackoffs)
 	stat("tm_watchdog_serialize", s.STM.WatchdogSerializes)
-	stat("tm_htm_capacity_aborts", s.STM.HTMCapacityAborts)
-	stat("tm_htm_fallbacks", s.STM.HTMFallbacks)
 	stat("tm_ro_fast_commit", s.STM.ROFastCommits)
 	stat("tm_ro_upgrade", s.STM.ROUpgrades)
 	stat("tx_commits", s.TxCommits)

@@ -532,7 +532,7 @@ func TestStatsKeySetsPinned(t *testing.T) {
 			"curr_items", "delete_hits", "delete_misses", "evictions", "expired_unfetched",
 			"get_hits", "get_misses", "hash_buckets", "hash_expansions", "hash_items",
 			"incr_hits", "incr_misses", "limit_maxbytes", "shards", "slabs_moved",
-			"tm_abort_serial", "tm_aborts", "tm_htm_capacity_aborts", "tm_htm_fallbacks",
+			"tm_abort_serial", "tm_aborts",
 			"tm_inflight_switch", "tm_ro_fast_commit", "tm_ro_upgrade", "tm_start_serial",
 			"tm_transactions", "tm_watchdog_backoff", "tm_watchdog_serialize", "total_items",
 			"tx_commits", "tx_conflicts", "version"}},

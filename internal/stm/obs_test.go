@@ -144,7 +144,7 @@ func TestLabelEncoding(t *testing.T) {
 		t.Fatalf("value disturbed: %d", w.LoadDirect())
 	}
 	b := NewTBytes(64).Label(l)
-	for i := 0; i < b.Words(); i++ {
+	for i := range b.words {
 		if labelOf(b.baseID+uint64(i)) != l {
 			t.Fatalf("word %d lost label", i)
 		}

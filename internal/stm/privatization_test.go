@@ -89,9 +89,9 @@ func TestPrivatizationSafety(t *testing.T) {
 }
 
 // TestPrivatizationSafetySerialCommit pins the same guarantee for a serial
-// writer. Taking the serial lock drains read-lock holders, but attempts that
-// subscribed to it instead — the read-only fast path, emulated hardware
-// transactions — hold nothing: the acquisition only dooms them. The writer's
+// writer. Taking the serial lock drains read-lock holders, but read-only
+// fast-path attempts subscribed to it instead and hold nothing: the
+// acquisition only dooms them. The writer's
 // Run must not return while one that began before it is still executing, or
 // the writer's thread would treat as private (and overwrite in place) memory
 // the doomed reader is still copying out of.
@@ -102,11 +102,10 @@ func TestPrivatizationSafetySerialCommit(t *testing.T) {
 		props Props
 	}{
 		{"read-only fast path", MLWT, Props{Kind: Atomic, ReadOnly: true}},
-		{"htm reader", HTM, Props{Kind: Atomic}},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			rt := New(Config{Algorithm: c.alg, HTMRetries: 100})
+			rt := New(Config{Algorithm: c.alg})
 			w := NewTWord(0)
 			var inBody atomic.Bool
 			began := make(chan struct{})

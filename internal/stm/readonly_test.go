@@ -1,7 +1,9 @@
 package stm
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -52,7 +54,7 @@ func TestReadOnlyFastCommit(t *testing.T) {
 // TestReadOnlyHintIgnoredElsewhere: algorithms without orecs (or without
 // speculation at all) run a ReadOnly transaction on their normal path.
 func TestReadOnlyHintIgnoredElsewhere(t *testing.T) {
-	for _, alg := range []Algorithm{NOrec, SerialAlg, HTM} {
+	for _, alg := range []Algorithm{NOrec, SerialAlg} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			rt := New(Config{Algorithm: alg})
@@ -103,61 +105,85 @@ func TestReadOnlyUpgrade(t *testing.T) {
 
 // TestReadOnlySnapshotUnderWriters is the race test for the fast path: with
 // writers continuously moving value between two words (sum invariant 100),
-// read-only transactions must never observe a torn sum — timestamp
-// revalidation has to catch every mid-flight writer. Run under -race by the
-// Makefile's batch-race target.
+// read-only transactions must never observe a torn sum. Against speculative
+// writers, timestamp revalidation has to catch every mid-flight writer. In
+// the "-serial" cases the writer is a continuous stream of start-serial
+// transactions, whose in-place stores move no orec and no clock, so only the
+// serial-lock subscription (trySubscribe, stillSubscribed) stands between a
+// reader and a torn sum. Each reader transaction yields between its two
+// loads on its first attempt, and the reader goes on until the writers have
+// committed 2000 transactions, so the two overlap on one P too. make stress
+// repeats it at one and two Ps.
 func TestReadOnlySnapshotUnderWriters(t *testing.T) {
 	for _, alg := range roAlgorithms {
-		alg := alg
-		t.Run(alg.String(), func(t *testing.T) {
-			rt := New(Config{Algorithm: alg})
-			x, y := NewTWord(100), NewTWord(0)
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for w := 0; w < 2; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					th := rt.NewThread()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-							v := x.Load(tx)
-							d := v / 2
-							x.Store(tx, v-d)
-							y.Store(tx, y.Load(tx)+d)
-						})
-						mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-							v := y.Load(tx)
-							y.Store(tx, 0)
-							x.Store(tx, x.Load(tx)+v)
-						})
-					}
-				}()
+		for _, serial := range []bool{false, true} {
+			name, writers, props := alg.String(), 2, Props{Kind: Atomic}
+			if serial {
+				name, writers, props = name+"-serial", 1, Props{Kind: Relaxed, StartSerial: true}
 			}
+			t.Run(name, func(t *testing.T) {
+				testReadOnlySnapshot(t, alg, writers, props)
+			})
+		}
+	}
+}
+
+func testReadOnlySnapshot(t *testing.T, alg Algorithm, writers int, props Props) {
+	rt := New(Config{Algorithm: alg})
+	x, y := NewTWord(100), NewTWord(0)
+	stop := make(chan struct{})
+	var moves atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			th := rt.NewThread()
-			for i := 0; i < 3000; i++ {
-				var sum uint64
-				mustRun(t, th, Props{Kind: Atomic, ReadOnly: true}, func(tx *Tx) {
-					sum = x.Load(tx) + y.Load(tx)
-				})
-				if sum != 100 {
-					t.Errorf("read-only snapshot saw x+y = %d, want 100", sum)
-					break
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
+				mustRun(t, th, props, func(tx *Tx) {
+					v := x.Load(tx)
+					d := v / 2
+					x.Store(tx, v-d)
+					y.Store(tx, y.Load(tx)+d)
+				})
+				mustRun(t, th, props, func(tx *Tx) {
+					v := y.Load(tx)
+					y.Store(tx, 0)
+					x.Store(tx, x.Load(tx)+v)
+				})
+				moves.Add(2)
+				runtime.Gosched() // on one P the writers must not starve the reader
 			}
-			close(stop)
-			wg.Wait()
-			if t.Failed() {
-				return
+		}()
+	}
+	th := rt.NewThread()
+	for i := 0; i < 3000 || moves.Load() < 2000; i++ {
+		var sum uint64
+		attempt := 0
+		mustRun(t, th, Props{Kind: Atomic, ReadOnly: true}, func(tx *Tx) {
+			attempt++
+			sum = x.Load(tx)
+			if attempt == 1 {
+				runtime.Gosched() // let a writer commit between the two loads
 			}
-			if rt.stats.ROFastCommits.Load() == 0 {
-				t.Error("no read-only fast commits recorded under contention")
-			}
+			sum += y.Load(tx)
 		})
+		if sum != 100 {
+			t.Errorf("read-only snapshot saw x+y = %d, want 100", sum)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if rt.stats.ROFastCommits.Load() == 0 {
+		t.Error("no read-only fast commits recorded under contention")
 	}
 }

@@ -46,15 +46,12 @@ func (tx *Tx) Retry() {
 	// A serial-irrevocable commit stores in place without touching an orec or
 	// the NOrec sequence, so the read-set watch below cannot see it; the
 	// serial lock's acquisition count can. Record the count this attempt's
-	// reads are known to be current for: the one it subscribed to, or — for
-	// an attempt holding the read side, which excludes serial writers — the
-	// one right now.
-	switch {
-	case tx.ro:
+	// reads are known to be current for: the one a read-only attempt
+	// subscribed to, or — for an attempt holding the read side, which
+	// excludes serial writers — the one right now.
+	if tx.ro {
 		tx.retrySeq = tx.roSeq
-	case tx.algo == HTM:
-		tx.retrySeq = tx.htmSeq
-	default:
+	} else {
 		tx.retrySeq = tx.rt.serial.seq.Load()
 	}
 	panic(retrySignal{})
@@ -85,7 +82,7 @@ func (tx *Tx) waitReadSetChange() {
 					return
 				}
 			}
-		default: // orec-based: MLWT, HTM, Lazy
+		default: // orec-based: MLWT, Lazy
 			for _, r := range tx.reads {
 				if r.o.v.Load() != r.ver {
 					return

@@ -10,7 +10,7 @@ import (
 )
 
 func TestRetryWakesOnWrite(t *testing.T) {
-	for _, alg := range []Algorithm{MLWT, LazyAlg, NOrec, HTM} {
+	for _, alg := range []Algorithm{MLWT, LazyAlg, NOrec} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			rt := New(Config{Algorithm: alg})
@@ -240,7 +240,7 @@ func TestOnAbortAsBackoff(t *testing.T) {
 // lock — otherwise a maintainer waiting on "work exists" sleeps through every
 // update made by a branch whose stores still serialize (it-max).
 func TestRetryWokenBySerialCommit(t *testing.T) {
-	for _, alg := range []Algorithm{MLWT, LazyAlg, NOrec, HTM} {
+	for _, alg := range []Algorithm{MLWT, LazyAlg, NOrec} {
 		t.Run(alg.String(), func(t *testing.T) {
 			rt := New(Config{Algorithm: alg})
 			flag := NewTWord(0)

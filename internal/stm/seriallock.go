@@ -15,7 +15,7 @@ import (
 // side degrades to a plain mutex that excludes only other serial transactions.
 type serialLock struct {
 	state    atomic.Int64  // reader count; writerBit set while a writer owns or waits
-	seq      atomic.Uint64 // write-acquisition count; HTM subscribes to this
+	seq      atomic.Uint64 // write-acquisition count; read-only attempts subscribe to this
 	disabled bool
 	fallback sync.Mutex // write-side mutual exclusion when disabled
 }
@@ -52,8 +52,8 @@ func (l *serialLock) RUnlock() {
 }
 
 // Lock acquires the lock in write mode (serial transaction begin). Each
-// acquisition bumps the subscription sequence, aborting in-flight emulated
-// hardware transactions at their commit check.
+// acquisition bumps the subscription sequence, aborting in-flight read-only
+// fast-path attempts at their next read or commit check.
 func (l *serialLock) Lock() {
 	if l.disabled {
 		l.fallback.Lock()
@@ -94,8 +94,7 @@ func (l *serialLock) Lock() {
 // leaves us holding a stale sequence and stillSubscribed fails. Read the other
 // way round, the same writer hands us its own bumped sequence: we would run
 // alongside its uninstrumented body and still pass every later check once it
-// unlocks — a lost update for a hardware attempt, a torn snapshot for a
-// read-only one.
+// unlocks — a torn snapshot for the read-only reader.
 func (l *serialLock) trySubscribe() (uint64, bool) {
 	seq := l.seq.Load()
 	if l.state.Load()&writerBit != 0 {
@@ -116,7 +115,7 @@ func (l *serialLock) waitNoWriter() {
 }
 
 // stillSubscribed reports whether no serial writer ran or is running since
-// the given sequence (hardware-transaction commit check).
+// the given sequence (the read-only fast path's per-read and commit check).
 func (l *serialLock) stillSubscribed(seq uint64) bool {
 	return l.seq.Load() == seq && l.state.Load()&writerBit == 0
 }

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,35 +116,41 @@ func TestTWordDirectOps(t *testing.T) {
 	}
 }
 
+// TestTBytesBounds: every range accessor panics (programmer error) on a
+// range that leaves the buffer, at either end.
 func TestTBytesBounds(t *testing.T) {
 	tb := NewTBytes(10)
-	if tb.Len() != 10 || tb.Words() != 2 {
-		t.Errorf("Len=%d Words=%d", tb.Len(), tb.Words())
+	if tb.Len() != 10 || len(tb.words) != 2 {
+		t.Errorf("Len=%d words=%d", tb.Len(), len(tb.words))
 	}
-	rt := New(Config{})
-	th := rt.NewThread()
-	// ReadAll with a short destination panics (programmer error).
-	err := th.Run(Props{Kind: Atomic}, func(tx *Tx) {
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic for short ReadAll destination")
-			}
-		}()
-		tb.ReadAll(tx, make([]byte, 5))
-	})
-	if err != nil {
-		t.Fatal(err)
+	th := New(Config{}).NewThread()
+	inTx := func(fn func(*Tx)) func() {
+		return func() { mustRun(t, th, Props{Kind: Atomic}, fn) }
 	}
-	err = th.Run(Props{Kind: Atomic}, func(tx *Tx) {
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic for long WriteAll source")
-			}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ReadAt past the end", inTx(func(tx *Tx) { tb.ReadAt(tx, make([]byte, 5), 6) })},
+		{"ReadAt negative offset", inTx(func(tx *Tx) { tb.ReadAt(tx, make([]byte, 1), -1) })},
+		{"WriteAt past the end", inTx(func(tx *Tx) { tb.WriteAt(tx, 0, make([]byte, 11)) })},
+		{"WriteAt negative offset", inTx(func(tx *Tx) { tb.WriteAt(tx, -1, make([]byte, 1)) })},
+		{"ReadAtDirect past the end", func() { tb.ReadAtDirect(make([]byte, 11), 0) }},
+		{"ReadAtDirect negative offset", func() { tb.ReadAtDirect(make([]byte, 1), -1) }},
+		{"WriteAtDirect past the end", func() { tb.WriteAtDirect(9, make([]byte, 2)) }},
+		{"WriteAtDirect negative offset", func() { tb.WriteAtDirect(-1, make([]byte, 1)) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			c.fn()
 		}()
-		tb.WriteAll(tx, make([]byte, 11))
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	if got := tb.Bytes(); !bytes.Equal(got, make([]byte, 10)) {
+		t.Errorf("buffer changed by rejected ranges: %q", got)
 	}
 }
 

@@ -2,9 +2,11 @@ package stm
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // TestNOrecSnapshotConsistency: a NOrec reader mid-transaction must never
@@ -58,14 +60,14 @@ func TestTBytesWriteReadQuick(t *testing.T) {
 			f := func(content []byte, pad uint8) bool {
 				tb := NewTBytes(len(content) + int(pad))
 				err := th.Run(Props{Kind: Atomic}, func(tx *Tx) {
-					tb.WriteAll(tx, content)
+					tb.WriteAt(tx, 0, content)
 				})
 				if err != nil {
 					return false
 				}
 				out := make([]byte, tb.Len())
 				err = th.Run(Props{Kind: Atomic}, func(tx *Tx) {
-					tb.ReadAll(tx, out)
+					tb.ReadAt(tx, out, 0)
 				})
 				if err != nil {
 					return false
@@ -79,17 +81,18 @@ func TestTBytesWriteReadQuick(t *testing.T) {
 	}
 }
 
-// TestPartialWordWriteAll: WriteAll of a source shorter than the buffer must
-// preserve the bytes beyond the source within the same trailing word.
+// TestPartialWordWriteAll: a WriteAt at offset 0 of a source shorter than the
+// buffer must preserve the bytes beyond the source within the same trailing
+// word.
 func TestPartialWordWriteAll(t *testing.T) {
 	rt := New(Config{})
 	th := rt.NewThread()
 	tb := NewTBytesFrom([]byte("ABCDEFGHIJKLMNOP")) // 16 bytes, 2 words
 	mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-		tb.WriteAll(tx, []byte("xyz")) // 3 bytes into word 0
+		tb.WriteAt(tx, 0, []byte("xyz")) // 3 bytes into word 0
 	})
 	if got := string(tb.Bytes()); got != "xyzDEFGHIJKLMNOP" {
-		t.Errorf("partial WriteAll = %q", got)
+		t.Errorf("partial WriteAt = %q", got)
 	}
 }
 
@@ -120,27 +123,74 @@ func TestTPtrNilAndIdentity(t *testing.T) {
 	}
 }
 
-// TestSnapshotStatsFields: the snapshot carries every counter.
+// TestSnapshotStatsFields: the snapshot carries every counter, and
+// ResetStats zeroes every one. Forced aborts on MLWT under CMSerialize drive
+// the abort, abort-serial and watchdog counters; one transaction of each
+// other kind moves the rest.
 func TestSnapshotStatsFields(t *testing.T) {
-	rt := New(Config{Algorithm: HTM, HTMCapacity: 4, HTMRetries: 1})
+	rt := New(Config{Algorithm: MLWT, CM: CMSerialize, SerializeAfter: 4, WatchdogAborts: 1})
 	th := rt.NewThread()
-	words := make([]*TWord, 16)
-	for i := range words {
-		words[i] = NewTWord(0)
-	}
+	w, flag := NewTWord(0), NewTWord(0)
+	write := func(tx *Tx) { w.Store(tx, w.Load(tx)+1) }
+	// One scan per attempt escalates to backoff, then to serial (as in
+	// TestWatchdogLadder), before the fourth abort would serialize.
 	mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-		for _, w := range words {
-			w.Store(tx, 1)
+		rt.watchdogScan(time.Now())
+		write(tx)
+		if !tx.Serial() {
+			tx.Abort()
 		}
 	})
-	s := rt.Stats()
-	if s.HTMCapacityAborts == 0 || s.HTMFallbacks == 0 || s.SerialCommits == 0 {
-		t.Errorf("HTM counters missing from snapshot: %+v", s)
+	// Without scans the contention manager serializes after four aborts.
+	mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
+		write(tx)
+		if !tx.Serial() {
+			tx.Abort()
+		}
+	})
+	mustRun(t, th, Props{Kind: Relaxed}, func(tx *Tx) {
+		write(tx)
+		tx.Unsafe("io")
+	})
+	mustRun(t, th, Props{Kind: Relaxed, StartSerial: true}, write)
+	mustRun(t, th, Props{Kind: Atomic, ReadOnly: true}, func(tx *Tx) { w.Load(tx) })
+	mustRun(t, th, Props{Kind: Atomic, ReadOnly: true}, write)
+	// A Retry wait, woken by a commit from a second thread once it is counted.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		mustRun(t, rt.NewThread(), Props{Kind: Atomic}, func(tx *Tx) {
+			if flag.Load(tx) == 0 {
+				tx.Retry()
+			}
+		})
+	}()
+	for rt.stats.Retries.Load() == 0 {
+		time.Sleep(time.Millisecond)
 	}
+	mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) { flag.Store(tx, 1) })
+	<-done
+
+	check := func(when string, wantZero bool) {
+		t.Helper()
+		s := reflect.ValueOf(rt.Stats())
+		for i := 0; i < s.NumField(); i++ {
+			f := s.Field(i)
+			if f.Kind() != reflect.Uint64 {
+				continue
+			}
+			if (f.Uint() == 0) != wantZero {
+				t.Errorf("%s: %s = %d", when, s.Type().Field(i).Name, f.Uint())
+			}
+		}
+	}
+	check("after the workload", false)
 	rt.ResetStats()
-	s = rt.Stats()
-	if s.Commits != 0 || s.HTMCapacityAborts != 0 || s.HTMFallbacks != 0 || s.Retries != 0 {
-		t.Errorf("ResetStats incomplete: %+v", s)
+	check("after ResetStats", true)
+	for i, n := range rt.Stats().ThreadCommits {
+		if n != 0 {
+			t.Errorf("after ResetStats: ThreadCommits[%d] = %d", i, n)
+		}
 	}
 }
 

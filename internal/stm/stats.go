@@ -20,10 +20,6 @@ type Stats struct {
 	AbortSerial    atomic.Uint64
 	SerialCommits  atomic.Uint64
 
-	// HTM emulation (§5): capacity aborts and lock-fallback events.
-	HTMCapacityAborts atomic.Uint64
-	HTMFallbacks      atomic.Uint64
-
 	// Retries counts Tx.Retry condition-synchronization waits.
 	Retries atomic.Uint64
 
@@ -50,9 +46,7 @@ type Snapshot struct {
 	AbortSerial    uint64
 	SerialCommits  uint64
 
-	HTMCapacityAborts uint64
-	HTMFallbacks      uint64
-	Retries           uint64
+	Retries uint64
 
 	ROFastCommits uint64
 	ROUpgrades    uint64
@@ -75,9 +69,7 @@ func (rt *Runtime) Stats() Snapshot {
 		AbortSerial:    rt.stats.AbortSerial.Load(),
 		SerialCommits:  rt.stats.SerialCommits.Load(),
 
-		HTMCapacityAborts: rt.stats.HTMCapacityAborts.Load(),
-		HTMFallbacks:      rt.stats.HTMFallbacks.Load(),
-		Retries:           rt.stats.Retries.Load(),
+		Retries: rt.stats.Retries.Load(),
 
 		ROFastCommits: rt.stats.ROFastCommits.Load(),
 		ROUpgrades:    rt.stats.ROUpgrades.Load(),
@@ -103,8 +95,6 @@ func (rt *Runtime) ResetStats() {
 	rt.stats.StartSerial.Store(0)
 	rt.stats.AbortSerial.Store(0)
 	rt.stats.SerialCommits.Store(0)
-	rt.stats.HTMCapacityAborts.Store(0)
-	rt.stats.HTMFallbacks.Store(0)
 	rt.stats.Retries.Store(0)
 	rt.stats.ROFastCommits.Store(0)
 	rt.stats.ROUpgrades.Store(0)
@@ -148,8 +138,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.StartSerial += o.StartSerial
 	s.AbortSerial += o.AbortSerial
 	s.SerialCommits += o.SerialCommits
-	s.HTMCapacityAborts += o.HTMCapacityAborts
-	s.HTMFallbacks += o.HTMFallbacks
 	s.Retries += o.Retries
 	s.ROFastCommits += o.ROFastCommits
 	s.ROUpgrades += o.ROUpgrades

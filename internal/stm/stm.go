@@ -61,10 +61,6 @@ const (
 	// SerialAlg runs every transaction serially and irrevocably. It exists as
 	// a correctness baseline and for tests.
 	SerialAlg
-	// HTM emulates best-effort hardware transactions with a capacity limit,
-	// serial-lock subscription, and lock fallback after HTMRetries aborts
-	// (the GCC RTM path §5 discusses). See htm.go.
-	HTM
 )
 
 func (a Algorithm) String() string {
@@ -77,8 +73,6 @@ func (a Algorithm) String() string {
 		return "norec"
 	case SerialAlg:
 		return "serial"
-	case HTM:
-		return "htm"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -94,8 +88,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		return NOrec, nil
 	case "serial":
 		return SerialAlg, nil
-	case "htm", "rtm":
-		return HTM, nil
 	}
 	return 0, fmt.Errorf("stm: unknown algorithm %q", s)
 }
@@ -173,12 +165,6 @@ type Config struct {
 	NoQuiesce bool
 	// OrecBits sizes the orec table at 1<<OrecBits entries (default 16).
 	OrecBits int
-	// HTMCapacity bounds the footprint (tracked lines) of an emulated hardware
-	// transaction (default 64); exceeding it is a capacity abort.
-	HTMCapacity int
-	// HTMRetries is how many aborts an emulated hardware transaction takes
-	// before falling back to the serial lock (default 3).
-	HTMRetries int
 
 	// Fault, when non-nil, injects deterministic faults at the STM's named
 	// injection points (forced aborts and delays in the barriers, spurious
@@ -193,14 +179,12 @@ type Config struct {
 
 	// WatchdogInterval enables the starvation watchdog: a goroutine (started
 	// by StartWatchdog) that scans threads every interval and escalates any
-	// transaction past WatchdogAborts consecutive aborts or WatchdogAge of
+	// transaction past WatchdogAborts consecutive aborts or watchdogAge of
 	// retrying through the contention-manager ladder: first randomized
 	// backoff, then serial-irrevocable execution. Zero disables it.
 	WatchdogInterval time.Duration
 	// WatchdogAborts is the consecutive-abort threshold (default 64).
 	WatchdogAborts uint64
-	// WatchdogAge is the source-transaction age threshold (default 50ms).
-	WatchdogAge time.Duration
 }
 
 const (
@@ -209,7 +193,9 @@ const (
 	defaultOrecBits       = 16
 
 	defaultWatchdogAborts = 64
-	defaultWatchdogAge    = 50 * time.Millisecond
+	// watchdogAge is the source-transaction age past which the watchdog
+	// escalates a retrying transaction.
+	watchdogAge = 50 * time.Millisecond
 )
 
 // DefaultOrecBits is the orec-table size a zero Config gets (1<<16 entries),
@@ -227,22 +213,8 @@ func (c Config) withDefaults() Config {
 	if c.OrecBits <= 0 {
 		c.OrecBits = defaultOrecBits
 	}
-	if c.HTMCapacity <= 0 {
-		c.HTMCapacity = defaultHTMCapacity
-	}
-	if c.HTMRetries <= 0 {
-		c.HTMRetries = defaultHTMRetries
-	}
-	if c.Algorithm == HTM {
-		// Hardware transactions are defined by their relationship to the
-		// fallback lock; removing it is not meaningful (§5).
-		c.NoSerialLock = false
-	}
 	if c.WatchdogAborts == 0 {
 		c.WatchdogAborts = defaultWatchdogAborts
-	}
-	if c.WatchdogAge <= 0 {
-		c.WatchdogAge = defaultWatchdogAge
 	}
 	return c
 }

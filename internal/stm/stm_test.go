@@ -14,7 +14,7 @@ import (
 	"repro/internal/txobs"
 )
 
-var algorithms = []Algorithm{MLWT, LazyAlg, NOrec, SerialAlg, HTM}
+var algorithms = []Algorithm{MLWT, LazyAlg, NOrec, SerialAlg}
 
 // newTPtr makes a pointer cell holding v, as an embedding structure's Init
 // would.
@@ -563,18 +563,18 @@ func TestTBytesRoundTrip(t *testing.T) {
 		}
 		dst := make([]byte, len(src))
 		mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-			tb.ReadAll(tx, dst)
+			tb.ReadAt(tx, dst, 0)
 		})
 		if !bytes.Equal(dst, src) {
-			t.Errorf("ReadAll = %q", dst)
+			t.Errorf("ReadAt = %q", dst)
 		}
 		repl := []byte("THE QUICK")
 		mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-			tb.WriteAll(tx, repl)
+			tb.WriteAt(tx, 0, repl)
 		})
 		want := append([]byte("THE QUICK"), src[9:]...)
 		if !bytes.Equal(tb.Bytes(), want) {
-			t.Errorf("after WriteAll = %q, want %q", tb.Bytes(), want)
+			t.Errorf("after WriteAt = %q, want %q", tb.Bytes(), want)
 		}
 	})
 }
@@ -652,7 +652,7 @@ func tornReads(t *testing.T, rt *Runtime, writes int, stopOnTorn bool) int64 {
 					buf[j] = byte(g + 3*i) // no two consecutive commits write the same fill
 				}
 				mustRun(t, th, Props{Kind: Atomic}, func(tx *Tx) {
-					tb.WriteAll(tx, buf)
+					tb.WriteAt(tx, 0, buf)
 				})
 			}
 		}()
@@ -765,12 +765,12 @@ func TestStatsSubAndRatios(t *testing.T) {
 }
 
 func TestParseHelpers(t *testing.T) {
-	for _, s := range []string{"mlwt", "gcc", "eager", "lazy", "norec", "serial", "htm", "rtm"} {
+	for _, s := range []string{"mlwt", "gcc", "eager", "lazy", "norec", "serial"} {
 		if _, err := ParseAlgorithm(s); err != nil {
 			t.Errorf("ParseAlgorithm(%q): %v", s, err)
 		}
 	}
-	for _, s := range []string{"nope", "tml"} {
+	for _, s := range []string{"nope", "tml", "htm", "rtm"} {
 		if _, err := ParseAlgorithm(s); err == nil {
 			t.Errorf("ParseAlgorithm accepted %q", s)
 		}

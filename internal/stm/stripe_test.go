@@ -25,14 +25,13 @@ func TestMemcpyBarrierCounts(t *testing.T) {
 		{stm.MLWT, false, 4, 0, 4, 32},
 		{stm.LazyAlg, true, 4, 0, 0, 0},
 		{stm.LazyAlg, false, 32, 0, 0, 0},
-		{stm.HTM, false, 4, 0, 4, 32},
 		{stm.NOrec, false, 0, 32, 0, 0},
 	} {
 		t.Run(fmt.Sprintf("%s/ro=%v", c.alg, c.readOnly), func(t *testing.T) {
 			in := fault.New(1)
 			in.Set(fault.STMReadDelay, 1)
 			in.Set(fault.STMWriteDelay, 1)
-			rt := stm.New(stm.Config{Algorithm: c.alg, Fault: in, HTMCapacity: 1024})
+			rt := stm.New(stm.Config{Algorithm: c.alg, Fault: in})
 			th := rt.NewThread()
 			buf := stm.NewTBytesFrom(bytes.Repeat([]byte("x"), 256))
 			out := make([]byte, 256)
@@ -82,13 +81,13 @@ func TestStripeSharesOrec(t *testing.T) {
 		alg      stm.Algorithm
 		readOnly bool
 	}{
-		{stm.MLWT, false}, {stm.MLWT, true}, {stm.LazyAlg, false}, {stm.LazyAlg, true}, {stm.HTM, false},
+		{stm.MLWT, false}, {stm.MLWT, true}, {stm.LazyAlg, false}, {stm.LazyAlg, true},
 	} {
 		for _, word := range []int{7, 8} {
 			t.Run(fmt.Sprintf("%s/ro=%v/word%d", c.alg, c.readOnly, word), func(t *testing.T) {
 				// The writer commits inside the reader's body, from the same
 				// goroutine, so its commit must not wait for the reader.
-				rt := stm.New(stm.Config{Algorithm: c.alg, NoQuiesce: true, HTMRetries: 100})
+				rt := stm.New(stm.Config{Algorithm: c.alg, NoQuiesce: true})
 				reader, writer := rt.NewThread(), rt.NewThread()
 				buf, sink := stm.NewTBytes(128), stm.NewTWord(0)
 				err := reader.Run(stm.Props{Kind: stm.Atomic, ReadOnly: c.readOnly}, func(tx *stm.Tx) {

@@ -150,8 +150,7 @@ func (t *TPtr[T]) LoadDirect() *T { return t.p.Load() }
 func (t *TPtr[T]) StoreDirect(v *T) { t.p.Store(v) }
 
 // StripeBytes is the width of a TBytes stripe: the bytes that share one
-// location id, and so one orec. It is a cache line, which is also what the
-// emulated HTM counts one footprint entry for.
+// location id, and so one orec. It is a cache line.
 const StripeBytes = 64
 
 const stripeWords = StripeBytes / 8
@@ -162,7 +161,7 @@ const stripeWords = StripeBytes / 8
 // orec in GCC's libitm. The range accessors ReadAt and WriteAt — and through
 // them tm_memcpy and tm_memcmp in tmlib — take one barrier per stripe the
 // range touches, as libitm's ml_wt memtransfer barrier walks the orecs that
-// cover a memcpy once: under MLWT, HTM and read-only Lazy a stripe costs one
+// cover a memcpy once: under MLWT and read-only Lazy a stripe costs one
 // orec sample before and one after the copy, one read-set entry, and on the
 // write side one orec acquisition (the undo log stays per word). Lazy
 // read-write and NOrec still log every word of the range in their value and
@@ -196,7 +195,7 @@ func (t *TBytes) Init(baseID uint64, l txobs.Label, n int) {
 // instrument these stores either).
 func NewTBytesFrom(src []byte) *TBytes {
 	t := NewTBytes(len(src))
-	t.WriteAllDirect(src)
+	t.WriteAtDirect(0, src)
 	return t
 }
 
@@ -221,14 +220,8 @@ func (t *TBytes) StoreWord(tx *Tx, i int, v uint64) {
 	tx.storeWord(t.stripeID(8*i), &t.words[i], v)
 }
 
-// Words returns the number of 64-bit words backing the buffer.
-func (t *TBytes) Words() int { return len(t.words) }
-
 // WordDirect reads word i outside any transaction (privatized access).
 func (t *TBytes) WordDirect(i int) uint64 { return t.words[i].Load() }
-
-// SetWordDirect writes word i outside any transaction.
-func (t *TBytes) SetWordDirect(i int, v uint64) { t.words[i].Store(v) }
 
 // stripeSpan returns the part of [off, end) that lies in off's stripe, as the
 // byte offset lo of its first word, the end e of the part, and the byte
@@ -285,30 +278,6 @@ func (t *TBytes) WriteAt(tx *Tx, off int, src []byte) {
 	}
 }
 
-// ReadAll copies the whole buffer out inside tx.
-func (t *TBytes) ReadAll(tx *Tx, dst []byte) {
-	if len(dst) < t.n {
-		panic("stm: TBytes.ReadAll: destination too short")
-	}
-	t.ReadAt(tx, dst[:t.n], 0)
-}
-
-// WriteAll copies src into the start of the buffer inside tx.
-func (t *TBytes) WriteAll(tx *Tx, src []byte) {
-	if len(src) > t.n {
-		panic("stm: TBytes.WriteAll: source too long")
-	}
-	t.WriteAt(tx, 0, src)
-}
-
-// ReadAllDirect copies the buffer out nontransactionally (privatized access).
-func (t *TBytes) ReadAllDirect(dst []byte) {
-	if len(dst) < t.n {
-		panic("stm: TBytes.ReadAllDirect: destination too short")
-	}
-	t.ReadAtDirect(dst[:t.n], 0)
-}
-
 // ReadAtDirect fills dst from byte offset off, nontransactionally: one load
 // per whole word, byte by byte only over a ragged head and tail.
 func (t *TBytes) ReadAtDirect(dst []byte, off int) {
@@ -329,9 +298,6 @@ func (t *TBytes) ReadAtDirect(dst []byte, off int) {
 		}
 	}
 }
-
-// WriteAllDirect copies src into the buffer nontransactionally.
-func (t *TBytes) WriteAllDirect(src []byte) { t.WriteAtDirect(0, src) }
 
 // WriteAtDirect copies src to byte offset off, nontransactionally (memory the
 // caller owns privately): one store per whole word, a read-modify-write of
@@ -360,6 +326,6 @@ func (t *TBytes) WriteAtDirect(off int, src []byte) {
 // Bytes returns a fresh nontransactional copy (direct reads).
 func (t *TBytes) Bytes() []byte {
 	dst := make([]byte, t.n)
-	t.ReadAllDirect(dst)
+	t.ReadAtDirect(dst, 0)
 	return dst
 }

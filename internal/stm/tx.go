@@ -111,15 +111,6 @@ type Thread struct {
 	// privatization-safety quiescence.
 	activeSince atomic.Uint64
 
-	// eagerSub marks an in-flight emulated-hardware attempt: subscribed to
-	// the serial lock (holding nothing) yet writing eagerly in place. Serial
-	// writers drain these after acquiring the lock — the stand-in for real
-	// RTM aborting hardware transactions on the lock's cache-line
-	// invalidation — since an undo-log rollback racing an uninstrumented
-	// serial store would otherwise clobber committed data. Published before
-	// the subscription check, mirroring activeSince (see beginSpeculative).
-	eagerSub atomic.Bool
-
 	commits atomic.Uint64 // per-thread, for abort-rate variance (§4)
 	aborts  atomic.Uint64
 
@@ -176,7 +167,6 @@ type Tx struct {
 	algo     Algorithm // the runtime's algorithm, copied at begin
 	lockWord uint64    // odd; unique per attempt
 	start    uint64    // clock snapshot (MLWT/Lazy) or sequence snapshot (NOrec)
-	htmSeq   uint64    // serial-lock subscription sequence (HTM)
 	roSeq    uint64    // serial-lock subscription sequence (read-only fast path)
 	retrySeq uint64    // serial-lock sequence a Retry-ing attempt ran under (see retry.go)
 
@@ -303,9 +293,8 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 	serial := false
 	// The read-only fast path exists for the orec-based algorithms, where a
 	// reader otherwise pays serial-lock read acquisition and release on every
-	// attempt. NOrec's read-only commit is already free, HTM already
-	// subscribes, and serial has nothing to skip; begin applies the hint
-	// against the runtime's algorithm.
+	// attempt. NOrec's read-only commit is already free and serial has
+	// nothing to skip; begin applies the hint against the runtime's algorithm.
 	wantRO := props.ReadOnly
 	if props.StartSerial {
 		serial = true
@@ -408,15 +397,6 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 				}
 			}
 			th.finish(tx, false)
-			if cfg.Algorithm == HTM && consec >= cfg.HTMRetries {
-				// Lock-elision fallback: take the global lock for real.
-				rt.stats.HTMFallbacks.Add(1)
-				if o := rt.obs.Load(); o != nil {
-					tx.obsRecord(o, txobs.KHTMFallback, causeAt("htm fallback: retry limit", props.Site))
-				}
-				serial = true
-				continue
-			}
 			switch cfg.CM {
 			case CMSerialize:
 				if consec >= cfg.SerializeAfter {
@@ -509,20 +489,17 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 		} else {
 			rt.serial.Lock()
 		}
-		// The acquisition doomed subscribed hardware attempts; wait for their
-		// eager in-place state to be rolled back before running irrevocably.
-		rt.drainEagerSubscribed()
 		if tx.traced {
 			rt.noteSerialOwner(tx.sitePtr())
 		}
 		tx.algo = rt.cfg.Algorithm
 	} else {
 		// beginSpeculative already set tx.algo, acquired the read side or
-		// the subscription (read-only fast path, HTM elision), and published
-		// activeSince — which keeps writers' privatization-safety quiescence
-		// covering fast-path readers too.
+		// the subscription (read-only fast path), and published activeSince —
+		// which keeps writers' privatization-safety quiescence covering
+		// fast-path readers too.
 		switch tx.algo {
-		case MLWT, HTM, LazyAlg:
+		case MLWT, LazyAlg:
 			tx.start = rt.clock.Load()
 		case NOrec:
 			tx.start = rt.norecBegin()
@@ -550,7 +527,7 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 }
 
 // beginSpeculative acquires a speculative attempt's serial-lock side:
-// read-only and HTM attempts publish activeSince and subscribe (loads only),
+// read-only attempts publish activeSince and subscribe (loads only),
 // everything else takes the read side. Returns false — with nothing held —
 // under SerialAlg, in which case the caller must run serially.
 func (th *Thread) beginSpeculative(tx *Tx, wantRO bool) bool {
@@ -561,7 +538,7 @@ func (th *Thread) beginSpeculative(tx *Tx, wantRO bool) bool {
 	}
 	tx.algo = algo
 	tx.ro = wantRO && (algo == MLWT || algo == LazyAlg)
-	if !tx.ro && algo != HTM {
+	if !tx.ro {
 		rt.serial.RLock()
 		th.activeSince.Store(rt.txSeq.Add(1))
 		return true
@@ -570,18 +547,11 @@ func (th *Thread) beginSpeculative(tx *Tx, wantRO bool) bool {
 		// Publish activeSince before subscribing: a concurrent serial writer
 		// either makes the subscription fail (writer bit visible) or sees the
 		// published state in its commit-time quiescence and waits for this
-		// attempt to retire. Emulated-HTM attempts publish their eagerSub
-		// mark lazily, at the first eager write (htmMarkEager) — an attempt
-		// that has only read holds no in-place state, so a serial writer need
-		// not wait for it.
+		// attempt to retire.
 		th.activeSince.Store(rt.txSeq.Add(1))
 		seq, ok := rt.serial.trySubscribe()
 		if ok {
-			if tx.ro {
-				tx.roSeq = seq
-			} else {
-				tx.htmSeq = seq
-			}
+			tx.roSeq = seq
 			return true
 		}
 		th.activeSince.Store(0)
@@ -615,9 +585,6 @@ func (tx *Tx) execute(fn func(*Tx)) (res int) {
 		case nil:
 			res = resAbort // tryCommit failed
 		case abortSignal:
-			tx.runOnAbort()
-			res = resAbort
-		case htmCapacitySignal:
 			tx.runOnAbort()
 			res = resAbort
 		case retrySignal:
@@ -681,10 +648,6 @@ func (tx *Tx) loadWord(id uint64, p *atomic.Uint64) uint64 {
 		// writes, and the maps may hold stale entries from a previous attempt
 		// (begin leaves them untouched on the fast path).
 		return tx.orecLoad(id, func() uint64 { return p.Load() })
-	case tx.algo == HTM:
-		v := tx.orecLoad(id, func() uint64 { return p.Load() })
-		tx.htmCheckCapacity()
-		return v
 	}
 	return tx.loadLogged(id, p)
 }
@@ -713,7 +676,7 @@ func (tx *Tx) loadLogged(id uint64, p *atomic.Uint64) uint64 {
 // loadStripe reads words, which all belong to the stripe id, into dst: the
 // memtransfer barrier of libitm's ml_wt (pre_load/post_load over the range).
 // The orec algorithms sample the stripe's orec once, copy every word, and
-// re-sample — one read-set entry, and for HTM one footprint line, per stripe.
+// re-sample — one read-set entry per stripe.
 // Lazy read-write and NOrec keep their per-word logs, on the stripe id.
 // The injection points fire once per stripe; on the orec path they fire
 // between the first sample and the copy, so a delay widens exactly the window
@@ -731,9 +694,6 @@ func (tx *Tx) loadStripe(id uint64, words []atomic.Uint64, dst []uint64) {
 		read()
 	case tx.algo == MLWT || tx.ro:
 		tx.orecLoad(id, read)
-	case tx.algo == HTM:
-		tx.orecLoad(id, read)
-		tx.htmCheckCapacity()
 	default:
 		tx.faultBarrier(fault.STMReadAbort, fault.STMReadDelay)
 		for j := range words {
@@ -758,23 +718,17 @@ func (tx *Tx) storeWord(id uint64, p *atomic.Uint64, v uint64) {
 		return
 	}
 	switch tx.algo {
-	case MLWT, HTM:
-		if tx.algo == HTM {
-			tx.htmMarkEager()
-		}
+	case MLWT:
 		tx.orecAcquire(id)
 		tx.undoW = append(tx.undoW, wordSlot{p: p, v: p.Load()})
 		p.Store(v)
-		if tx.algo == HTM {
-			tx.htmCheckCapacity()
-		}
 	case LazyAlg, NOrec:
 		tx.redoW[p] = wordRedo{id: id, v: v}
 	}
 }
 
 // storeStripe writes src into words, which all belong to the stripe id. The
-// eager algorithms (MLWT and HTM) take the stripe's orec once and keep a
+// eager algorithm (MLWT) takes the stripe's orec once and keeps a
 // per-word undo log; Lazy and NOrec buffer every word in the redo log under
 // the stripe id. The injection points fire once per stripe.
 func (tx *Tx) storeStripe(id uint64, words []atomic.Uint64, src []uint64) {
@@ -791,24 +745,16 @@ func (tx *Tx) storeStripe(id uint64, words []atomic.Uint64, src []uint64) {
 		}
 		return
 	}
-	switch tx.algo {
-	case LazyAlg, NOrec:
+	if tx.algo != MLWT {
 		for j := range words {
 			tx.redoW[&words[j]] = wordRedo{id: id, v: src[j]}
 		}
 		return
-	case MLWT, HTM:
-		if tx.algo == HTM {
-			tx.htmMarkEager()
-		}
-		tx.orecAcquire(id)
 	}
+	tx.orecAcquire(id)
 	for j := range words {
 		tx.undoW = append(tx.undoW, wordSlot{p: &words[j], v: words[j].Load()})
 		words[j].Store(src[j])
-	}
-	if tx.algo == HTM {
-		tx.htmCheckCapacity()
 	}
 }
 
@@ -818,12 +764,9 @@ func (tx *Tx) loadPtr(c ptrCell) any {
 		return c.loadRaw()
 	}
 	switch tx.algo {
-	case MLWT, HTM:
+	case MLWT:
 		var v any
 		tx.orecLoad(c.cellID(), func() uint64 { v = c.loadRaw(); return 0 })
-		if tx.algo == HTM {
-			tx.htmCheckCapacity()
-		}
 		return v
 	case LazyAlg:
 		if !tx.ro {
@@ -858,24 +801,18 @@ func (tx *Tx) storePtr(c ptrCell, v any) {
 		return
 	}
 	switch tx.algo {
-	case MLWT, HTM:
-		if tx.algo == HTM {
-			tx.htmMarkEager()
-		}
+	case MLWT:
 		tx.orecAcquire(c.cellID())
 		tx.undoP = append(tx.undoP, ptrSlot{c: c, v: c.loadRaw()})
 		c.storeRaw(v)
-		if tx.algo == HTM {
-			tx.htmCheckCapacity()
-		}
 	case LazyAlg, NOrec:
 		tx.redoP[c] = v
 	}
 }
 
-// orecLoad performs the orec-validated read protocol shared by MLWT, HTM and
-// Lazy. read is invoked to sample the location — one word, one pointer cell,
-// or every word of a TBytes stripe — between the two orec samples.
+// orecLoad performs the orec-validated read protocol shared by MLWT and Lazy.
+// read is invoked to sample the location — one word, one pointer cell, or
+// every word of a TBytes stripe — between the two orec samples.
 func (tx *Tx) orecLoad(id uint64, read func() uint64) uint64 {
 	o := tx.rt.orecFor(id)
 	for {
@@ -1072,10 +1009,10 @@ func (tx *Tx) commitProtocol() bool {
 	}
 	if tx.serial {
 		// The same grace period a speculative writer's commit pays. Taking the
-		// write lock drained the read-lock holders only: attempts that
-		// subscribed instead (read-only fast path, emulated HTM that has not
-		// written) are doomed by the acquisition but may still be running, and
-		// the caller is about to treat what this transaction unlinked as private.
+		// write lock drained the read-lock holders only: read-only fast-path
+		// attempts subscribed instead, are doomed by the acquisition but may
+		// still be running, and the caller is about to treat what this
+		// transaction unlinked as private.
 		// The commit point is taken before the release, so attempts that begin
 		// once the lock is free are not waited for.
 		cs := rt.txSeq.Add(1)
@@ -1089,30 +1026,6 @@ func (tx *Tx) commitProtocol() bool {
 		return tx.roCommit()
 	}
 	switch tx.algo {
-	case HTM:
-		// The lock subscription stands in for real HTM's cache-line
-		// monitoring: any serial acquisition since begin aborts us.
-		if !rt.serial.stillSubscribed(tx.htmSeq) {
-			tx.noteConflict("conflict: serial-lock subscription", 0)
-			return false
-		}
-		wrote := len(tx.owned) > 0
-		if wrote {
-			if !tx.validateReads() {
-				return false
-			}
-			if !rt.serial.stillSubscribed(tx.htmSeq) {
-				tx.noteConflict("conflict: serial-lock subscription", 0)
-				return false
-			}
-			nv := versionWord(rt.clock.Add(1))
-			for _, ow := range tx.owned {
-				ow.o.v.Store(nv)
-			}
-			tx.owned = tx.owned[:0]
-		}
-		tx.endSpeculation(wrote)
-		return true
 	case MLWT:
 		wrote := len(tx.owned) > 0
 		if wrote {
@@ -1208,9 +1121,6 @@ func (tx *Tx) roCommit() bool {
 // when Run returns from a transaction that wrote, no transaction that began
 // before its commit point is still running.
 func (tx *Tx) endSpeculation(wrote bool) {
-	if tx.algo == HTM {
-		tx.th.eagerSub.Store(false)
-	}
 	tx.th.activeSince.Store(0)
 	if wrote && !tx.rt.cfg.NoQuiesce {
 		tx.rt.quiesce(tx.rt.txSeq.Add(1))
@@ -1278,13 +1188,9 @@ func (tx *Tx) rollback() {
 	for _, ow := range tx.owned {
 		ow.o.v.Store(ow.prev)
 	}
-	// HTM and read-only fast-path attempts subscribed instead of taking the
-	// read lock; there is nothing to release. The eagerSub mark clears only
-	// after the undo restore above — a draining serial writer must not
-	// proceed while our in-place state is still visible.
-	if tx.algo == HTM {
-		tx.th.eagerSub.Store(false)
-	} else if !tx.ro {
+	// Read-only fast-path attempts subscribed instead of taking the read
+	// lock; there is nothing to release.
+	if !tx.ro {
 		rt.serial.RUnlock()
 	}
 	tx.th.activeSince.Store(0)

@@ -30,7 +30,7 @@ func (e *ConfigError) Is(target error) bool { return target == ErrInvalidConfig 
 // combinations. Zero values are legal (New applies defaults); Validate only
 // rejects settings that cannot mean what the user asked for.
 func (c Config) Validate() error {
-	if c.Algorithm < MLWT || c.Algorithm > HTM {
+	if c.Algorithm < MLWT || c.Algorithm > SerialAlg {
 		return &ConfigError{"Algorithm", fmt.Sprintf("unknown algorithm %d", int(c.Algorithm))}
 	}
 	if c.CM < CMSerialize || c.CM > CMHourglass {
@@ -44,20 +44,6 @@ func (c Config) Validate() error {
 	}
 	if c.OrecBits < 0 || c.OrecBits > 30 {
 		return &ConfigError{"OrecBits", "must be in [0, 30] (0 = default)"}
-	}
-	if c.HTMCapacity < 0 {
-		return &ConfigError{"HTMCapacity", "must be >= 0 (0 = default)"}
-	}
-	if c.HTMRetries < 0 {
-		return &ConfigError{"HTMRetries", "must be >= 0 (0 = default)"}
-	}
-	if c.WatchdogAge < 0 {
-		return &ConfigError{"WatchdogAge", "must be >= 0 (0 = default)"}
-	}
-	if c.Algorithm == HTM && c.NoSerialLock {
-		// withDefaults silently forced the lock back on; make the conflict
-		// visible where a user asked for it explicitly.
-		return &ConfigError{"NoSerialLock", "hardware transactions are defined by their fallback lock (§5); it cannot be removed"}
 	}
 	if c.Algorithm == SerialAlg && c.CM == CMHourglass {
 		return &ConfigError{"CM", "hourglass gates speculative attempts; serial-only execution never aborts"}

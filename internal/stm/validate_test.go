@@ -10,9 +10,8 @@ func TestConfigValidate(t *testing.T) {
 		{},
 		{Algorithm: LazyAlg, CM: CMBackoff},
 		{Algorithm: NOrec, NoSerialLock: true},
-		{Algorithm: HTM, HTMCapacity: 64, HTMRetries: 3},
 		{Algorithm: SerialAlg},
-		{OrecBits: 30, SerializeAfter: 5, WatchdogAge: 10},
+		{OrecBits: 30, SerializeAfter: 5},
 	}
 	for _, c := range ok {
 		if err := c.Validate(); err != nil {
@@ -30,10 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		{Config{HourglassAfter: -2}, "HourglassAfter"},
 		{Config{OrecBits: 31}, "OrecBits"},
 		{Config{OrecBits: -1}, "OrecBits"},
-		{Config{HTMCapacity: -1}, "HTMCapacity"},
-		{Config{HTMRetries: -1}, "HTMRetries"},
-		{Config{WatchdogAge: -1}, "WatchdogAge"},
-		{Config{Algorithm: HTM, NoSerialLock: true}, "NoSerialLock"},
 		{Config{Algorithm: SerialAlg, CM: CMHourglass}, "CM"},
 		{Config{Algorithm: SerialAlg, CM: CMBackoff}, "CM"},
 	}

@@ -95,7 +95,7 @@ func (rt *Runtime) watchdogScan(now time.Time) {
 	for _, th := range *snapP {
 		since := th.runSince.Load()
 		starving := th.consecAborts.Load() >= rt.cfg.WatchdogAborts ||
-			(since != 0 && now.UnixNano()-since >= int64(rt.cfg.WatchdogAge))
+			(since != 0 && now.UnixNano()-since >= int64(watchdogAge))
 		if !starving {
 			continue
 		}

@@ -12,8 +12,7 @@ import (
 // (abort semantics: the panic unwinds with every transactional effect undone).
 func expectBounds(t *testing.T, buf *stm.TBytes, fn func(tx *stm.Tx)) {
 	t.Helper()
-	before := make([]byte, buf.Len())
-	buf.ReadAllDirect(before)
+	before := buf.Bytes()
 	rt := stm.New(stm.Config{})
 	th := rt.NewThread()
 	defer func() {
@@ -25,8 +24,7 @@ func expectBounds(t *testing.T, buf *stm.TBytes, fn func(tx *stm.Tx)) {
 		if !ok || !errors.Is(err, ErrMarshalBounds) {
 			t.Fatalf("panic = %v, want ErrMarshalBounds", r)
 		}
-		after := make([]byte, buf.Len())
-		buf.ReadAllDirect(after)
+		after := buf.Bytes()
 		if string(after) != string(before) {
 			t.Errorf("buffer mutated across aborted marshal: %q -> %q", before, after)
 		}

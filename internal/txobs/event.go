@@ -18,9 +18,6 @@ const (
 	// KAbortSerial is a transaction serialized for progress after the
 	// contention manager's consecutive-abort limit.
 	KAbortSerial
-	// KHTMFallback is an emulated hardware transaction taking the lock
-	// fallback after its retry budget.
-	KHTMFallback
 	// KWatchdogBackoff and KWatchdogSerialize are starvation-watchdog
 	// escalations.
 	KWatchdogBackoff
@@ -40,7 +37,7 @@ const (
 
 var kindNames = [kindN]string{
 	"begin", "commit", "abort", "inflight_switch", "start_serial",
-	"abort_serial", "htm_fallback", "watchdog_backoff", "watchdog_serialize",
+	"abort_serial", "watchdog_backoff", "watchdog_serialize",
 	"retry_wait", "ro_fast_commit", "ro_upgrade",
 }
 
@@ -55,7 +52,7 @@ func (k Kind) String() string {
 // category the paper's Tables 1-4 break down).
 func (k Kind) serializes() bool {
 	switch k {
-	case KInFlightSwitch, KStartSerial, KAbortSerial, KHTMFallback,
+	case KInFlightSwitch, KStartSerial, KAbortSerial,
 		KWatchdogBackoff, KWatchdogSerialize:
 		return true
 	}
